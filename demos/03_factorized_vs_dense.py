@@ -15,8 +15,8 @@ import numpy as np
 from bdqw import (
     DimensionSpec,
     MultiChainSpec,
+    chain_spectra,
     dense_transition_matrix,
-    dimension_spectrum,
     ehrenfest_dimension,
     factorized_transition_matrix,
     transition_matrix_1d,
@@ -28,7 +28,7 @@ spec = MultiChainSpec(
     dims=(ehrenfest_dimension(1), DimensionSpec(size=2, decrease_prob=(0.3,))),
     select_prob=(0.3, 0.7),
 )
-spectra = tuple(dimension_spectrum(d) for d in spec.dims)
+spectra = chain_spectra(spec)
 t = 1.0
 
 fact = factorized_transition_matrix(spec, spectra, t)
@@ -42,7 +42,7 @@ print("same comparison without time rescaling:      ", np.max(np.abs(broken - de
 print("\n  d    states      dense        factorized")
 for d in (2, 6, 10, 20):
     big = uniform_multi_chain(ehrenfest_dimension(1), d)
-    big_spectra = tuple(dimension_spectrum(dim) for dim in big.dims)
+    big_spectra = chain_spectra(big)
     j, k = (0,) * d, (1,) * d
 
     start = time.perf_counter()

@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from bdqw import (
+    chain_spectra,
     convolve_sum,
-    dimension_spectrum,
     ehrenfest_dimension,
     ehrenfest_sum_law,
     position_distribution,
@@ -25,7 +25,7 @@ print("success probability sin^2(t/d) and law agreement:")
 print("  d    sin^2(t/d)    max |convolution - binomial|")
 for d in (1, 2, 4, 8, 12):
     spec = uniform_multi_chain(ehrenfest_dimension(1), d)
-    spectra = tuple(dimension_spectrum(dim) for dim in spec.dims)
+    spectra = chain_spectra(spec)
     joint = position_distribution(spec, spectra, t, (0,) * d)
     summed = convolve_sum(joint.factors)
     gap = np.max(np.abs(summed.mass - ehrenfest_sum_law(d, t)))

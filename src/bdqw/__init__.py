@@ -22,12 +22,9 @@ from .chain import (
 from .ctqw import (
     JointDistribution,
     Propagator,
-    StateVector,
-    basis_state,
     dense_propagator,
     dense_transition_matrix,
     ehrenfest_sum_law,
-    evolve,
     factorized_transition_matrix,
     position_distribution,
     propagator,
@@ -41,6 +38,7 @@ from .errors import NumericalError, SizeLimitError
 from .spectral import (
     SpectralData,
     SymmetricTridiagonal,
+    chain_spectra,
     dimension_spectrum,
     eigendecompose,
     orthogonality_defect,
@@ -66,11 +64,10 @@ __all__ = [
     "Propagator",
     "SizeLimitError",
     "SpectralData",
-    "StateVector",
     "SumDistribution",
     "SymmetricTridiagonal",
-    "basis_state",
     "build_conditional_matrix",
+    "chain_spectra",
     "clt_distance",
     "convolve_sum",
     "dense_propagator",
@@ -79,7 +76,6 @@ __all__ = [
     "ehrenfest_dimension",
     "ehrenfest_sum_law",
     "eigendecompose",
-    "evolve",
     "evolve_classical",
     "factorized_transition_matrix",
     "full_transition_matrix",

@@ -71,10 +71,11 @@ class MultiChainSpec:
             raise ValueError(
                 f"select_prob has {len(self.select_prob)} entries for {len(self.dims)} dims"
             )
-        if any(q <= 0.0 for q in self.select_prob):
-            raise ValueError("every selection probability must be strictly positive")
+        for q in self.select_prob:
+            if not 0.0 < q < math.inf:
+                raise ValueError(f"select_prob entry {q} is not finite and strictly positive")
         if abs(math.fsum(self.select_prob) - 1.0) > 1e-12:
-            raise ValueError("selection probabilities must sum to 1")
+            raise ValueError("select_prob entries must sum to 1")
 
     @property
     def n_dims(self) -> int:
@@ -124,16 +125,15 @@ def build_conditional_matrix(spec: DimensionSpec) -> np.ndarray:
 def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     """Reversible stationary distribution of a conditional transition matrix.
 
-    Uses the product recursion pi(k+1) = pi(k) * m[k, k+1] / m[k+1, k] and
-    normalizes, which makes the pairwise balance pi(k) m[k, k+1] =
-    pi(k+1) m[k+1, k] hold to rounding error.
+    Runs the product recursion pi(k+1) = pi(k) * m[k, k+1] / m[k+1, k] in
+    log space and normalizes after subtracting the largest log, so the
+    pairwise balance pi(k) m[k, k+1] = pi(k+1) m[k+1, k] holds to rounding
+    error without overflow.  Tails below the smallest double come out as 0,
+    which symmetrize then rejects.
     """
     m = np.asarray(matrix, dtype=float)
-    n = m.shape[0] - 1
-    pi = np.empty(n + 1)
-    pi[0] = 1.0
-    for k in range(n):
-        pi[k + 1] = pi[k] * m[k, k + 1] / m[k + 1, k]
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(np.diag(m, 1)) - np.log(np.diag(m, -1)))))
+    pi = np.exp(log_pi - log_pi.max())
     return pi / pi.sum()
 
 

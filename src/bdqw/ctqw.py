@@ -16,6 +16,10 @@ Two evaluation routes are provided:
   amplitude as one sum over the product spectrum.  The oracle is capped,
   since its cost grows with the product-space size.
 
+Every route is a slice of one kernel, the elements of V diag(e^{i t lambda}) V^T
+over a spectrum (V, lambda): a 1-D spectrum for the factorized path, the
+product eigensystem for the oracle.
+
 Everything here is a pure function of immutable inputs; per-dimension
 propagators and per-pair evaluations can be computed concurrently.
 """
@@ -30,7 +34,7 @@ import numpy as np
 
 from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, check_oracle_cap
 from .errors import NumericalError
-from .spectral import SpectralData, dimension_spectrum
+from .spectral import SpectralData, chain_spectra
 
 
 @dataclass(frozen=True)
@@ -39,35 +43,6 @@ class Propagator:
 
     time: float
     matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Complex amplitudes over a position basis, normalized to unit length."""
-
-    amplitudes: np.ndarray
-
-    def validate(self, tol: float = 1e-10) -> None:
-        norm_sq = float(np.sum(np.abs(self.amplitudes) ** 2))
-        if abs(norm_sq - 1.0) > tol:
-            raise NumericalError(f"state has squared norm {norm_sq}, not 1")
-
-    def position_probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
-
-def basis_state(n_states: int, index: int) -> StateVector:
-    if not 0 <= index < n_states:
-        raise ValueError(f"basis index {index} out of range for {n_states} states")
-    amp = np.zeros(n_states, dtype=complex)
-    amp[index] = 1.0
-    return StateVector(amplitudes=amp)
-
-
-def evolve(state: StateVector, prop: Propagator) -> StateVector:
-    if state.amplitudes.shape[0] != prop.matrix.shape[1]:
-        raise ValueError("state and propagator dimensions do not match")
-    return StateVector(amplitudes=prop.matrix @ state.amplitudes)
 
 
 @dataclass(frozen=True)
@@ -98,11 +73,39 @@ class JointDistribution:
             raise NumericalError("dense mass table does not sum to 1")
 
 
+def _amplitudes(
+    vectors: np.ndarray,
+    values: np.ndarray,
+    t: float,
+    rows: int | slice = slice(None),
+    cols: int | slice = slice(None),
+) -> tuple[np.ndarray, np.ndarray]:
+    """Real and imaginary parts of the [rows, cols] block of V diag(e^{i t lambda}) V^T.
+
+    The one amplitude kernel behind every route: two real matmuls, one per
+    part; an integer index drops that axis.  Real matmuls rather than a
+    complex-phase product, which costs a complex matmul: at 2048 product
+    states the dense propagator took 0.65-0.81 s that way against 0.45 s.
+    """
+    left, right = vectors[rows], vectors[cols].T
+    lam_t = t * values
+    return (left * np.cos(lam_t)) @ right, (left * np.sin(lam_t)) @ right
+
+
+def _probabilities(*args) -> np.ndarray:
+    """Squared moduli of the kernel's elements; same arguments as _amplitudes."""
+    re, im = _amplitudes(*args)
+    return re**2 + im**2
+
+
+def _unitary(vectors: np.ndarray, values: np.ndarray, t: float) -> Propagator:
+    re, im = _amplitudes(vectors, values, t)
+    return Propagator(time=float(t), matrix=re + 1j * im)
+
+
 def propagator(spectrum: SpectralData, t: float) -> Propagator:
     """One-dimensional evolution operator, sum of e^{i t lambda} projectors."""
-    v = spectrum.eigenvectors
-    phases = np.exp(1j * t * spectrum.eigenvalues)
-    return Propagator(time=float(t), matrix=(v * phases) @ v.T)
+    return _unitary(spectrum.eigenvectors, spectrum.eigenvalues, t)
 
 
 def _check_position(n_states: int, pos: int, name: str) -> None:
@@ -114,9 +117,7 @@ def transition_prob_1d(spectrum: SpectralData, t: float, j: int, k: int) -> floa
     """Probability of moving from position j to k in elapsed time t."""
     _check_position(spectrum.n_states, j, "j")
     _check_position(spectrum.n_states, k, "k")
-    v = spectrum.eigenvectors
-    amp = np.sum(v[k] * v[j] * np.exp(1j * t * spectrum.eigenvalues))
-    return float(abs(amp) ** 2)
+    return float(_probabilities(spectrum.eigenvectors, spectrum.eigenvalues, t, k, j))
 
 
 def transition_prob_weight_form(spectrum: SpectralData, t: float, j: int, k: int) -> float:
@@ -134,29 +135,24 @@ def transition_prob_weight_form(spectrum: SpectralData, t: float, j: int, k: int
 
 def transition_matrix_1d(spectrum: SpectralData, t: float) -> np.ndarray:
     """All-pairs transition probabilities; entry [k, j] is j -> k."""
-    v = spectrum.eigenvectors
-    lam_t = t * spectrum.eigenvalues
-    re = (v * np.cos(lam_t)) @ v.T
-    im = (v * np.sin(lam_t)) @ v.T
-    return re**2 + im**2
+    return _probabilities(spectrum.eigenvectors, spectrum.eigenvalues, t)
 
 
 def transition_row(spectrum: SpectralData, t: float, j: int) -> np.ndarray:
     """Position distribution after elapsed time t, started from position j."""
     _check_position(spectrum.n_states, j, "j")
-    v = spectrum.eigenvectors
-    amp = v @ (v[j] * np.exp(1j * t * spectrum.eigenvalues))
-    return np.abs(amp) ** 2
+    return _probabilities(spectrum.eigenvectors, spectrum.eigenvalues, t, slice(None), j)
 
 
 def _check_multi(
     spec: MultiChainSpec,
-    spectra: tuple[SpectralData, ...],
+    spectra: tuple[SpectralData, ...] | None,
     indices: dict[str, tuple[int, ...]],
 ) -> None:
-    if len(spectra) != spec.n_dims:
+    """Check supplied spectra (unless None) and multi-indices against the chain."""
+    if spectra is not None and len(spectra) != spec.n_dims:
         raise ValueError(f"{len(spectra)} spectra supplied for {spec.n_dims} dimensions")
-    for s, dim in zip(spectra, spec.dims):
+    for s, dim in zip(spectra or (), spec.dims):
         if s.n_states != dim.n_states:
             raise ValueError("spectrum size does not match its dimension")
     for name, multi in indices.items():
@@ -201,13 +197,6 @@ def factorized_transition_matrix(
     return out
 
 
-def _flat_index(spec: MultiChainSpec, multi: tuple[int, ...]) -> int:
-    flat = 0
-    for pos, dim in zip(multi, spec.dims):
-        flat = flat * dim.n_states + pos
-    return flat
-
-
 def _product_eigensystem(
     spec: MultiChainSpec, oracle_cap: int = DEFAULT_ORACLE_CAP
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -218,7 +207,7 @@ def _product_eigensystem(
     valid below the oracle cap.
     """
     check_oracle_cap(spec.product_size, oracle_cap)
-    spectra = [dimension_spectrum(dim) for dim in spec.dims]
+    spectra = chain_spectra(spec)
     vectors = reduce(np.kron, [s.eigenvectors for s in spectra])
     values = reduce(
         np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)]
@@ -230,9 +219,7 @@ def dense_propagator(
     spec: MultiChainSpec, t: float, oracle_cap: int = DEFAULT_ORACLE_CAP
 ) -> Propagator:
     """Full product-space evolution operator (oracle path)."""
-    vectors, values = _product_eigensystem(spec, oracle_cap)
-    phases = np.exp(1j * t * values)
-    return Propagator(time=float(t), matrix=(vectors * phases) @ vectors.T)
+    return _unitary(*_product_eigensystem(spec, oracle_cap), t)
 
 
 def transition_prob_dense(
@@ -247,29 +234,18 @@ def transition_prob_dense(
     Single sum over the product spectrum, no factorization; the independent
     check for the fast path.
     """
-    j = tuple(j)
-    k = tuple(k)
-    for name, multi in (("j", j), ("k", k)):
-        if len(multi) != spec.n_dims:
-            raise ValueError(f"multi-index {name} has length {len(multi)}, expected {spec.n_dims}")
-        for pos, dim in zip(multi, spec.dims):
-            _check_position(dim.n_states, pos, name)
+    _check_multi(spec, None, {"j": tuple(j), "k": tuple(k)})
     vectors, values = _product_eigensystem(spec, oracle_cap)
-    amp = np.sum(
-        vectors[_flat_index(spec, k)] * vectors[_flat_index(spec, j)] * np.exp(1j * t * values)
-    )
-    return float(abs(amp) ** 2)
+    flat_k = np.ravel_multi_index(tuple(k), spec.shape)
+    flat_j = np.ravel_multi_index(tuple(j), spec.shape)
+    return float(_probabilities(vectors, values, t, flat_k, flat_j))
 
 
 def dense_transition_matrix(
     spec: MultiChainSpec, t: float, oracle_cap: int = DEFAULT_ORACLE_CAP
 ) -> np.ndarray:
     """All-pairs probabilities from the dense oracle; entry [k_flat, j_flat]."""
-    vectors, values = _product_eigensystem(spec, oracle_cap)
-    lam_t = t * values
-    re = (vectors * np.cos(lam_t)) @ vectors.T
-    im = (vectors * np.sin(lam_t)) @ vectors.T
-    return re**2 + im**2
+    return _probabilities(*_product_eigensystem(spec, oracle_cap), t)
 
 
 def position_distribution(
@@ -295,8 +271,7 @@ def position_distribution(
     dense = None
     if include_dense:
         vectors, values = _product_eigensystem(spec, oracle_cap)
-        amp = vectors @ (vectors[_flat_index(spec, j)] * np.exp(1j * t * values))
-        dense = np.abs(amp) ** 2
+        dense = _probabilities(vectors, values, t, slice(None), np.ravel_multi_index(j, spec.shape))
     return JointDistribution(factors=factors, dense=dense)
 
 

@@ -29,6 +29,7 @@ import numpy as np
 from .chain import (
     DEFAULT_ORACLE_CAP,
     DimensionSpec,
+    MultiChainSpec,
     build_conditional_matrix,
     check_oracle_cap,
     stationary_distribution,
@@ -128,12 +129,12 @@ def symmetrize(matrix: np.ndarray, pi: np.ndarray) -> SymmetricTridiagonal:
     p = np.asarray(pi, dtype=float)
     if p.shape != (m.shape[0],):
         raise ValueError("stationary distribution length must match the kernel")
-    if float(p.min()) <= 0.0:
-        raise ValueError("stationary distribution must be strictly positive")
+    if not float(p.min()) > 0.0:
+        raise ValueError("stationary distribution must be strictly positive (and not NaN)")
     up = np.diag(m, 1)
     down = np.diag(m, -1)
     ratio = np.sqrt(p[:-1] / p[1:])
-    if up.size and float(np.max(np.abs(up * ratio - down / ratio))) > 1e-12:
+    if up.size and not float(np.max(np.abs(up * ratio - down / ratio))) <= 1e-12:
         raise ValueError("pi does not satisfy detailed balance for this kernel")
     return SymmetricTridiagonal(diag=np.diag(m).copy(), offdiag=np.sqrt(up * down))
 
@@ -239,6 +240,12 @@ def dimension_spectrum(spec: DimensionSpec) -> SpectralData:
     m = build_conditional_matrix(spec)
     pi = stationary_distribution(m)
     return eigendecompose(symmetrize(m, pi))
+
+
+def chain_spectra(spec: MultiChainSpec) -> tuple[SpectralData, ...]:
+    """Spectra of a chain's dimensions in order, one eigensolve per distinct dimension."""
+    solved = {dim: dimension_spectrum(dim) for dim in dict.fromkeys(spec.dims)}
+    return tuple(solved[dim] for dim in spec.dims)
 
 
 def orthogonality_defect(

@@ -16,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .chain import check_probability_vector
+from .errors import NumericalError
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -41,9 +42,9 @@ def moments(mass: np.ndarray) -> tuple[float, float]:
 def convolve_sum(factors: Sequence[np.ndarray]) -> SumDistribution:
     """Exact law of the sum of independent factors via discrete convolution.
 
-    The stored mean and variance are the per-factor sums; they are asserted
+    The stored mean and variance are the per-factor sums; they are checked
     against the moments of the convolved mass as an internal consistency
-    check.
+    check, which raises NumericalError on disagreement.
     """
     if len(factors) == 0:
         raise ValueError("need at least one factor")
@@ -57,8 +58,9 @@ def convolve_sum(factors: Sequence[np.ndarray]) -> SumDistribution:
         variance += v
         mass = np.convolve(mass, f)
     conv_mean, conv_var = moments(mass)
-    assert math.isclose(conv_mean, mean, rel_tol=1e-10, abs_tol=1e-10)
-    assert math.isclose(conv_var, variance, rel_tol=1e-10, abs_tol=1e-10)
+    for name, got, expected in (("mean", conv_mean, mean), ("variance", conv_var, variance)):
+        if not math.isclose(got, expected, rel_tol=1e-10, abs_tol=1e-10):
+            raise NumericalError(f"convolved {name} {got} disagrees with the factor sum {expected}")
     return SumDistribution(mass=mass, mean=mean, variance=variance)
 
 

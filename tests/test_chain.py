@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 
 from bdqw.chain import (
@@ -78,6 +81,13 @@ class TestMultiChainSpec:
         with pytest.raises(ValueError):
             MultiChainSpec(dims=(ehrenfest_dimension(1),) * 2, select_prob=(1.0, 0.0))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_select_prob_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="select_prob"):
+            MultiChainSpec(dims=(ehrenfest_dimension(1),), select_prob=(bad,))
+        with pytest.raises(ValueError, match="select_prob"):
+            MultiChainSpec(dims=(ehrenfest_dimension(1),) * 2, select_prob=(1.0, bad))
+
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             MultiChainSpec(dims=(ehrenfest_dimension(1),), select_prob=(0.5, 0.5))
@@ -133,6 +143,16 @@ class TestStationaryDistribution:
         assert np.max(np.abs(pairwise)) <= 1e-12
         assert np.max(np.abs(pi @ m - pi)) <= 1e-12
         check_probability_vector(pi)
+
+    @pytest.mark.filterwarnings("error")
+    def test_large_urn_does_not_overflow(self):
+        # pi is proportional to C(N, k), which overflows a double near N = 1030
+        n = 1050
+        pi = stationary_distribution(build_conditional_matrix(ehrenfest_dimension(n)))
+        assert np.all(np.isfinite(pi))
+        expected = scipy.stats.binom.pmf(np.arange(n + 1), n, 0.5)
+        keep = expected >= 1e-300
+        assert np.max(np.abs(pi[keep] - expected[keep]) / expected[keep]) <= 1e-10
 
 
 class TestFullTransitionMatrix:

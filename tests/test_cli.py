@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bdqw import cli
 from bdqw.cli import load_config, main, parse_config
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -81,6 +82,12 @@ class TestConfigParsing:
             parse_config({"dims": [{"size": 1}], "initial": [5]})
         with pytest.raises(ValueError, match="oracle_cap"):
             parse_config({"dims": [{"size": 1}], "oracle_cap": -1})
+
+    def test_nan_select_prob_rejected(self, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text('{"dims": [{"size": 1}], "select_prob": [NaN]}', encoding="utf-8")
+        assert main(["simulate", "--config", str(path)]) == 2
+        assert "select_prob" in capsys.readouterr().err
 
     def test_non_finite_time_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -219,6 +226,15 @@ class TestVerify:
         assert (
             main(["verify", "--config", two_edge_config(tmp_path), "--oracle-cap", "2"]) == 3
         )
+
+    def test_cap_checked_before_factorized_matrix(self, tmp_path, monkeypatch):
+        # 2^40 states: the all-pairs factorized matrix must never be attempted
+        def refuse(*args, **kwargs):
+            raise AssertionError("factorized all-pairs matrix built over the cap")
+
+        monkeypatch.setattr(cli, "factorized_transition_matrix", refuse)
+        config = write_config(tmp_path, dims=[{"size": 1}] * 40)
+        assert main(["verify", "--config", config]) == 3
 
 
 class TestClt:

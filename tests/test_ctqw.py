@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,11 +19,9 @@ from bdqw.chain import (
     uniform_multi_chain,
 )
 from bdqw.ctqw import (
-    basis_state,
     dense_propagator,
     dense_transition_matrix,
     ehrenfest_sum_law,
-    evolve,
     factorized_transition_matrix,
     position_distribution,
     propagator,
@@ -104,23 +103,12 @@ class TestPropagator:
         direct = propagator(data, t1 + t2).matrix
         assert np.max(np.abs(composed - direct)) <= 1e-10
 
-
-class TestStateVector:
     def test_basis_state_round_trip(self):
-        state = basis_state(3, 1)
-        state.validate()
-        u = propagator(dimension_spectrum(ehrenfest_dimension(2)), 0.7)
-        evolved = evolve(state, u)
-        evolved.validate()
-        assert np.allclose(
-            evolved.position_probabilities(),
-            transition_row(dimension_spectrum(ehrenfest_dimension(2)), 0.7, 1),
-            atol=1e-12,
-        )
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            basis_state(3, 3)
+        # column j of U(t) is the basis state j evolved for time t
+        data = dimension_spectrum(ehrenfest_dimension(2))
+        evolved = propagator(data, 0.7).matrix[:, 1]
+        assert abs(float(np.sum(np.abs(evolved) ** 2)) - 1.0) <= 1e-12
+        assert np.allclose(np.abs(evolved) ** 2, transition_row(data, 0.7, 1), atol=1e-12)
 
 
 class TestTransitionProb1d:
@@ -158,6 +146,10 @@ class TestTransitionProb1d:
             transition_prob_1d(EDGE, 1.0, 0, 2)
         with pytest.raises(ValueError):
             transition_prob_1d(EDGE, 1.0, -1, 0)
+
+    def test_row_rejects_bad_index(self):
+        with pytest.raises(ValueError):
+            transition_row(dimension_spectrum(ehrenfest_dimension(2)), 0.7, 3)
 
     @settings(max_examples=30, deadline=None)
     @given(multi_chain_specs(max_dims=1, max_size=8), st.floats(-10, 10))
@@ -306,6 +298,34 @@ class TestPositionDistribution:
         joint.validate()
         assert joint.dense is not None
         assert np.max(np.abs(joint.densify() - joint.dense)) <= 1e-10
+
+
+class TestKrawtchoukClosedForm:
+    """The n-ball urn's exact law, far beyond the Hypothesis sizes.
+
+    The symmetrized urn generator is the Krawtchouk chain: from position 0
+    the law at time t is Binomial(N, sin^2(t/N)), with perfect transfer to N
+    at t = N pi / 2 (Christandl et al., PRL 92, 187902, 2004).
+    """
+
+    N = 240
+
+    @pytest.fixture(scope="class")
+    def urn(self):
+        return dimension_spectrum(ehrenfest_dimension(self.N))
+
+    @pytest.mark.parametrize("t", [0.5, 7.3, 60.0, 240 * math.pi / 2])
+    def test_row_from_origin_is_binomial(self, urn, t):
+        expected = scipy.stats.binom.pmf(np.arange(self.N + 1), self.N, math.sin(t / self.N) ** 2)
+        assert np.max(np.abs(transition_row(urn, t, 0) - expected)) <= 1e-12
+
+    def test_weights_are_binomial_half(self, urn):
+        # The QL solver keeps small weights to ~6e-13 relative.  LAPACK's
+        # eigh on the same tridiagonal agrees on probabilities but returns a
+        # smallest weight of ~1.4e-43 where the exact one is 2^-240 ~ 5.6e-73,
+        # which is why the hand-written solver stays.
+        expected = scipy.stats.binom.pmf(np.arange(self.N + 1), self.N, 0.5)
+        assert np.max(np.abs(urn.weights - expected) / expected) <= 1e-10
 
 
 class TestEhrenfestSumLaw:

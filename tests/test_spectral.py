@@ -9,10 +9,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bdqw.chain import DimensionSpec, build_conditional_matrix, ehrenfest_dimension, stationary_distribution
+from bdqw import spectral
+from bdqw.chain import (
+    DimensionSpec,
+    MultiChainSpec,
+    build_conditional_matrix,
+    ehrenfest_dimension,
+    stationary_distribution,
+)
 from bdqw.errors import NumericalError, SizeLimitError
 from bdqw.spectral import (
     SymmetricTridiagonal,
+    chain_spectra,
     dimension_spectrum,
     eigendecompose,
     orthogonality_defect,
@@ -57,6 +65,22 @@ class TestSymmetrize:
         m = build_conditional_matrix(ehrenfest_dimension(1))
         with pytest.raises(ValueError):
             symmetrize(m, np.array([1.0, 0.0]))
+
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_nan_pi(self):
+        m = build_conditional_matrix(ehrenfest_dimension(3))
+        for pos in range(4):
+            pi = np.full(4, 0.25)
+            pi[pos] = math.nan
+            with pytest.raises(ValueError):
+                symmetrize(m, pi)
+
+    @pytest.mark.filterwarnings("error")
+    def test_underflowing_urn_fails_loudly(self):
+        # at N = 1100 the stationary tails fall below the smallest double
+        m = build_conditional_matrix(ehrenfest_dimension(1100))
+        with pytest.raises(ValueError, match="strictly positive"):
+            symmetrize(m, stationary_distribution(m))
 
     def test_rejects_non_reversible_pi(self):
         m = build_conditional_matrix(ehrenfest_dimension(2))
@@ -129,6 +153,26 @@ class TestEigendecompose:
         data = dimension_spectrum(spec)
         kernel_eigs = np.sort(np.linalg.eigvals(m).real)
         assert np.max(np.abs(data.eigenvalues - kernel_eigs)) <= 1e-9
+
+
+class TestChainSpectra:
+    def test_one_eigensolve_per_distinct_dimension(self, monkeypatch):
+        solved = []
+
+        def counting(dim):
+            solved.append(dim)
+            return dimension_spectrum(dim)
+
+        monkeypatch.setattr(spectral, "dimension_spectrum", counting)
+        a, b, c = ehrenfest_dimension(3), DimensionSpec(size=2, decrease_prob=(0.3,)), ehrenfest_dimension(1)
+        # equal by value, not by identity: a fresh ehrenfest_dimension(3) shares a's eigensolve
+        spec = MultiChainSpec(dims=(a, b, ehrenfest_dimension(3), c, b, a), select_prob=(1 / 6,) * 6)
+        spectra = chain_spectra(spec)
+        assert solved == [a, b, c]
+        assert [s.n_states for s in spectra] == [4, 3, 4, 2, 3, 4]
+        assert spectra[0] is spectra[2] is spectra[5]
+        for dim, s in zip(spec.dims, spectra):
+            assert np.array_equal(s.eigenvectors, dimension_spectrum(dim).eigenvectors)
 
 
 class TestOrthogonalityDefect:

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdqw import stats
 from bdqw.chain import ehrenfest_dimension
 from bdqw.ctqw import transition_row
+from bdqw.errors import NumericalError
 from bdqw.spectral import dimension_spectrum
 from bdqw.stats import (
     SumDistribution,
@@ -81,6 +83,13 @@ class TestConvolveSum:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             convolve_sum([])
+
+    def test_moment_mismatch_raises_numerical_error(self, monkeypatch):
+        # shift the convolved mass up by one atom: the mean no longer adds up
+        convolve = np.convolve
+        monkeypatch.setattr(stats.np, "convolve", lambda a, b: np.concatenate(([0.0], convolve(a, b))))
+        with pytest.raises(NumericalError):
+            convolve_sum([np.array([0.5, 0.5])] * 2)
 
     def test_unnormalized_factor_rejected(self):
         with pytest.raises(ValueError):
