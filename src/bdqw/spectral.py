@@ -37,11 +37,14 @@ from .chain import (
 from .errors import NumericalError
 
 _QL_MAX_SWEEPS = 30
+# Queued QL rotations are applied once they number this many per state, so the
+# rotation schedule's memory grows linearly with the matrix size.
+_QL_FLUSH_ROTATIONS_PER_STATE = 32
 
 
 @dataclass(frozen=True)
 class SymmetricTridiagonal:
-    """Unreduced symmetric tridiagonal matrix (all off-diagonal entries > 0)."""
+    """Unreduced symmetric tridiagonal matrix: finite entries, all off-diagonal ones > 0."""
 
     diag: np.ndarray
     offdiag: np.ndarray
@@ -55,6 +58,10 @@ class SymmetricTridiagonal:
             raise ValueError("diag must be a non-empty one-dimensional array")
         if off.shape != (diag.size - 1,):
             raise ValueError("offdiag must have one entry fewer than diag")
+        if not np.isfinite(diag).all():
+            raise ValueError("diag entries must be finite")
+        if not np.isfinite(off).all():
+            raise ValueError("offdiag entries must be finite")
         if off.size and float(off.min()) <= 0.0:
             raise ValueError("off-diagonal entries must be strictly positive")
 
@@ -90,23 +97,26 @@ class SpectralData:
         return self.eigenvalues.size
 
     def validate(self, tol: float = 1e-10) -> None:
-        """Check the construction invariants, raising NumericalError on violation."""
+        """Check the construction invariants, raising NumericalError on violation.
+
+        Every check is written so that a NaN fails it.
+        """
         lam, vec = self.eigenvalues, self.eigenvectors
         n = self.n_states
-        if lam.size > 1 and float(np.diff(lam).min()) <= 0.0:
+        if lam.size > 1 and not float(np.diff(lam).min()) > 0.0:
             raise NumericalError("eigenvalues are not strictly ascending")
-        if float(np.max(np.abs(lam))) > 1.0 + 1e-10:
+        if not float(np.max(np.abs(lam))) <= 1.0 + 1e-10:
             raise NumericalError("spectrum escapes [-1, 1]")
         ortho = float(np.max(np.abs(vec.T @ vec - np.eye(n))))
-        if ortho > tol:
+        if not ortho <= tol:
             raise NumericalError(f"eigenvector columns not orthonormal (defect {ortho})")
-        if float(vec[0].min()) <= 0.0:
+        if not float(vec[0].min()) > 0.0:
             raise NumericalError("first eigenvector components must be strictly positive")
-        if abs(float(self.weights.sum()) - 1.0) > tol:
+        if not abs(float(self.weights.sum()) - 1.0) <= tol:
             raise NumericalError("weights do not sum to 1")
-        if float(np.max(np.abs(self.weights - vec[0] ** 2))) > 1e-14:
+        if not float(np.max(np.abs(self.weights - vec[0] ** 2))) <= 1e-14:
             raise NumericalError("weights disagree with squared first components")
-        if float(np.max(np.abs(self.poly_table[0] - 1.0))) > 1e-14:
+        if not float(np.max(np.abs(self.poly_table[0] - 1.0))) <= 1e-14:
             raise NumericalError("polynomial table row 0 must be identically one")
 
     def to_json_dict(self) -> dict:
@@ -144,14 +154,42 @@ def _tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, 
 
     Returns (eigenvalues, eigenvector columns), unsorted.  Convergence of an
     off-diagonal entry is declared when it is negligible relative to its two
-    diagonal neighbours; each eigenvalue is allowed at most 30 sweeps.
+    diagonal neighbours; each eigenvalue is allowed at most _QL_MAX_SWEEPS
+    sweeps.
+
+    The scalar recurrence runs on Python floats.  Its Givens rotations reach
+    the eigenvectors in waves: rotation (i, c, s) joins the first wave after
+    the last one that touched column i or i+1, so the rotations of one wave
+    touch disjoint column pairs and a wave is one fancy-indexed update of the
+    row-major transpose.  Pending waves are applied in order once they hold
+    _QL_FLUSH_ROTATIONS_PER_STATE * n rotations, and at the end.  Each column
+    sees its rotations in serial order with the same elementwise arithmetic,
+    so the output is bit-identical to rotating one column pair at a time.
     """
     n = diag.size
-    d = diag.astype(float).copy()
-    e = np.zeros(n)
-    e[: n - 1] = offdiag
-    z = np.eye(n)
-    eps = np.finfo(float).eps
+    d = diag.astype(float).tolist()
+    e = offdiag.astype(float).tolist() + [0.0]
+    zt = np.eye(n)  # row j is eigenvector column j
+    eps = float(np.finfo(float).eps)
+    flush_at = _QL_FLUSH_ROTATIONS_PER_STATE * n
+    waves: list[tuple[list[int], list[float], list[float]]] = []
+    last = [-1] * n  # wave that last touched each column since the last flush
+    pending = 0
+
+    def flush() -> None:
+        for cols, cs, ss in waves:
+            i = np.array(cols)
+            c = np.array(cs)[:, None]
+            s = np.array(ss)[:, None]
+            a = zt[i]
+            b = zt[i + 1]
+            zt[i + 1] = s * a + c * b
+            a *= c
+            b *= s
+            a -= b
+            zt[i] = a
+        waves.clear()
+        last[:] = [-1] * n
 
     for l in range(n):
         sweeps = 0
@@ -194,15 +232,27 @@ def _tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, 
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                col = z[:, i + 1].copy()
-                z[:, i + 1] = s * z[:, i] + c * col
-                z[:, i] = c * z[:, i] - s * col
+                w = max(last[i], last[i + 1]) + 1
+                last[i] = last[i + 1] = w
+                if w == len(waves):
+                    waves.append(([i], [c], [s]))
+                else:
+                    cols, cs, ss = waves[w]
+                    cols.append(i)
+                    cs.append(c)
+                    ss.append(s)
+            pending += m - l  # an underflowing sweep queued fewer; flushing early is harmless
+            if pending >= flush_at:
+                flush()
+                pending = 0
             if underflow:
                 continue
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    return d, z
+    flush()
+    # C-ordered columns, as the serial loop returned, so later matmuls see the same layout
+    return np.array(d), zt.T.copy()
 
 
 def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:

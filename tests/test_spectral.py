@@ -19,6 +19,7 @@ from bdqw.chain import (
 )
 from bdqw.errors import NumericalError, SizeLimitError
 from bdqw.spectral import (
+    _QL_MAX_SWEEPS,
     SymmetricTridiagonal,
     chain_spectra,
     dimension_spectrum,
@@ -34,6 +35,74 @@ def dense_similarity_oracle(m: np.ndarray, pi: np.ndarray) -> np.ndarray:
     """Independent dense conjugation D^{1/2} m D^{-1/2}."""
     root = np.sqrt(pi)
     return np.diag(root) @ m @ np.diag(1.0 / root)
+
+
+# Reference for the wave-batched solver: the serial loop, one column-pair update
+# per rotation, kept verbatim so the batched output can be required bit-identical.
+def serial_tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Implicitly shifted QL iteration for a symmetric tridiagonal matrix.
+
+    Returns (eigenvalues, eigenvector columns), unsorted.  Convergence of an
+    off-diagonal entry is declared when it is negligible relative to its two
+    diagonal neighbours; each eigenvalue is allowed at most 30 sweeps.
+    """
+    n = diag.size
+    d = diag.astype(float).copy()
+    e = np.zeros(n)
+    e[: n - 1] = offdiag
+    z = np.eye(n)
+    eps = np.finfo(float).eps
+
+    for l in range(n):
+        sweeps = 0
+        while True:
+            for m in range(l, n - 1):
+                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
+                    break
+            else:
+                m = n - 1
+            if m == l:
+                break
+            if sweeps == _QL_MAX_SWEEPS:
+                raise NumericalError(
+                    f"QL iteration failed to converge within {_QL_MAX_SWEEPS} sweeps"
+                )
+            sweeps += 1
+
+            # implicit shift from the 2x2 block at l
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    # rotation annihilated early; drop the shift and retry
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+                col = z[:, i + 1].copy()
+                z[:, i + 1] = s * z[:, i] + c * col
+                z[:, i] = c * z[:, i] - s * col
+            if underflow:
+                continue
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+    return d, z
 
 
 def spectrum_of(spec: DimensionSpec):
@@ -126,6 +195,20 @@ class TestEigendecompose:
         with pytest.raises(NumericalError):
             bad.validate()
 
+    def test_validate_rejects_nan_eigenvalue(self):
+        data = dimension_spectrum(ehrenfest_dimension(3))
+        values = data.eigenvalues.copy()
+        values[-1] = math.nan
+        with pytest.raises(NumericalError):
+            dataclasses.replace(data, eigenvalues=values).validate()
+
+    def test_validate_rejects_nan_eigenvector_entry(self):
+        data = dimension_spectrum(ehrenfest_dimension(3))
+        vectors = data.eigenvectors.copy()
+        vectors[2, 1] = math.nan
+        with pytest.raises(NumericalError, match="orthonormal"):
+            dataclasses.replace(data, eigenvectors=vectors).validate()
+
     @settings(max_examples=60, deadline=None)
     @given(dimension_specs(max_size=12))
     def test_reconstruction_and_spectrum_bounds(self, spec):
@@ -153,6 +236,52 @@ class TestEigendecompose:
         data = dimension_spectrum(spec)
         kernel_eigs = np.sort(np.linalg.eigvals(m).real)
         assert np.max(np.abs(data.eigenvalues - kernel_eigs)) <= 1e-9
+
+
+class TestSymmetricTridiagonal:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_diag(self, value):
+        with pytest.raises(ValueError, match=r"^diag"):
+            SymmetricTridiagonal(diag=np.array([0.0, value, 0.0]), offdiag=np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_offdiag(self, value):
+        with pytest.raises(ValueError, match=r"^offdiag"):
+            SymmetricTridiagonal(diag=np.zeros(3), offdiag=np.array([0.5, value]))
+
+
+class TestSerialReference:
+    """The wave-batched QL solver against the serial loop it replaced."""
+
+    @staticmethod
+    def assert_bit_identical(tri):
+        values, vectors = spectral._tridiagonal_ql(tri.diag, tri.offdiag)
+        ref_values, ref_vectors = serial_tridiagonal_ql(tri.diag, tri.offdiag)
+        assert np.array_equal(values, ref_values)
+        assert np.array_equal(vectors, ref_vectors)
+
+    # N=240 queues about 60 000 rotations, several times the flush threshold
+    # of _QL_FLUSH_ROTATIONS_PER_STATE * 241, so pending waves flush repeatedly.
+    @pytest.mark.parametrize("n_balls", [1, 2, 3, 7, 15, 96, 240])
+    def test_ehrenfest(self, n_balls):
+        self.assert_bit_identical(spectrum_of(ehrenfest_dimension(n_balls)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dimension_specs(max_size=12))
+    def test_random_dimensions(self, spec):
+        self.assert_bit_identical(spectrum_of(spec))
+
+    @settings(max_examples=30, deadline=None)
+    @given(dimension_specs(max_size=12))
+    def test_flush_after_every_sweep(self, spec):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_QL_FLUSH_ROTATIONS_PER_STATE", 0)
+            self.assert_bit_identical(spectrum_of(spec))
+
+    def test_sweep_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(spectral, "_QL_MAX_SWEEPS", 0)
+        with pytest.raises(NumericalError, match="within 0 sweeps"):
+            eigendecompose(spectrum_of(ehrenfest_dimension(2)))
 
 
 class TestChainSpectra:
