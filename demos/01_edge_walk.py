@@ -19,7 +19,7 @@ print("eigenvalues:", spectrum.eigenvalues)
 print("weights:    ", spectrum.weights)
 
 print("\npropagator at t = 0.7:")
-print(np.round(propagator(spectrum, 0.7).matrix, 6))
+print(np.round(propagator(spectrum, 0.7), 6))
 
 print("\n    t    P(0 -> 1)    sin^2 t")
 for t in np.linspace(0.0, math.pi, 9):

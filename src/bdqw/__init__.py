@@ -21,7 +21,6 @@ from .chain import (
 )
 from .ctqw import (
     JointDistribution,
-    Propagator,
     dense_propagator,
     dense_transition_matrix,
     ehrenfest_sum_law,
@@ -61,7 +60,6 @@ __all__ = [
     "JointDistribution",
     "MultiChainSpec",
     "NumericalError",
-    "Propagator",
     "SizeLimitError",
     "SpectralData",
     "SumDistribution",

@@ -187,9 +187,9 @@ def check_probability_vector(mass: np.ndarray, tol: float = 1e-10) -> np.ndarray
         raise ValueError("a probability vector must be one-dimensional")
     if v.size == 0:
         raise ValueError("a probability vector must be non-empty")
-    if float(v.min()) < -tol:
-        raise ValueError(f"negative probability entry {v.min()}")
+    if not float(v.min()) >= -tol:  # NaN-aware: a NaN entry or sum fails both checks
+        raise ValueError(f"negative or NaN probability entry {v.min()}")
     total = float(v.sum())
-    if abs(total - 1.0) > tol:
+    if not abs(total - 1.0) <= tol:
         raise ValueError(f"probabilities sum to {total}, not 1")
     return v

@@ -7,11 +7,14 @@ verify         factorized-vs-dense equivalence, orthogonality, unitarity, statio
 clt            Kolmogorov distance of the standardized d-fold sum to the normal law, over a d sweep
 bench          wall-clock comparison of the dense oracle against the factorized path
 dump-spectrum  per-dimension eigensystem as JSON
-dump-config    normalized, fully explicit config JSON (round-trips to the same chain)
+dump-config    the resolved, fully explicit config JSON (round-trips to the same chain)
 
-Exit codes: 0 success, 1 verification failure, 2 config/validation error,
-3 product-space size over the oracle cap.  The cap resolves as
---oracle-cap flag > BDQW_ORACLE_CAP env var > config field > 4096.
+One pipeline serves every subcommand: ``main`` loads the config, ``resolve``
+applies the flags and environment once, a ``run_*`` function maps the
+resolved config to ``(exit_code, text)``, and ``main`` writes the text.
+
+Exit codes: 0 success, 1 verification failure, 2 config/validation error
+(a numerical failure included), 3 product-space size over the oracle cap.
 """
 
 from __future__ import annotations
@@ -20,12 +23,11 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -48,7 +50,7 @@ from .ctqw import (
     transition_prob_factorized,
     transition_row,
 )
-from .errors import SizeLimitError
+from .errors import NumericalError, SizeLimitError
 from .spectral import chain_spectra, dimension_spectrum, orthogonality_defect
 from .stats import clt_distance, convolve_sum, moments
 
@@ -78,10 +80,34 @@ class ExperimentConfig:
     spec: MultiChainSpec
     times: tuple[float, ...]
     initial: tuple[int, ...]
-    oracle_cap: int | None
+    oracle_cap: int | None  # an integer once resolved
     output_path: str | None
     output_format: str
     d_sweep: tuple[int, ...] | None
+
+
+def _is_number(value: object, kind: type | tuple[type, ...] = int) -> bool:
+    """Whether a decoded JSON value is a number of ``kind``; bool is not."""
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _check_times(values: list, field: str) -> tuple[float, ...]:
+    """The one check of config ``time`` and ``--time``: a non-empty list of finite reals."""
+    if not values:
+        raise ConfigError(f"{field}: expected at least one value")
+    for value in values:
+        if not _is_number(value, (int, float)):
+            raise ConfigError(f"{field}: expected a real number, got {value!r}")
+        if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int beyond a double
+            raise ConfigError(f"{field}: value {value} is not a finite double")
+    return tuple(float(value) for value in values)
+
+
+def _check_cap(value: object, source: str) -> int:
+    """The one check of every oracle-cap source: a positive integer."""
+    if not _is_number(value) or value < 1:
+        raise ConfigError(f"{source}: expected a positive integer, got {value!r}")
+    return value
 
 
 def _parse_dimension(entry: object, idx: int) -> DimensionSpec:
@@ -89,7 +115,7 @@ def _parse_dimension(entry: object, idx: int) -> DimensionSpec:
     if not isinstance(entry, dict):
         raise ConfigError(f"{field}: expected an object with 'size' and 'p_table'")
     size = entry.get("size")
-    if not isinstance(size, int) or isinstance(size, bool) or size < 1:
+    if not _is_number(size) or size < 1:
         raise ConfigError(f"{field}.size: expected a positive integer, got {size!r}")
     table = entry.get("p_table", "ehrenfest")
     if table == "ehrenfest":
@@ -98,7 +124,7 @@ def _parse_dimension(entry: object, idx: int) -> DimensionSpec:
         raise ConfigError(f"{field}.p_table: expected 'ehrenfest' or a list of probabilities")
     try:
         return DimensionSpec(size=size, decrease_prob=tuple(float(p) for p in table))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"{field}.p_table: {exc}") from exc
 
 
@@ -118,7 +144,7 @@ def parse_config(data: object) -> ExperimentConfig:
     elif isinstance(select, list):
         try:
             select_prob = tuple(float(q) for q in select)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"select_prob: {exc}") from exc
     else:
         raise ConfigError("select_prob: expected 'uniform' or a list of reals")
@@ -128,31 +154,20 @@ def parse_config(data: object) -> ExperimentConfig:
         raise ConfigError(str(exc)) from exc
 
     times_raw = data.get("time", 1.0)
-    if not isinstance(times_raw, list):
-        times_raw = [times_raw]
-    times: list[float] = []
-    for value in times_raw:
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"time: expected a real number, got {value!r}")
-        value = float(value)
-        if not math.isfinite(value):
-            raise ConfigError(f"time: value {value} is not finite")
-        times.append(value)
-    if not times:
-        raise ConfigError("time: expected at least one value")
+    times = _check_times(times_raw if isinstance(times_raw, list) else [times_raw], "time")
 
     initial_raw = data.get("initial", [0] * spec.n_dims)
     if not isinstance(initial_raw, list) or len(initial_raw) != spec.n_dims:
         raise ConfigError(f"initial: expected a list of {spec.n_dims} positions")
     initial: list[int] = []
     for pos, dim in zip(initial_raw, spec.dims):
-        if not isinstance(pos, int) or isinstance(pos, bool) or not 0 <= pos <= dim.size:
+        if not _is_number(pos) or not 0 <= pos <= dim.size:
             raise ConfigError(f"initial: position {pos!r} out of range 0..{dim.size}")
         initial.append(pos)
 
     cap = data.get("oracle_cap")
-    if cap is not None and (not isinstance(cap, int) or isinstance(cap, bool) or cap < 1):
-        raise ConfigError(f"oracle_cap: expected a positive integer, got {cap!r}")
+    if cap is not None:
+        _check_cap(cap, "oracle_cap")
 
     output_path: str | None = None
     output_format = "csv"
@@ -173,13 +188,13 @@ def parse_config(data: object) -> ExperimentConfig:
         if not isinstance(sweep_raw, list) or not sweep_raw:
             raise ConfigError("d_sweep: expected a non-empty list of positive integers")
         for d in sweep_raw:
-            if not isinstance(d, int) or isinstance(d, bool) or d < 1:
+            if not _is_number(d) or d < 1:
                 raise ConfigError(f"d_sweep: expected positive integers, got {d!r}")
         d_sweep = tuple(sweep_raw)
 
     return ExperimentConfig(
         spec=spec,
-        times=tuple(times),
+        times=times,
         initial=tuple(initial),
         oracle_cap=cap,
         output_path=output_path,
@@ -194,17 +209,45 @@ def load_config(path: str) -> ExperimentConfig:
     return parse_config(data)
 
 
+def resolve(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
+    """Apply the flags and the environment to a parsed config, for every subcommand.
+
+    The oracle cap resolves as --oracle-cap > BDQW_ORACLE_CAP > config field >
+    DEFAULT_ORACLE_CAP, always to an integer; --time, --output and --format
+    override their config fields.
+    """
+    env = os.environ.get(ENV_ORACLE_CAP)
+    if args.oracle_cap is not None:
+        cap = _check_cap(args.oracle_cap, "--oracle-cap")
+    elif env is not None:
+        try:
+            env_cap: object = int(env)
+        except ValueError:
+            env_cap = env  # rejected below, quoted as given
+        cap = _check_cap(env_cap, ENV_ORACLE_CAP)
+    else:
+        cap = config.oracle_cap or DEFAULT_ORACLE_CAP
+
+    times = config.times
+    if args.time is not None:
+        try:
+            flag_times = [float(chunk) for chunk in args.time.split(",")]
+        except ValueError:
+            raise ConfigError(f"--time: {args.time!r} is not a list of real numbers") from None
+        times = _check_times(flag_times, "--time")
+
+    return replace(
+        config,
+        times=times,
+        oracle_cap=cap,
+        output_path=args.output or config.output_path,
+        output_format=args.format or config.output_format,
+    )
+
+
 def _fmt(value: float) -> str:
     """CSV numeric format: 17 significant digits, round-trip exact for doubles."""
     return format(float(value), ".17g")
-
-
-def _write_text(text: str, path: str | None) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -215,60 +258,15 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
     return buf.getvalue()
 
 
-def _resolve_cap(args: argparse.Namespace, config: ExperimentConfig) -> int:
-    if getattr(args, "oracle_cap", None) is not None:
-        return args.oracle_cap
-    env = os.environ.get(ENV_ORACLE_CAP)
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{ENV_ORACLE_CAP}: expected an integer, got {env!r}") from exc
-        if cap < 1:
-            raise ConfigError(f"{ENV_ORACLE_CAP}: expected a positive integer, got {env!r}")
-        return cap
-    if config.oracle_cap is not None:
-        return config.oracle_cap
-    return DEFAULT_ORACLE_CAP
-
-
-def _resolve_times(args: argparse.Namespace, config: ExperimentConfig) -> tuple[float, ...]:
-    raw = getattr(args, "time", None)
-    if raw is None:
-        return config.times
-    times: list[float] = []
-    for chunk in raw.split(","):
-        try:
-            value = float(chunk)
-        except ValueError as exc:
-            raise ConfigError(f"--time: {chunk!r} is not a real number") from exc
-        if not math.isfinite(value):
-            raise ConfigError(f"--time: value {value} is not finite")
-        times.append(value)
-    return tuple(times)
-
-
-def _resolve_output(args: argparse.Namespace, config: ExperimentConfig) -> tuple[str | None, str]:
-    path = getattr(args, "output", None) or config.output_path
-    fmt = getattr(args, "format", None) or config.output_format
-    return path, fmt
-
-
-def run_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    cap = _resolve_cap(args, config)
-    times = _resolve_times(args, config)
-    path, fmt = _resolve_output(args, config)
+def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, str]:
     spec = config.spec
     spectra = chain_spectra(spec)
+    results = [
+        (t, position_distribution(spec, spectra, t, config.initial, dense, config.oracle_cap))
+        for t in config.times
+    ]
 
-    results = []
-    for t in times:
-        joint = position_distribution(
-            spec, spectra, t, config.initial, include_dense=args.dense, oracle_cap=cap
-        )
-        results.append((t, joint))
-
-    if fmt == "json":
+    if config.output_format == "json":
         payload = {
             "initial": list(config.initial),
             "results": [
@@ -280,8 +278,7 @@ def run_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
                 for t, joint in results
             ],
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", path)
-        return 0
+        return 0, json.dumps(payload, indent=2) + "\n"
 
     rows: list[list[str]] = []
     for t, joint in results:
@@ -291,24 +288,20 @@ def run_simulate(config: ExperimentConfig, args: argparse.Namespace) -> int:
         if joint.dense is not None:
             for pos, prob in enumerate(joint.dense):
                 rows.append([_fmt(t), "joint", str(pos), _fmt(prob)])
-    _write_text(_csv_text(["time", "dimension", "position", "probability"], rows), path)
-    return 0
+    return 0, _csv_text(["time", "dimension", "position", "probability"], rows)
 
 
-def run_verify(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    cap = _resolve_cap(args, config)
-    times = _resolve_times(args, config)
-    path, _ = _resolve_output(args, config)
-    spec = config.spec
+def run_verify(config: ExperimentConfig) -> tuple[int, str]:
+    spec, cap = config.spec, config.oracle_cap
     # before the factorized all-pairs matrix, which has no cap of its own
     check_oracle_cap(spec.product_size, cap)
     spectra = chain_spectra(spec)
 
     factorization_err = 0.0
     unitarity = 0.0
-    for t in times:
+    for t in config.times:
         fact = factorized_transition_matrix(spec, spectra, t)
-        full = dense_propagator(spec, t, oracle_cap=cap).matrix
+        full = dense_propagator(spec, t, oracle_cap=cap)
         dense = full.real**2 + full.imag**2
         factorization_err = max(factorization_err, float(np.max(np.abs(fact - dense))))
         unitarity = max(
@@ -316,7 +309,7 @@ def run_verify(config: ExperimentConfig, args: argparse.Namespace) -> int:
             float(np.max(np.abs(full.conj().T @ full - np.eye(full.shape[0])))),
         )
         for q, s in zip(spec.select_prob, spectra):
-            u = propagator(s, q * t).matrix
+            u = propagator(s, q * t)
             unitarity = max(
                 unitarity, float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
             )
@@ -337,7 +330,7 @@ def run_verify(config: ExperimentConfig, args: argparse.Namespace) -> int:
         "unitarity_defect": unitarity,
         "detailed_balance_defect": balance,
         "tolerance": VERIFY_TOLERANCE,
-        "times": list(times),
+        "times": list(config.times),
     }
     passed = all(
         report[key] <= VERIFY_TOLERANCE
@@ -349,23 +342,23 @@ def run_verify(config: ExperimentConfig, args: argparse.Namespace) -> int:
         )
     )
     report["pass"] = passed
-    _write_text(json.dumps(report, indent=2) + "\n", path)
-    return 0 if passed else 1
+    return (0 if passed else 1), json.dumps(report, indent=2) + "\n"
 
 
-def run_clt(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    times = _resolve_times(args, config)
-    path, fmt = _resolve_output(args, config)
+def _sweep_base(config: ExperimentConfig, command: str) -> tuple[DimensionSpec, float]:
+    """The precondition of clt and bench: one dimension, a d_sweep and one time T."""
     if config.spec.n_dims != 1:
-        raise ConfigError("dims: clt requires a single dimension specification")
+        raise ConfigError(f"dims: {command} requires a single dimension specification")
     if config.d_sweep is None:
-        raise ConfigError("d_sweep: required for the clt subcommand")
-    if len(times) != 1:
-        raise ConfigError("time: clt requires exactly one time value T")
-    t = times[0]
+        raise ConfigError(f"d_sweep: required for the {command} subcommand")
+    if len(config.times) != 1:
+        raise ConfigError(f"time: {command} requires exactly one time value T")
+    return config.spec.dims[0], config.times[0]
 
-    spectrum = dimension_spectrum(config.spec.dims[0])
-    factor = transition_row(spectrum, t, config.initial[0])
+
+def run_clt(config: ExperimentConfig) -> tuple[int, str]:
+    base, t = _sweep_base(config, "clt")
+    factor = transition_row(dimension_spectrum(base), t, config.initial[0])
     _, factor_var = moments(factor)
     if factor_var <= 1e-15:
         raise ConfigError(f"time: per-factor variance is zero at T={t} (degenerate statistic)")
@@ -377,7 +370,7 @@ def run_clt(config: ExperimentConfig, args: argparse.Namespace) -> int:
         distances.append(clt_distance(sum_dist, d))
     monotone = all(b < a for a, b in zip(distances, distances[1:]))
 
-    if fmt == "json":
+    if config.output_format == "json":
         payload = {
             "reading": CLT_READING,
             "time": t,
@@ -387,13 +380,11 @@ def run_clt(config: ExperimentConfig, args: argparse.Namespace) -> int:
             ],
             "monotone_decrease": monotone,
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", path)
-        return 0
+        return 0, json.dumps(payload, indent=2) + "\n"
 
     rows = [[str(d), _fmt(dist)] for d, dist in zip(config.d_sweep, distances)]
     rows.append(["monotone_decrease", "true" if monotone else "false"])
-    _write_text(_csv_text(["d", "kolmogorov_distance"], rows), path)
-    return 0
+    return 0, _csv_text(["d", "kolmogorov_distance"], rows)
 
 
 def _median_ms(fn, repetitions: int = BENCH_REPETITIONS) -> float:
@@ -405,39 +396,36 @@ def _median_ms(fn, repetitions: int = BENCH_REPETITIONS) -> float:
     return statistics.median(samples)
 
 
-def run_bench(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    cap = _resolve_cap(args, config)
-    times = _resolve_times(args, config)
-    path, fmt = _resolve_output(args, config)
-    if config.spec.n_dims != 1:
-        raise ConfigError("dims: bench requires a single dimension specification")
-    if config.d_sweep is None:
-        raise ConfigError("d_sweep: required for the bench subcommand")
-    t = times[0]
-    base = config.spec.dims[0]
+def run_bench(config: ExperimentConfig) -> tuple[int, str]:
+    base, t = _sweep_base(config, "bench")
+    cap = config.oracle_cap
+    for d in config.d_sweep:
+        try:  # CSV and JSON alike write product sizes through int-to-str
+            str(base.n_states**d)
+        except ValueError as exc:
+            raise ConfigError(
+                f"d_sweep: the product size at d={d} has too many digits to write"
+            ) from exc
 
     results = []
     for d in config.d_sweep:
         spec = uniform_multi_chain(base, d)
         j = (config.initial[0],) * d
         k = (0,) * d
-
-        def factorized_once(spec=spec, j=j, k=k):
-            return transition_prob_factorized(spec, chain_spectra(spec), t, j, k)
-
-        factorized_ms = _median_ms(factorized_once)
+        # each lambda is timed and dropped within its own iteration
+        fact = _median_ms(lambda: transition_prob_factorized(spec, chain_spectra(spec), t, j, k))
+        dense = None
         if spec.product_size <= cap:
-            dense_ms = _median_ms(lambda spec=spec, j=j, k=k: transition_prob_dense(spec, t, j, k, cap))
-        else:
-            dense_ms = None
-        results.append((spec.product_size, dense_ms, factorized_ms))
+            dense = _median_ms(lambda: transition_prob_dense(spec, t, j, k, cap))
+        ratio = dense / fact if dense is not None and fact > 0 else None
+        results.append((spec.product_size, dense, fact, ratio))
 
-    ratios = [dense / fact for _, dense, fact in results if dense is not None and fact > 0]
+    ratios = [ratio for *_, ratio in results if ratio is not None]
     speedup_flag = bool(ratios) and max(ratios) >= BENCH_SPEEDUP_FLAG
-    fact_times = [fact for _, _, fact in results]
+    fact_times = [fact for _, _, fact, _ in results]
     flat_flag = max(fact_times) <= BENCH_FLAT_FLAG * max(min(fact_times), 1e-9)
 
-    if fmt == "json":
+    if config.output_format == "json":
         payload = {
             "time": t,
             "rows": [
@@ -445,56 +433,49 @@ def run_bench(config: ExperimentConfig, args: argparse.Namespace) -> int:
                     "product_size": size,
                     "dense_ms": dense if dense is not None else "skipped",
                     "factorized_ms": fact,
-                    "ratio": (dense / fact) if dense is not None and fact > 0 else None,
+                    "ratio": ratio,
                 }
-                for size, dense, fact in results
+                for size, dense, fact, ratio in results
             ],
             "speedup_at_least_10x": speedup_flag,
             "factorized_flat": flat_flag,
         }
-        _write_text(json.dumps(payload, indent=2) + "\n", path)
-        return 0
+        return 0, json.dumps(payload, indent=2) + "\n"
 
     rows = []
-    for size, dense, fact in results:
-        ratio = _fmt(dense / fact) if dense is not None and fact > 0 else ""
-        rows.append([str(size), _fmt(dense) if dense is not None else "skipped", _fmt(fact), ratio])
+    for size, dense, fact, ratio in results:
+        dense_text = _fmt(dense) if dense is not None else "skipped"
+        rows.append([str(size), dense_text, _fmt(fact), _fmt(ratio) if ratio is not None else ""])
     rows.append(["speedup_at_least_10x", "true" if speedup_flag else "false", "", ""])
     rows.append(["factorized_flat", "true" if flat_flag else "false", "", ""])
-    _write_text(_csv_text(["product_size", "dense_ms", "factorized_ms", "ratio"], rows), path)
-    return 0
+    return 0, _csv_text(["product_size", "dense_ms", "factorized_ms", "ratio"], rows)
 
 
-def run_dump_spectrum(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    path, _ = _resolve_output(args, config)
+def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, str]:
     payload = {
         "dimensions": [
             {"index": idx + 1, "size": dim.size, **dimension_spectrum(dim).to_json_dict()}
             for idx, dim in enumerate(config.spec.dims)
         ]
     }
-    _write_text(json.dumps(payload, indent=2) + "\n", path)
-    return 0
+    return 0, json.dumps(payload, indent=2) + "\n"
 
 
-def run_dump_config(config: ExperimentConfig, args: argparse.Namespace) -> int:
-    cap = _resolve_cap(args, config)
-    times = _resolve_times(args, config)
-    path, fmt = _resolve_output(args, config)
+def run_dump_config(config: ExperimentConfig) -> tuple[int, str]:
+    """The resolved config; it re-parses to the same chain, times and cap."""
     payload = {
         "dims": [
             {"size": dim.size, "p_table": list(dim.decrease_prob)} for dim in config.spec.dims
         ],
         "select_prob": list(config.spec.select_prob),
-        "time": list(times),
+        "time": list(config.times),
         "initial": list(config.initial),
-        "oracle_cap": cap,
-        "output": {"path": path if path is not None else "-", "format": fmt},
+        "oracle_cap": config.oracle_cap,
+        "output": {"path": config.output_path or "-", "format": config.output_format},
     }
     if config.d_sweep is not None:
         payload["d_sweep"] = list(config.d_sweep)
-    _write_text(json.dumps(payload, indent=2) + "\n", path)
-    return 0
+    return 0, json.dumps(payload, indent=2) + "\n"
 
 
 _COMMANDS = {
@@ -519,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
         ("clt", "Kolmogorov distance of the standardized sum to the normal law"),
         ("bench", "time the dense oracle against the factorized path"),
         ("dump-spectrum", "emit per-dimension eigensystems as JSON"),
-        ("dump-config", "emit the normalized, fully explicit config JSON"),
+        ("dump-config", "emit the resolved, fully explicit config JSON"),
     ):
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
@@ -537,23 +518,26 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        config = load_config(args.config)
-        return _COMMANDS[args.command](config, args)
-    except json.JSONDecodeError as exc:
-        print(
-            f"error: config is not valid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        config = resolve(load_config(args.config), args)
+        run = _COMMANDS[args.command]
+        code, text = run(config, args.dense) if args.command == "simulate" else run(config)
+        path = config.output_path
+        if path is None or path == "-":
+            sys.stdout.write(text)
+        else:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        return code
     except SizeLimitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 3, str(exc)
+    except json.JSONDecodeError as exc:
+        code, message = 2, (
+            f"config is not valid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        )
+    except (OSError, ValueError, NumericalError) as exc:
+        code, message = 2, str(exc)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 def entrypoint() -> None:

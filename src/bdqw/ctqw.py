@@ -38,14 +38,6 @@ from .spectral import SpectralData, chain_spectra
 
 
 @dataclass(frozen=True)
-class Propagator:
-    """Unitary evolution operator exp(i * time * J); symmetric because J is."""
-
-    time: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
 class JointDistribution:
     """Position law of a multi-dimensional walk in factorized form.
 
@@ -67,9 +59,9 @@ class JointDistribution:
     def validate(self, tol: float = 1e-10) -> None:
         for l, f in enumerate(self.factors):
             total = float(np.sum(f))
-            if abs(total - 1.0) > tol:
+            if not abs(total - 1.0) <= tol:  # NaN-aware
                 raise NumericalError(f"marginal {l} sums to {total}, not 1")
-        if self.dense is not None and abs(float(np.sum(self.dense)) - 1.0) > tol:
+        if self.dense is not None and not abs(float(np.sum(self.dense)) - 1.0) <= tol:
             raise NumericalError("dense mass table does not sum to 1")
 
 
@@ -98,13 +90,13 @@ def _probabilities(*args) -> np.ndarray:
     return re**2 + im**2
 
 
-def _unitary(vectors: np.ndarray, values: np.ndarray, t: float) -> Propagator:
+def _unitary(vectors: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
     re, im = _amplitudes(vectors, values, t)
-    return Propagator(time=float(t), matrix=re + 1j * im)
+    return re + 1j * im
 
 
-def propagator(spectrum: SpectralData, t: float) -> Propagator:
-    """One-dimensional evolution operator, sum of e^{i t lambda} projectors."""
+def propagator(spectrum: SpectralData, t: float) -> np.ndarray:
+    """One-dimensional evolution operator exp(i t J), a complex symmetric unitary."""
     return _unitary(spectrum.eigenvectors, spectrum.eigenvalues, t)
 
 
@@ -217,8 +209,8 @@ def _product_eigensystem(
 
 def dense_propagator(
     spec: MultiChainSpec, t: float, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> Propagator:
-    """Full product-space evolution operator (oracle path)."""
+) -> np.ndarray:
+    """Full product-space evolution operator, a complex matrix (oracle path)."""
     return _unitary(*_product_eigensystem(spec, oracle_cap), t)
 
 

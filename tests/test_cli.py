@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from bdqw import cli
-from bdqw.cli import load_config, main, parse_config
+from bdqw.cli import load_config, main, parse_config, resolve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -93,6 +93,19 @@ class TestConfigParsing:
         path = tmp_path / "bad.json"
         path.write_text('{"dims": [{"size": 1}], "time": Infinity}', encoding="utf-8")
         assert main(["simulate", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "fields, field",
+        [
+            ({"dims": [{"size": 1}], "time": 10**400}, "time"),
+            ({"dims": [{"size": 1}] * 2, "select_prob": [10**400, 0.5]}, "select_prob"),
+            ({"dims": [{"size": 2, "p_table": [10**400]}]}, "p_table"),
+        ],
+    )
+    def test_int_beyond_a_double_rejected(self, tmp_path, capsys, fields, field):
+        # a JSON integer of 401 digits parses, but has no float value
+        assert main(["simulate", "--config", write_config(tmp_path, **fields)]) == 2
+        assert field in capsys.readouterr().err
 
 
 class TestSimulate:
@@ -174,6 +187,16 @@ class TestSimulate:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
+
+    @pytest.mark.parametrize("table", [[0.5, 1e-300], [1e-160, 1e-160]])
+    def test_numerical_error_exits_2_without_traceback(self, tmp_path, capsys, table):
+        # the eigensolver cannot resolve these weights; that is a property of
+        # the configured chain, so it exits 2 like any other bad config
+        config = write_config(tmp_path, dims=[{"size": 3, "p_table": table}])
+        assert main(["simulate", "--config", config]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "vanishing first component" in err
+        assert "Traceback" not in err
 
     def test_csv_numbers_round_trip(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -295,6 +318,22 @@ class TestBench:
         flags = {r["product_size"]: r["dense_ms"] for r in rows if not r["product_size"].isdigit()}
         assert set(flags) == {"speedup_at_least_10x", "factorized_flat"}
 
+    @pytest.mark.parametrize("command", ["clt", "bench"])
+    def test_sweep_rejects_several_times(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, dims=[{"size": 1}], time=[1.0, 2.0], d_sweep=[2])
+        assert main([command, "--config", config]) == 2
+        assert "time" in capsys.readouterr().err
+
+    def test_unwritable_product_size_rejected_before_timing(self, tmp_path, monkeypatch, capsys):
+        # 5^8192 has 5 726 digits, beyond what int-to-str (and so CSV and JSON) writes
+        def refuse(*args, **kwargs):
+            raise AssertionError("timed a sweep whose report cannot be written")
+
+        monkeypatch.setattr(cli, "_median_ms", refuse)
+        config = write_config(tmp_path, dims=[{"size": 4}], d_sweep=[8192])
+        assert main(["bench", "--config", config]) == 2
+        assert "d_sweep" in capsys.readouterr().err
+
 
 class TestDumps:
     def test_dump_config_round_trip(self, tmp_path):
@@ -344,6 +383,78 @@ class TestOracleCapResolution:
     def test_bad_env_value_exits_2(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BDQW_ORACLE_CAP", "many")
         assert main(["verify", "--config", two_edge_config(tmp_path)]) == 2
+
+    @pytest.mark.parametrize(
+        "argv", [["verify", "--oracle-cap", "0"], ["simulate", "--dense", "--oracle-cap", "-5"]]
+    )
+    def test_non_positive_flag_exits_2(self, tmp_path, capsys, argv):
+        assert main([*argv, "--config", two_edge_config(tmp_path)]) == 2
+        assert "--oracle-cap" in capsys.readouterr().err
+
+
+class TestResolution:
+    """Flags, environment and config fields are resolved once, for every subcommand."""
+
+    def dumped(self, tmp_path, argv=(), **fields) -> dict:
+        out = tmp_path / "resolved.json"
+        config = write_config(tmp_path, dims=[{"size": 2}], time=[0.5, 1.0], **fields)
+        assert main(["dump-config", "--config", config, "--output", str(out), *argv]) == 0
+        return json.loads(out.read_text())
+
+    @pytest.mark.parametrize(
+        "env, flag, field, expected",
+        [
+            ("50", ["--oracle-cap", "100"], 77, 100),  # flag beats env
+            ("50", [], 77, 50),  # env beats config
+            (None, [], 77, 77),  # config beats default
+            (None, [], None, 4096),  # the default
+        ],
+    )
+    def test_oracle_cap_precedence(self, tmp_path, monkeypatch, env, flag, field, expected):
+        if env is None:
+            monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
+        fields = {} if field is None else {"oracle_cap": field}
+        assert self.dumped(tmp_path, flag, **fields)["oracle_cap"] == expected
+
+    def test_time_flag_overrides_config(self, tmp_path):
+        assert self.dumped(tmp_path)["time"] == [0.5, 1.0]
+        assert self.dumped(tmp_path, ["--time", "0.25,3"])["time"] == [0.25, 3.0]
+
+    # A behaviour change: clt, dump-spectrum and dump-config used to ignore
+    # BDQW_ORACLE_CAP, and dump-spectrum ignored --time, so a malformed value
+    # passed unnoticed there.  Now every subcommand resolves and checks both.
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize(
+        "env, argv, field",
+        [
+            ("many", [], "BDQW_ORACLE_CAP"),
+            ("0", [], "BDQW_ORACLE_CAP"),
+            (None, ["--time", "soon"], "--time"),
+            (None, ["--time", "1,inf"], "--time"),
+        ],
+    )
+    def test_malformed_setting_exits_2_everywhere(
+        self, tmp_path, monkeypatch, capsys, command, env, argv, field
+    ):
+        if env is None:
+            monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
+        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2])
+        assert main([command, "--config", config, *argv]) == 2
+        assert field in capsys.readouterr().err
+
+    def test_subcommands_read_only_the_resolved_config(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BDQW_ORACLE_CAP", "2")
+        args = cli.build_parser().parse_args(
+            ["verify", "--config", "unused.json", "--oracle-cap", "64"]
+        )
+        config = resolve(load_config(two_edge_config(tmp_path, time=1.0)), args)
+        assert config.oracle_cap == 64
+        code, text = cli.run_verify(config)  # the env cap of 2 would exit 3
+        assert code == 0 and json.loads(text)["pass"] is True
 
 
 class TestEntryPoint:

@@ -19,6 +19,7 @@ from bdqw.chain import (
     uniform_multi_chain,
 )
 from bdqw.ctqw import (
+    JointDistribution,
     dense_propagator,
     dense_transition_matrix,
     ehrenfest_sum_law,
@@ -32,7 +33,7 @@ from bdqw.ctqw import (
     transition_prob_weight_form,
     transition_row,
 )
-from bdqw.errors import SizeLimitError
+from bdqw.errors import NumericalError, SizeLimitError
 from bdqw.spectral import dimension_spectrum
 from bdqw.stats import convolve_sum
 
@@ -65,7 +66,8 @@ EDGE = dimension_spectrum(ehrenfest_dimension(1))
 class TestPropagator:
     def test_edge_chain_cosine_sine_form(self):
         for t in (0.0, 0.3, 1.0, math.pi, -2.0):
-            u = propagator(EDGE, t).matrix
+            u = propagator(EDGE, t)
+            assert isinstance(u, np.ndarray) and u.dtype == complex
             expected = np.array(
                 [[math.cos(t), 1j * math.sin(t)], [1j * math.sin(t), math.cos(t)]]
             )
@@ -73,20 +75,20 @@ class TestPropagator:
 
     def test_zero_time_is_identity(self):
         data = dimension_spectrum(ehrenfest_dimension(4))
-        u = propagator(data, 0.0).matrix
+        u = propagator(data, 0.0)
         assert np.max(np.abs(u - np.eye(5))) <= 1e-14
 
     def test_inverse_evolution(self):
         data = dimension_spectrum(ehrenfest_dimension(2))
-        forward = propagator(data, math.pi).matrix
-        backward = propagator(data, -math.pi).matrix
+        forward = propagator(data, math.pi)
+        backward = propagator(data, -math.pi)
         assert np.max(np.abs(forward @ backward - np.eye(3))) <= 1e-12
 
     @settings(max_examples=40, deadline=None)
     @given(multi_chain_specs(max_dims=1, max_size=8), st.floats(-10, 10))
     def test_unitary_and_symmetric(self, spec, t):
         data = dimension_spectrum(spec.dims[0])
-        u = propagator(data, t).matrix
+        u = propagator(data, t)
         n = u.shape[0]
         assert np.max(np.abs(u.conj().T @ u - np.eye(n))) <= 1e-10
         assert np.max(np.abs(u - u.T)) <= 1e-12
@@ -99,14 +101,14 @@ class TestPropagator:
     )
     def test_group_property(self, spec, t1, t2):
         data = dimension_spectrum(spec.dims[0])
-        composed = propagator(data, t1).matrix @ propagator(data, t2).matrix
-        direct = propagator(data, t1 + t2).matrix
+        composed = propagator(data, t1) @ propagator(data, t2)
+        direct = propagator(data, t1 + t2)
         assert np.max(np.abs(composed - direct)) <= 1e-10
 
     def test_basis_state_round_trip(self):
         # column j of U(t) is the basis state j evolved for time t
         data = dimension_spectrum(ehrenfest_dimension(2))
-        evolved = propagator(data, 0.7).matrix[:, 1]
+        evolved = propagator(data, 0.7)[:, 1]
         assert abs(float(np.sum(np.abs(evolved) ** 2)) - 1.0) <= 1e-12
         assert np.allclose(np.abs(evolved) ** 2, transition_row(data, 0.7, 1), atol=1e-12)
 
@@ -184,9 +186,9 @@ class TestFactorizedVsDense:
     def test_two_edges_dense_propagator_is_tensor_square(self):
         spec = uniform_multi_chain(ehrenfest_dimension(1), 2)
         t = 1.3
-        u1 = propagator(EDGE, t / 2).matrix
+        u1 = propagator(EDGE, t / 2)
         expected = np.kron(u1, u1)
-        got = dense_propagator(spec, t).matrix
+        got = dense_propagator(spec, t)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_all_pairs_against_dense_oracle(self):
@@ -213,7 +215,7 @@ class TestFactorizedVsDense:
             select_prob=(0.4, 0.6),
         )
         for t in (0.5, 2.0):
-            u = dense_propagator(spec, t).matrix
+            u = dense_propagator(spec, t)
             assert np.max(np.abs(u - expm_oracle(spec, t))) <= 1e-11
 
     def test_single_dimension_degenerates_to_1d(self):
@@ -298,6 +300,13 @@ class TestPositionDistribution:
         joint.validate()
         assert joint.dense is not None
         assert np.max(np.abs(joint.densify() - joint.dense)) <= 1e-10
+
+    def test_validate_rejects_nan(self):
+        with pytest.raises(NumericalError, match="marginal 0"):
+            JointDistribution(factors=(np.array([math.nan, 1.0]),)).validate()
+        dense = np.array([math.nan, 1.0])
+        with pytest.raises(NumericalError, match="dense"):
+            JointDistribution(factors=(np.array([0.0, 1.0]),), dense=dense).validate()
 
 
 class TestKrawtchoukClosedForm:

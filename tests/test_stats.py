@@ -195,3 +195,9 @@ class TestTotalVariation:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             total_variation(np.array([1.0]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan]])
+    def test_nan_entry_rejected(self, bad):
+        # NaN compares false both ways, so only a NaN-aware check refuses it
+        with pytest.raises(ValueError, match="NaN|nan"):
+            total_variation(np.array(bad), np.array([0.0, 1.0]))
