@@ -32,7 +32,7 @@ spectra = chain_spectra(spec)
 t = 1.0
 
 fact = factorized_transition_matrix(spec, spectra, t)
-dense = dense_transition_matrix(spec, t)
+dense = dense_transition_matrix(spec, spectra, t)
 print("max |factorized - dense| over all basis pairs:", np.max(np.abs(fact - dense)))
 
 # drop the q_l rescaling and the agreement collapses
@@ -51,7 +51,7 @@ for d in (2, 6, 10, 20):
 
     if big.product_size <= 4096:
         start = time.perf_counter()
-        dense_prob = dense_transition_matrix(big, t)[0, 0]  # full all-pairs table
+        dense_prob = dense_transition_matrix(big, big_spectra, t)[0, 0]  # full all-pairs table
         slow = f"{time.perf_counter() - start:9.4f}s"
     else:
         slow = "  infeasible"

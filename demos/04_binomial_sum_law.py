@@ -26,8 +26,7 @@ print("  d    sin^2(t/d)    max |convolution - binomial|")
 for d in (1, 2, 4, 8, 12):
     spec = uniform_multi_chain(ehrenfest_dimension(1), d)
     spectra = chain_spectra(spec)
-    joint = position_distribution(spec, spectra, t, (0,) * d)
-    summed = convolve_sum(joint.factors)
+    summed = convolve_sum(position_distribution(spec, spectra, t, (0,) * d))
     gap = np.max(np.abs(summed.mass - ehrenfest_sum_law(d, t)))
     print(f"{d:3d}    {math.sin(t / d) ** 2:.6f}      {gap:.3e}")
 

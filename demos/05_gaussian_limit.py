@@ -19,7 +19,7 @@ print("   d    Kolmogorov distance to N(0, 1)")
 previous = None
 for d in (1, 4, 16, 64, 256, 1024):
     summed = convolve_sum([factor] * d)
-    distance = clt_distance(summed, d)
+    distance = clt_distance(summed)
     arrow = "" if previous is None else ("  (decreasing)" if distance < previous else "  (!)")
     print(f"{d:5d}    {distance:.6f}{arrow}")
     previous = distance

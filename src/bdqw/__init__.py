@@ -20,7 +20,7 @@ from .chain import (
     uniform_multi_chain,
 )
 from .ctqw import (
-    JointDistribution,
+    dense_position_distribution,
     dense_propagator,
     dense_transition_matrix,
     ehrenfest_sum_law,
@@ -57,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "DEFAULT_ORACLE_CAP",
     "DimensionSpec",
-    "JointDistribution",
     "MultiChainSpec",
     "NumericalError",
     "SizeLimitError",
@@ -68,6 +67,7 @@ __all__ = [
     "chain_spectra",
     "clt_distance",
     "convolve_sum",
+    "dense_position_distribution",
     "dense_propagator",
     "dense_transition_matrix",
     "dimension_spectrum",

@@ -22,6 +22,8 @@ import numpy as np
 from .errors import SizeLimitError
 
 DEFAULT_ORACLE_CAP = 4096
+# Bound on the negative entries and the normalization error check_probability_vector accepts.
+PROBABILITY_TOLERANCE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -180,16 +182,16 @@ def evolve_classical(init: np.ndarray, matrix: np.ndarray, steps: int) -> np.nda
     return dist
 
 
-def check_probability_vector(mass: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def check_probability_vector(mass: np.ndarray) -> np.ndarray:
     """Validate nonnegativity and normalization; returns the vector as float array."""
     v = np.asarray(mass, dtype=float)
     if v.ndim != 1:
         raise ValueError("a probability vector must be one-dimensional")
     if v.size == 0:
         raise ValueError("a probability vector must be non-empty")
-    if not float(v.min()) >= -tol:  # NaN-aware: a NaN entry or sum fails both checks
+    if not float(v.min()) >= -PROBABILITY_TOLERANCE:  # NaN-aware: a NaN fails both checks
         raise ValueError(f"negative or NaN probability entry {v.min()}")
     total = float(v.sum())
-    if not abs(total - 1.0) <= tol:
+    if not abs(total - 1.0) <= PROBABILITY_TOLERANCE:
         raise ValueError(f"probabilities sum to {total}, not 1")
     return v

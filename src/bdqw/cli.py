@@ -42,6 +42,7 @@ from .chain import (
     uniform_multi_chain,
 )
 from .ctqw import (
+    dense_position_distribution,
     dense_propagator,
     factorized_transition_matrix,
     position_distribution,
@@ -110,10 +111,18 @@ def _check_cap(value: object, source: str) -> int:
     return value
 
 
+def _check_keys(entry: dict, known: tuple[str, ...], prefix: str = "") -> None:
+    """Reject a key the schema does not define, naming its path; a typo is never dropped."""
+    for key in entry:
+        if key not in known:
+            raise ConfigError(f"{prefix}{key}: unknown key, expected one of {', '.join(known)}")
+
+
 def _parse_dimension(entry: object, idx: int) -> DimensionSpec:
     field = f"dims[{idx}]"
     if not isinstance(entry, dict):
         raise ConfigError(f"{field}: expected an object with 'size' and 'p_table'")
+    _check_keys(entry, ("size", "p_table"), f"{field}.")
     size = entry.get("size")
     if not _is_number(size) or size < 1:
         raise ConfigError(f"{field}.size: expected a positive integer, got {size!r}")
@@ -132,6 +141,7 @@ def parse_config(data: object) -> ExperimentConfig:
     """Build an ExperimentConfig from decoded JSON, naming bad fields."""
     if not isinstance(data, dict):
         raise ConfigError("config: top level must be a JSON object")
+    _check_keys(data, ("dims", "select_prob", "time", "initial", "oracle_cap", "output", "d_sweep"))
 
     dims_raw = data.get("dims")
     if not isinstance(dims_raw, list) or not dims_raw:
@@ -175,6 +185,7 @@ def parse_config(data: object) -> ExperimentConfig:
     if output is not None:
         if not isinstance(output, dict):
             raise ConfigError("output: expected an object with 'path' and 'format'")
+        _check_keys(output, ("path", "format"), "output.")
         output_path = output.get("path")
         if output_path is not None and not isinstance(output_path, str):
             raise ConfigError("output.path: expected a string")
@@ -259,12 +270,12 @@ def _csv_text(header: list[str], rows: list[list[str]]) -> str:
 
 
 def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, str]:
-    spec = config.spec
+    spec, j, cap = config.spec, config.initial, config.oracle_cap
     spectra = chain_spectra(spec)
-    results = [
-        (t, position_distribution(spec, spectra, t, config.initial, dense, config.oracle_cap))
-        for t in config.times
-    ]
+    results = []  # (time, marginals, dense joint law or None)
+    for t in config.times:
+        joint = dense_position_distribution(spec, spectra, t, j, cap) if dense else None
+        results.append((t, position_distribution(spec, spectra, t, j), joint))
 
     if config.output_format == "json":
         payload = {
@@ -272,21 +283,21 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, str]:
             "results": [
                 {
                     "time": t,
-                    "marginals": [f.tolist() for f in joint.factors],
-                    **({"dense": joint.dense.tolist()} if joint.dense is not None else {}),
+                    "marginals": [f.tolist() for f in marginals],
+                    **({"dense": joint.tolist()} if joint is not None else {}),
                 }
-                for t, joint in results
+                for t, marginals, joint in results
             ],
         }
         return 0, json.dumps(payload, indent=2) + "\n"
 
     rows: list[list[str]] = []
-    for t, joint in results:
-        for l, factor in enumerate(joint.factors, start=1):
+    for t, marginals, joint in results:
+        for l, factor in enumerate(marginals, start=1):
             for pos, prob in enumerate(factor):
                 rows.append([_fmt(t), str(l), str(pos), _fmt(prob)])
-        if joint.dense is not None:
-            for pos, prob in enumerate(joint.dense):
+        if joint is not None:
+            for pos, prob in enumerate(joint):
                 rows.append([_fmt(t), "joint", str(pos), _fmt(prob)])
     return 0, _csv_text(["time", "dimension", "position", "probability"], rows)
 
@@ -301,7 +312,7 @@ def run_verify(config: ExperimentConfig) -> tuple[int, str]:
     unitarity = 0.0
     for t in config.times:
         fact = factorized_transition_matrix(spec, spectra, t)
-        full = dense_propagator(spec, t, oracle_cap=cap)
+        full = dense_propagator(spec, spectra, t, oracle_cap=cap)
         dense = full.real**2 + full.imag**2
         factorization_err = max(factorization_err, float(np.max(np.abs(fact - dense))))
         unitarity = max(
@@ -367,7 +378,7 @@ def run_clt(config: ExperimentConfig) -> tuple[int, str]:
     distances = []
     for d in config.d_sweep:
         sum_dist = convolve_sum([factor] * d)
-        distances.append(clt_distance(sum_dist, d))
+        distances.append(clt_distance(sum_dist))
     monotone = all(b < a for a, b in zip(distances, distances[1:]))
 
     if config.output_format == "json":
@@ -387,9 +398,9 @@ def run_clt(config: ExperimentConfig) -> tuple[int, str]:
     return 0, _csv_text(["d", "kolmogorov_distance"], rows)
 
 
-def _median_ms(fn, repetitions: int = BENCH_REPETITIONS) -> float:
+def _median_ms(fn) -> float:
     samples = []
-    for _ in range(repetitions):
+    for _ in range(BENCH_REPETITIONS):
         start = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - start) * 1e3)
@@ -410,13 +421,14 @@ def run_bench(config: ExperimentConfig) -> tuple[int, str]:
     results = []
     for d in config.d_sweep:
         spec = uniform_multi_chain(base, d)
+        spectra = chain_spectra(spec)  # both routes are timed given the spectra
         j = (config.initial[0],) * d
         k = (0,) * d
         # each lambda is timed and dropped within its own iteration
-        fact = _median_ms(lambda: transition_prob_factorized(spec, chain_spectra(spec), t, j, k))
+        fact = _median_ms(lambda: transition_prob_factorized(spec, spectra, t, j, k))
         dense = None
         if spec.product_size <= cap:
-            dense = _median_ms(lambda: transition_prob_dense(spec, t, j, k, cap))
+            dense = _median_ms(lambda: transition_prob_dense(spec, spectra, t, j, k, cap))
         ratio = dense / fact if dense is not None and fact > 0 else None
         results.append((spec.product_size, dense, fact, ratio))
 

@@ -7,7 +7,8 @@ generator is the selection-probability-weighted Kronecker sum of the
 per-dimension J's, and its transition probability factorizes exactly into
 one-dimensional transition probabilities evaluated at rescaled times q_l * t.
 
-Two evaluation routes are provided:
+Two evaluation routes are provided, both given the per-dimension spectra
+(solved once, e.g. by spectral.chain_spectra):
 
 * the factorized fast path, a product of d small one-dimensional
   calculations that never touches the product space; and
@@ -27,42 +28,12 @@ propagators and per-pair evaluations can be computed concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
 from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, check_oracle_cap
-from .errors import NumericalError
-from .spectral import SpectralData, chain_spectra
-
-
-@dataclass(frozen=True)
-class JointDistribution:
-    """Position law of a multi-dimensional walk in factorized form.
-
-    ``factors[l]`` is the marginal distribution of dimension l; the joint law
-    is their product.  ``dense``, when present, is the same law tabulated
-    over the flattened product space for oracle comparisons.
-    """
-
-    factors: tuple[np.ndarray, ...]
-    dense: np.ndarray | None = None
-
-    def densify(self) -> np.ndarray:
-        """Product-space mass table of the factorized law (C-order flattening)."""
-        out = np.ones(1)
-        for f in self.factors:
-            out = np.outer(out, f).ravel()
-        return out
-
-    def validate(self, tol: float = 1e-10) -> None:
-        for l, f in enumerate(self.factors):
-            total = float(np.sum(f))
-            if not abs(total - 1.0) <= tol:  # NaN-aware
-                raise NumericalError(f"marginal {l} sums to {total}, not 1")
-        if self.dense is not None and not abs(float(np.sum(self.dense)) - 1.0) <= tol:
-            raise NumericalError("dense mass table does not sum to 1")
+from .spectral import SpectralData
 
 
 def _amplitudes(
@@ -138,13 +109,13 @@ def transition_row(spectrum: SpectralData, t: float, j: int) -> np.ndarray:
 
 def _check_multi(
     spec: MultiChainSpec,
-    spectra: tuple[SpectralData, ...] | None,
+    spectra: tuple[SpectralData, ...],
     indices: dict[str, tuple[int, ...]],
 ) -> None:
-    """Check supplied spectra (unless None) and multi-indices against the chain."""
-    if spectra is not None and len(spectra) != spec.n_dims:
+    """Check the spectra and multi-indices against the chain."""
+    if len(spectra) != spec.n_dims:
         raise ValueError(f"{len(spectra)} spectra supplied for {spec.n_dims} dimensions")
-    for s, dim in zip(spectra or (), spec.dims):
+    for s, dim in zip(spectra, spec.dims):
         if s.n_states != dim.n_states:
             raise ValueError("spectrum size does not match its dimension")
     for name, multi in indices.items():
@@ -167,7 +138,7 @@ def transition_prob_factorized(
     at the rescaled elapsed time q_l * t.  Never touches the product space,
     so it scales to dimensions where the dense route is infeasible.
     """
-    _check_multi(spec, tuple(spectra), {"j": tuple(j), "k": tuple(k)})
+    _check_multi(spec, spectra, {"j": tuple(j), "k": tuple(k)})
     out = 1.0
     for q, s, jl, kl in zip(spec.select_prob, spectra, j, k):
         out *= transition_prob_1d(s, q * t, jl, kl)
@@ -182,24 +153,36 @@ def factorized_transition_matrix(
     Kronecker product of the per-dimension all-pairs matrices at rescaled
     times; entry [k_flat, j_flat] matches transition_prob_factorized.
     """
-    _check_multi(spec, tuple(spectra), {})
+    _check_multi(spec, spectra, {})
     out = np.ones((1, 1))
     for q, s in zip(spec.select_prob, spectra):
         out = np.kron(out, transition_matrix_1d(s, q * t))
     return out
 
 
+def position_distribution(
+    spec: MultiChainSpec, spectra: tuple[SpectralData, ...], t: float, j: tuple[int, ...]
+) -> tuple[np.ndarray, ...]:
+    """Marginal position laws at elapsed time t from initial multi-index j.
+
+    Entry l is dimension l's distribution at the rescaled time q_l * t; the
+    marginals are independent, so their outer product is the joint law.
+    """
+    _check_multi(spec, spectra, {"j": tuple(j)})
+    return tuple(transition_row(s, q * t, jl) for q, s, jl in zip(spec.select_prob, spectra, j))
+
+
 def _product_eigensystem(
-    spec: MultiChainSpec, oracle_cap: int = DEFAULT_ORACLE_CAP
+    spec: MultiChainSpec, spectra: tuple[SpectralData, ...], oracle_cap: int, **indices: tuple
 ) -> tuple[np.ndarray, np.ndarray]:
     """Dense eigensystem of the weighted Kronecker-sum generator.
 
     Eigenvector matrix is the Kronecker product of the per-dimension bases;
     eigenvalues are the q-weighted sums over all index combinations.  Only
-    valid below the oracle cap.
+    valid below the oracle cap, after checking the spectra and ``indices``.
     """
+    _check_multi(spec, spectra, indices)
     check_oracle_cap(spec.product_size, oracle_cap)
-    spectra = chain_spectra(spec)
     vectors = reduce(np.kron, [s.eigenvectors for s in spectra])
     values = reduce(
         np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)]
@@ -208,14 +191,18 @@ def _product_eigensystem(
 
 
 def dense_propagator(
-    spec: MultiChainSpec, t: float, oracle_cap: int = DEFAULT_ORACLE_CAP
+    spec: MultiChainSpec,
+    spectra: tuple[SpectralData, ...],
+    t: float,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Full product-space evolution operator, a complex matrix (oracle path)."""
-    return _unitary(*_product_eigensystem(spec, oracle_cap), t)
+    return _unitary(*_product_eigensystem(spec, spectra, oracle_cap), t)
 
 
 def transition_prob_dense(
     spec: MultiChainSpec,
+    spectra: tuple[SpectralData, ...],
     t: float,
     j: tuple[int, ...],
     k: tuple[int, ...],
@@ -226,60 +213,51 @@ def transition_prob_dense(
     Single sum over the product spectrum, no factorization; the independent
     check for the fast path.
     """
-    _check_multi(spec, None, {"j": tuple(j), "k": tuple(k)})
-    vectors, values = _product_eigensystem(spec, oracle_cap)
+    vectors, values = _product_eigensystem(spec, spectra, oracle_cap, j=tuple(j), k=tuple(k))
     flat_k = np.ravel_multi_index(tuple(k), spec.shape)
     flat_j = np.ravel_multi_index(tuple(j), spec.shape)
     return float(_probabilities(vectors, values, t, flat_k, flat_j))
 
 
 def dense_transition_matrix(
-    spec: MultiChainSpec, t: float, oracle_cap: int = DEFAULT_ORACLE_CAP
+    spec: MultiChainSpec,
+    spectra: tuple[SpectralData, ...],
+    t: float,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """All-pairs probabilities from the dense oracle; entry [k_flat, j_flat]."""
-    return _probabilities(*_product_eigensystem(spec, oracle_cap), t)
+    return _probabilities(*_product_eigensystem(spec, spectra, oracle_cap), t)
 
 
-def position_distribution(
+def dense_position_distribution(
     spec: MultiChainSpec,
     spectra: tuple[SpectralData, ...],
     t: float,
     j: tuple[int, ...],
-    include_dense: bool = False,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> JointDistribution:
-    """Joint position law at elapsed time t from initial multi-index j.
-
-    The marginals are the per-dimension distributions at rescaled times
-    q_l * t; they are independent, so they determine the joint law.  With
-    ``include_dense`` the full-space law is tabulated via the dense oracle
-    (subject to the cap) for comparison.
-    """
-    j = tuple(j)
-    _check_multi(spec, tuple(spectra), {"j": j})
-    factors = tuple(
-        transition_row(s, q * t, jl) for q, s, jl in zip(spec.select_prob, spectra, j)
-    )
-    dense = None
-    if include_dense:
-        vectors, values = _product_eigensystem(spec, oracle_cap)
-        dense = _probabilities(vectors, values, t, slice(None), np.ravel_multi_index(j, spec.shape))
-    return JointDistribution(factors=factors, dense=dense)
+) -> np.ndarray:
+    """Joint position law from the dense oracle, flattened in C order over the product space."""
+    vectors, values = _product_eigensystem(spec, spectra, oracle_cap, j=tuple(j))
+    flat_j = np.ravel_multi_index(tuple(j), spec.shape)
+    return _probabilities(vectors, values, t, slice(None), flat_j)
 
 
 def ehrenfest_sum_law(d: int, t: float) -> np.ndarray:
     """Exact law of the summed positions of d single-ball urn walkers.
 
-    Binomial over {0..d} with success probability sin^2(t/d), built by the
-    multiplicative coefficient recursion (no factorials).
+    Binomial over {0..d} with success probability p = sin^2(t/d).  The
+    multiplicative coefficient recursion runs in log space and the law is
+    normalized after subtracting the largest log, so for large d neither
+    C(d, k) overflows nor p^k underflows into a NaN; p of exactly 0 or 1
+    gives the exact point mass.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
     p = math.sin(t / d) ** 2
-    q = 1.0 - p
-    mass = np.empty(d + 1)
-    coeff = 1.0
-    for k in range(d + 1):
-        mass[k] = coeff * p**k * q ** (d - k)
-        coeff = coeff * (d - k) / (k + 1)
-    return mass
+    k = np.arange(d + 1)
+    if p in (0.0, 1.0):  # log(0) below; the law is a point mass
+        return (k == round(p * d)).astype(float)
+    log_coeff = np.concatenate(([0.0], np.cumsum(np.log(d - k[:-1]) - np.log(k[1:]))))
+    log_mass = log_coeff + k * math.log(p) + (d - k) * math.log1p(-p)
+    mass = np.exp(log_mass - log_mass.max())
+    return mass / mass.sum()

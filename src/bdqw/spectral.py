@@ -37,6 +37,8 @@ from .chain import (
 from .errors import NumericalError
 
 _QL_MAX_SWEEPS = 30
+# Bound on the orthonormality and weight-sum defects SpectralData.validate accepts.
+_VALIDATE_TOLERANCE = 1e-10
 # Queued QL rotations are applied once they number this many per state, so the
 # rotation schedule's memory grows linearly with the matrix size.
 _QL_FLUSH_ROTATIONS_PER_STATE = 32
@@ -96,7 +98,7 @@ class SpectralData:
     def n_states(self) -> int:
         return self.eigenvalues.size
 
-    def validate(self, tol: float = 1e-10) -> None:
+    def validate(self) -> None:
         """Check the construction invariants, raising NumericalError on violation.
 
         Every check is written so that a NaN fails it.
@@ -108,11 +110,11 @@ class SpectralData:
         if not float(np.max(np.abs(lam))) <= 1.0 + 1e-10:
             raise NumericalError("spectrum escapes [-1, 1]")
         ortho = float(np.max(np.abs(vec.T @ vec - np.eye(n))))
-        if not ortho <= tol:
+        if not ortho <= _VALIDATE_TOLERANCE:
             raise NumericalError(f"eigenvector columns not orthonormal (defect {ortho})")
         if not float(vec[0].min()) > 0.0:
             raise NumericalError("first eigenvector components must be strictly positive")
-        if not abs(float(self.weights.sum()) - 1.0) <= tol:
+        if not abs(float(self.weights.sum()) - 1.0) <= _VALIDATE_TOLERANCE:
             raise NumericalError("weights do not sum to 1")
         if not float(np.max(np.abs(self.weights - vec[0] ** 2))) <= 1e-14:
             raise NumericalError("weights disagree with squared first components")

@@ -69,16 +69,15 @@ def gaussian_cdf(x: float) -> float:
     return 0.5 * math.erfc(-x / _SQRT2)
 
 
-def clt_distance(sum_dist: SumDistribution, d: int) -> float:
+def clt_distance(sum_dist: SumDistribution) -> float:
     """Kolmogorov distance between the standardized sum and the standard normal.
 
-    The sum of d factors is centered by d times the per-factor mean and
-    scaled by sqrt(d times the per-factor variance); the supremum of
-    |CDF - Phi| over the real line is attained at the atoms, where both
-    one-sided limits of the step CDF are compared against Phi.
+    The sum is centered by its stored mean and scaled by the square root of
+    its stored variance, the per-factor sums (d times the per-factor moments
+    for d identical factors); the supremum of |CDF - Phi| over the real line
+    is attained at the atoms, where both one-sided limits of the step CDF are
+    compared against Phi.
     """
-    if d < 1:
-        raise ValueError("d must be >= 1")
     if sum_dist.variance <= 0.0:
         raise ValueError("zero variance: the standardized statistic is degenerate")
     mass = np.asarray(sum_dist.mass, dtype=float)

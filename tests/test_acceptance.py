@@ -52,7 +52,7 @@ def test_a1_factorized_equals_dense_on_random_chains():
         spectra = tuple(dimension_spectrum(dim) for dim in spec.dims)
         for t in A1_TIMES:
             fact = factorized_transition_matrix(spec, spectra, t)
-            dense = dense_transition_matrix(spec, t)
+            dense = dense_transition_matrix(spec, spectra, t)
             worst = max(worst, float(np.max(np.abs(fact - dense))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 60.0
@@ -73,7 +73,7 @@ def test_a2_time_rescaling_mutation_breaks_equivalence():
     mutated = np.ones((1, 1))
     for s in spectra:
         mutated = np.kron(mutated, transition_matrix_1d(s, t))  # q * t replaced by t
-    err = float(np.max(np.abs(mutated - dense_transition_matrix(spec, t))))
+    err = float(np.max(np.abs(mutated - dense_transition_matrix(spec, spectra, t))))
     ok = err > 1e-3
     assert _report(
         "A2 time-rescaling mutation detected",
@@ -88,8 +88,7 @@ def test_a3_sum_of_edge_walkers_is_binomial():
         spec = uniform_multi_chain(ehrenfest_dimension(1), d)
         spectra = tuple(dimension_spectrum(dim) for dim in spec.dims)
         for t in A3_TIMES:
-            joint = position_distribution(spec, spectra, t, (0,) * d)
-            summed = convolve_sum(joint.factors)
+            summed = convolve_sum(position_distribution(spec, spectra, t, (0,) * d))
             worst = max(worst, float(np.max(np.abs(summed.mass - ehrenfest_sum_law(d, t)))))
     ok = worst <= 1e-12
     assert _report(
@@ -117,13 +116,13 @@ def test_a5_gaussian_limit_of_standardized_sums():
     factor = np.asarray(
         position_distribution(
             uniform_multi_chain(ehrenfest_dimension(1), 1), (edge,), 1.0, (0,)
-        ).factors[0]
+        )[0]
     )
     distances = []
     for d in A5_SWEEP:
         summed = convolve_sum([factor] * d)
-        distances.append(clt_distance(summed, d))
-    at_400 = clt_distance(convolve_sum([factor] * 400), 400)
+        distances.append(clt_distance(summed))
+    at_400 = clt_distance(convolve_sum([factor] * 400))
     elapsed = time.perf_counter() - start
     decreasing = all(b < a for a, b in zip(distances, distances[1:]))
     ok = decreasing and at_400 < 0.05 and elapsed < 30.0

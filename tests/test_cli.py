@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bdqw import cli
+from bdqw import cli, spectral
 from bdqw.cli import load_config, main, parse_config, resolve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -82,6 +82,20 @@ class TestConfigParsing:
             parse_config({"dims": [{"size": 1}], "initial": [5]})
         with pytest.raises(ValueError, match="oracle_cap"):
             parse_config({"dims": [{"size": 1}], "oracle_cap": -1})
+
+    @pytest.mark.parametrize(
+        "fields, path",
+        [
+            ({"dims": [{"size": 1}], "times": [0.5, 2.0]}, "times"),
+            ({"dims": [{"size": 1}], "intial": [1]}, "intial"),
+            ({"dims": [{"size": 1}, {"size": 2, "ptable": [0.3]}]}, "dims[1].ptable"),
+            ({"dims": [{"size": 1}], "output": {"path": "-", "fmt": "json"}}, "output.fmt"),
+        ],
+    )
+    def test_unknown_key_rejected(self, tmp_path, capsys, fields, path):
+        # a misspelt key must not be dropped: its default would run in its place
+        assert main(["dump-config", "--config", write_config(tmp_path, **fields)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {path}: unknown key")
 
     def test_nan_select_prob_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -333,6 +347,33 @@ class TestBench:
         config = write_config(tmp_path, dims=[{"size": 4}], d_sweep=[8192])
         assert main(["bench", "--config", config]) == 2
         assert "d_sweep" in capsys.readouterr().err
+
+
+class TestOneSpectraStage:
+    """Each subcommand solves each distinct dimension once per call; bench once per d."""
+
+    @pytest.fixture
+    def solved(self, monkeypatch) -> list:
+        calls = []
+        solve = spectral.dimension_spectrum
+
+        def counting(dim):
+            calls.append(dim)
+            return solve(dim)
+
+        monkeypatch.setattr(spectral, "dimension_spectrum", counting)
+        return calls
+
+    @pytest.mark.parametrize("argv", [["simulate", "--dense"], ["verify"]])
+    def test_two_distinct_dims_at_two_times(self, tmp_path, solved, argv):
+        config = write_config(tmp_path, dims=[{"size": 1}, {"size": 2}], time=[0.5, 1.5])
+        assert main([*argv, "--config", config, "--output", str(tmp_path / "out")]) == 0
+        assert sorted(dim.size for dim in solved) == [1, 2]
+
+    def test_bench_solves_once_per_d_outside_the_timing(self, tmp_path, solved):
+        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2, 3])
+        assert main(["bench", "--config", config, "--output", str(tmp_path / "out")]) == 0
+        assert len(solved) == 2
 
 
 class TestDumps:

@@ -19,7 +19,7 @@ from bdqw.chain import (
     uniform_multi_chain,
 )
 from bdqw.ctqw import (
-    JointDistribution,
+    dense_position_distribution,
     dense_propagator,
     dense_transition_matrix,
     ehrenfest_sum_law,
@@ -33,7 +33,7 @@ from bdqw.ctqw import (
     transition_prob_weight_form,
     transition_row,
 )
-from bdqw.errors import NumericalError, SizeLimitError
+from bdqw.errors import SizeLimitError
 from bdqw.spectral import dimension_spectrum
 from bdqw.stats import convolve_sum
 
@@ -188,7 +188,7 @@ class TestFactorizedVsDense:
         t = 1.3
         u1 = propagator(EDGE, t / 2)
         expected = np.kron(u1, u1)
-        got = dense_propagator(spec, t)
+        got = dense_propagator(spec, (EDGE, EDGE), t)
         assert np.max(np.abs(got - expected)) <= 1e-12
 
     def test_all_pairs_against_dense_oracle(self):
@@ -198,7 +198,7 @@ class TestFactorizedVsDense:
         )
         spectra = tuple(dimension_spectrum(d) for d in spec.dims)
         fact = factorized_transition_matrix(spec, spectra, 1.0)
-        dense = dense_transition_matrix(spec, 1.0)
+        dense = dense_transition_matrix(spec, spectra, 1.0)
         assert np.max(np.abs(fact - dense)) <= 1e-10
         for j0 in range(2):
             for j1 in range(3):
@@ -206,7 +206,7 @@ class TestFactorizedVsDense:
                     for k1 in range(3):
                         got = transition_prob_factorized(spec, spectra, 1.0, (j0, j1), (k0, k1))
                         assert abs(got - fact[k0 * 3 + k1, j0 * 3 + j1]) <= 1e-13
-                        point = transition_prob_dense(spec, 1.0, (j0, j1), (k0, k1))
+                        point = transition_prob_dense(spec, spectra, 1.0, (j0, j1), (k0, k1))
                         assert abs(got - point) <= 1e-10
 
     def test_dense_agrees_with_expm_oracle(self):
@@ -214,8 +214,9 @@ class TestFactorizedVsDense:
             dims=(ehrenfest_dimension(2), ehrenfest_dimension(1)),
             select_prob=(0.4, 0.6),
         )
+        spectra = tuple(dimension_spectrum(d) for d in spec.dims)
         for t in (0.5, 2.0):
-            u = dense_propagator(spec, t)
+            u = dense_propagator(spec, spectra, t)
             assert np.max(np.abs(u - expm_oracle(spec, t))) <= 1e-11
 
     def test_single_dimension_degenerates_to_1d(self):
@@ -223,7 +224,7 @@ class TestFactorizedVsDense:
         data = dimension_spectrum(ehrenfest_dimension(3))
         for j in range(4):
             for k in range(4):
-                dense = transition_prob_dense(spec, 0.9, (j,), (k,))
+                dense = transition_prob_dense(spec, (data,), 0.9, (j,), (k,))
                 assert abs(dense - transition_prob_1d(data, 0.9, j, k)) <= 1e-12
 
     def test_dense_rows_sum_to_one(self):
@@ -231,13 +232,14 @@ class TestFactorizedVsDense:
             dims=(ehrenfest_dimension(1), ehrenfest_dimension(2)),
             select_prob=(0.25, 0.75),
         )
-        matrix = dense_transition_matrix(spec, 4.2)
+        spectra = tuple(dimension_spectrum(d) for d in spec.dims)
+        matrix = dense_transition_matrix(spec, spectra, 4.2)
         assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) <= 1e-10
 
     def test_cap_enforced(self):
         spec = uniform_multi_chain(ehrenfest_dimension(1), 13)
         with pytest.raises(SizeLimitError):
-            transition_prob_dense(spec, 1.0, (0,) * 13, (0,) * 13)
+            transition_prob_dense(spec, (EDGE,) * 13, 1.0, (0,) * 13, (0,) * 13)
 
     def test_time_rescaling_is_load_bearing(self):
         spec = MultiChainSpec(
@@ -248,7 +250,7 @@ class TestFactorizedVsDense:
         mutated = np.ones((1, 1))
         for s in spectra:
             mutated = np.kron(mutated, transition_matrix_1d(s, 1.0))  # rescaling dropped
-        dense = dense_transition_matrix(spec, 1.0)
+        dense = dense_transition_matrix(spec, spectra, 1.0)
         assert np.max(np.abs(mutated - dense)) > 1e-3
 
     @settings(max_examples=25, deadline=None)
@@ -256,7 +258,7 @@ class TestFactorizedVsDense:
     def test_equivalence_property(self, spec, t):
         spectra = tuple(dimension_spectrum(d) for d in spec.dims)
         fact = factorized_transition_matrix(spec, spectra, t)
-        dense = dense_transition_matrix(spec, t)
+        dense = dense_transition_matrix(spec, spectra, t)
         assert np.max(np.abs(fact - dense)) <= 1e-10
 
     def test_index_validation(self):
@@ -268,6 +270,10 @@ class TestFactorizedVsDense:
             transition_prob_factorized(spec, spectra, 1.0, (0, 2), (0, 0))
         with pytest.raises(ValueError):
             transition_prob_factorized(spec, (EDGE,), 1.0, (0, 0), (0, 0))
+        with pytest.raises(ValueError, match="1 spectra supplied for 2"):
+            transition_prob_dense(spec, (EDGE,), 1.0, (0, 0), (0, 0))
+        with pytest.raises(ValueError, match="spectrum size"):
+            dense_propagator(spec, (EDGE, dimension_spectrum(ehrenfest_dimension(2))), 1.0)
 
 
 class TestPositionDistribution:
@@ -277,17 +283,17 @@ class TestPositionDistribution:
             select_prob=(0.5, 0.5),
         )
         spectra = tuple(dimension_spectrum(d) for d in spec.dims)
-        joint = position_distribution(spec, spectra, 0.0, (1, 0))
-        assert np.allclose(joint.factors[0], [0.0, 1.0, 0.0], atol=1e-14)
-        assert np.allclose(joint.factors[1], [1.0, 0.0], atol=1e-14)
+        marginals = position_distribution(spec, spectra, 0.0, (1, 0))
+        assert np.allclose(marginals[0], [0.0, 1.0, 0.0], atol=1e-14)
+        assert np.allclose(marginals[1], [1.0, 0.0], atol=1e-14)
 
     def test_three_edges_bernoulli_factors(self):
         spec = uniform_multi_chain(ehrenfest_dimension(1), 3)
         spectra = (EDGE,) * 3
         t = 1.8
-        joint = position_distribution(spec, spectra, t, (0, 0, 0))
+        marginals = position_distribution(spec, spectra, t, (0, 0, 0))
         p = math.sin(t / 3) ** 2
-        for factor in joint.factors:
+        for factor in marginals:
             assert np.allclose(factor, [1.0 - p, p], atol=1e-12)
 
     def test_densified_matches_dense_oracle(self):
@@ -296,17 +302,10 @@ class TestPositionDistribution:
             select_prob=(0.2, 0.8),
         )
         spectra = tuple(dimension_spectrum(d) for d in spec.dims)
-        joint = position_distribution(spec, spectra, 1.4, (1, 2), include_dense=True)
-        joint.validate()
-        assert joint.dense is not None
-        assert np.max(np.abs(joint.densify() - joint.dense)) <= 1e-10
-
-    def test_validate_rejects_nan(self):
-        with pytest.raises(NumericalError, match="marginal 0"):
-            JointDistribution(factors=(np.array([math.nan, 1.0]),)).validate()
-        dense = np.array([math.nan, 1.0])
-        with pytest.raises(NumericalError, match="dense"):
-            JointDistribution(factors=(np.array([0.0, 1.0]),), dense=dense).validate()
+        first, second = position_distribution(spec, spectra, 1.4, (1, 2))
+        dense = dense_position_distribution(spec, spectra, 1.4, (1, 2))
+        assert abs(float(dense.sum()) - 1.0) <= 1e-10
+        assert np.max(np.abs(np.outer(first, second).ravel() - dense)) <= 1e-10
 
 
 class TestKrawtchoukClosedForm:
@@ -353,9 +352,17 @@ class TestEhrenfestSumLaw:
         d, t = 4, 1.0
         spec = uniform_multi_chain(ehrenfest_dimension(1), d)
         spectra = (EDGE,) * d
-        joint = position_distribution(spec, spectra, t, (0,) * d)
-        summed = convolve_sum(joint.factors)
+        summed = convolve_sum(position_distribution(spec, spectra, t, (0,) * d))
         assert np.max(np.abs(summed.mass - ehrenfest_sum_law(d, t))) <= 1e-12
+
+    def test_large_d_stays_finite_and_binomial(self):
+        # C(d, k) overflows and p^k underflows here, so their direct product is NaN
+        d = 2000
+        mass = ehrenfest_sum_law(d, d * math.pi / 4)
+        assert np.isfinite(mass).all()
+        assert abs(float(mass.sum()) - 1.0) <= 1e-10
+        expected = scipy.stats.binom.pmf(np.arange(d + 1), d, 0.5)
+        assert np.max(np.abs(mass - expected)) <= 1e-12
 
     def test_rejects_nonpositive_d(self):
         with pytest.raises(ValueError):
@@ -370,5 +377,5 @@ class TestAcceptanceScaleSpotChecks:
             spectra = tuple(dimension_spectrum(d) for d in spec.dims)
             t = float(rng.uniform(-3, 3))
             fact = factorized_transition_matrix(spec, spectra, t)
-            dense = dense_transition_matrix(spec, t)
+            dense = dense_transition_matrix(spec, spectra, t)
             assert np.max(np.abs(fact - dense)) <= 1e-10

@@ -136,7 +136,7 @@ class TestCltDistance:
     def test_single_fair_coin(self):
         # standardized atoms at -1 and +1; sup attained at the atoms:
         # max(|1/2 - Phi(-1)|, |Phi(1) - 1/2|) = Phi(1) - 1/2
-        dist = clt_distance(SumDistribution(mass=np.array([0.5, 0.5]), mean=0.5, variance=0.25), 1)
+        dist = clt_distance(SumDistribution(mass=np.array([0.5, 0.5]), mean=0.5, variance=0.25))
         oracle = two_atom_distance_oracle(0.5, 0.5, -1.0, 1.0)
         assert abs(dist - oracle) <= 1e-10
         assert abs(dist - 0.3413447460685429) <= 1e-12
@@ -144,7 +144,7 @@ class TestCltDistance:
     def test_single_edge_walker_at_unit_time(self):
         factor = transition_row(dimension_spectrum(ehrenfest_dimension(1)), 1.0, 0)
         summed = convolve_sum([factor])
-        dist = clt_distance(summed, 1)
+        dist = clt_distance(summed)
         p = math.sin(1.0) ** 2
         scale = math.sqrt(p * (1.0 - p))
         oracle = two_atom_distance_oracle(1.0 - p, p, (0.0 - p) / scale, (1.0 - p) / scale)
@@ -154,27 +154,27 @@ class TestCltDistance:
         p = math.sin(1.0) ** 2
         factor = np.array([1.0 - p, p])
         summed = convolve_sum([factor] * 400)
-        assert clt_distance(summed, 400) < 0.05
+        assert clt_distance(summed) < 0.05
 
     def test_monotone_decrease_along_doubling(self):
         factor = transition_row(dimension_spectrum(ehrenfest_dimension(1)), 1.0, 0)
         distances = []
         for d in (4, 64, 1024):
             summed = convolve_sum([factor] * d)
-            distances.append(clt_distance(summed, d))
+            distances.append(clt_distance(summed))
         assert distances[2] < distances[1] < distances[0]
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
-            clt_distance(SumDistribution(mass=np.array([1.0]), mean=0.0, variance=0.0), 1)
+            clt_distance(SumDistribution(mass=np.array([1.0]), mean=0.0, variance=0.0))
 
     def test_invariant_under_support_shift(self):
         mass = np.array([0.2, 0.5, 0.3])
         mean, var = moments(mass)
-        base = clt_distance(SumDistribution(mass=mass, mean=mean, variance=var), 2)
+        base = clt_distance(SumDistribution(mass=mass, mean=mean, variance=var))
         shifted_mass = np.concatenate((np.zeros(4), mass))
         shifted = clt_distance(
-            SumDistribution(mass=shifted_mass, mean=mean + 4.0, variance=var), 2
+            SumDistribution(mass=shifted_mass, mean=mean + 4.0, variance=var)
         )
         assert abs(base - shifted) <= 1e-12
 
