@@ -130,8 +130,8 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     Runs the product recursion pi(k+1) = pi(k) * m[k, k+1] / m[k+1, k] in
     log space and normalizes after subtracting the largest log, so the
     pairwise balance pi(k) m[k, k+1] = pi(k+1) m[k+1, k] holds to rounding
-    error without overflow.  Tails below the smallest double come out as 0,
-    which symmetrize then rejects.
+    error without overflow.  Tails below the smallest double come out as 0;
+    symmetrize does not use pi, so the spectra do not see them.
     """
     m = np.asarray(matrix, dtype=float)
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(np.diag(m, 1)) - np.log(np.diag(m, -1)))))

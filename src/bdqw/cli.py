@@ -14,7 +14,7 @@ applies the flags and environment once, a ``run_*`` function maps the
 resolved config to ``(exit_code, text)``, and ``main`` writes the text.
 
 Exit codes: 0 success, 1 verification failure, 2 config/validation error
-(a numerical failure included), 3 product-space size over the oracle cap.
+(a numerical failure included), 3 over the oracle cap or out of memory.
 """
 
 from __future__ import annotations
@@ -325,7 +325,7 @@ def run_verify(config: ExperimentConfig) -> tuple[int, str]:
                 unitarity, float(np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0]))))
             )
 
-    ortho = orthogonality_defect(spectra, oracle_cap=cap)
+    ortho = orthogonality_defect(spectra)
 
     balance = 0.0
     for dim in spec.dims:
@@ -540,8 +540,8 @@ def main(argv: list[str] | None = None) -> int:
             with open(path, "w", encoding="utf-8", newline="") as fh:
                 fh.write(text)
         return code
-    except SizeLimitError as exc:
-        code, message = 3, str(exc)
+    except (SizeLimitError, MemoryError) as exc:
+        code, message = 3, str(exc) or "out of memory"
     except json.JSONDecodeError as exc:
         code, message = 2, (
             f"config is not valid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"

@@ -1,9 +1,10 @@
 """Symmetrization and spectral decomposition of per-dimension kernels.
 
-Detailed balance lets every conditional kernel P be conjugated into a
-symmetric tridiagonal matrix J = D^{1/2} P D^{-1/2} with the same spectrum,
-where D holds the stationary distribution.  The orthonormal eigenbasis of J
-then carries two derived objects used throughout the quantum-walk code:
+A birth-death kernel P with positive steps both ways is similar to the
+symmetric tridiagonal J = D^{1/2} P D^{-1/2}, D its stationary law; J has P's
+diagonal and off-diagonal sqrt(P[k, k+1] P[k+1, k]), so it needs no D.  A
+dimension's spectral data is J's orthonormal eigensystem, from which two
+objects are derived when read (Golub & Welsch, 1969):
 
 * a discrete weight function, the squared first components of the
   eigenvectors, which sums to one; and
@@ -26,14 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import (
-    DEFAULT_ORACLE_CAP,
-    DimensionSpec,
-    MultiChainSpec,
-    build_conditional_matrix,
-    check_oracle_cap,
-    stationary_distribution,
-)
+from .chain import DimensionSpec, MultiChainSpec, build_conditional_matrix
 from .errors import NumericalError
 
 _QL_MAX_SWEEPS = 30
@@ -84,24 +78,34 @@ class SpectralData:
     """Full eigensystem of one dimension's symmetrized kernel.
 
     ``eigenvalues`` are strictly ascending; ``eigenvectors`` holds orthonormal
-    columns with positive first components; ``weights[l]`` is the squared
-    first component of column l; ``poly_table[j, l]`` is column l rescaled by
-    its first component, so row 0 is identically one.
+    columns with positive first components.
     """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    weights: np.ndarray
-    poly_table: np.ndarray
 
     @property
     def n_states(self) -> int:
         return self.eigenvalues.size
 
+    @property
+    def weights(self) -> np.ndarray:
+        """Squared first components; NumericalError where one underflows to 0."""
+        weights = self.eigenvectors[0] ** 2
+        if not weights.all():  # every weight-form result would be wrong
+            idx = int(np.argmax(weights == 0.0))
+            raise NumericalError(f"weight of eigenvalue index {idx} underflows to 0")
+        return weights
+
+    @property
+    def poly_table(self) -> np.ndarray:
+        """``poly_table[j, l]`` is column l rescaled by its first component."""
+        return self.eigenvectors / self.eigenvectors[0]
+
     def validate(self) -> None:
         """Check the construction invariants, raising NumericalError on violation.
 
-        Every check is written so that a NaN fails it.
+        Every check is written so that a NaN fails it; an underflowed weight passes.
         """
         lam, vec = self.eigenvalues, self.eigenvectors
         n = self.n_states
@@ -114,12 +118,8 @@ class SpectralData:
             raise NumericalError(f"eigenvector columns not orthonormal (defect {ortho})")
         if not float(vec[0].min()) > 0.0:
             raise NumericalError("first eigenvector components must be strictly positive")
-        if not abs(float(self.weights.sum()) - 1.0) <= _VALIDATE_TOLERANCE:
+        if not abs(float((vec[0] ** 2).sum()) - 1.0) <= _VALIDATE_TOLERANCE:
             raise NumericalError("weights do not sum to 1")
-        if not float(np.max(np.abs(self.weights - vec[0] ** 2))) <= 1e-14:
-            raise NumericalError("weights disagree with squared first components")
-        if not float(np.max(np.abs(self.poly_table[0] - 1.0))) <= 1e-14:
-            raise NumericalError("polynomial table row 0 must be identically one")
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,25 +130,19 @@ class SpectralData:
         }
 
 
-def symmetrize(matrix: np.ndarray, pi: np.ndarray) -> SymmetricTridiagonal:
-    """Conjugate a conditional kernel by the square root of its stationary law.
+def symmetrize(matrix: np.ndarray) -> SymmetricTridiagonal:
+    """J = D^{1/2} m D^{-1/2}: m's diagonal and off-diagonal sqrt(m[k, k+1] m[k+1, k]).
 
-    The result has the kernel's diagonal and off-diagonal entries
-    sqrt(m[k, k+1] * m[k+1, k]); under detailed balance this equals
-    D^{1/2} m D^{-1/2} entrywise.
+    Raises ValueError for a non-square kernel or a step product that is not
+    strictly positive (NaN included).
     """
     m = np.asarray(matrix, dtype=float)
-    p = np.asarray(pi, dtype=float)
-    if p.shape != (m.shape[0],):
-        raise ValueError("stationary distribution length must match the kernel")
-    if not float(p.min()) > 0.0:
-        raise ValueError("stationary distribution must be strictly positive (and not NaN)")
-    up = np.diag(m, 1)
-    down = np.diag(m, -1)
-    ratio = np.sqrt(p[:-1] / p[1:])
-    if up.size and not float(np.max(np.abs(up * ratio - down / ratio))) <= 1e-12:
-        raise ValueError("pi does not satisfy detailed balance for this kernel")
-    return SymmetricTridiagonal(diag=np.diag(m).copy(), offdiag=np.sqrt(up * down))
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"kernel must be a square matrix, got shape {m.shape}")
+    steps = np.diag(m, 1) * np.diag(m, -1)
+    if steps.size and not float(steps.min()) > 0.0:
+        raise ValueError("kernel step products m[k, k+1] * m[k+1, k] must be strictly positive")
+    return SymmetricTridiagonal(diag=np.diag(m).copy(), offdiag=np.sqrt(steps))
 
 
 def _tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -262,8 +256,7 @@ def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
 
     Eigenvalues come out strictly ascending with their orthonormal columns
     permuted jointly; each column is flipped so the first component is
-    positive, fixing the sign freedom.  Weights and the polynomial table are
-    derived from the first row of the eigenvector matrix.
+    positive, fixing the sign freedom.
 
     Raises NumericalError if the iteration does not converge or the result
     violates its invariants.
@@ -276,22 +269,14 @@ def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
     first = vectors[0].copy()
     if np.any(first == 0.0):
         raise NumericalError("eigenvector with vanishing first component")
-    vectors = vectors * np.sign(first)
-
-    weights = vectors[0] ** 2
-    poly_table = vectors / vectors[0]
-    data = SpectralData(
-        eigenvalues=values, eigenvectors=vectors, weights=weights, poly_table=poly_table
-    )
+    data = SpectralData(eigenvalues=values, eigenvectors=vectors * np.sign(first))
     data.validate()
     return data
 
 
 def dimension_spectrum(spec: DimensionSpec) -> SpectralData:
-    """Kernel, stationary law, symmetrization and eigensystem for one dimension."""
-    m = build_conditional_matrix(spec)
-    pi = stationary_distribution(m)
-    return eigendecompose(symmetrize(m, pi))
+    """Kernel, symmetrization and eigensystem for one dimension."""
+    return eigendecompose(symmetrize(build_conditional_matrix(spec)))
 
 
 def chain_spectra(spec: MultiChainSpec) -> tuple[SpectralData, ...]:
@@ -300,24 +285,33 @@ def chain_spectra(spec: MultiChainSpec) -> tuple[SpectralData, ...]:
     return tuple(solved[dim] for dim in spec.dims)
 
 
-def orthogonality_defect(
-    datasets: list[SpectralData] | tuple[SpectralData, ...],
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> float:
+def orthogonality_defect(datasets: list[SpectralData] | tuple[SpectralData, ...]) -> float:
     """Worst-case deviation of the weighted polynomial products from identity.
 
     For basis pairs (j, k) of the product space, sums the per-dimension
     products p_l(j) p_l(k) weighted by the measure over all spectral indices
     and compares against the Kronecker delta.  Evaluated through the weight /
-    polynomial tables, so corrupted weights are detected.
+    polynomial tables, so corrupted first components are detected.
+
+    The Gram matrix is the Kronecker product of the per-dimension Grams G_l,
+    never formed: the worst diagonal defect is max(prod dmax_l - 1,
+    1 - prod dmin_l), the worst off-diagonal entry max_l offmax_l *
+    prod_{m != l} absmax_m.  Rounding is monotone in non-negative factors,
+    so products formed left to right, as np.kron does, give its exact value.
     """
     datasets = tuple(datasets)
     if not datasets:
         raise ValueError("need at least one SpectralData")
-    size = math.prod(s.n_states for s in datasets)
-    check_oracle_cap(size, oracle_cap)
-    gram = np.ones((1, 1))
+    diag_max = diag_min = span = 1.0
+    off = 0.0  # worst |off-diagonal entry| of the Gram over the dimensions so far
     for s in datasets:
-        g = (s.poly_table * s.weights) @ s.poly_table.T
-        gram = np.kron(gram, g)
-    return float(np.max(np.abs(gram - np.eye(size))))
+        weights, poly = s.weights, s.poly_table
+        gram = (poly * weights) @ poly.T
+        diag = np.diagonal(gram)
+        top = np.abs(gram).max()
+        # np.maximum keeps a NaN, as the maximum over the Kronecker build does
+        off = np.maximum(off * top, span * np.abs(gram - np.diag(diag)).max())
+        span *= top
+        diag_max *= diag.max()
+        diag_min *= diag.min()
+    return float(np.max([diag_max - 1.0, 1.0 - diag_min, off]))

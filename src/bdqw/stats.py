@@ -44,16 +44,20 @@ def convolve_sum(factors: Sequence[np.ndarray]) -> SumDistribution:
 
     The stored mean and variance are the per-factor sums; they are checked
     against the moments of the convolved mass as an internal consistency
-    check, which raises NumericalError on disagreement.
+    check, which raises NumericalError on disagreement.  A repeated factor
+    object is checked and measured once.
     """
     if len(factors) == 0:
         raise ValueError("need at least one factor")
     mean = 0.0
     variance = 0.0
     mass = np.ones(1)
-    for f in factors:
-        f = check_probability_vector(f)
-        m, v = moments(f)
+    seen = {}  # by id; each entry holds its factor, so no id is reused meanwhile
+    for factor in factors:
+        if id(factor) not in seen:
+            f = check_probability_vector(factor)
+            seen[id(factor)] = (factor, f, *moments(f))
+        _, f, m, v = seen[id(factor)]
         mean += m
         variance += v
         mass = np.convolve(mass, f)

@@ -142,7 +142,7 @@ def test_a6_spectral_suite_on_random_dimensions():
     worst_weight = 0.0
     for spec in specs:
         m = build_conditional_matrix(spec)
-        tri = symmetrize(m, stationary_distribution(m))
+        tri = symmetrize(m)
         data = eigendecompose(tri)
         recon = (data.eigenvectors * data.eigenvalues) @ data.eigenvectors.T
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - tri.to_dense()))))

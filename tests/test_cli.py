@@ -348,6 +348,52 @@ class TestBench:
         assert main(["bench", "--config", config]) == 2
         assert "d_sweep" in capsys.readouterr().err
 
+    def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, capsys):
+        # stands in for numpy failing to allocate a dense array under a huge cap
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 2.00 GiB for an array")
+
+        monkeypatch.setattr(cli, "transition_prob_dense", exhaust)
+        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2])
+        assert main(["bench", "--config", config]) == 3
+        err = capsys.readouterr().err
+        assert err == "error: Unable to allocate 2.00 GiB for an array\n"
+
+
+class TestBiasedChain:
+    """p(k) = 0.999 on 111 states: the stationary tail underflows, the eigensystem does not."""
+
+    N = 110
+    P = 0.999
+
+    @pytest.fixture
+    def config(self, tmp_path) -> str:
+        dims = [{"size": self.N, "p_table": [self.P] * (self.N - 1)}]
+        return write_config(tmp_path, dims=dims, time=[1.0, 5.0, 40.0], initial=[3])
+
+    @pytest.mark.parametrize("command", ["simulate", "verify", "dump-spectrum"])
+    def test_subcommands_succeed(self, tmp_path, config, command):
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--output", str(out)]) == 0
+        if command == "verify":
+            assert json.loads(out.read_text())["pass"] is True
+
+    def test_rows_match_the_matrix_exponential(self):
+        from scipy.linalg import expm
+
+        from bdqw.chain import DimensionSpec, build_conditional_matrix, stationary_distribution
+        from bdqw.ctqw import transition_row
+
+        dim = DimensionSpec(size=self.N, decrease_prob=(self.P,) * (self.N - 1))
+        m = build_conditional_matrix(dim)
+        assert float(stationary_distribution(m).min()) == 0.0
+        off = np.sqrt(np.diag(m, 1) * np.diag(m, -1))
+        j = np.diag(np.diag(m)) + np.diag(off, 1) + np.diag(off, -1)
+        spectrum = spectral.dimension_spectrum(dim)
+        for t in (1.0, 5.0, 40.0):
+            expected = np.abs(expm(1j * t * j)[:, 3]) ** 2
+            assert np.max(np.abs(transition_row(spectrum, t, 3) - expected)) <= 1e-12
+
 
 class TestOneSpectraStage:
     """Each subcommand solves each distinct dimension once per call; bench once per d."""

@@ -17,9 +17,11 @@ from bdqw.chain import (
     ehrenfest_dimension,
     stationary_distribution,
 )
-from bdqw.errors import NumericalError, SizeLimitError
+from bdqw.ctqw import transition_prob_weight_form
+from bdqw.errors import NumericalError
 from bdqw.spectral import (
     _QL_MAX_SWEEPS,
+    SpectralData,
     SymmetricTridiagonal,
     chain_spectra,
     dimension_spectrum,
@@ -28,7 +30,7 @@ from bdqw.spectral import (
     symmetrize,
 )
 
-from conftest import dimension_specs
+from conftest import dimension_specs, multi_chain_specs
 
 
 def dense_similarity_oracle(m: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -105,10 +107,19 @@ def serial_tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.nda
     return d, z
 
 
+# Reference for orthogonality_defect: the product-space Gram built as a Kronecker
+# product, kept verbatim so the per-dimension evaluation can be required equal.
+def kronecker_orthogonality_defect(datasets) -> float:
+    size = math.prod(s.n_states for s in datasets)
+    gram = np.ones((1, 1))
+    for s in datasets:
+        g = (s.poly_table * s.weights) @ s.poly_table.T
+        gram = np.kron(gram, g)
+    return float(np.max(np.abs(gram - np.eye(size))))
+
+
 def spectrum_of(spec: DimensionSpec):
-    m = build_conditional_matrix(spec)
-    pi = stationary_distribution(m)
-    return symmetrize(m, pi)
+    return symmetrize(build_conditional_matrix(spec))
 
 
 class TestSymmetrize:
@@ -124,43 +135,43 @@ class TestSymmetrize:
     def test_asymmetric_chain_against_dense_conjugation(self):
         spec = DimensionSpec(size=2, decrease_prob=(0.3,))
         m = build_conditional_matrix(spec)
-        pi = stationary_distribution(m)
-        tri = symmetrize(m, pi)
+        tri = symmetrize(m)
         # sqrt formula: sqrt(m[0,1]*m[1,0]) then sqrt(m[1,2]*m[2,1])
         assert np.allclose(tri.offdiag, [math.sqrt(0.3), math.sqrt(0.7)], atol=1e-15)
+        pi = stationary_distribution(m)
         assert np.max(np.abs(tri.to_dense() - dense_similarity_oracle(m, pi))) <= 1e-12
 
-    def test_rejects_nonpositive_pi(self):
-        m = build_conditional_matrix(ehrenfest_dimension(1))
-        with pytest.raises(ValueError):
-            symmetrize(m, np.array([1.0, 0.0]))
+    @pytest.mark.filterwarnings("error")
+    def test_urn_past_the_stationary_underflow_is_the_closed_form(self):
+        # at N = 1100 the stationary tails fall below the smallest double; J does
+        # not need them: its off-diagonal is sqrt((N - k)(k + 1)) / N
+        n = 1100
+        tri = symmetrize(build_conditional_matrix(ehrenfest_dimension(n)))
+        k = np.arange(n)
+        assert np.max(np.abs(tri.offdiag - np.sqrt((n - k) * (k + 1.0)) / n)) <= 1e-15
+        assert np.array_equal(tri.diag, np.zeros(n + 1))
 
     @pytest.mark.filterwarnings("error")
-    def test_rejects_nan_pi(self):
-        m = build_conditional_matrix(ehrenfest_dimension(3))
-        for pos in range(4):
-            pi = np.full(4, 0.25)
-            pi[pos] = math.nan
-            with pytest.raises(ValueError):
-                symmetrize(m, pi)
+    def test_rejects_non_square_kernel(self):
+        with pytest.raises(ValueError, match="square"):
+            symmetrize(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match="square"):
+            symmetrize(np.zeros(3))
 
     @pytest.mark.filterwarnings("error")
-    def test_underflowing_urn_fails_loudly(self):
-        # at N = 1100 the stationary tails fall below the smallest double
-        m = build_conditional_matrix(ehrenfest_dimension(1100))
-        with pytest.raises(ValueError, match="strictly positive"):
-            symmetrize(m, stationary_distribution(m))
-
-    def test_rejects_non_reversible_pi(self):
-        m = build_conditional_matrix(ehrenfest_dimension(2))
-        with pytest.raises(ValueError):
-            symmetrize(m, np.array([0.2, 0.2, 0.6]))
+    @pytest.mark.parametrize("value", [-0.5, 0.0, math.nan])
+    def test_rejects_a_step_product_that_is_not_positive(self, value):
+        for pos in range(3):
+            m = build_conditional_matrix(ehrenfest_dimension(3))
+            m[pos + 1, pos] = value
+            with pytest.raises(ValueError, match="strictly positive"):
+                symmetrize(m)
 
     @given(dimension_specs(max_size=12))
     def test_matches_dense_conjugation(self, spec):
         m = build_conditional_matrix(spec)
         pi = stationary_distribution(m)
-        tri = symmetrize(m, pi)
+        tri = symmetrize(m)
         assert np.max(np.abs(tri.to_dense() - dense_similarity_oracle(m, pi))) <= 1e-12
 
 
@@ -191,9 +202,10 @@ class TestEigendecompose:
 
     def test_validate_rejects_corrupted_weights(self):
         data = dimension_spectrum(ehrenfest_dimension(3))
-        bad = dataclasses.replace(data, weights=data.weights + 0.01)
+        vectors = data.eigenvectors.copy()
+        vectors[0] += 0.01
         with pytest.raises(NumericalError):
-            bad.validate()
+            dataclasses.replace(data, eigenvectors=vectors).validate()
 
     def test_validate_rejects_nan_eigenvalue(self):
         data = dimension_spectrum(ehrenfest_dimension(3))
@@ -315,22 +327,74 @@ class TestOrthogonalityDefect:
 
     def test_detects_perturbed_weights(self):
         data = dimension_spectrum(ehrenfest_dimension(2))
-        weights = data.weights.copy()
-        weights[0] += 0.01
-        perturbed = dataclasses.replace(data, weights=weights)
+        vectors = data.eigenvectors.copy()
+        vectors[0, 0] += 0.01
+        perturbed = dataclasses.replace(data, eigenvectors=vectors)
         assert orthogonality_defect([perturbed]) > 1e-3
 
     def test_requires_at_least_one_dataset(self):
         with pytest.raises(ValueError):
             orthogonality_defect([])
 
-    def test_cap_enforced(self):
-        data = dimension_spectrum(ehrenfest_dimension(7))
-        with pytest.raises(SizeLimitError, match="100"):
-            orthogonality_defect([data, data, data], oracle_cap=100)
-
     @settings(max_examples=30, deadline=None)
     @given(dimension_specs(max_size=6), dimension_specs(max_size=6))
     def test_random_products_stay_orthogonal(self, spec_a, spec_b):
         datasets = [dimension_spectrum(spec_a), dimension_spectrum(spec_b)]
-        assert orthogonality_defect(datasets, oracle_cap=256) <= 1e-10
+        assert orthogonality_defect(datasets) <= 1e-10
+
+    @settings(max_examples=60, deadline=None)
+    @given(multi_chain_specs(max_dims=3, max_size=5))
+    def test_equals_the_kronecker_gram(self, spec):
+        datasets = chain_spectra(spec)
+        assert orthogonality_defect(datasets) == kronecker_orthogonality_defect(datasets)
+
+    def test_equals_the_kronecker_gram_when_corrupted(self):
+        # a perturbed spectrum with defects well above rounding, in every position
+        a, b = dimension_spectrum(ehrenfest_dimension(2)), dimension_spectrum(ehrenfest_dimension(3))
+        vectors = b.eigenvectors.copy()
+        vectors[1:, 1] *= 1.05
+        bad = dataclasses.replace(b, eigenvectors=vectors)
+        for datasets in ([bad], [a, bad], [bad, a], [a, bad, a], [bad, bad]):
+            defect = orthogonality_defect(datasets)
+            assert defect > 1e-3
+            assert defect == kronecker_orthogonality_defect(datasets)
+
+    def test_nan_propagates(self):
+        data = dimension_spectrum(ehrenfest_dimension(2))
+        vectors = data.eigenvectors.copy()
+        vectors[2, 1] = math.nan
+        bad = dataclasses.replace(data, eigenvectors=vectors)
+        for datasets in ([bad], [data, bad], [bad, data]):
+            assert math.isnan(orthogonality_defect(datasets))
+
+
+class TestUnderflowingWeight:
+    """A weight that underflows to 0 fails every weight-form consumer loudly."""
+
+    @staticmethod
+    def tiny_first_component() -> SpectralData:
+        # orthonormal columns whose second first component squares to 1e-340
+        c = 1e-170
+        s = math.sqrt(1.0 - c * c)
+        return SpectralData(
+            eigenvalues=np.array([-0.5, 0.5]),
+            eigenvectors=np.array([[s, c], [-c, s]]),
+        )
+
+    def test_validate_still_passes(self):
+        self.tiny_first_component().validate()
+
+    def test_weights_name_the_eigenvalue(self):
+        with pytest.raises(NumericalError, match="eigenvalue index 1 underflows"):
+            self.tiny_first_component().weights
+
+    def test_orthogonality_defect_raises(self):
+        data = self.tiny_first_component()
+        good = dimension_spectrum(ehrenfest_dimension(1))
+        for datasets in ([data], [good, data]):
+            with pytest.raises(NumericalError, match="underflows"):
+                orthogonality_defect(datasets)
+
+    def test_weight_form_raises(self):
+        with pytest.raises(NumericalError, match="underflows"):
+            transition_prob_weight_form(self.tiny_first_component(), 1.0, 0, 1)

@@ -95,6 +95,25 @@ class TestConvolveSum:
         with pytest.raises(ValueError):
             convolve_sum([np.array([0.5, 0.4])])
 
+    def test_repeated_factor_checked_once(self, monkeypatch):
+        checked = []
+        check = stats.check_probability_vector
+
+        def counting(mass):
+            checked.append(mass)
+            return check(mass)
+
+        monkeypatch.setattr(stats, "check_probability_vector", counting)
+        f = np.array([0.2, 0.5, 0.3])
+        out = convolve_sum([f] * 5)
+        assert len(checked) == 1
+        # the same sum as five distinct factor objects, or the rows of one array
+        for factors in ([f.copy() for _ in range(5)], np.tile(f, (5, 1))):
+            reference = convolve_sum(factors)
+            assert np.array_equal(out.mass, reference.mass)
+            assert (out.mean, out.variance) == (reference.mean, reference.variance)
+        assert len(checked) == 11
+
     @settings(max_examples=40, deadline=None)
     @given(
         st.lists(
