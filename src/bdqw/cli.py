@@ -27,6 +27,7 @@ import os
 import statistics
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -261,7 +262,7 @@ def _fmt(value: float) -> str:
     return format(float(value), ".17g")
 
 
-def _csv_text(header: list[str], rows: list[list[str]]) -> str:
+def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
@@ -291,15 +292,16 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, str]:
         }
         return 0, json.dumps(payload, indent=2) + "\n"
 
-    rows: list[list[str]] = []
-    for t, marginals, joint in results:
-        for l, factor in enumerate(marginals, start=1):
-            for pos, prob in enumerate(factor):
-                rows.append([_fmt(t), str(l), str(pos), _fmt(prob)])
-        if joint is not None:
-            for pos, prob in enumerate(joint):
-                rows.append([_fmt(t), "joint", str(pos), _fmt(prob)])
-    return 0, _csv_text(["time", "dimension", "position", "probability"], rows)
+    def rows() -> Iterator[list[str]]:  # streamed: the writer holds one row at a time
+        for t, marginals, joint in results:
+            for l, factor in enumerate(marginals, start=1):
+                for pos, prob in enumerate(factor):
+                    yield [_fmt(t), str(l), str(pos), _fmt(prob)]
+            if joint is not None:
+                for pos, prob in enumerate(joint):
+                    yield [_fmt(t), "joint", str(pos), _fmt(prob)]
+
+    return 0, _csv_text(["time", "dimension", "position", "probability"], rows())
 
 
 def run_verify(config: ExperimentConfig) -> tuple[int, str]:
@@ -464,13 +466,24 @@ def run_bench(config: ExperimentConfig) -> tuple[int, str]:
 
 
 def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, str]:
-    payload = {
-        "dimensions": [
-            {"index": idx + 1, "size": dim.size, **dimension_spectrum(dim).to_json_dict()}
-            for idx, dim in enumerate(config.spec.dims)
-        ]
-    }
-    return 0, json.dumps(payload, indent=2) + "\n"
+    """``json.dumps({"dimensions": [entry, ...]}, indent=2) + "\\n"``, built entry by entry.
+
+    Each distinct dimension is solved once and encoded as soon as it is
+    solved, so no spectrum or decoded table outlives its own encoding.
+    """
+    tables: dict[DimensionSpec, str] = {}  # an entry's spectral keys, indented to its depth
+    parts = ['{\n  "dimensions": [']
+    for idx, dim in enumerate(config.spec.dims, start=1):
+        if dim not in tables:
+            text = io.StringIO()  # json.dumps(..., indent=2) without a list of all its chunks
+            encoder = json.JSONEncoder(indent=2)
+            text.writelines(encoder.iterencode(dimension_spectrum(dim).to_json_dict()))
+            tables[dim] = text.getvalue()[1:].replace("\n", "\n    ")  # drop "{", nest two levels
+        separator = "," if idx > 1 else ""
+        parts.append(f'{separator}\n    {{\n      "index": {idx},\n      "size": {dim.size},')
+        parts.append(tables[dim])
+    parts.append("\n  ]\n}\n")
+    return 0, "".join(parts)
 
 
 def run_dump_config(config: ExperimentConfig) -> tuple[int, str]:

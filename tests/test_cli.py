@@ -202,15 +202,57 @@ class TestSimulate:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
-    @pytest.mark.parametrize("table", [[0.5, 1e-300], [1e-160, 1e-160]])
-    def test_numerical_error_exits_2_without_traceback(self, tmp_path, capsys, table):
+    def test_numerical_error_exits_2_without_traceback(self, tmp_path, capsys):
         # the eigensolver cannot resolve these weights; that is a property of
         # the configured chain, so it exits 2 like any other bad config
-        config = write_config(tmp_path, dims=[{"size": 3, "p_table": table}])
+        config = write_config(tmp_path, dims=[{"size": 3, "p_table": [1e-160, 1e-160]}])
         assert main(["simulate", "--config", config]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "vanishing first component" in err
         assert "Traceback" not in err
+
+    def test_tiny_step_chain_matches_the_matrix_exponential(self, tmp_path):
+        # The twisted eigenvectors keep first components of ~7e-151 that the
+        # QL rotations rounded to 0, so this chain now resolves.
+        from scipy.linalg import expm
+
+        from bdqw.chain import DimensionSpec, build_conditional_matrix
+
+        out = tmp_path / "out.csv"
+        times = [1.0, 5.0, 40.0]
+        config = write_config(tmp_path, dims=[{"size": 3, "p_table": [0.5, 1e-300]}], time=times)
+        assert main(["simulate", "--config", config, "--output", str(out)]) == 0
+        m = build_conditional_matrix(DimensionSpec(size=3, decrease_prob=(0.5, 1e-300)))
+        off = np.sqrt(np.diag(m, 1) * np.diag(m, -1))
+        j = np.diag(np.diag(m)) + np.diag(off, 1) + np.diag(off, -1)
+        rows = read_csv(str(out))
+        for t in times:
+            got = [float(r["probability"]) for r in rows if float(r["time"]) == t]
+            expected = np.abs(expm(1j * t * j)[:, 0]) ** 2
+            assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
+
+    def test_streamed_csv_equals_the_row_list(self, tmp_path):
+        # The CSV is written from a generator of rows; the old form built the
+        # list of rows first.  Both must give the same bytes.
+        from bdqw.ctqw import dense_position_distribution, position_distribution
+        from bdqw.spectral import chain_spectra
+
+        out = tmp_path / "out.csv"
+        config_path = write_config(
+            tmp_path, dims=[{"size": 2}, {"size": 3}], time=[0.5, 1.5], initial=[1, 0]
+        )
+        assert main(["simulate", "--dense", "--config", config_path, "--output", str(out)]) == 0
+        config = load_config(config_path)
+        spec, j, fmt = config.spec, config.initial, cli._fmt
+        spectra = chain_spectra(spec)
+        rows = []
+        for t in config.times:
+            for l, factor in enumerate(position_distribution(spec, spectra, t, j), start=1):
+                rows.extend([fmt(t), str(l), str(pos), fmt(p)] for pos, p in enumerate(factor))
+            joint = dense_position_distribution(spec, spectra, t, j, 4096)
+            rows.extend([fmt(t), "joint", str(pos), fmt(p)] for pos, p in enumerate(joint))
+        expected = cli._csv_text(["time", "dimension", "position", "probability"], rows)
+        assert out.read_text(encoding="utf-8") == expected
 
     def test_csv_numbers_round_trip(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -438,6 +480,29 @@ class TestDumps:
         assert reparsed.spec == original.spec
         assert reparsed.times == original.times
         assert reparsed.initial == original.initial
+
+    def test_dump_spectrum_text_and_one_solve_per_distinct_dimension(self, tmp_path, monkeypatch):
+        solved = []
+        solve = cli.dimension_spectrum
+
+        def counting(dim):
+            solved.append(dim)
+            return solve(dim)
+
+        monkeypatch.setattr(cli, "dimension_spectrum", counting)
+        dims = [{"size": 3}, {"size": 2, "p_table": [0.3]}, {"size": 3}, {"size": 1}, {"size": 3}]
+        out = tmp_path / "spectrum.json"
+        config = write_config(tmp_path, dims=dims, time=1.0)
+        assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 0
+        assert [dim.size for dim in solved] == [3, 2, 1]
+        spec = load_config(config).spec
+        payload = {
+            "dimensions": [
+                {"index": idx + 1, "size": dim.size, **solve(dim).to_json_dict()}
+                for idx, dim in enumerate(spec.dims)
+            ]
+        }
+        assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
 
     def test_dump_spectrum(self, tmp_path):
         out = tmp_path / "spectrum.json"

@@ -328,12 +328,32 @@ class TestKrawtchoukClosedForm:
         assert np.max(np.abs(transition_row(urn, t, 0) - expected)) <= 1e-12
 
     def test_weights_are_binomial_half(self, urn):
-        # The QL solver keeps small weights to ~6e-13 relative.  LAPACK's
-        # eigh on the same tridiagonal agrees on probabilities but returns a
-        # smallest weight of ~1.4e-43 where the exact one is 2^-240 ~ 5.6e-73,
-        # which is why the hand-written solver stays.
+        # The twisted-factorization eigenvectors keep small weights to ~9e-13
+        # relative.  LAPACK's eigh on the same tridiagonal agrees on
+        # probabilities but returns a smallest weight of ~1.4e-43 where the
+        # exact one is 2^-240 ~ 5.6e-73, which is why the hand-written solver stays.
         expected = scipy.stats.binom.pmf(np.arange(self.N + 1), self.N, 0.5)
         assert np.max(np.abs(urn.weights - expected) / expected) <= 1e-10
+
+
+class TestLargeUrn:
+    """Ehrenfest N=1200, past the weights' underflow at N~1075, on the twisted branch."""
+
+    N = 1200
+
+    @pytest.fixture(scope="class")
+    def urn(self):
+        return dimension_spectrum(ehrenfest_dimension(self.N))
+
+    @pytest.mark.parametrize("t", [0.5, 300.0, 1200 * math.pi / 2])
+    def test_row_from_origin_is_binomial(self, urn, t):
+        expected = scipy.stats.binom.pmf(np.arange(self.N + 1), self.N, math.sin(t / self.N) ** 2)
+        assert np.max(np.abs(transition_row(urn, t, 0) - expected)) <= 1e-12
+
+    def test_log_weights_are_binomial_half(self, urn):
+        # The smallest weight, 2^-1200, underflows; its first component does not.
+        expected = scipy.stats.binom.logpmf(np.arange(self.N + 1), self.N, 0.5)
+        assert np.max(np.abs(2.0 * np.log(urn.eigenvectors[0]) - expected)) <= 1e-10
 
 
 class TestEhrenfestSumLaw:

@@ -271,6 +271,8 @@ class TestSerialReference:
         ref_values, ref_vectors = serial_tridiagonal_ql(tri.diag, tri.offdiag)
         assert np.array_equal(values, ref_values)
         assert np.array_equal(vectors, ref_vectors)
+        only_values, none = spectral._tridiagonal_ql(tri.diag, tri.offdiag, vectors=False)
+        assert np.array_equal(only_values, ref_values) and none is None
 
     # N=240 queues about 60 000 rotations, several times the flush threshold
     # of _QL_FLUSH_ROTATIONS_PER_STATE * 241, so pending waves flush repeatedly.
@@ -294,6 +296,109 @@ class TestSerialReference:
         monkeypatch.setattr(spectral, "_QL_MAX_SWEEPS", 0)
         with pytest.raises(NumericalError, match="within 0 sweeps"):
             eigendecompose(spectrum_of(ehrenfest_dimension(2)))
+
+
+def serial_reference(tri):
+    """The serial QL's spectrum with eigendecompose's ordering and sign conventions."""
+    values, vectors = serial_tridiagonal_ql(tri.diag, tri.offdiag)
+    order = np.argsort(values)
+    vectors = vectors[:, order]
+    return values[order], vectors * np.sign(vectors[0])
+
+
+def double_well(size: int) -> DimensionSpec:
+    """p = 0.9 below the middle, 0.1 above: two wells whose eigenvalues pair up tightly."""
+    table = tuple(0.9 if k < size / 2 else 0.1 for k in range(1, size))
+    return DimensionSpec(size=size, decrease_prob=table)
+
+
+def full_ql_counter(mp: pytest.MonkeyPatch) -> list[int]:
+    """Record the size of every QL solve that rotates eigenvectors."""
+    calls: list[int] = []
+    solve = spectral._tridiagonal_ql
+
+    def counting(diag, offdiag, vectors=True):
+        if vectors:
+            calls.append(diag.size)
+        return solve(diag, offdiag, vectors)
+
+    mp.setattr(spectral, "_tridiagonal_ql", counting)
+    return calls
+
+
+class TestTwistedEigenvectors:
+    """eigendecompose's two branches against the serial QL reference."""
+
+    @staticmethod
+    def assert_matches_serial(tri) -> None:
+        data = eigendecompose(tri)
+        ref_values, ref_vectors = serial_reference(tri)
+        assert np.array_equal(data.eigenvalues, ref_values)
+        assert np.max(np.abs(data.eigenvectors - ref_vectors)) <= 1e-12
+
+    @pytest.mark.parametrize("n_balls", [1, 2, 3, 7, 15, 96, 240])
+    def test_ehrenfest_takes_the_twisted_branch(self, n_balls, monkeypatch):
+        calls = full_ql_counter(monkeypatch)
+        self.assert_matches_serial(spectrum_of(ehrenfest_dimension(n_balls)))
+        assert calls == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(dimension_specs(max_size=12))
+    def test_random_dimensions(self, spec):
+        self.assert_matches_serial(spectrum_of(spec))
+
+    @pytest.mark.parametrize("size", [12, 16, 20, 30, 80])
+    def test_double_well_takes_the_full_ql(self, size, monkeypatch):
+        calls = full_ql_counter(monkeypatch)
+        tri = spectrum_of(double_well(size))
+        data = eigendecompose(tri)
+        data.validate()
+        assert calls == [size + 1]
+        ref_values, ref_vectors = serial_reference(tri)
+        assert np.array_equal(data.eigenvalues, ref_values)
+        assert np.array_equal(data.eigenvectors, ref_vectors)
+
+    # Without the gap rule the twisted vectors' defect, about eps / gap, exceeds
+    # the validation tolerance from size 16 (smallest gap 8.3e-8) on.
+    @pytest.mark.parametrize("size", [16, 20, 30, 80])
+    def test_tight_gaps_need_the_rule(self, size, monkeypatch):
+        monkeypatch.setattr(spectral, "_TWIST_MIN_GAP", 0.0)
+        with pytest.raises(NumericalError, match="not orthonormal"):
+            eigendecompose(spectrum_of(double_well(size)))
+
+    def test_urn_poly_table_is_krawtchouk_entrywise(self):
+        # Column c of the urn's table is p_j = K_j(l) / sqrt(C(N, j)), l = N - c,
+        # with the integer Krawtchouk recurrence (j+1) K_{j+1} = (N - 2l) K_j -
+        # (N - j + 1) K_{j-1}.  Products of ratios keep every nonzero entry to
+        # 2e-10 relative; the QL rotations lost small entries entirely (1.7e-2).
+        n_balls = 96
+        exact = np.zeros((n_balls + 1, n_balls + 1))
+        for c in range(n_balls + 1):
+            shift = 2 * c - n_balls  # N - 2l
+            prev, cur = 0, 1
+            for j in range(n_balls + 1):
+                exact[j, c] = cur / math.sqrt(math.comb(n_balls, j))
+                prev, cur = cur, (shift * cur - (n_balls - j + 1) * prev) // (j + 1)
+        table = dimension_spectrum(ehrenfest_dimension(n_balls)).poly_table
+        nonzero = exact != 0.0
+        assert np.max(np.abs(table - exact)[nonzero] / np.abs(exact[nonzero])) <= 1e-8
+
+    def test_exact_zero_pivot_is_guarded(self):
+        # The exact urn spectrum (2k - N) / N holds lambda = 0 for even N, and
+        # J's diagonal is zero, so the backward pivot at the last row is
+        # exactly 0 until the guard replaces it by -pivmin.
+        n_balls = 240
+        tri = spectrum_of(ehrenfest_dimension(n_balls))
+        values = (2.0 * np.arange(n_balls + 1) - n_balls) / n_balls
+        zero = n_balls // 2
+        pivmin = float(np.finfo(float).tiny)
+        assert tri.diag[-1] - values[zero] == 0.0
+        backward = spectral._pivots(tri.diag[::-1], tri.offdiag[::-1], values, pivmin)
+        assert backward[0, zero] == -pivmin
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            vectors = spectral._twisted_eigenvectors(tri.diag, tri.offdiag, values)
+        _, ref_vectors = serial_reference(tri)
+        assert np.max(np.abs(vectors * np.sign(vectors[0]) - ref_vectors)) <= 1e-12
 
 
 class TestChainSpectra:
