@@ -17,7 +17,7 @@ print(f"per-factor mean {mean:.6f}, variance {variance:.6f}\n")
 
 print("   d    Kolmogorov distance to N(0, 1)")
 previous = None
-for d in (1, 4, 16, 64, 256, 1024):
+for d in (1, 4, 16, 64, 256, 1024, 4096, 16384, 65536):
     summed = convolve_sum([factor] * d)
     distance = clt_distance(summed)
     arrow = "" if previous is None else ("  (decreasing)" if distance < previous else "  (!)")

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -37,6 +39,45 @@ def gaussian_cdf_quadrature(x: float, steps: int = 4000) -> float:
     weights[1:-1:2] = 4.0
     weights[2:-1:2] = 2.0
     return 0.5 + float(h / 3.0 * (weights @ density))
+
+
+def sequential_convolve(factors) -> np.ndarray:
+    """Reference sum law: one np.convolve per factor, in order, nothing trimmed."""
+    mass = np.ones(1)
+    for factor in factors:
+        mass = np.convolve(mass, factor)
+    return mass
+
+
+def per_atom_distance(sum_dist: SumDistribution) -> float:
+    """Reference Kolmogorov distance: gaussian_cdf evaluated at every atom."""
+    mass = np.asarray(sum_dist.mass, dtype=float)
+    z = (np.arange(mass.size) - sum_dist.mean) / math.sqrt(sum_dist.variance)
+    cdf = np.cumsum(mass)
+    phi = np.array([gaussian_cdf(v) for v in z])
+    below = np.concatenate(([0.0], cdf[:-1]))
+    return float(max(np.abs(cdf - phi).max(), np.abs(below - phi).max()))
+
+
+def binomial_distance(n: int, p: float) -> float:
+    """Exact Kolmogorov distance of the standardized Binomial(n, p), by scipy."""
+    k = np.arange(n + 1)
+    cdf = scipy.stats.binom.cdf(k, n, p)
+    phi = scipy.stats.norm.cdf((k - n * p) / math.sqrt(n * p * (1.0 - p)))
+    below = np.concatenate(([0.0], cdf[:-1]))
+    return float(max(np.abs(cdf - phi).max(), np.abs(below - phi).max()))
+
+
+@st.composite
+def dyadic_factors(draw):
+    """A probability vector with entries k / 2^m that sums to exactly 1, with
+    interior zeros allowed and optional 0, 1e-300 or 1e-320 end entries."""
+    weights = draw(st.lists(st.integers(0, 64), min_size=1, max_size=5))
+    weights[0] += 1
+    total = 1 << (sum(weights) - 1).bit_length()
+    weights[draw(st.integers(0, len(weights) - 1))] += total - sum(weights)
+    ends = st.lists(st.sampled_from([0.0, 1e-300, 1e-320]), max_size=2)
+    return np.array(draw(ends) + [w / total for w in weights] + draw(ends))
 
 
 def two_atom_distance_oracle(p0: float, p1: float, z0: float, z1: float) -> float:
@@ -85,11 +126,12 @@ class TestConvolveSum:
             convolve_sum([])
 
     def test_moment_mismatch_raises_numerical_error(self, monkeypatch):
-        # shift the convolved mass up by one atom: the mean no longer adds up
+        # reverse every convolution of an asymmetric factor: the support and
+        # the total mass stay right, but the mean no longer adds up
         convolve = np.convolve
-        monkeypatch.setattr(stats.np, "convolve", lambda a, b: np.concatenate(([0.0], convolve(a, b))))
-        with pytest.raises(NumericalError):
-            convolve_sum([np.array([0.5, 0.5])] * 2)
+        monkeypatch.setattr(stats.np, "convolve", lambda a, b: convolve(a, b)[::-1])
+        with pytest.raises(NumericalError, match="mean"):
+            convolve_sum([np.array([0.2, 0.8])] * 2)
 
     def test_unnormalized_factor_rejected(self):
         with pytest.raises(ValueError):
@@ -113,6 +155,46 @@ class TestConvolveSum:
             assert np.array_equal(out.mass, reference.mass)
             assert (out.mean, out.variance) == (reference.mean, reference.variance)
         assert len(checked) == 11
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.tuples(dyadic_factors(), st.integers(1, 300)), min_size=1, max_size=3),
+        st.randoms(use_true_random=False),
+    )
+    def test_matches_sequential_reference(self, groups, rng):
+        # the factors sum to 1 exactly, so unit-sum scaling leaves them as
+        # they are and only the powering and trimming differ from the loop
+        factors = [f for f, count in groups for _ in range(count)]
+        rng.shuffle(factors)
+        out = convolve_sum(factors)
+        reference = sequential_convolve(factors)
+        assert out.mass.shape == reference.shape
+        assert np.abs(out.mass - reference).max() <= 1e-15
+
+    @given(st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8).filter(lambda w: sum(w) > 0.01))
+    def test_unit_sum_is_exact_to_half_an_ulp(self, weights):
+        # a residual δ grows to dδ in the d-fold sum: 1e-16 would already
+        # break the 1e-10 moment check at d = 2^20.  The bound is half an ulp
+        # of the largest entry, plus fsum's own rounding of the residual.
+        unit = stats._unit_sum(np.array(weights) / sum(weights))
+        residual = sum(map(Fraction, unit.tolist())) - 1
+        bound = Fraction(np.spacing(unit.max())) * (Fraction(1, 2) + Fraction(1, 2**52))
+        assert abs(residual) <= bound
+
+    def test_factor_sum_error_does_not_compound(self):
+        # sum 1 - 4e-13 passes the probability check, but its 2048-fold
+        # power sums to about 1 - 8e-10 unless the factor is rescaled first
+        out = convolve_sum([np.array([0.5, 0.5 - 4e-13])] * 2048)
+        assert abs(out.mass.sum() - 1.0) <= 1e-12
+        assert abs(out.mean - 1024.0) <= 1e-9
+
+    @pytest.mark.parametrize(("t", "d"), [(3.1, 65_536), (0.7, 2**17)])
+    def test_large_d_against_exact_binomial(self, t, d):
+        # Ehrenfest N=4 from the end state: Binomial(4, sin^2(T/4)) per
+        # factor; at T=0.7 its sum is 1 - 1.1e-15, which used to compound
+        factor = transition_row(dimension_spectrum(ehrenfest_dimension(4)), t, 0)
+        dist = clt_distance(convolve_sum([factor] * d))
+        assert abs(dist - binomial_distance(4 * d, math.sin(t / 4.0) ** 2)) <= 1e-11
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -143,6 +225,15 @@ class TestGaussianCdf:
     def test_against_quadrature_oracle(self):
         for x in (-3.0, -1.0, -0.2, 0.5, 1.0, 2.5):
             assert abs(gaussian_cdf(x) - gaussian_cdf_quadrature(x)) <= 1e-10
+
+    def test_exact_outside_the_evaluated_window(self):
+        # clt_distance sets Phi to 0.0 below -38.6 and 1.0 above 8.5 without
+        # calling gaussian_cdf; that is only sound if these are its values
+        far = np.concatenate((np.linspace(0.0, 30.0, 300_001), np.geomspace(30.0, 1e300, 1000)))
+        below = np.nextafter(stats._PHI_IS_ZERO_BELOW, -math.inf) - far
+        above = np.nextafter(stats._PHI_IS_ONE_ABOVE, math.inf) + far
+        assert all(gaussian_cdf(x) == 0.0 for x in below.tolist() + [-math.inf])
+        assert all(gaussian_cdf(x) == 1.0 for x in above.tolist() + [math.inf])
 
     @given(st.floats(-6, 6), st.floats(-6, 6))
     def test_monotone_and_reflective(self, a, b):
@@ -182,6 +273,31 @@ class TestCltDistance:
             summed = convolve_sum([factor] * d)
             distances.append(clt_distance(summed))
         assert distances[2] < distances[1] < distances[0]
+
+    @pytest.mark.parametrize(("t", "d"), [(3.1, 8192), (0.7, 300), (1.0, 1)])
+    def test_equals_per_atom_loop(self, t, d):
+        factor = transition_row(dimension_spectrum(ehrenfest_dimension(4)), t, 0)
+        summed = convolve_sum([factor] * d)
+        assert clt_distance(summed) == per_atom_distance(summed)
+        # a small variance pushes most atoms far outside the window
+        narrow = SumDistribution(mass=summed.mass, mean=summed.mean, variance=summed.variance / 1e6)
+        assert clt_distance(narrow) == per_atom_distance(narrow)
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [
+            ("mean", math.nan),
+            ("mean", math.inf),
+            ("variance", math.nan),
+            ("variance", math.inf),
+            ("mass", np.array([0.5, math.nan])),
+            ("mass", np.array([math.inf, 0.5])),
+        ],
+    )
+    def test_non_finite_input_rejected(self, field, value):
+        fields = {"mass": np.array([0.5, 0.5]), "mean": 0.5, "variance": 0.25, field: value}
+        with pytest.raises(ValueError, match=field):
+            clt_distance(SumDistribution(**fields))
 
     def test_zero_variance_rejected(self):
         with pytest.raises(ValueError):
