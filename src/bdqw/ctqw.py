@@ -12,14 +12,15 @@ Two evaluation routes are provided, both given the per-dimension spectra
 
 * the factorized fast path, a product of d small one-dimensional
   calculations that never touches the product space; and
-* a dense oracle that assembles the full tensor-space eigensystem
-  (Kronecker-sum eigenvalues, tensor-product eigenvectors) and evaluates the
-  amplitude as one sum over the product spectrum.  The oracle is capped,
+* a dense oracle that evaluates the amplitude as one sum over the product
+  spectrum: the phase is taken at every Kronecker-sum eigenvalue, never split
+  per dimension, and the tensor-product eigenvectors are applied one
+  dimension at a time without forming their matrix.  The oracle is capped,
   since its cost grows with the product-space size.
 
-Every route is a slice of one kernel, the elements of V diag(e^{i t lambda}) V^T
-over a spectrum (V, lambda): a 1-D spectrum for the factorized path, the
-product eigensystem for the oracle.
+Every route is a slice of one kernel, the elements of W diag(e^{i t lambda}) W^T
+with W the Kronecker product of per-dimension bases V_l: one factor for the
+factorized path, all of them for the oracle.
 
 Everything here is a pure function of immutable inputs; per-dimension
 propagators and per-pair evaluations can be computed concurrently.
@@ -37,38 +38,74 @@ from .spectral import SpectralData
 
 
 def _amplitudes(
-    vectors: np.ndarray,
+    factors: tuple[np.ndarray, ...],
     values: np.ndarray,
     t: float,
-    rows: int | slice = slice(None),
-    cols: int | slice = slice(None),
-) -> tuple[np.ndarray, np.ndarray]:
-    """Real and imaginary parts of the [rows, cols] block of V diag(e^{i t lambda}) V^T.
+    rows: tuple[int | slice, ...] | None = None,
+    cols: tuple[int | slice, ...] | None = None,
+) -> np.ndarray | list[np.ndarray]:
+    """Real and imaginary parts of the [rows, cols] block of W diag(e^{i t lambda}) W^T.
 
-    The one amplitude kernel behind every route: two real matmuls, one per
-    part; an integer index drops that axis.  Real matmuls rather than a
-    complex-phase product, which costs a complex matmul: at 2048 product
-    states the dense propagator took 0.65-0.81 s that way against 0.45 s.
+    The one amplitude kernel behind every route.  W = V_1 (x) ... (x) V_d is
+    the Kronecker product of the per-dimension bases ``factors``, and
+    ``values`` holds the eigenvalues of its columns, one axis per factor.
+    ``rows`` and ``cols`` give one index per factor (all of each by default);
+    an integer drops that axis.  The two parts come first; in each, the kept
+    row axes come before the kept column axes, in factor order, so a C-order
+    reshape flattens them as multi-indices.
+
+    W is never formed.  The phase array cos(t lambda), with sin(t lambda)
+    stacked on a leading axis, is contracted one spectral index m_l at a
+    time: step l computes sum_m V_l[rows_l, m] X[..., m, ...] V_l[cols_l, m]
+    as an elementwise product with the row factor followed by one real matmul
+    with the column factor.  All pairs cost size^2 * sum n_l multiply-adds,
+    against size^3 per matmul with W.  Real matmuls rather than a
+    complex-phase product, which costs a complex matmul.
+
+    A single factor is that step alone, (V[rows] cos) @ V[cols]^T and the
+    same with sin, kept as two matmuls: stacking them would change the BLAS
+    call (and so the bits) of every one-dimensional route, whose many tiny
+    calls also pay for any bookkeeping.
     """
-    left, right = vectors[rows], vectors[cols].T
+    full = (slice(None),) * len(factors)
+    rows, cols = rows or full, cols or full
     lam_t = t * values
-    return (left * np.cos(lam_t)) @ right, (left * np.sin(lam_t)) @ right
+    if len(factors) == 1:
+        left, right = factors[0][rows[0]], factors[0][cols[0]].T
+        return [(left * np.cos(lam_t)) @ right, (left * np.sin(lam_t)) @ right]
+    x = np.stack((np.cos(lam_t), np.sin(lam_t)))
+    kept = 1  # the parts' axis and the row axes kept so far lead x
+    for v, r, c in zip(factors, rows, cols):
+        left, right = v[r], v[c].T
+        x = np.moveaxis(x, kept, -1)  # m_l last
+        if left.ndim == 2:  # k_l in m_l's place
+            x = np.expand_dims(x, kept)
+            left = left.reshape(left.shape[0], *[1] * (x.ndim - kept - 2), -1)
+            kept += 1
+        y = np.multiply(left, x, order="C")  # contiguous, whatever the layout of x
+        x = (y.reshape(-1, y.shape[-1]) @ right).reshape(y.shape[:-1] + right.shape[1:])
+    return x
 
 
-def _probabilities(*args) -> np.ndarray:
-    """Squared moduli of the kernel's elements; same arguments as _amplitudes."""
-    re, im = _amplitudes(*args)
+def _probabilities(parts: np.ndarray) -> np.ndarray:
+    """Squared moduli of the elements whose real and imaginary parts the kernel gave."""
+    re, im = parts
     return re**2 + im**2
 
 
-def _unitary(vectors: np.ndarray, values: np.ndarray, t: float) -> np.ndarray:
-    re, im = _amplitudes(vectors, values, t)
+def _complex(parts: np.ndarray) -> np.ndarray:
+    re, im = parts
     return re + 1j * im
+
+
+def propagator_parts(spectrum: SpectralData, t: float) -> np.ndarray:
+    """Real and imaginary parts of propagator(spectrum, t), one contiguous (2, n, n) array."""
+    return np.asarray(_amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t))
 
 
 def propagator(spectrum: SpectralData, t: float) -> np.ndarray:
     """One-dimensional evolution operator exp(i t J), a complex symmetric unitary."""
-    return _unitary(spectrum.eigenvectors, spectrum.eigenvalues, t)
+    return _complex(_amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t))
 
 
 def _check_position(n_states: int, pos: int, name: str) -> None:
@@ -80,7 +117,8 @@ def transition_prob_1d(spectrum: SpectralData, t: float, j: int, k: int) -> floa
     """Probability of moving from position j to k in elapsed time t."""
     _check_position(spectrum.n_states, j, "j")
     _check_position(spectrum.n_states, k, "k")
-    return float(_probabilities(spectrum.eigenvectors, spectrum.eigenvalues, t, k, j))
+    parts = _amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t, (k,), (j,))
+    return float(_probabilities(parts))
 
 
 def transition_prob_weight_form(spectrum: SpectralData, t: float, j: int, k: int) -> float:
@@ -98,13 +136,14 @@ def transition_prob_weight_form(spectrum: SpectralData, t: float, j: int, k: int
 
 def transition_matrix_1d(spectrum: SpectralData, t: float) -> np.ndarray:
     """All-pairs transition probabilities; entry [k, j] is j -> k."""
-    return _probabilities(spectrum.eigenvectors, spectrum.eigenvalues, t)
+    return _probabilities(_amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t))
 
 
 def transition_row(spectrum: SpectralData, t: float, j: int) -> np.ndarray:
     """Position distribution after elapsed time t, started from position j."""
     _check_position(spectrum.n_states, j, "j")
-    return _probabilities(spectrum.eigenvectors, spectrum.eigenvalues, t, slice(None), j)
+    parts = _amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t, None, (j,))
+    return _probabilities(parts)
 
 
 def _check_multi(
@@ -172,22 +211,42 @@ def position_distribution(
     return tuple(transition_row(s, q * t, jl) for q, s, jl in zip(spec.select_prob, spectra, j))
 
 
-def _product_eigensystem(
-    spec: MultiChainSpec, spectra: tuple[SpectralData, ...], oracle_cap: int, **indices: tuple
-) -> tuple[np.ndarray, np.ndarray]:
-    """Dense eigensystem of the weighted Kronecker-sum generator.
+def _dense_amplitudes(
+    spec: MultiChainSpec,
+    spectra: tuple[SpectralData, ...],
+    t: float,
+    oracle_cap: int,
+    j: tuple[int, ...] | None = None,
+    k: tuple[int, ...] | None = None,
+) -> np.ndarray:
+    """The kernel over the product basis: rows k, columns j, all of each by default.
 
-    Eigenvector matrix is the Kronecker product of the per-dimension bases;
-    eigenvalues are the q-weighted sums over all index combinations.  Only
-    valid below the oracle cap, after checking the spectra and ``indices``.
+    Each part is flattened over the product space, so all pairs come as one
+    contiguous (2, size, size) array.  The phase is taken over the full
+    q-weighted Kronecker sum of the eigenvalues, one entry per product
+    eigenvector, and never split per dimension: that split is Theorem 1, the
+    claim this oracle checks.  The spectra, the indices and the oracle cap
+    are checked first.
     """
+    indices = {name: tuple(m) for name, m in (("j", j), ("k", k)) if m is not None}
     _check_multi(spec, spectra, indices)
     check_oracle_cap(spec.product_size, oracle_cap)
-    vectors = reduce(np.kron, [s.eigenvectors for s in spectra])
     values = reduce(
         np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)]
     )
-    return vectors, np.asarray(values).ravel()
+    factors = tuple(s.eigenvectors for s in spectra)
+    parts = _amplitudes(factors, values, t, indices.get("k"), indices.get("j"))
+    return np.reshape(parts, (2,) + (spec.product_size,) * (2 - len(indices)))
+
+
+def dense_propagator_parts(
+    spec: MultiChainSpec,
+    spectra: tuple[SpectralData, ...],
+    t: float,
+    oracle_cap: int = DEFAULT_ORACLE_CAP,
+) -> np.ndarray:
+    """Real and imaginary parts of dense_propagator, one contiguous (2, size, size) array."""
+    return _dense_amplitudes(spec, spectra, t, oracle_cap)
 
 
 def dense_propagator(
@@ -197,7 +256,7 @@ def dense_propagator(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Full product-space evolution operator, a complex matrix (oracle path)."""
-    return _unitary(*_product_eigensystem(spec, spectra, oracle_cap), t)
+    return _complex(_dense_amplitudes(spec, spectra, t, oracle_cap))
 
 
 def transition_prob_dense(
@@ -213,10 +272,7 @@ def transition_prob_dense(
     Single sum over the product spectrum, no factorization; the independent
     check for the fast path.
     """
-    vectors, values = _product_eigensystem(spec, spectra, oracle_cap, j=tuple(j), k=tuple(k))
-    flat_k = np.ravel_multi_index(tuple(k), spec.shape)
-    flat_j = np.ravel_multi_index(tuple(j), spec.shape)
-    return float(_probabilities(vectors, values, t, flat_k, flat_j))
+    return float(_probabilities(_dense_amplitudes(spec, spectra, t, oracle_cap, j=j, k=k)))
 
 
 def dense_transition_matrix(
@@ -226,7 +282,7 @@ def dense_transition_matrix(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """All-pairs probabilities from the dense oracle; entry [k_flat, j_flat]."""
-    return _probabilities(*_product_eigensystem(spec, spectra, oracle_cap), t)
+    return _probabilities(_dense_amplitudes(spec, spectra, t, oracle_cap))
 
 
 def dense_position_distribution(
@@ -237,9 +293,7 @@ def dense_position_distribution(
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
     """Joint position law from the dense oracle, flattened in C order over the product space."""
-    vectors, values = _product_eigensystem(spec, spectra, oracle_cap, j=tuple(j))
-    flat_j = np.ravel_multi_index(tuple(j), spec.shape)
-    return _probabilities(vectors, values, t, slice(None), flat_j)
+    return _probabilities(_dense_amplitudes(spec, spectra, t, oracle_cap, j=j))
 
 
 def ehrenfest_sum_law(d: int, t: float) -> np.ndarray:

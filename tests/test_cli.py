@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from bdqw import cli, spectral
+from bdqw.chain import DimensionSpec
 from bdqw.cli import load_config, main, parse_config, resolve
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -276,6 +277,7 @@ class TestVerify:
         for key in (
             "theorem1_max_abs_err",
             "orthogonality_defect",
+            "eigen_residual",
             "unitarity_defect",
             "detailed_balance_defect",
         ):
@@ -290,6 +292,57 @@ class TestVerify:
             time=1.0,
         )
         assert main(["verify", "--config", config]) == 0
+
+    @pytest.mark.parametrize(
+        "route, key",
+        [
+            ("factorized_transition_matrix", "theorem1_max_abs_err"),
+            ("stationary_distribution", "detailed_balance_defect"),
+        ],
+    )
+    def test_nan_defect_fails(self, tmp_path, monkeypatch, route, key):
+        # Python's max(0.0, nan) is 0.0, so a running max() read a NaN defect as a pass
+        real = getattr(cli, route)
+        monkeypatch.setattr(cli, route, lambda *args: np.full_like(real(*args), np.nan))
+        out = tmp_path / "report.json"
+        config = two_edge_config(tmp_path, time=1.0)
+        code = main(["verify", "--config", config, "--output", str(out)])
+        report = json.loads(out.read_text())
+        assert math.isnan(report[key])
+        assert report["pass"] is False
+        assert code == 1
+
+    def test_spectra_of_a_wrong_kernel_fail(self, tmp_path, monkeypatch):
+        # Orthonormal spectra of the right sizes but of another J: the
+        # factorized and dense routes agree on them, so only the eigen-residual
+        # J V - V Lambda ties them back to the configured kernel.
+        config = write_config(
+            tmp_path,
+            dims=[{"size": 2}, {"size": 3}],
+            select_prob=[0.4, 0.6],
+            time=[0.5, 2.0],
+        )
+        wrong = {
+            n: spectral.dimension_spectrum(DimensionSpec(size=n, decrease_prob=(0.2,) * (n - 1)))
+            for n in (2, 3)
+        }
+        monkeypatch.setattr(
+            cli, "chain_spectra", lambda spec: tuple(wrong[d.size] for d in spec.dims)
+        )
+        out = tmp_path / "report.json"
+        assert main(["verify", "--config", config, "--output", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert report["eigen_residual"] > 1e-2
+        for key in ("theorem1_max_abs_err", "orthogonality_defect", "unitarity_defect"):
+            assert report[key] <= 1e-10
+
+    def test_unitarity_defect_is_the_complex_gram_defect(self):
+        # a general complex matrix, neither unitary nor symmetric
+        rng = np.random.default_rng(7)
+        parts = rng.standard_normal((2, 6, 6))
+        u = parts[0] + 1j * parts[1]
+        expected = np.max(np.abs(u.conj().T @ u - np.eye(6)))
+        assert abs(cli._unitarity_defect(parts) - expected) <= 1e-13 * expected
 
     def test_corrupted_select_prob_exits_2(self, tmp_path, capsys):
         config = write_config(

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -19,6 +20,8 @@ from bdqw.chain import (
     uniform_multi_chain,
 )
 from bdqw.ctqw import (
+    _amplitudes,
+    _dense_amplitudes,
     dense_position_distribution,
     dense_propagator,
     dense_transition_matrix,
@@ -26,6 +29,7 @@ from bdqw.ctqw import (
     factorized_transition_matrix,
     position_distribution,
     propagator,
+    propagator_parts,
     transition_matrix_1d,
     transition_prob_1d,
     transition_prob_dense,
@@ -34,7 +38,7 @@ from bdqw.ctqw import (
     transition_row,
 )
 from bdqw.errors import SizeLimitError
-from bdqw.spectral import dimension_spectrum
+from bdqw.spectral import chain_spectra, dimension_spectrum
 from bdqw.stats import convolve_sum
 
 from conftest import multi_chain_specs, random_multi_chain_spec
@@ -58,6 +62,17 @@ def expm_oracle(spec: MultiChainSpec, t: float) -> np.ndarray:
             term = np.kron(term, block)
         generator += q * term
     return scipy.linalg.expm(1j * t * generator)
+
+
+def kronecker_amplitudes(spec: MultiChainSpec, spectra, t: float) -> tuple[np.ndarray, np.ndarray]:
+    """The Kronecker-product build of the dense amplitudes, the contraction's reference.
+
+    W = V_1 (x) ... (x) V_d as one matrix, then (W cos) @ W^T and (W sin) @ W^T.
+    """
+    vectors = reduce(np.kron, [s.eigenvectors for s in spectra])
+    values = reduce(np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)])
+    lam_t = t * values.ravel()
+    return (vectors * np.cos(lam_t)) @ vectors.T, (vectors * np.sin(lam_t)) @ vectors.T
 
 
 EDGE = dimension_spectrum(ehrenfest_dimension(1))
@@ -164,6 +179,48 @@ class TestTransitionProb1d:
             assert np.max(np.abs(transition_row(data, t, j) - matrix[:, j])) <= 1e-13
             for k in range(data.n_states):
                 assert abs(matrix[k, j] - transition_prob_1d(data, t, j, k)) <= 1e-13
+
+
+class TestContractionKernel:
+    """The dense routes contract the product spectrum one dimension at a time."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        multi_chain_specs(max_dims=4, max_size=4, max_states=256),
+        st.floats(-10, 10),
+        st.data(),
+    )
+    def test_matches_kronecker_build(self, spec, t, data):
+        spectra = chain_spectra(spec)
+        re, im = kronecker_amplitudes(spec, spectra, t)
+        size = spec.product_size
+        j = tuple(data.draw(st.integers(0, n - 1)) for n in spec.shape)
+        k = tuple(data.draw(st.integers(0, n - 1)) for n in spec.shape)
+        flat_j, flat_k = np.ravel_multi_index(j, spec.shape), np.ravel_multi_index(k, spec.shape)
+        everything = _dense_amplitudes(spec, spectra, t, size)
+        column = _dense_amplitudes(spec, spectra, t, size, j=j)
+        element = _dense_amplitudes(spec, spectra, t, size, j=j, k=k)
+        assert everything.shape == (2, size, size)
+        assert column.shape == (2, size) and element.shape == (2,)
+        assert np.max(np.abs(everything[0] - re)) <= 1e-14
+        assert np.max(np.abs(everything[1] - im)) <= 1e-14
+        assert np.max(np.abs(column - np.stack([re[:, flat_j], im[:, flat_j]]))) <= 1e-14
+        assert np.max(np.abs(element - [re[flat_k, flat_j], im[flat_k, flat_j]])) <= 1e-14
+
+    @settings(max_examples=30, deadline=None)
+    @given(multi_chain_specs(max_dims=1, max_size=8), st.floats(-10, 10), st.data())
+    def test_one_factor_is_the_two_matmuls_bit_for_bit(self, spec, t, data):
+        s = dimension_spectrum(spec.dims[0])
+        v, lam_t = s.eigenvectors, t * s.eigenvalues
+        j = data.draw(st.integers(0, s.n_states - 1))
+        k = data.draw(st.integers(0, s.n_states - 1))
+        for l, phase in enumerate((np.cos(lam_t), np.sin(lam_t))):
+            assert np.array_equal(propagator_parts(s, t)[l], (v * phase) @ v.T)
+            assert np.array_equal(_amplitudes((v,), s.eigenvalues, t)[l], (v * phase) @ v.T)
+            column = _amplitudes((v,), s.eigenvalues, t, None, (j,))[l]
+            assert np.array_equal(column, (v * phase) @ v[j])
+            element = _amplitudes((v,), s.eigenvalues, t, (k,), (j,))[l]
+            assert np.array_equal(element, (v[k] * phase) @ v[j])
 
 
 class TestFactorizedVsDense:
