@@ -12,7 +12,7 @@ objects are derived when read (Golub & Welsch, 1969):
   first entry equals one.
 
 The weight/polynomial pair gives an independent route to transition
-amplitudes and to the orthogonality checks in the verification tooling.
+amplitudes.
 
 Eigenvalues are returned in ascending order and every eigenvector is flipped
 so its first component is strictly positive, making the output deterministic.
@@ -33,9 +33,6 @@ from .errors import NumericalError
 _QL_MAX_SWEEPS = 30
 # Bound on the orthonormality and weight-sum defects SpectralData.validate accepts.
 _VALIDATE_TOLERANCE = 1e-10
-# Queued QL rotations are applied once they number this many per state, so the
-# rotation schedule's memory grows linearly with the matrix size.
-_QL_FLUSH_ROTATIONS_PER_STATE = 32
 # A spectrum whose smallest gap is below this takes its eigenvectors from the
 # QL rotations instead of twisted factorizations.  Measured on double-well and
 # random chains of up to 40 states, twisted and QL vectors differ by at most
@@ -158,44 +155,19 @@ def _tridiagonal_ql(
 
     Returns (eigenvalues, eigenvector columns), unsorted; the columns are
     None when ``vectors`` is false, which skips every rotation of them and
-    leaves the eigenvalues bit-identical.  Convergence of an
-    off-diagonal entry is declared when it is negligible relative to its two
-    diagonal neighbours; each eigenvalue is allowed at most _QL_MAX_SWEEPS
-    sweeps.
+    leaves the eigenvalues bit-identical.  Convergence of an off-diagonal
+    entry is declared when it is negligible relative to its two diagonal
+    neighbours; each eigenvalue is allowed at most _QL_MAX_SWEEPS sweeps.
 
-    The scalar recurrence runs on Python floats.  Its Givens rotations reach
-    the eigenvectors in waves: rotation (i, c, s) joins the first wave after
-    the last one that touched column i or i+1, so the rotations of one wave
-    touch disjoint column pairs and a wave is one fancy-indexed update of the
-    row-major transpose.  Pending waves are applied in order once they hold
-    _QL_FLUSH_ROTATIONS_PER_STATE * n rotations, and at the end.  Each column
-    sees its rotations in serial order with the same elementwise arithmetic,
-    so the output is bit-identical to rotating one column pair at a time.
+    The scalar recurrence runs on Python floats.  Each Givens rotation
+    (i, c, s) is applied as it is made to rows i and i+1 of the row-major
+    transpose, one column pair at a time.
     """
     n = diag.size
     d = diag.astype(float).tolist()
     e = offdiag.astype(float).tolist() + [0.0]
     zt = np.eye(n) if vectors else None  # row j is eigenvector column j
     eps = float(np.finfo(float).eps)
-    flush_at = _QL_FLUSH_ROTATIONS_PER_STATE * n
-    waves: list[tuple[list[int], list[float], list[float]]] = []
-    last = [-1] * n  # wave that last touched each column since the last flush
-    pending = 0
-
-    def flush() -> None:
-        for cols, cs, ss in waves:
-            i = np.array(cols)
-            c = np.array(cs)[:, None]
-            s = np.array(ss)[:, None]
-            a = zt[i]
-            b = zt[i + 1]
-            zt[i + 1] = s * a + c * b
-            a *= c
-            b *= s
-            a -= b
-            zt[i] = a
-        waves.clear()
-        last[:] = [-1] * n
 
     for l in range(n):
         sweeps = 0
@@ -238,21 +210,11 @@ def _tridiagonal_ql(
                 p = s * r
                 d[i + 1] = g + p
                 g = c * r - b
-                if not vectors:
-                    continue
-                w = max(last[i], last[i + 1]) + 1
-                last[i] = last[i + 1] = w
-                if w == len(waves):
-                    waves.append(([i], [c], [s]))
-                else:
-                    cols, cs, ss = waves[w]
-                    cols.append(i)
-                    cs.append(c)
-                    ss.append(s)
-            pending += m - l  # an underflowing sweep queued fewer; flushing early is harmless
-            if vectors and pending >= flush_at:
-                flush()
-                pending = 0
+                if vectors:
+                    za, zb = zt[i].copy(), zt[i + 1]
+                    zt[i] = c * za - s * zb
+                    zb *= c
+                    zb += s * za
             if underflow:
                 continue
             d[l] -= p
@@ -260,7 +222,6 @@ def _tridiagonal_ql(
             e[m] = 0.0
     if not vectors:
         return np.array(d), None
-    flush()
     # C-ordered columns, as the serial loop returned, so later matmuls see the same layout
     return np.array(d), zt.T.copy()
 
@@ -331,7 +292,11 @@ def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
     with pivots below tiny * max(1, max b^2) in magnitude replaced by that
     bound's negative.  Their error grows as eps / gap, so when the smallest
     gap between eigenvalues is below _TWIST_MIN_GAP the full QL, rotations
-    included, supplies values and vectors instead.
+    included, supplies values and vectors instead.  There the first
+    components, and so the weights and poly_table, are accurate only to
+    about 1e-16 in absolute terms: on a double well of 81 states the pairs
+    of eigenvalues near 1 and -1, each split by 2.1e-17, hold two first
+    components of 2.3e-22, which the QL returns as 3.2e-46 and 1.7e-17.
 
     Eigenvalues come out strictly ascending with their orthonormal columns
     permuted jointly; each column is flipped so the first component is
@@ -372,8 +337,8 @@ def orthogonality_defect(datasets: list[SpectralData] | tuple[SpectralData, ...]
 
     For basis pairs (j, k) of the product space, sums the per-dimension
     products p_l(j) p_l(k) weighted by the measure over all spectral indices
-    and compares against the Kronecker delta.  Evaluated through the weight /
-    polynomial tables, so corrupted first components are detected.
+    and compares against the Kronecker delta.  The first components cancel,
+    so each dimension's Gram is G_l = V_l V_l^T, which reads no weight.
 
     The Gram matrix is the Kronecker product of the per-dimension Grams G_l,
     never formed: the worst diagonal defect is max(prod dmax_l - 1,
@@ -387,8 +352,7 @@ def orthogonality_defect(datasets: list[SpectralData] | tuple[SpectralData, ...]
     diag_max = diag_min = span = 1.0
     off = 0.0  # worst |off-diagonal entry| of the Gram over the dimensions so far
     for s in datasets:
-        weights, poly = s.weights, s.poly_table
-        gram = (poly * weights) @ poly.T
+        gram = s.eigenvectors @ s.eigenvectors.T
         diag = np.diagonal(gram)
         top = np.abs(gram).max()
         # np.maximum keeps a NaN, as the maximum over the Kronecker build does

@@ -284,6 +284,14 @@ class TestVerify:
             assert report[key] <= 1e-10
         assert report["pass"] is True
 
+    def test_urn_past_the_weight_underflow_passes(self, tmp_path):
+        # from about N = 1075 on the urn's smallest weight, 2^-N, underflows to 0;
+        # no check of verify reads a weight
+        out = tmp_path / "report.json"
+        config = write_config(tmp_path, dims=[{"size": 1100}], time=[0.7])
+        assert main(["verify", "--config", config, "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["pass"] is True
+
     def test_mixed_sizes_pass(self, tmp_path):
         config = write_config(
             tmp_path,

@@ -39,8 +39,8 @@ def dense_similarity_oracle(m: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return np.diag(root) @ m @ np.diag(1.0 / root)
 
 
-# Reference for the wave-batched solver: the serial loop, one column-pair update
-# per rotation, kept verbatim so the batched output can be required bit-identical.
+# Reference for the QL solver: the serial loop, one column-pair update per
+# rotation, kept verbatim so the solver's output can be required bit-identical.
 def serial_tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Implicitly shifted QL iteration for a symmetric tridiagonal matrix.
 
@@ -108,12 +108,13 @@ def serial_tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.nda
 
 
 # Reference for orthogonality_defect: the product-space Gram built as a Kronecker
-# product, kept verbatim so the per-dimension evaluation can be required equal.
+# product of the per-dimension Grams V V^T, so the evaluation that never forms
+# it can be required equal.
 def kronecker_orthogonality_defect(datasets) -> float:
     size = math.prod(s.n_states for s in datasets)
     gram = np.ones((1, 1))
     for s in datasets:
-        g = (s.poly_table * s.weights) @ s.poly_table.T
+        g = s.eigenvectors @ s.eigenvectors.T
         gram = np.kron(gram, g)
     return float(np.max(np.abs(gram - np.eye(size))))
 
@@ -263,7 +264,7 @@ class TestSymmetricTridiagonal:
 
 
 class TestSerialReference:
-    """The wave-batched QL solver against the serial loop it replaced."""
+    """The QL solver, with and without eigenvectors, against the serial loop."""
 
     @staticmethod
     def assert_bit_identical(tri):
@@ -274,8 +275,7 @@ class TestSerialReference:
         only_values, none = spectral._tridiagonal_ql(tri.diag, tri.offdiag, vectors=False)
         assert np.array_equal(only_values, ref_values) and none is None
 
-    # N=240 queues about 60 000 rotations, several times the flush threshold
-    # of _QL_FLUSH_ROTATIONS_PER_STATE * 241, so pending waves flush repeatedly.
+    # N=240 applies about 60 000 rotations, each to rows of 241 entries.
     @pytest.mark.parametrize("n_balls", [1, 2, 3, 7, 15, 96, 240])
     def test_ehrenfest(self, n_balls):
         self.assert_bit_identical(spectrum_of(ehrenfest_dimension(n_balls)))
@@ -284,13 +284,6 @@ class TestSerialReference:
     @given(dimension_specs(max_size=12))
     def test_random_dimensions(self, spec):
         self.assert_bit_identical(spectrum_of(spec))
-
-    @settings(max_examples=30, deadline=None)
-    @given(dimension_specs(max_size=12))
-    def test_flush_after_every_sweep(self, spec):
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(spectral, "_QL_FLUSH_ROTATIONS_PER_STATE", 0)
-            self.assert_bit_identical(spectrum_of(spec))
 
     def test_sweep_cap_raises(self, monkeypatch):
         monkeypatch.setattr(spectral, "_QL_MAX_SWEEPS", 0)
@@ -346,6 +339,17 @@ class TestTwistedEigenvectors:
     @given(dimension_specs(max_size=12))
     def test_random_dimensions(self, spec):
         self.assert_matches_serial(spectrum_of(spec))
+
+    @settings(max_examples=60, deadline=None)
+    @given(dimension_specs(max_size=12))
+    def test_random_dimensions_on_the_full_ql(self, spec):
+        tri = spectrum_of(spec)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(spectral, "_TWIST_MIN_GAP", math.inf)
+            data = eigendecompose(tri)
+        ref_values, ref_vectors = serial_reference(tri)
+        assert np.array_equal(data.eigenvalues, ref_values)
+        assert np.array_equal(data.eigenvectors, ref_vectors)
 
     @pytest.mark.parametrize("size", [12, 16, 20, 30, 80])
     def test_double_well_takes_the_full_ql(self, size, monkeypatch):
@@ -472,9 +476,17 @@ class TestOrthogonalityDefect:
         for datasets in ([bad], [data, bad], [bad, data]):
             assert math.isnan(orthogonality_defect(datasets))
 
+    @settings(max_examples=60, deadline=None)
+    @given(dimension_specs(max_size=12))
+    def test_weighted_polynomial_gram_is_v_vt(self, spec):
+        # the first components cancel: sum_l w_l p_l(j) p_l(k) = sum_l V[j, l] V[k, l]
+        data = dimension_spectrum(spec)
+        weighted = (data.poly_table * data.weights) @ data.poly_table.T
+        assert np.max(np.abs(weighted - data.eigenvectors @ data.eigenvectors.T)) <= 1e-15
+
 
 class TestUnderflowingWeight:
-    """A weight that underflows to 0 fails every weight-form consumer loudly."""
+    """A weight that underflows to 0 fails every weight-form consumer loudly; the Gram reads none."""
 
     @staticmethod
     def tiny_first_component() -> SpectralData:
@@ -493,12 +505,11 @@ class TestUnderflowingWeight:
         with pytest.raises(NumericalError, match="eigenvalue index 1 underflows"):
             self.tiny_first_component().weights
 
-    def test_orthogonality_defect_raises(self):
+    def test_orthogonality_defect_needs_no_weight(self):
         data = self.tiny_first_component()
         good = dimension_spectrum(ehrenfest_dimension(1))
         for datasets in ([data], [good, data]):
-            with pytest.raises(NumericalError, match="underflows"):
-                orthogonality_defect(datasets)
+            assert orthogonality_defect(datasets) <= 1e-15
 
     def test_weight_form_raises(self):
         with pytest.raises(NumericalError, match="underflows"):
