@@ -11,7 +11,9 @@ Two evaluation routes are provided, both given the per-dimension spectra
 (solved once, e.g. by spectral.chain_spectra):
 
 * the factorized fast path, a product of d small one-dimensional
-  calculations that never touches the product space; and
+  calculations that never touches the product space; dimensions that share
+  a spectrum and a start (and a target) differ only in their time q_l * t,
+  so each such group is one kernel call over its rescaled times; and
 * a dense oracle that evaluates the amplitude as one sum over the product
   spectrum: the phase is taken at every Kronecker-sum eigenvalue, never split
   per dimension, and the tensor-product eigenvectors are applied one
@@ -29,6 +31,9 @@ propagators and per-pair evaluations can be computed concurrently.
 from __future__ import annotations
 
 import math
+import operator
+from collections import defaultdict
+from collections.abc import Iterator
 from functools import reduce
 
 import numpy as np
@@ -36,11 +41,14 @@ import numpy as np
 from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, check_oracle_cap
 from .spectral import SpectralData
 
+# Elements of one stacked (times, rows, n) phase product in a grouped kernel call: 4 MiB.
+_GROUP_CHUNK = 1 << 19
+
 
 def _amplitudes(
     factors: tuple[np.ndarray, ...],
     values: np.ndarray,
-    t: float,
+    t: float | np.ndarray,
     rows: tuple[int | slice, ...] | None = None,
     cols: tuple[int | slice, ...] | None = None,
 ) -> np.ndarray | list[np.ndarray]:
@@ -65,14 +73,22 @@ def _amplitudes(
     A single factor is that step alone, (V[rows] cos) @ V[cols]^T and the
     same with sin, kept as two matmuls: stacking them would change the BLAS
     call (and so the bits) of every one-dimensional route, whose many tiny
-    calls also pay for any bookkeeping.
+    calls also pay for any bookkeeping.  There ``t`` may also be a 1-D array
+    of times, which puts a leading time axis on each part.  With a row axis
+    kept (a slice in ``rows``), numpy's stacked matmul then makes, per time,
+    the BLAS call that scalar ``t`` makes, so each time's block is
+    bit-identical to its own call; an integer row would turn the per-time
+    dot products into one gemv, whose sums differ in the last bits.
     """
     full = (slice(None),) * len(factors)
     rows, cols = rows or full, cols or full
-    lam_t = t * values
+    lam_t = np.multiply.outer(t, values)
     if len(factors) == 1:
         left, right = factors[0][rows[0]], factors[0][cols[0]].T
-        return [(left * np.cos(lam_t)) @ right, (left * np.sin(lam_t)) @ right]
+        cos, sin = np.cos(lam_t), np.sin(lam_t)
+        if left.ndim == 2:  # the row axis, after the time axis if any
+            cos, sin = cos[..., None, :], sin[..., None, :]
+        return [(left * cos) @ right, (left * sin) @ right]
     x = np.stack((np.cos(lam_t), np.sin(lam_t)))
     kept = 1  # the parts' axis and the row axes kept so far lead x
     for v, r, c in zip(factors, rows, cols):
@@ -151,17 +167,22 @@ def _check_multi(
     spectra: tuple[SpectralData, ...],
     indices: dict[str, tuple[int, ...]],
 ) -> None:
-    """Check the spectra and multi-indices against the chain."""
+    """Check the spectra and multi-indices against the chain.
+
+    The positions are range-checked in C; an out-of-range one is then found
+    for the message.
+    """
     if len(spectra) != spec.n_dims:
         raise ValueError(f"{len(spectra)} spectra supplied for {spec.n_dims} dimensions")
-    for s, dim in zip(spectra, spec.dims):
-        if s.n_states != dim.n_states:
-            raise ValueError("spectrum size does not match its dimension")
+    shape = spec.shape
+    if any(s.n_states != n for s, n in zip(spectra, shape)):
+        raise ValueError("spectrum size does not match its dimension")
     for name, multi in indices.items():
         if len(multi) != spec.n_dims:
             raise ValueError(f"multi-index {name} has length {len(multi)}, expected {spec.n_dims}")
-        for pos, dim in zip(multi, spec.dims):
-            _check_position(dim.n_states, pos, name)
+        if min(multi) < 0 or not all(map(operator.lt, multi, shape)):
+            for pos, n in zip(multi, shape):
+                _check_position(n, pos, name)
 
 
 def transition_prob_factorized(
@@ -174,14 +195,15 @@ def transition_prob_factorized(
     """Multi-dimensional transition probability as a product of 1-D factors.
 
     Each dimension l contributes its one-dimensional transition probability
-    at the rescaled elapsed time q_l * t.  Never touches the product space,
-    so it scales to dimensions where the dense route is infeasible.
+    at the rescaled elapsed time q_l * t; the factors are multiplied in
+    dimension order.  Never touches the product space, so it scales to
+    dimensions where the dense route is infeasible.
     """
     _check_multi(spec, spectra, {"j": tuple(j), "k": tuple(k)})
-    out = 1.0
-    for q, s, jl, kl in zip(spec.select_prob, spectra, j, k):
-        out *= transition_prob_1d(s, q * t, jl, kl)
-    return out
+    factors = np.empty(spec.n_dims)
+    for members, probs in _grouped_factors(spec, spectra, t, j, k):
+        factors[members] = probs[:, 0]
+    return math.prod(factors.tolist())
 
 
 def factorized_transition_matrix(
@@ -208,7 +230,45 @@ def position_distribution(
     marginals are independent, so their outer product is the joint law.
     """
     _check_multi(spec, spectra, {"j": tuple(j)})
-    return tuple(transition_row(s, q * t, jl) for q, s, jl in zip(spec.select_prob, spectra, j))
+    out: list[np.ndarray] = [None] * spec.n_dims
+    for members, laws in _grouped_factors(spec, spectra, t, j):
+        for l, law in zip(members, laws):
+            out[l] = law
+    return tuple(out)
+
+
+def _grouped_factors(
+    spec: MultiChainSpec,
+    spectra: tuple[SpectralData, ...],
+    t: float,
+    j: tuple[int, ...],
+    k: tuple[int, ...] | None = None,
+) -> Iterator[tuple[list[int], np.ndarray]]:
+    """The 1-D probabilities from j_l at the rescaled times q_l * t, by groups of dimensions.
+
+    Dimensions with the same spectrum object, start j_l and target k_l
+    differ only in their time, so each such group is one kernel call per
+    chunk of its times.  Yields the chunk's dimensions and, row by row, their
+    position laws (transition_row) or, with ``k``, their one-element
+    probabilities of reaching k_l; each row is bit-identical to its own
+    kernel call.  A chunk's stacked (times, rows, n) phase products hold at
+    most _GROUP_CHUNK elements.
+    """
+    groups: dict[tuple, list[int]] = defaultdict(list)
+    targets = (None,) * len(j) if k is None else k
+    for l, key in enumerate(zip(map(id, spectra), j, targets)):
+        groups[key].append(l)
+    select_prob = np.array(spec.select_prob)
+    for (_, jl, kl), members in groups.items():
+        s = spectra[members[0]]
+        # a one-row slice keeps a row axis, so each time is one dot as in transition_prob_1d
+        rows = None if kl is None else (slice(kl, kl + 1),)
+        step = max(1, _GROUP_CHUNK // (s.n_states * (s.n_states if kl is None else 1)))
+        times = select_prob[members] * t
+        for start in range(0, len(members), step):
+            chunk = slice(start, start + step)
+            parts = _amplitudes((s.eigenvectors,), s.eigenvalues, times[chunk], rows, (jl,))
+            yield members[chunk], _probabilities(parts)
 
 
 def _dense_amplitudes(

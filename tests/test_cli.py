@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 import os
@@ -121,6 +122,30 @@ class TestConfigParsing:
         # a JSON integer of 401 digits parses, but has no float value
         assert main(["simulate", "--config", write_config(tmp_path, **fields)]) == 2
         assert field in capsys.readouterr().err
+
+
+    def test_equal_dims_entries_share_one_spec(self):
+        config = parse_config({"dims": [{"size": 2}, {"size": 3, "p_table": [0.4, 0.6]}] * 3})
+        assert [d.size for d in config.spec.dims] == [2, 3] * 3
+        assert len({id(d) for d in config.spec.dims}) == 2
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            ({"size": 1, "p_tabel": "ehrenfest"}, r"\.p_tabel: unknown key"),
+            ({"size": True}, r"\.size: expected a positive integer, got True"),
+            ({"size": 1.0}, r"\.size: expected a positive integer, got 1.0"),
+            ({"size": 2, "p_table": "[0.5]"}, r"\.p_table: expected 'ehrenfest'"),
+            ({"size": 2, "p_table": [0.5, 0.5]}, r"\.p_table: decrease_prob needs 1"),
+            ([1], r": expected an object"),
+        ],
+    )
+    def test_each_dims_entry_is_checked_after_an_equal_one(self, entry, message):
+        # each bad entry compares or prints like an entry parsed before it
+        good = [{"size": 1}, {"size": 2, "p_table": [0.5]}]
+        for dims in (good + [entry], good * 2 + [entry]):
+            with pytest.raises(ValueError, match=rf"^dims\[{len(dims) - 1}\]{message}"):
+                parse_config({"dims": dims})
 
 
 class TestSimulate:
@@ -268,6 +293,62 @@ class TestSimulate:
         assert got == list(expected)  # 17 significant digits: bit-exact round trip
 
 
+    def test_edge_swarm_csv_equals_the_per_dimension_rows(self, tmp_path):
+        # 10 000 size-1 edges share one spectrum, so the marginals are one grouped
+        # kernel call per time; the bytes are those of a transition_row call per
+        # dimension written by csv.writer.
+        from bdqw.ctqw import transition_row
+        from bdqw.spectral import chain_spectra
+
+        d = 10_000
+        weights = [1.0 + (7 * l % 13) / 6.0 for l in range(d)]
+        config_path = write_config(
+            tmp_path,
+            dims=[{"size": 1}] * d,
+            select_prob=[w / math.fsum(weights) for w in weights],
+            time=[2345.5, 11000.25, 19876.0],
+            initial=[l % 2 for l in range(d)],
+        )
+        out = tmp_path / "out.csv"
+        assert main(["simulate", "--config", config_path, "--output", str(out)]) == 0
+        config = load_config(config_path)
+        spec, fmt = config.spec, cli._fmt
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(["time", "dimension", "position", "probability"])
+        spectra = chain_spectra(spec)
+        for t in config.times:
+            for l, (q, s, jl) in enumerate(zip(spec.select_prob, spectra, config.initial), 1):
+                row = transition_row(s, q * t, jl)
+                writer.writerows([fmt(t), str(l), str(pos), fmt(p)] for pos, p in enumerate(row))
+        assert out.read_text(encoding="utf-8") == buf.getvalue()
+
+
+class TestCsvWriter:
+    """The one CSV writer gives the text csv.writer gives, on every CSV subcommand."""
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (["simulate"], {"dims": [{"size": 2}, {"size": 1}], "time": [0.5, 3.0]}),
+            (["simulate", "--dense"], {"dims": [{"size": 2}, {"size": 1}], "time": [0.5, 3.0]}),
+            (["clt"], {"dims": [{"size": 2}], "time": 1.0, "d_sweep": [1, 4, 16]}),
+            (["bench"], {"dims": [{"size": 1}], "time": 1.0, "d_sweep": [2, 13]}),
+        ],
+    )
+    def test_csv_reader_reads_back_the_rows(self, tmp_path, capsys, argv, fields):
+        assert main([*argv, "--config", write_config(tmp_path, **fields)]) == 0
+        text = capsys.readouterr().out
+        rows = list(csv.reader(io.StringIO(text)))
+        assert rows == [line.split(",") for line in text.splitlines()]
+        assert len({len(row) for row in rows}) == 1
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert buf.getvalue() == text
+        if argv == ["bench"]:  # the flag rows end in empty fields
+            assert rows[-1][0] == "factorized_flat" and rows[-1][2:] == ["", ""]
+
+
 class TestVerify:
     def test_two_edge_uniform_passes(self, tmp_path):
         out = tmp_path / "report.json"
@@ -351,6 +432,17 @@ class TestVerify:
         u = parts[0] + 1j * parts[1]
         expected = np.max(np.abs(u.conj().T @ u - np.eye(6)))
         assert abs(cli._unitarity_defect(parts) - expected) <= 1e-13 * expected
+
+    @pytest.mark.parametrize("n", [cli._DEFECT_BLOCK_ROWS - 1, 2 * cli._DEFECT_BLOCK_ROWS + 3])
+    def test_blocked_unitarity_defect(self, n):
+        # the antisymmetric part is taken a block of rows at a time
+        rng = np.random.default_rng(n)
+        parts = rng.standard_normal((2, n, n)) / math.sqrt(n)
+        u = parts[0] + 1j * parts[1]
+        expected = np.max(np.abs(u.conj().T @ u - np.eye(n)))
+        assert abs(cli._unitarity_defect(parts) - expected) <= 1e-13 * expected
+        parts[1, n - 1, 0] = np.nan  # one NaN in the last block
+        assert math.isnan(cli._unitarity_defect(parts))
 
     def test_corrupted_select_prob_exits_2(self, tmp_path, capsys):
         config = write_config(

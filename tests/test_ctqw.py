@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from functools import reduce
 
 import numpy as np
@@ -12,7 +13,9 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bdqw import ctqw
 from bdqw.chain import (
+    DimensionSpec,
     MultiChainSpec,
     build_conditional_matrix,
     ehrenfest_dimension,
@@ -363,6 +366,88 @@ class TestPositionDistribution:
         dense = dense_position_distribution(spec, spectra, 1.4, (1, 2))
         assert abs(float(dense.sum()) - 1.0) <= 1e-10
         assert np.max(np.abs(np.outer(first, second).ravel() - dense)) <= 1e-10
+
+
+class TestGroupedFactors:
+    """Dimensions sharing a spectrum and a start are one kernel call over their times."""
+
+    @staticmethod
+    def mixed_chain():
+        """Shared and distinct spectra, different starts, a repeated q."""
+        urn3, edge = ehrenfest_dimension(3), ehrenfest_dimension(1)
+        biased = DimensionSpec(size=4, decrease_prob=(0.2, 0.7, 0.4))
+        dims = (urn3, edge, urn3, biased, edge, urn3, biased, edge, urn3)
+        weights = (3.0, 1.0, 3.0, 2.0, 5.0, 1.5, 2.0, 1.0, 4.0)
+        spec = MultiChainSpec(dims=dims, select_prob=tuple(w / sum(weights) for w in weights))
+        j = (1, 0, 1, 2, 1, 3, 2, 0, 1)
+        k = (2, 1, 0, 4, 1, 3, 1, 0, 2)
+        return spec, chain_spectra(spec), j, k
+
+    @pytest.mark.parametrize("chunk", [ctqw._GROUP_CHUNK, 16, 1])
+    @pytest.mark.parametrize("t", [0.0, 0.9, 7.3, -41.0])
+    def test_marginals_match_the_per_dimension_rows_bit_for_bit(self, monkeypatch, chunk, t):
+        monkeypatch.setattr(ctqw, "_GROUP_CHUNK", chunk)
+        spec, spectra, j, _ = self.mixed_chain()
+        got = position_distribution(spec, spectra, t, j)
+        assert len(got) == spec.n_dims
+        for q, s, jl, row in zip(spec.select_prob, spectra, j, got):
+            assert np.array_equal(row, transition_row(s, q * t, jl))
+
+    @pytest.mark.parametrize("chunk", [ctqw._GROUP_CHUNK, 1])
+    @pytest.mark.parametrize("t", [0.4, 2.0, 13.7])
+    def test_product_matches_the_per_dimension_factors(self, monkeypatch, chunk, t):
+        monkeypatch.setattr(ctqw, "_GROUP_CHUNK", chunk)
+        spec, spectra, j, k = self.mixed_chain()
+        factors = [
+            transition_prob_1d(s, q * t, jl, kl)
+            for q, s, jl, kl in zip(spec.select_prob, spectra, j, k)
+        ]
+        # The amplitudes are each time's own dot product, but numpy squares the
+        # 0-d amplitudes of transition_prob_1d through pow, which can miss by an ulp.
+        got = transition_prob_factorized(spec, spectra, t, j, k)
+        assert abs(got - math.prod(factors)) <= 1e-15 * math.prod(factors)
+
+    def test_one_kernel_call_per_group_and_chunk(self, monkeypatch):
+        calls = []
+        real = ctqw._amplitudes
+
+        def counted(factors, values, t, *args):
+            calls.append(np.shape(t))
+            return real(factors, values, t, *args)
+
+        monkeypatch.setattr(ctqw, "_amplitudes", counted)
+        spec, spectra, j, k = self.mixed_chain()
+        position_distribution(spec, spectra, 1.0, j)
+        starts = {(id(s), jl) for s, jl in zip(spectra, j)}
+        assert len(calls) == len(starts) == 5
+        calls.clear()
+        transition_prob_factorized(spec, spectra, 1.0, j, k)
+        pairs = {(id(s), jl, kl) for s, jl, kl in zip(spectra, j, k)}
+        assert len(calls) == len(pairs) == 8
+
+        n, d = 121, 400
+        urn = ehrenfest_dimension(n - 1)
+        spectra = (dimension_spectrum(urn),) * d
+        calls.clear()
+        position_distribution(uniform_multi_chain(urn, d), spectra, 1.0, (0,) * d)
+        per_chunk = ctqw._GROUP_CHUNK // n**2
+        assert calls == [(per_chunk,)] * (d // per_chunk) + [(d % per_chunk,)]
+
+    def test_a_large_group_is_chunked(self):
+        # 400 dimensions sharing a 121-state spectrum: unchunked, each part's
+        # stacked (400, 121, 121) phase product alone is 47 MB.
+        d, urn = 400, ehrenfest_dimension(120)
+        spec = uniform_multi_chain(urn, d)
+        spectra = (dimension_spectrum(urn),) * d
+        tracemalloc.start()
+        try:
+            marginals = position_distribution(spec, spectra, 30.0, (0,) * d)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * 2**20
+        binomial = scipy.stats.binom.pmf(np.arange(121), 120, math.sin(30.0 / d / 120) ** 2)
+        assert np.max(np.abs(marginals[-1] - binomial)) <= 1e-12
 
 
 class TestKrawtchoukClosedForm:
