@@ -16,7 +16,7 @@ edge = ehrenfest_dimension(1)
 spectrum = dimension_spectrum(edge)
 
 print("eigenvalues:", spectrum.eigenvalues)
-print("weights:    ", spectrum.weights)
+print("weights:    ", spectrum.eigenvectors[0] ** 2)  # squared first components
 
 print("\npropagator at t = 0.7:")
 print(np.round(propagator(spectrum, 0.7), 6))

@@ -33,9 +33,11 @@ print("\nsymmetrized off-diagonal sqrt(up * down):", np.round(tri.offdiag, 6))
 
 data = eigendecompose(tri)
 print("eigenvalues:", np.round(data.eigenvalues, 6))
-print("weights:    ", np.round(data.weights, 6), " (sum", round(float(data.weights.sum()), 12), ")")
+weights = data.eigenvectors[0] ** 2  # squared first components
+poly_table = data.eigenvectors / data.eigenvectors[0]  # columns rescaled to a first entry of one
+print("weights:    ", np.round(weights, 6), " (sum", round(float(weights.sum()), 12), ")")
 print("polynomial table (rows are positions, columns eigenvalues):")
-print(np.round(data.poly_table, 4))
+print(np.round(poly_table, 4))
 
 print("\northogonality defect of the weighted polynomials:", orthogonality_defect([data]))
 

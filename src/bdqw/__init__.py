@@ -49,7 +49,6 @@ from .stats import (
     convolve_sum,
     gaussian_cdf,
     moments,
-    total_variation,
 )
 
 __version__ = "0.1.0"
@@ -84,7 +83,6 @@ __all__ = [
     "propagator",
     "stationary_distribution",
     "symmetrize",
-    "total_variation",
     "transition_matrix_1d",
     "transition_prob_1d",
     "transition_prob_dense",

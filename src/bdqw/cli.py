@@ -6,7 +6,7 @@ simulate       factorized marginals (and optionally the dense joint law) per tim
 verify         factorized-vs-dense, orthogonality, eigen-residual, unitarity, balance defects
 clt            Kolmogorov distance of the standardized d-fold sum to the normal law, over a d sweep
 bench          wall-clock comparison of the dense oracle against the factorized path
-dump-spectrum  per-dimension eigensystem as JSON
+dump-spectrum  per-dimension eigenvalues, eigenvectors and log-weights as JSON
 dump-config    the resolved, fully explicit config JSON (round-trips to the same chain)
 
 One pipeline serves every subcommand: ``main`` loads the config, ``resolve``
@@ -519,6 +519,16 @@ def run_bench(config: ExperimentConfig) -> tuple[int, str]:
     return 0, _csv_text(["product_size", "dense_ms", "factorized_ms", "ratio"], rows)
 
 
+def _spectrum_entry(dim: DimensionSpec) -> dict:
+    """A dimension's spectral keys; log_weights, 2 log V[0], is finite where V[0]^2 underflows."""
+    spectrum = dimension_spectrum(dim)
+    return {
+        "eigenvalues": spectrum.eigenvalues.tolist(),
+        "eigenvectors": spectrum.eigenvectors.tolist(),
+        "log_weights": (2.0 * np.log(spectrum.eigenvectors[0])).tolist(),
+    }
+
+
 def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, str]:
     """``json.dumps({"dimensions": [entry, ...]}, indent=2) + "\\n"``, built entry by entry.
 
@@ -531,7 +541,7 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, str]:
         if dim not in tables:
             text = io.StringIO()  # json.dumps(..., indent=2) without a list of all its chunks
             encoder = json.JSONEncoder(indent=2)
-            text.writelines(encoder.iterencode(dimension_spectrum(dim).to_json_dict()))
+            text.writelines(encoder.iterencode(_spectrum_entry(dim)))
             tables[dim] = text.getvalue()[1:].replace("\n", "\n    ")  # drop "{", nest two levels
         separator = "," if idx > 1 else ""
         parts.append(f'{separator}\n    {{\n      "index": {idx},\n      "size": {dim.size},')

@@ -106,7 +106,7 @@ def _amplitudes(
 def _probabilities(parts: np.ndarray) -> np.ndarray:
     """Squared moduli of the elements whose real and imaginary parts the kernel gave."""
     re, im = parts
-    return re**2 + im**2
+    return re * re + im * im  # not **2: on 0-d parts that is pow, which can miss by an ulp
 
 
 def _complex(parts: np.ndarray) -> np.ndarray:
@@ -135,19 +135,6 @@ def transition_prob_1d(spectrum: SpectralData, t: float, j: int, k: int) -> floa
     _check_position(spectrum.n_states, k, "k")
     parts = _amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t, (k,), (j,))
     return float(_probabilities(parts))
-
-
-def transition_prob_weight_form(spectrum: SpectralData, t: float, j: int, k: int) -> float:
-    """Same probability evaluated through the polynomial table and weights.
-
-    Numerically secondary (it divides by first components); kept as the
-    independent route for orthogonality/weight verification.
-    """
-    _check_position(spectrum.n_states, j, "j")
-    _check_position(spectrum.n_states, k, "k")
-    poly = spectrum.poly_table
-    amp = np.sum(np.exp(1j * t * spectrum.eigenvalues) * poly[k] * poly[j] * spectrum.weights)
-    return float(abs(amp) ** 2)
 
 
 def transition_matrix_1d(spectrum: SpectralData, t: float) -> np.ndarray:

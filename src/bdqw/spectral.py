@@ -3,16 +3,11 @@
 A birth-death kernel P with positive steps both ways is similar to the
 symmetric tridiagonal J = D^{1/2} P D^{-1/2}, D its stationary law; J has P's
 diagonal and off-diagonal sqrt(P[k, k+1] P[k+1, k]), so it needs no D.  A
-dimension's spectral data is J's orthonormal eigensystem, from which two
-objects are derived when read (Golub & Welsch, 1969):
-
-* a discrete weight function, the squared first components of the
-  eigenvectors, which sums to one; and
-* a table of orthogonal-polynomial values, each eigenvector rescaled so its
-  first entry equals one.
-
-The weight/polynomial pair gives an independent route to transition
-amplitudes.
+dimension's spectral data is J's orthonormal eigensystem and nothing else.
+The Golub-Welsch objects (1969) are read off the eigenvectors V: the
+discrete weight function is V[0]^2, which sums to one, and the table of
+orthogonal-polynomial values is V / V[0], each column rescaled so its first
+entry equals one.
 
 Eigenvalues are returned in ascending order and every eigenvector is flipped
 so its first component is strictly positive, making the output deterministic.
@@ -91,24 +86,11 @@ class SpectralData:
     def n_states(self) -> int:
         return self.eigenvalues.size
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Squared first components; NumericalError where one underflows to 0."""
-        weights = self.eigenvectors[0] ** 2
-        if not weights.all():  # every weight-form result would be wrong
-            idx = int(np.argmax(weights == 0.0))
-            raise NumericalError(f"weight of eigenvalue index {idx} underflows to 0")
-        return weights
-
-    @property
-    def poly_table(self) -> np.ndarray:
-        """``poly_table[j, l]`` is column l rescaled by its first component."""
-        return self.eigenvectors / self.eigenvectors[0]
-
     def validate(self) -> None:
         """Check the construction invariants, raising NumericalError on violation.
 
-        Every check is written so that a NaN fails it; an underflowed weight passes.
+        Every check is written so that a NaN fails it; a first component whose
+        square underflows to 0 passes.
         """
         lam, vec = self.eigenvalues, self.eigenvectors
         n = self.n_states
@@ -123,14 +105,6 @@ class SpectralData:
             raise NumericalError("first eigenvector components must be strictly positive")
         if not abs(float((vec[0] ** 2).sum()) - 1.0) <= _VALIDATE_TOLERANCE:
             raise NumericalError("weights do not sum to 1")
-
-    def to_json_dict(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues.tolist(),
-            "eigenvectors": self.eigenvectors.tolist(),
-            "weights": self.weights.tolist(),
-            "poly_table": self.poly_table.tolist(),
-        }
 
 
 def symmetrize(matrix: np.ndarray) -> SymmetricTridiagonal:
@@ -293,10 +267,13 @@ def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
     bound's negative.  Their error grows as eps / gap, so when the smallest
     gap between eigenvalues is below _TWIST_MIN_GAP the full QL, rotations
     included, supplies values and vectors instead.  There the first
-    components, and so the weights and poly_table, are accurate only to
-    about 1e-16 in absolute terms: on a double well of 81 states the pairs
-    of eigenvalues near 1 and -1, each split by 2.1e-17, hold two first
+    components, and so the weights V[0]^2, are accurate only to about 1e-16
+    in absolute terms: on a double well of 81 states the pairs of
+    eigenvalues near 1 and -1, each split by 2.1e-17, hold two first
     components of 2.3e-22, which the QL returns as 3.2e-46 and 1.7e-17.
+    Deeper wells fail loudly: a pair that rounds to one double fails the
+    strict ascent check, and a first component the QL returns as exactly 0
+    is rejected as vanishing.
 
     Eigenvalues come out strictly ascending with their orthonormal columns
     permuted jointly; each column is flipped so the first component is

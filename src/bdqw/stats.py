@@ -162,12 +162,3 @@ def clt_distance(sum_dist: SumDistribution) -> float:
     at_atom = np.abs(cdf - phi)
     below_atom = np.abs(np.concatenate(([0.0], cdf[:-1])) - phi)
     return float(max(at_atom.max(), below_atom.max()))
-
-
-def total_variation(p: np.ndarray, q: np.ndarray) -> float:
-    """Total variation distance between two distributions on the same support."""
-    p = check_probability_vector(p)
-    q = check_probability_vector(q)
-    if p.shape != q.shape:
-        raise ValueError(f"support length mismatch: {p.size} vs {q.size}")
-    return 0.5 * float(np.sum(np.abs(p - q)))

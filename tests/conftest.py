@@ -1,4 +1,4 @@
-"""Shared strategies and random fixtures for the test suite."""
+"""Shared strategies, random fixtures and spectral views for the test suite."""
 
 from __future__ import annotations
 
@@ -8,6 +8,17 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bdqw.chain import DimensionSpec, MultiChainSpec
+from bdqw.spectral import SpectralData
+
+
+def weights(data: SpectralData) -> np.ndarray:
+    """The discrete weight function: squared first components of the eigenvectors."""
+    return data.eigenvectors[0] ** 2
+
+
+def poly_table(data: SpectralData) -> np.ndarray:
+    """``poly_table(data)[j, l]`` is eigenvector column l rescaled by its first component."""
+    return data.eigenvectors / data.eigenvectors[0]
 
 
 @st.composite

@@ -31,7 +31,7 @@ from bdqw.ctqw import (
 from bdqw.spectral import dimension_spectrum, eigendecompose, orthogonality_defect, symmetrize
 from bdqw.stats import clt_distance, convolve_sum
 
-from conftest import random_dimension_spec, random_multi_chain_spec
+from conftest import random_dimension_spec, random_multi_chain_spec, weights
 
 A1_TIMES = (0.1, 0.7, 1.0, math.pi, 10.0)
 A3_TIMES = (0.3, 1.0, math.pi / 2, 2.5)
@@ -147,7 +147,7 @@ def test_a6_spectral_suite_on_random_dimensions():
         recon = (data.eigenvectors * data.eigenvalues) @ data.eigenvectors.T
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - tri.to_dense()))))
         worst_bound = max(worst_bound, float(np.max(np.abs(data.eigenvalues))) - 1.0)
-        worst_weight = max(worst_weight, abs(float(data.weights.sum()) - 1.0))
+        worst_weight = max(worst_weight, abs(float(weights(data).sum()) - 1.0))
 
     worst_defect = 0.0
     batch: list = []

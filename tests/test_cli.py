@@ -13,7 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.stats
 
+import bdqw
 from bdqw import cli, spectral
 from bdqw.chain import DimensionSpec
 from bdqw.cli import load_config, main, parse_config, resolve
@@ -649,12 +651,19 @@ class TestDumps:
         assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 0
         assert [dim.size for dim in solved] == [3, 2, 1]
         spec = load_config(config).spec
-        payload = {
-            "dimensions": [
-                {"index": idx + 1, "size": dim.size, **solve(dim).to_json_dict()}
-                for idx, dim in enumerate(spec.dims)
-            ]
-        }
+        entries = []
+        for idx, dim in enumerate(spec.dims):
+            data = solve(dim)
+            entries.append(
+                {
+                    "index": idx + 1,
+                    "size": dim.size,
+                    "eigenvalues": data.eigenvalues.tolist(),
+                    "eigenvectors": data.eigenvectors.tolist(),
+                    "log_weights": (2.0 * np.log(data.eigenvectors[0])).tolist(),
+                }
+            )
+        payload = {"dimensions": entries}
         assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
 
     def test_dump_spectrum(self, tmp_path):
@@ -665,8 +674,19 @@ class TestDumps:
         dim = payload["dimensions"][0]
         assert dim["size"] == 2
         assert np.allclose(dim["eigenvalues"], [-1.0, 0.0, 1.0], atol=1e-12)
-        assert abs(sum(dim["weights"]) - 1.0) <= 1e-10
-        assert dim["poly_table"][0] == [1.0, 1.0, 1.0]
+        assert list(dim) == ["index", "size", "eigenvalues", "eigenvectors", "log_weights"]
+        assert abs(sum(np.exp(dim["log_weights"])) - 1.0) <= 1e-10
+        assert dim["log_weights"] == (2.0 * np.log(dim["eigenvectors"][0])).tolist()
+
+    def test_dump_spectrum_urn_past_the_weight_underflow(self, tmp_path):
+        # from about N = 1075 on the urn's smallest weight, 2^-N, underflows to 0;
+        # its logarithm, twice that of the first component, does not
+        out = tmp_path / "spectrum.json"
+        config = write_config(tmp_path, dims=[{"size": 1100}], time=1.0)
+        assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 0
+        log_weights = json.loads(out.read_text())["dimensions"][0]["log_weights"]
+        expected = scipy.stats.binom.logpmf(np.arange(1101), 1100, 0.5)
+        assert np.max(np.abs(np.array(log_weights) - expected)) <= 1e-10
 
 
 class TestOracleCapResolution:
@@ -763,6 +783,9 @@ class TestResolution:
 
 
 class TestEntryPoint:
+    def test_every_public_name_resolves(self):
+        assert [name for name in bdqw.__all__ if not hasattr(bdqw, name)] == []
+
     def test_module_invocation(self, tmp_path):
         config = edge_config(tmp_path)
         env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))

@@ -24,6 +24,7 @@ from bdqw.chain import (
 )
 from bdqw.ctqw import (
     _amplitudes,
+    _check_position,
     _dense_amplitudes,
     dense_position_distribution,
     dense_propagator,
@@ -37,14 +38,13 @@ from bdqw.ctqw import (
     transition_prob_1d,
     transition_prob_dense,
     transition_prob_factorized,
-    transition_prob_weight_form,
     transition_row,
 )
-from bdqw.errors import SizeLimitError
-from bdqw.spectral import chain_spectra, dimension_spectrum
+from bdqw.errors import NumericalError, SizeLimitError
+from bdqw.spectral import SpectralData, chain_spectra, dimension_spectrum
 from bdqw.stats import convolve_sum
 
-from conftest import multi_chain_specs, random_multi_chain_spec
+from conftest import multi_chain_specs, poly_table, random_multi_chain_spec, weights
 
 
 def symmetrized_kernel_oracle(dim) -> np.ndarray:
@@ -53,6 +53,19 @@ def symmetrized_kernel_oracle(dim) -> np.ndarray:
     pi = stationary_distribution(m)
     root = np.sqrt(pi)
     return np.diag(root) @ m @ np.diag(1.0 / root)
+
+
+def transition_prob_weight_form(spectrum: SpectralData, t: float, j: int, k: int) -> float:
+    """transition_prob_1d evaluated through the polynomial table and weights.
+
+    Numerically secondary (it divides by first components); kept as the
+    independent route for orthogonality/weight verification.
+    """
+    _check_position(spectrum.n_states, j, "j")
+    _check_position(spectrum.n_states, k, "k")
+    poly = poly_table(spectrum)
+    amp = np.sum(np.exp(1j * t * spectrum.eigenvalues) * poly[k] * poly[j] * weights(spectrum))
+    return float(abs(amp) ** 2)
 
 
 def expm_oracle(spec: MultiChainSpec, t: float) -> np.ndarray:
@@ -160,6 +173,15 @@ class TestTransitionProb1d:
                     direct = transition_prob_1d(data, t, j, k)
                     weighted = transition_prob_weight_form(data, t, j, k)
                     assert abs(direct - weighted) <= 1e-12
+
+    def test_one_element_matches_the_row_bit_for_bit(self):
+        # A 0-d amplitude squared with ** goes through pow, which misses the
+        # correctly rounded square that the row's arrays get at 21 of these times.
+        times = np.linspace(0.0, 5.0, 20_002)[1:].tolist()
+        missed = [
+            t for t in times if transition_prob_1d(EDGE, t, 0, 1) != transition_row(EDGE, t, 0)[1]
+        ]
+        assert missed == []
 
     def test_out_of_range_positions(self):
         with pytest.raises(ValueError):
@@ -377,8 +399,8 @@ class TestGroupedFactors:
         urn3, edge = ehrenfest_dimension(3), ehrenfest_dimension(1)
         biased = DimensionSpec(size=4, decrease_prob=(0.2, 0.7, 0.4))
         dims = (urn3, edge, urn3, biased, edge, urn3, biased, edge, urn3)
-        weights = (3.0, 1.0, 3.0, 2.0, 5.0, 1.5, 2.0, 1.0, 4.0)
-        spec = MultiChainSpec(dims=dims, select_prob=tuple(w / sum(weights) for w in weights))
+        rates = (3.0, 1.0, 3.0, 2.0, 5.0, 1.5, 2.0, 1.0, 4.0)
+        spec = MultiChainSpec(dims=dims, select_prob=tuple(w / sum(rates) for w in rates))
         j = (1, 0, 1, 2, 1, 3, 2, 0, 1)
         k = (2, 1, 0, 4, 1, 3, 1, 0, 2)
         return spec, chain_spectra(spec), j, k
@@ -402,10 +424,7 @@ class TestGroupedFactors:
             transition_prob_1d(s, q * t, jl, kl)
             for q, s, jl, kl in zip(spec.select_prob, spectra, j, k)
         ]
-        # The amplitudes are each time's own dot product, but numpy squares the
-        # 0-d amplitudes of transition_prob_1d through pow, which can miss by an ulp.
-        got = transition_prob_factorized(spec, spectra, t, j, k)
-        assert abs(got - math.prod(factors)) <= 1e-15 * math.prod(factors)
+        assert transition_prob_factorized(spec, spectra, t, j, k) == math.prod(factors)
 
     def test_one_kernel_call_per_group_and_chunk(self, monkeypatch):
         calls = []
@@ -450,6 +469,28 @@ class TestGroupedFactors:
         assert np.max(np.abs(marginals[-1] - binomial)) <= 1e-12
 
 
+class TestExtremeStepProbabilities:
+    """Four-state chains with p(k) at 1e-300 and 1 - 1e-16, against expm of J built by hand."""
+
+    @pytest.mark.parametrize(
+        "table", [(1e-300, 0.5), (0.5, 1 - 1e-16), (1e-300, 1 - 1e-16), (1 - 1e-16, 1 - 1e-16)]
+    )
+    def test_rows_match_expm(self, table):
+        data = dimension_spectrum(DimensionSpec(size=3, decrease_prob=table))
+        up = np.array([1.0, *(1.0 - p for p in table)])  # from positions 0..2
+        down = np.array([*table, 1.0])  # from positions 1..3
+        off = np.sqrt(up * down)
+        generator = np.diag(off, 1) + np.diag(off, -1)
+        for t in (0.3, 2.0, 50.0):
+            expected = np.abs(scipy.linalg.expm(1j * t * generator)) ** 2
+            for j in range(4):
+                assert np.max(np.abs(transition_row(data, t, j) - expected[:, j])) <= 1e-12
+
+    def test_two_vanishing_steps_fail_loudly(self):
+        with pytest.raises(NumericalError, match="vanishing first component"):
+            dimension_spectrum(DimensionSpec(size=3, decrease_prob=(1e-300, 1e-300)))
+
+
 class TestKrawtchoukClosedForm:
     """The n-ball urn's exact law, far beyond the Hypothesis sizes.
 
@@ -475,7 +516,7 @@ class TestKrawtchoukClosedForm:
         # probabilities but returns a smallest weight of ~1.4e-43 where the
         # exact one is 2^-240 ~ 5.6e-73, which is why the hand-written solver stays.
         expected = scipy.stats.binom.pmf(np.arange(self.N + 1), self.N, 0.5)
-        assert np.max(np.abs(urn.weights - expected) / expected) <= 1e-10
+        assert np.max(np.abs(weights(urn) - expected) / expected) <= 1e-10
 
 
 class TestLargeUrn:

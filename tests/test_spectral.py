@@ -1,4 +1,4 @@
-"""Symmetrization, the tridiagonal eigensolver and the weight machinery."""
+"""Symmetrization, the tridiagonal eigensolver and the weights read off its eigenvectors."""
 
 from __future__ import annotations
 
@@ -17,7 +17,6 @@ from bdqw.chain import (
     ehrenfest_dimension,
     stationary_distribution,
 )
-from bdqw.ctqw import transition_prob_weight_form
 from bdqw.errors import NumericalError
 from bdqw.spectral import (
     _QL_MAX_SWEEPS,
@@ -30,7 +29,7 @@ from bdqw.spectral import (
     symmetrize,
 )
 
-from conftest import dimension_specs, multi_chain_specs
+from conftest import dimension_specs, multi_chain_specs, poly_table, weights
 
 
 def dense_similarity_oracle(m: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -182,7 +181,7 @@ class TestEigendecompose:
         assert np.allclose(data.eigenvalues, [-1.0, 1.0], atol=1e-14)
         expected = np.array([[1.0, 1.0], [-1.0, 1.0]]) / math.sqrt(2.0)
         assert np.allclose(data.eigenvectors, expected, atol=1e-14)
-        assert np.allclose(data.weights, [0.5, 0.5], atol=1e-14)
+        assert np.allclose(weights(data), [0.5, 0.5], atol=1e-14)
 
     def test_two_ball_chain_characteristic_polynomial(self):
         # char poly of tridiag(0; sqrt(1/2), sqrt(1/2)) is x^3 - x: roots -1, 0, 1
@@ -196,10 +195,6 @@ class TestEigendecompose:
         data = eigendecompose(tri)
         defect = np.max(np.abs(data.eigenvectors.T @ data.eigenvectors - np.eye(6)))
         assert defect <= 1e-10
-
-    def test_poly_table_first_row_is_one(self):
-        data = dimension_spectrum(ehrenfest_dimension(5))
-        assert np.max(np.abs(data.poly_table[0] - 1.0)) == 0.0
 
     def test_validate_rejects_corrupted_weights(self):
         data = dimension_spectrum(ehrenfest_dimension(3))
@@ -230,8 +225,7 @@ class TestEigendecompose:
         reconstruction = (data.eigenvectors * data.eigenvalues) @ data.eigenvectors.T
         assert np.max(np.abs(reconstruction - tri.to_dense())) <= 1e-10
         assert np.max(np.abs(data.eigenvalues)) <= 1.0 + 1e-10
-        assert abs(float(data.weights.sum()) - 1.0) <= 1e-10
-        assert np.max(np.abs(data.weights - data.eigenvectors[0] ** 2)) <= 1e-14
+        assert abs(float(weights(data).sum()) - 1.0) <= 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(dimension_specs(max_size=12))
@@ -383,7 +377,7 @@ class TestTwistedEigenvectors:
             for j in range(n_balls + 1):
                 exact[j, c] = cur / math.sqrt(math.comb(n_balls, j))
                 prev, cur = cur, (shift * cur - (n_balls - j + 1) * prev) // (j + 1)
-        table = dimension_spectrum(ehrenfest_dimension(n_balls)).poly_table
+        table = poly_table(dimension_spectrum(ehrenfest_dimension(n_balls)))
         nonzero = exact != 0.0
         assert np.max(np.abs(table - exact)[nonzero] / np.abs(exact[nonzero])) <= 1e-8
 
@@ -481,12 +475,12 @@ class TestOrthogonalityDefect:
     def test_weighted_polynomial_gram_is_v_vt(self, spec):
         # the first components cancel: sum_l w_l p_l(j) p_l(k) = sum_l V[j, l] V[k, l]
         data = dimension_spectrum(spec)
-        weighted = (data.poly_table * data.weights) @ data.poly_table.T
+        weighted = (poly_table(data) * weights(data)) @ poly_table(data).T
         assert np.max(np.abs(weighted - data.eigenvectors @ data.eigenvectors.T)) <= 1e-15
 
 
 class TestUnderflowingWeight:
-    """A weight that underflows to 0 fails every weight-form consumer loudly; the Gram reads none."""
+    """A first component whose square underflows to 0 validates, and the Gram reads no weight."""
 
     @staticmethod
     def tiny_first_component() -> SpectralData:
@@ -501,16 +495,8 @@ class TestUnderflowingWeight:
     def test_validate_still_passes(self):
         self.tiny_first_component().validate()
 
-    def test_weights_name_the_eigenvalue(self):
-        with pytest.raises(NumericalError, match="eigenvalue index 1 underflows"):
-            self.tiny_first_component().weights
-
     def test_orthogonality_defect_needs_no_weight(self):
         data = self.tiny_first_component()
         good = dimension_spectrum(ehrenfest_dimension(1))
         for datasets in ([data], [good, data]):
             assert orthogonality_defect(datasets) <= 1e-15
-
-    def test_weight_form_raises(self):
-        with pytest.raises(NumericalError, match="underflows"):
-            transition_prob_weight_form(self.tiny_first_component(), 1.0, 0, 1)

@@ -22,7 +22,6 @@ from bdqw.stats import (
     convolve_sum,
     gaussian_cdf,
     moments,
-    total_variation,
 )
 
 
@@ -136,6 +135,12 @@ class TestConvolveSum:
     def test_unnormalized_factor_rejected(self):
         with pytest.raises(ValueError):
             convolve_sum([np.array([0.5, 0.4])])
+
+    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan]])
+    def test_nan_entry_rejected(self, bad):
+        # NaN compares false both ways, so only a NaN-aware check refuses it
+        with pytest.raises(ValueError, match="NaN|nan"):
+            convolve_sum([np.array([0.5, 0.5]), np.array(bad)])
 
     def test_repeated_factor_checked_once(self, monkeypatch):
         checked = []
@@ -313,26 +318,3 @@ class TestCltDistance:
         )
         assert abs(base - shifted) <= 1e-12
 
-
-class TestTotalVariation:
-    def test_identical(self):
-        p = np.array([0.25, 0.5, 0.25])
-        assert total_variation(p, p) == 0.0
-
-    def test_disjoint_point_masses(self):
-        assert total_variation(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 1.0
-
-    def test_quarter_shift(self):
-        p = np.array([0.25, 0.5, 0.25])
-        q = np.array([0.5, 0.25, 0.25])
-        assert abs(total_variation(p, q) - 0.25) <= 1e-15
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            total_variation(np.array([1.0]), np.array([0.5, 0.5]))
-
-    @pytest.mark.parametrize("bad", [[math.nan, 1.0], [0.5, math.nan], [math.nan, math.nan]])
-    def test_nan_entry_rejected(self, bad):
-        # NaN compares false both ways, so only a NaN-aware check refuses it
-        with pytest.raises(ValueError, match="NaN|nan"):
-            total_variation(np.array(bad), np.array([0.0, 1.0]))
