@@ -20,7 +20,6 @@ Exit codes: 0 success, 1 verification failure, 2 config/validation error
 from __future__ import annotations
 
 import argparse
-import io
 import json
 import os
 import statistics
@@ -425,7 +424,7 @@ def _sweep_base(config: ExperimentConfig, command: str) -> tuple[DimensionSpec, 
 
 def run_clt(config: ExperimentConfig) -> tuple[int, str]:
     base, t = _sweep_base(config, "clt")
-    factor = transition_row(dimension_spectrum(base), t, config.initial[0])
+    factor = transition_row(chain_spectra(config.spec)[0], t, config.initial[0])
     _, factor_var = moments(factor)
     if factor_var <= 1e-15:
         raise ConfigError(f"time: per-factor variance is zero at T={t} (degenerate statistic)")
@@ -519,33 +518,60 @@ def run_bench(config: ExperimentConfig) -> tuple[int, str]:
     return 0, _csv_text(["product_size", "dense_ms", "factorized_ms", "ratio"], rows)
 
 
-def _spectrum_entry(dim: DimensionSpec) -> dict:
-    """A dimension's spectral keys; log_weights, 2 log V[0], is finite where V[0]^2 underflows."""
-    spectrum = dimension_spectrum(dim)
-    return {
-        "eigenvalues": spectrum.eigenvalues.tolist(),
-        "eigenvectors": spectrum.eigenvectors.tolist(),
-        "log_weights": (2.0 * np.log(spectrum.eigenvectors[0])).tolist(),
-    }
+def _json_array(values: np.ndarray, depth: int) -> str:
+    """``json.dumps(values.tolist(), indent=2)`` for a non-empty float array ``depth`` levels deep.
+
+    JSON writes each float with float.__repr__, and a list's repr joins those
+    same strings with ", ", which no float's repr holds: splitting the repr
+    there and joining with the indent gives json's text for finite values.
+    """
+    pad = "\n" + "  " * (depth + 1)
+    if values.ndim == 1:
+        items = repr(values.tolist())[1:-1].replace(", ", "," + pad)
+    else:
+        items = ("," + pad).join(_json_array(row, depth + 1) for row in values)
+    return "[" + pad + items + "\n" + "  " * depth + "]"
+
+
+def _spectrum_entry(dim: DimensionSpec, field: str) -> str:
+    """A dimension's spectral keys as JSON text at an entry's depth, from ``"eigenvalues"`` on.
+
+    log_weights, 2 log V[0], is finite where V[0]^2 underflows.  A NumericalError,
+    a non-finite value included (JSON has no NaN or infinity), names ``field``.
+    """
+    try:
+        spectrum = dimension_spectrum(dim)
+        keys = {
+            "eigenvalues": spectrum.eigenvalues,
+            "eigenvectors": spectrum.eigenvectors,
+            "log_weights": 2.0 * np.log(spectrum.eigenvectors[0]),
+        }
+        for key, values in keys.items():
+            if not np.isfinite(values).all():
+                raise NumericalError(f"{key} holds a non-finite value, which JSON cannot write")
+    except NumericalError as exc:
+        raise NumericalError(f"{field} (size {dim.size}): {exc}") from exc
+    return ",".join(f'\n      "{key}": {_json_array(values, 3)}' for key, values in keys.items())
 
 
 def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, str]:
-    """``json.dumps({"dimensions": [entry, ...]}, indent=2) + "\\n"``, built entry by entry.
+    """``json.dumps({"dimensions": [entry, ...]}, indent=2) + "\\n"``, written directly.
 
-    Each distinct dimension is solved once and encoded as soon as it is
-    solved, so no spectrum or decoded table outlives its own encoding.
+    Each entry is ``index`` (1-based), ``size``, ``eigenvalues``,
+    ``eigenvectors`` (one row per position) and ``log_weights``.  Each
+    distinct dimension is solved once and written as soon as it is solved,
+    so no spectrum outlives its own text; the float lists are written by
+    _json_array, byte for byte as json.dumps writes them, without the encoder.
     """
     tables: dict[DimensionSpec, str] = {}  # an entry's spectral keys, indented to its depth
     parts = ['{\n  "dimensions": [']
-    for idx, dim in enumerate(config.spec.dims, start=1):
+    for idx, dim in enumerate(config.spec.dims):
         if dim not in tables:
-            text = io.StringIO()  # json.dumps(..., indent=2) without a list of all its chunks
-            encoder = json.JSONEncoder(indent=2)
-            text.writelines(encoder.iterencode(_spectrum_entry(dim)))
-            tables[dim] = text.getvalue()[1:].replace("\n", "\n    ")  # drop "{", nest two levels
-        separator = "," if idx > 1 else ""
-        parts.append(f'{separator}\n    {{\n      "index": {idx},\n      "size": {dim.size},')
+            tables[dim] = _spectrum_entry(dim, f"dims[{idx}]")
+        separator = "," if idx else ""
+        parts.append(f'{separator}\n    {{\n      "index": {idx + 1},\n      "size": {dim.size},')
         parts.append(tables[dim])
+        parts.append("\n    }")
     parts.append("\n  ]\n}\n")
     return 0, "".join(parts)
 

@@ -24,6 +24,11 @@ Every route is a slice of one kernel, the elements of W diag(e^{i t lambda}) W^T
 with W the Kronecker product of per-dimension bases V_l: one factor for the
 factorized path, all of them for the oracle.
 
+The phase t * lambda carries an absolute error of about |t| eps, and the
+probabilities inherit it: from position 0 of the Ehrenfest urn (N = 3, 7,
+96) they stay within 0.57 |t| eps of Binomial(N, sin^2(t/N)) for t >= 100,
+and within a few eps at t = 1.
+
 Everything here is a pure function of immutable inputs; per-dimension
 propagators and per-pair evaluations can be computed concurrently.
 """

@@ -304,8 +304,17 @@ def dimension_spectrum(spec: DimensionSpec) -> SpectralData:
 
 
 def chain_spectra(spec: MultiChainSpec) -> tuple[SpectralData, ...]:
-    """Spectra of a chain's dimensions in order, one eigensolve per distinct dimension."""
-    solved = {dim: dimension_spectrum(dim) for dim in dict.fromkeys(spec.dims)}
+    """Spectra of a chain's dimensions in order, one eigensolve per distinct dimension.
+
+    A NumericalError is prefixed with ``dims[i] (size N): ``, i the first
+    index of the dimension that failed.
+    """
+    solved = {}
+    for dim in dict.fromkeys(spec.dims):
+        try:
+            solved[dim] = dimension_spectrum(dim)
+        except NumericalError as exc:
+            raise NumericalError(f"dims[{spec.dims.index(dim)}] (size {dim.size}): {exc}") from exc
     return tuple(solved[dim] for dim in spec.dims)
 
 

@@ -21,6 +21,12 @@ def poly_table(data: SpectralData) -> np.ndarray:
     return data.eigenvectors / data.eigenvectors[0]
 
 
+def double_well(size: int) -> DimensionSpec:
+    """p = 0.9 below the middle, 0.1 above: two wells whose eigenvalues pair up tightly."""
+    table = tuple(0.9 if k < size / 2 else 0.1 for k in range(1, size))
+    return DimensionSpec(size=size, decrease_prob=table)
+
+
 @st.composite
 def dimension_specs(draw, min_size=1, max_size=12):
     size = draw(st.integers(min_size, max_size))

@@ -14,11 +14,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdqw
 from bdqw import cli, spectral
 from bdqw.chain import DimensionSpec
 from bdqw.cli import load_config, main, parse_config, resolve
+from bdqw.spectral import SpectralData
+
+from conftest import dimension_specs, double_well
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -49,6 +54,35 @@ def two_edge_config(tmp_path, **overrides) -> str:
     }
     fields.update(overrides)
     return write_config(tmp_path, **fields)
+
+
+def dumped_spectra(dims) -> str:
+    """What dump-spectrum writes for ``dims``, through json.dumps from the spectra."""
+    entries = []
+    for idx, dim in enumerate(dims, start=1):
+        data = spectral.dimension_spectrum(dim)
+        entries.append(
+            {
+                "index": idx,
+                "size": dim.size,
+                "eigenvalues": data.eigenvalues.tolist(),
+                "eigenvectors": data.eigenvectors.tolist(),
+                "log_weights": (2.0 * np.log(data.eigenvectors[0])).tolist(),
+            }
+        )
+    return json.dumps({"dimensions": entries}, indent=2) + "\n"
+
+
+def assert_same_text(text: str, expected: str) -> None:
+    """``text == expected``, failing with the first difference, not pytest's diff of megabytes."""
+    if text != expected:
+        at = len(os.path.commonprefix([text, expected]))
+        pytest.fail(f"texts differ at offset {at}: {text[at:at + 60]!r} != {expected[at:at + 60]!r}")
+
+
+def double_well_entry(size: int) -> dict:
+    """The double well as a ``dims`` entry."""
+    return {"size": size, "p_table": list(double_well(size).decrease_prob)}
 
 
 def read_csv(path: str) -> list[dict]:
@@ -687,6 +721,82 @@ class TestDumps:
         log_weights = json.loads(out.read_text())["dimensions"][0]["log_weights"]
         expected = scipy.stats.binom.logpmf(np.arange(1101), 1100, 0.5)
         assert np.max(np.abs(np.array(log_weights) - expected)) <= 1e-10
+        # json.loads reads back the very doubles written, so this is json.dumps's text
+        text = out.read_text(encoding="utf-8")
+        assert_same_text(text, json.dumps(json.loads(text), indent=2) + "\n")
+
+    def test_dump_spectrum_urn_deep_text(self, tmp_path):
+        # the three Ehrenfest urns of the urn-deep benchmark workload
+        out = tmp_path / "spectrum.json"
+        config = write_config(tmp_path, dims=[{"size": n} for n in (240, 160, 96)], time=1.0)
+        assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 0
+        expected = dumped_spectra(load_config(config).spec.dims)
+        assert_same_text(out.read_text(encoding="utf-8"), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(dimension_specs(max_size=40), min_size=1, max_size=3, unique=True),
+        st.lists(st.integers(0, 2), min_size=1, max_size=6),
+    )
+    def test_dump_spectrum_text_is_json_dumps(self, distinct, picks):
+        # repeated and interleaved dims entries share one solve and one text
+        dims = [distinct[i % len(distinct)] for i in picks]
+        config = parse_config(
+            {"dims": [{"size": d.size, "p_table": list(d.decrease_prob)} for d in dims]}
+        )
+        code, text = cli.run_dump_spectrum(config)
+        assert code == 0
+        assert_same_text(text, dumped_spectra(config.spec.dims))
+
+    @pytest.mark.parametrize("key", ["eigenvalues", "eigenvectors"])
+    def test_dump_spectrum_rejects_a_non_finite_value(self, tmp_path, monkeypatch, capsys, key):
+        # json.dumps would write NaN, which is not JSON
+        solve = cli.dimension_spectrum
+
+        def with_nan(dim):
+            data = solve(dim)
+            arrays = {"eigenvalues": data.eigenvalues, "eigenvectors": data.eigenvectors}
+            arrays[key] = arrays[key].copy()
+            arrays[key][0] = math.nan  # an eigenvalue, or every first component and log-weight
+            return SpectralData(**arrays)
+
+        monkeypatch.setattr(cli, "dimension_spectrum", with_nan)
+        out = tmp_path / "spectrum.json"
+        config = write_config(tmp_path, dims=[{"size": 2}], time=1.0)
+        assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 2
+        message = f"{key} holds a non-finite value, which JSON cannot write"
+        assert capsys.readouterr().err == f"error: dims[0] (size 2): {message}\n"
+        assert not out.exists()
+
+
+class TestSpectralFailureNamesItsDimension:
+    """Double wells the eigensolver cannot resolve: exit 2 naming the first dims entry."""
+
+    FAILURES = [
+        (50, "eigenvalues are not strictly ascending"),
+        (86, "eigenvector with vanishing first component"),
+    ]
+
+    @pytest.mark.parametrize("size, message", FAILURES)
+    @pytest.mark.parametrize("command", ["simulate", "verify", "dump-spectrum"])
+    def test_chain(self, tmp_path, capsys, command, size, message):
+        well = double_well_entry(size)
+        config = write_config(tmp_path, dims=[{"size": 2}, well, {"size": 2}, well], time=1.0)
+        out = tmp_path / "out"
+        # a cap above the product size, so that verify reaches the eigensolver
+        argv = [command, "--config", config, "--output", str(out), "--oracle-cap", "100000"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: dims[1] (size {size}): {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("size, message", FAILURES)
+    @pytest.mark.parametrize("command", ["clt", "bench"])
+    def test_sweep(self, tmp_path, capsys, command, size, message):
+        config = write_config(tmp_path, dims=[double_well_entry(size)], time=1.0, d_sweep=[2])
+        out = tmp_path / "out"
+        assert main([command, "--config", config, "--output", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: dims[0] (size {size}): {message}\n"
+        assert not out.exists()
 
 
 class TestOracleCapResolution:

@@ -539,6 +539,23 @@ class TestLargeUrn:
         assert np.max(np.abs(2.0 * np.log(urn.eigenvectors[0]) - expected)) <= 1e-10
 
 
+class TestHugeTime:
+    """The phase t * lambda is rounded to about |t| eps absolute, and so is the row.
+
+    Measured from position 0 at N = 3, 7 and 96, t = 1 ... 1e16: the row error
+    is at most 0.57 |t| eps from t = 100 on, and a few eps at t = 1.
+    """
+
+    @pytest.mark.parametrize("t", [10.0**e for e in range(0, 15, 2)])
+    @pytest.mark.parametrize("n_balls", [3, 7, 96])
+    def test_row_from_origin_within_t_eps(self, n_balls, t):
+        eps = np.finfo(float).eps
+        row = transition_row(dimension_spectrum(ehrenfest_dimension(n_balls)), t, 0)
+        p = math.sin(t / n_balls) ** 2
+        expected = scipy.stats.binom.pmf(np.arange(n_balls + 1), n_balls, p)
+        assert np.max(np.abs(row - expected)) <= 16 * eps + abs(t) * eps
+
+
 class TestEhrenfestSumLaw:
     def test_single_walker_at_quarter_turn(self):
         mass = ehrenfest_sum_law(1, math.pi / 2)

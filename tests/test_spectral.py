@@ -29,7 +29,7 @@ from bdqw.spectral import (
     symmetrize,
 )
 
-from conftest import dimension_specs, multi_chain_specs, poly_table, weights
+from conftest import dimension_specs, double_well, multi_chain_specs, poly_table, weights
 
 
 def dense_similarity_oracle(m: np.ndarray, pi: np.ndarray) -> np.ndarray:
@@ -291,12 +291,6 @@ def serial_reference(tri):
     order = np.argsort(values)
     vectors = vectors[:, order]
     return values[order], vectors * np.sign(vectors[0])
-
-
-def double_well(size: int) -> DimensionSpec:
-    """p = 0.9 below the middle, 0.1 above: two wells whose eigenvalues pair up tightly."""
-    table = tuple(0.9 if k < size / 2 else 0.1 for k in range(1, size))
-    return DimensionSpec(size=size, decrease_prob=table)
 
 
 def full_ql_counter(mp: pytest.MonkeyPatch) -> list[int]:
