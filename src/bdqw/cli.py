@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -288,6 +287,28 @@ def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
     return "\n".join(map(",".join, chain([header], rows))) + "\n"
 
 
+def _table(
+    config: ExperimentConfig, head: dict, header: list[str], rows: list[tuple], flags: dict
+) -> str:
+    """The one writer of the clt and bench reports, in the configured format.
+
+    JSON is ``{**head, "rows": [...], **flags}``, each row an object keyed by
+    ``header``.  CSV writes floats with _fmt, None as an empty field and any
+    other value with str, then one ``name,true|false`` row per flag, padded
+    to the header's width.
+    """
+    if config.output_format == "json":
+        payload = {**head, "rows": [dict(zip(header, row)) for row in rows], **flags}
+        return json.dumps(payload, indent=2) + "\n"
+    lines = [
+        ["" if v is None else _fmt(v) if isinstance(v, float) else str(v) for v in row]
+        for row in rows
+    ]
+    pad = [""] * (len(header) - 2)
+    lines.extend([name, "true" if flag else "false", *pad] for name, flag in flags.items())
+    return _csv_text(header, lines)
+
+
 def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, str]:
     spec, j, cap = config.spec, config.initial, config.oracle_cap
     spectra = chain_spectra(spec)
@@ -376,8 +397,6 @@ def run_verify(config: ExperimentConfig) -> tuple[int, str]:
         for q, s in zip(spec.select_prob, spectra):
             unitarity.append(_unitarity_defect(propagator_parts(s, q * t)))
 
-    ortho = orthogonality_defect(spectra)
-
     balance, residual = [], []
     for dim, s in dict(zip(spec.dims, spectra)).items():  # each distinct dimension once
         m = build_conditional_matrix(dim)
@@ -388,26 +407,15 @@ def run_verify(config: ExperimentConfig) -> tuple[int, str]:
         j = symmetrize(m).to_dense()
         residual.append(np.max(np.abs(j @ s.eigenvectors - s.eigenvectors * s.eigenvalues)))
 
-    report = {
+    defects = {
         "theorem1_max_abs_err": float(np.max(theorem1)),
-        "orthogonality_defect": ortho,
+        "orthogonality_defect": orthogonality_defect(spectra),
         "eigen_residual": float(np.max(residual)),
         "unitarity_defect": float(np.max(unitarity)),
         "detailed_balance_defect": float(np.max(balance)),
-        "tolerance": VERIFY_TOLERANCE,
-        "times": list(config.times),
     }
-    passed = all(
-        report[key] <= VERIFY_TOLERANCE
-        for key in (
-            "theorem1_max_abs_err",
-            "orthogonality_defect",
-            "eigen_residual",
-            "unitarity_defect",
-            "detailed_balance_defect",
-        )
-    )
-    report["pass"] = passed
+    passed = all(value <= VERIFY_TOLERANCE for value in defects.values())  # NaN fails
+    report = {**defects, "tolerance": VERIFY_TOLERANCE, "times": list(config.times), "pass": passed}
     return (0 if passed else 1), json.dumps(report, indent=2) + "\n"
 
 
@@ -435,22 +443,13 @@ def run_clt(config: ExperimentConfig) -> tuple[int, str]:
         sum_dist = convolve_sum([factor] * d)
         distances.append(clt_distance(sum_dist))
     monotone = all(b < a for a, b in zip(distances, distances[1:]))
-
-    if config.output_format == "json":
-        payload = {
-            "reading": CLT_READING,
-            "time": t,
-            "rows": [
-                {"d": d, "kolmogorov_distance": dist}
-                for d, dist in zip(config.d_sweep, distances)
-            ],
-            "monotone_decrease": monotone,
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
-
-    rows = [[str(d), _fmt(dist)] for d, dist in zip(config.d_sweep, distances)]
-    rows.append(["monotone_decrease", "true" if monotone else "false"])
-    return 0, _csv_text(["d", "kolmogorov_distance"], rows)
+    return 0, _table(
+        config,
+        {"reading": CLT_READING, "time": t},
+        ["d", "kolmogorov_distance"],
+        list(zip(config.d_sweep, distances)),
+        {"monotone_decrease": monotone},
+    )
 
 
 def _median_ms(fn) -> float:
@@ -459,7 +458,7 @@ def _median_ms(fn) -> float:
         start = time.perf_counter()
         fn()
         samples.append((time.perf_counter() - start) * 1e3)
-    return statistics.median(samples)
+    return sorted(samples)[BENCH_REPETITIONS // 2]  # the median of an odd count
 
 
 def run_bench(config: ExperimentConfig) -> tuple[int, str]:
@@ -473,7 +472,7 @@ def run_bench(config: ExperimentConfig) -> tuple[int, str]:
                 f"d_sweep: the product size at d={d} has too many digits to write"
             ) from exc
 
-    results = []
+    rows = []  # product size, dense ms or "skipped", factorized ms, ratio or None
     for d in config.d_sweep:
         spec = uniform_multi_chain(base, d)
         spectra = chain_spectra(spec)  # both routes are timed given the spectra
@@ -481,41 +480,20 @@ def run_bench(config: ExperimentConfig) -> tuple[int, str]:
         k = (0,) * d
         # each lambda is timed and dropped within its own iteration
         fact = _median_ms(lambda: transition_prob_factorized(spec, spectra, t, j, k))
-        dense = None
         if spec.product_size <= cap:
             dense = _median_ms(lambda: transition_prob_dense(spec, spectra, t, j, k, cap))
-        ratio = dense / fact if dense is not None and fact > 0 else None
-        results.append((spec.product_size, dense, fact, ratio))
+            rows.append((spec.product_size, dense, fact, dense / fact if fact > 0 else None))
+        else:
+            rows.append((spec.product_size, "skipped", fact, None))
 
-    ratios = [ratio for *_, ratio in results if ratio is not None]
-    speedup_flag = bool(ratios) and max(ratios) >= BENCH_SPEEDUP_FLAG
-    fact_times = [fact for _, _, fact, _ in results]
-    flat_flag = max(fact_times) <= BENCH_FLAT_FLAG * max(min(fact_times), 1e-9)
-
-    if config.output_format == "json":
-        payload = {
-            "time": t,
-            "rows": [
-                {
-                    "product_size": size,
-                    "dense_ms": dense if dense is not None else "skipped",
-                    "factorized_ms": fact,
-                    "ratio": ratio,
-                }
-                for size, dense, fact, ratio in results
-            ],
-            "speedup_at_least_10x": speedup_flag,
-            "factorized_flat": flat_flag,
-        }
-        return 0, json.dumps(payload, indent=2) + "\n"
-
-    rows = []
-    for size, dense, fact, ratio in results:
-        dense_text = _fmt(dense) if dense is not None else "skipped"
-        rows.append([str(size), dense_text, _fmt(fact), _fmt(ratio) if ratio is not None else ""])
-    rows.append(["speedup_at_least_10x", "true" if speedup_flag else "false", "", ""])
-    rows.append(["factorized_flat", "true" if flat_flag else "false", "", ""])
-    return 0, _csv_text(["product_size", "dense_ms", "factorized_ms", "ratio"], rows)
+    ratios = [ratio for *_, ratio in rows if ratio is not None]
+    fact_times = [fact for _, _, fact, _ in rows]
+    flags = {
+        "speedup_at_least_10x": bool(ratios) and max(ratios) >= BENCH_SPEEDUP_FLAG,
+        "factorized_flat": max(fact_times) <= BENCH_FLAT_FLAG * max(min(fact_times), 1e-9),
+    }
+    header = ["product_size", "dense_ms", "factorized_ms", "ratio"]
+    return 0, _table(config, {"time": t}, header, rows, flags)
 
 
 def _json_array(values: np.ndarray, depth: int) -> str:
@@ -593,13 +571,14 @@ def run_dump_config(config: ExperimentConfig) -> tuple[int, str]:
     return 0, json.dumps(payload, indent=2) + "\n"
 
 
+# name: (run function, help text); simulate's run also takes --dense
 _COMMANDS = {
-    "simulate": run_simulate,
-    "verify": run_verify,
-    "clt": run_clt,
-    "bench": run_bench,
-    "dump-spectrum": run_dump_spectrum,
-    "dump-config": run_dump_config,
+    "simulate": (run_simulate, "emit factorized marginals (and optionally the dense joint law)"),
+    "verify": (run_verify, "run the factorized-vs-dense and spectral verification suite"),
+    "clt": (run_clt, "Kolmogorov distance of the standardized sum to the normal law"),
+    "bench": (run_bench, "time the dense oracle against the factorized path"),
+    "dump-spectrum": (run_dump_spectrum, "emit per-dimension eigensystems as JSON"),
+    "dump-config": (run_dump_config, "emit the resolved, fully explicit config JSON"),
 }
 
 
@@ -609,21 +588,14 @@ def build_parser() -> argparse.ArgumentParser:
         description="Continuous-time quantum walks on multi-dimensional birth-death chains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("simulate", "emit factorized marginals (and optionally the dense joint law)"),
-        ("verify", "run the factorized-vs-dense and spectral verification suite"),
-        ("clt", "Kolmogorov distance of the standardized sum to the normal law"),
-        ("bench", "time the dense oracle against the factorized path"),
-        ("dump-spectrum", "emit per-dimension eigensystems as JSON"),
-        ("dump-config", "emit the resolved, fully explicit config JSON"),
-    ):
+    for name, (run, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
         cmd.add_argument("--output", help="output path (default: config value or stdout)")
         cmd.add_argument("--format", choices=("csv", "json"), help="output format")
         cmd.add_argument("--oracle-cap", type=int, help="product-space size cap for dense paths")
         cmd.add_argument("--time", help="comma-separated list of time values")
-        if name == "simulate":
+        if run is run_simulate:
             cmd.add_argument(
                 "--dense", action="store_true", help="also emit the dense joint law"
             )
@@ -634,8 +606,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = resolve(load_config(args.config), args)
-        run = _COMMANDS[args.command]
-        code, text = run(config, args.dense) if args.command == "simulate" else run(config)
+        run, _ = _COMMANDS[args.command]
+        code, text = run(config, args.dense) if "dense" in args else run(config)
         path = config.output_path
         if path is None or path == "-":
             sys.stdout.write(text)

@@ -183,6 +183,28 @@ class TestConfigParsing:
             with pytest.raises(ValueError, match=rf"^dims\[{len(dims) - 1}\]{message}"):
                 parse_config({"dims": dims})
 
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"dims": [{"size": 1}], "time": []}, "time: expected at least one value"),
+            ([{"dims": [{"size": 1}]}], "config: top level must be a JSON object"),
+            ({"dims": [{"size": 1}], "select_prob": 1.0}, "select_prob: expected 'uniform'"),
+            ({"dims": [{"size": 1}], "initial": [0, 0]}, "initial: expected a list of 1 positions"),
+            ({"dims": [{"size": 1}], "output": "out.csv"}, "output: expected an object"),
+            ({"dims": [{"size": 1}], "output": {"path": 3}}, "output.path: expected a string"),
+            ({"dims": [{"size": 1}], "output": {"format": "xml"}}, "output.format: expected 'csv'"),
+            ({"dims": [{"size": 1}], "d_sweep": []}, "d_sweep: expected a non-empty list"),
+            ({"dims": [{"size": 1}], "d_sweep": [2, 0]}, "d_sweep: expected positive integers"),
+            ({"dims": [{"size": 1}], "d_sweep": [2.0]}, "d_sweep: expected positive integers"),
+        ],
+    )
+    def test_rejection_names_its_field_and_writes_nothing(self, tmp_path, capsys, data, message):
+        config, out = tmp_path / "config.json", tmp_path / "out"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        assert main(["simulate", "--config", str(config), "--output", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
 
 class TestSimulate:
     def test_edge_walk_quarter_turn(self, tmp_path, capsys):
@@ -531,6 +553,19 @@ class TestClt:
         # the law is Bernoulli(sin^2 1) and the sup is |F(1-) - Phi(z_1)|
         assert abs(got - 0.4476668932539417) <= 1e-10
 
+    def test_json_text_is_the_csv_rows_through_json_dumps(self, tmp_path, capsys):
+        config = write_config(tmp_path, dims=[{"size": 2}], time=1.0, d_sweep=[1, 4, 16])
+        assert main(["clt", "--config", config]) == 0
+        *rows, flag = csv.reader(io.StringIO(capsys.readouterr().out))
+        assert main(["clt", "--config", config, "--format", "json"]) == 0
+        payload = {
+            "reading": cli.CLT_READING,
+            "time": 1.0,
+            "rows": [{"d": int(d), "kolmogorov_distance": float(dist)} for d, dist in rows[1:]],
+            "monotone_decrease": flag == ["monotone_decrease", "true"],
+        }
+        assert capsys.readouterr().out == json.dumps(payload, indent=2) + "\n"
+
     def test_degenerate_time_exits_2(self, tmp_path, capsys):
         config = write_config(tmp_path, dims=[{"size": 1}], time=0.0, d_sweep=[4])
         assert main(["clt", "--config", config]) == 2
@@ -562,6 +597,23 @@ class TestBench:
         assert float(by_size["8192"]["factorized_ms"]) > 0.0
         flags = {r["product_size"]: r["dense_ms"] for r in rows if not r["product_size"].isdigit()}
         assert set(flags) == {"speedup_at_least_10x", "factorized_flat"}
+
+    def test_json_text_is_json_dumps_with_the_csv_columns(self, tmp_path, capsys):
+        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2, 13])
+        assert main(["bench", "--config", config, "--format", "json"]) == 0
+        text = capsys.readouterr().out
+        payload = json.loads(text)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        assert list(payload) == ["time", "rows", "speedup_at_least_10x", "factorized_flat"]
+        assert payload["time"] == 1.0
+        columns = ["product_size", "dense_ms", "factorized_ms", "ratio"]
+        assert [list(row) for row in payload["rows"]] == [columns] * 2
+        small, large = payload["rows"]
+        assert small["product_size"] == 4 and small["ratio"] == small["dense_ms"] / small["factorized_ms"]
+        assert large["product_size"] == 8192 and large["dense_ms"] == "skipped"
+        assert large["ratio"] is None and large["factorized_ms"] > 0.0
+        assert payload["speedup_at_least_10x"] in (True, False)
+        assert payload["factorized_flat"] in (True, False)
 
     @pytest.mark.parametrize("command", ["clt", "bench"])
     def test_sweep_rejects_several_times(self, tmp_path, capsys, command):
@@ -662,6 +714,7 @@ class TestDumps:
             select_prob="uniform",
             time=[0.5, 1.0],
             initial=[2, 0],
+            d_sweep=[4, 1, 16],
         )
         assert main(["dump-config", "--config", config_path, "--output", str(out)]) == 0
         original = load_config(config_path)
@@ -669,6 +722,7 @@ class TestDumps:
         assert reparsed.spec == original.spec
         assert reparsed.times == original.times
         assert reparsed.initial == original.initial
+        assert reparsed.d_sweep == original.d_sweep == (4, 1, 16)
 
     def test_dump_spectrum_text_and_one_solve_per_distinct_dimension(self, tmp_path, monkeypatch):
         solved = []

@@ -217,6 +217,34 @@ class TestEigendecompose:
         with pytest.raises(NumericalError, match="orthonormal"):
             dataclasses.replace(data, eigenvectors=vectors).validate()
 
+    def test_validate_rejects_a_spectrum_outside_the_unit_interval(self):
+        data = dimension_spectrum(ehrenfest_dimension(3))
+        values = data.eigenvalues * (1.0 + 1e-9)
+        with pytest.raises(NumericalError, match=r"^spectrum escapes \[-1, 1\]$"):
+            dataclasses.replace(data, eigenvalues=values).validate()
+
+    def test_validate_rejects_a_non_positive_first_component(self):
+        # a column's sign flip keeps the columns orthonormal
+        data = dimension_spectrum(ehrenfest_dimension(3))
+        vectors = data.eigenvectors.copy()
+        vectors[:, 2] *= -1.0
+        with pytest.raises(NumericalError, match="^first eigenvector components must be strictly"):
+            dataclasses.replace(data, eigenvectors=vectors).validate()
+
+    def test_validate_rejects_weights_that_pass_orthonormality(self):
+        # Q: the orthonormal DCT-II basis, its row 0 uniform at 0.1.  V = Q M^(1/2) with
+        # M = I + eps 11^T has V^T V - I = eps 11^T, a 9.0e-11 defect that passes,
+        # while the row-0 norm^2 is 1 + n eps, off by 9.0e-9.
+        n, eps = 100, 0.9e-10
+        k, j = np.ogrid[:n, :n]
+        q = np.sqrt(2.0 / n) * np.cos(np.pi * k * (2 * j + 1) / (2 * n))
+        q[0] = np.sqrt(1.0 / n)
+        vectors = q @ (np.eye(n) + (math.sqrt(1.0 + n * eps) - 1.0) / n)
+        assert np.max(np.abs(vectors.T @ vectors - np.eye(n))) <= 1e-10
+        data = SpectralData(eigenvalues=np.linspace(-0.9, 0.9, n), eigenvectors=vectors)
+        with pytest.raises(NumericalError, match="^weights do not sum to 1$"):
+            data.validate()
+
     @settings(max_examples=60, deadline=None)
     @given(dimension_specs(max_size=12))
     def test_reconstruction_and_spectrum_bounds(self, spec):
@@ -254,6 +282,21 @@ class TestSymmetricTridiagonal:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_rejects_non_finite_offdiag(self, value):
         with pytest.raises(ValueError, match=r"^offdiag"):
+            SymmetricTridiagonal(diag=np.zeros(3), offdiag=np.array([0.5, value]))
+
+    @pytest.mark.parametrize("diag", [np.zeros(0), np.zeros((2, 2))])
+    def test_rejects_a_diag_that_is_not_a_non_empty_vector(self, diag):
+        with pytest.raises(ValueError, match="^diag must be a non-empty one-dimensional array$"):
+            SymmetricTridiagonal(diag=diag, offdiag=np.zeros(0))
+
+    @pytest.mark.parametrize("size", [1, 3])
+    def test_rejects_an_offdiag_of_the_wrong_length(self, size):
+        with pytest.raises(ValueError, match="^offdiag must have one entry fewer than diag$"):
+            SymmetricTridiagonal(diag=np.zeros(3), offdiag=np.full(size, 0.5))
+
+    @pytest.mark.parametrize("value", [0.0, -0.5])
+    def test_rejects_an_offdiag_entry_that_is_not_positive(self, value):
+        with pytest.raises(ValueError, match="^off-diagonal entries must be strictly positive$"):
             SymmetricTridiagonal(diag=np.zeros(3), offdiag=np.array([0.5, value]))
 
 
