@@ -26,6 +26,7 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
+from functools import reduce
 from itertools import chain
 
 import numpy as np
@@ -43,9 +44,9 @@ from .chain import (
 from .ctqw import (
     dense_position_distribution,
     dense_propagator_parts,
-    factorized_transition_matrix,
     position_distribution,
     propagator_parts,
+    transition_matrix_1d,
     transition_prob_dense,
     transition_prob_factorized,
     transition_row,
@@ -59,7 +60,7 @@ VERIFY_TOLERANCE = 1e-10
 BENCH_REPETITIONS = 5
 BENCH_SPEEDUP_FLAG = 10.0
 BENCH_FLAT_FLAG = 10.0
-# Rows of the unitarity defect antisymmetrized at once: 2 MiB at 2048 states.
+# Rows of the unitarity Gram formed at once: 2 MiB blocks at 2048 states.
 _DEFECT_BLOCK_ROWS = 128
 
 # Documented reading of the Gaussian-limit statistic: the d summands are
@@ -241,8 +242,8 @@ def resolve(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentCon
     """Apply the flags and the environment to a parsed config, for every subcommand.
 
     The oracle cap resolves as --oracle-cap > BDQW_ORACLE_CAP > config field >
-    DEFAULT_ORACLE_CAP, always to an integer; --time, --output and --format
-    override their config fields.
+    DEFAULT_ORACLE_CAP, always to an integer; --time, --output and, where the
+    subcommand takes it, --format override their config fields.
     """
     env = os.environ.get(ENV_ORACLE_CAP)
     if args.oracle_cap is not None:
@@ -269,7 +270,7 @@ def resolve(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentCon
         times=times,
         oracle_cap=cap,
         output_path=args.output or config.output_path,
-        output_format=args.format or config.output_format,
+        output_format=getattr(args, "format", None) or config.output_format,
     )
 
 
@@ -348,20 +349,22 @@ def _unitarity_defect(parts: np.ndarray) -> float:
     """Largest |(U^dagger U - I)[a, b]| for U = parts[0] + i parts[1], in real arithmetic.
 
     With R, I the real and imaginary parts, Re(U^dagger U) = S^T S for the
-    stacked (2n x n) slab S = [R; I] (numpy sends A.T @ A to syrk) and
-    Im(U^dagger U) = R^T I - (R^T I)^T: two matmuls' worth of work.
+    stacked (2n x n) slab S = [R; I] and Im(U^dagger U) = R^T I - (R^T I)^T.
+    The Gram is Hermitian, so its upper triangle holds every |entry|: three
+    gemms per block of _DEFECT_BLOCK_ROWS rows, from the block's diagonal
+    on, give the bits of the n x n products in O(n * block) memory.
     """
     n = parts.shape[-1]
     stacked = parts.reshape(2 * n, n)
-    gram = stacked.T @ stacked
-    gram.flat[:: n + 1] -= 1.0
-    cross = parts[0].T @ parts[1]
-    # antisymmetrized a block of rows at a time: cross -= cross.T would buffer all of it
+    re, im = parts
     maxima = []
     for i in range(0, n, _DEFECT_BLOCK_ROWS):
         rows = slice(i, i + _DEFECT_BLOCK_ROWS)
-        block = cross[rows] - cross[:, rows].T
-        maxima.append(np.max(np.hypot(gram[rows], block, out=block)))
+        gram = stacked[:, rows].T @ stacked[:, i:]
+        gram.flat[:: n - i + 1] -= 1.0  # the diagonal: column i + r of row r
+        cross = re[:, rows].T @ im[:, i:]
+        cross -= im[:, rows].T @ re[:, i:]
+        maxima.append(np.max(np.hypot(gram, cross, out=cross)))
     return float(np.max(maxima))  # np.max, not max(): a NaN block fails the check
 
 
@@ -370,21 +373,27 @@ def _dense_defects(
 ) -> tuple[float, float]:
     """Theorem-1 error and unitarity defect of the dense oracle's U at one time.
 
-    U's real and imaginary parts are one contiguous (2, n, n) slab; after the
-    unitarity check |U|^2 overwrites it, and the factorized all-pairs matrix
-    is subtracted in place.
+    U's real and imaginary parts are one contiguous (2, n, n) slab, the only
+    n x n array.  After the unitarity check |U|^2 overwrites it, and the
+    factorized law is subtracted in place, each row of the leading factors'
+    Kronecker product times the last factor's matrix: np.kron's products, so
+    the error is max |dense - factorized_transition_matrix| bit for bit.
     """
     parts = dense_propagator_parts(spec, spectra, t, oracle_cap=cap)
     unitarity = _unitarity_defect(parts)
     dense = np.square(parts, out=parts)[0]
     dense += parts[1]
-    dense -= factorized_transition_matrix(spec, spectra, t)
+    *leading, last = [transition_matrix_1d(s, q * t) for q, s in zip(spec.select_prob, spectra)]
+    lead = reduce(np.kron, leading, np.ones((1, 1)))
+    blocks = dense.reshape(len(lead), len(last), len(lead), len(last))  # [a, k, b, j]
+    for block, row in zip(blocks, lead):
+        block -= row[:, None] * last[:, None, :]
     return float(np.max(np.abs(dense, out=dense))), unitarity
 
 
 def run_verify(config: ExperimentConfig) -> tuple[int, str]:
     spec, cap = config.spec, config.oracle_cap
-    # before the factorized all-pairs matrix, which has no cap of its own
+    # before any spectrum is solved
     check_oracle_cap(spec.product_size, cap)
     spectra = chain_spectra(spec)
 
@@ -592,9 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
         cmd.add_argument("--output", help="output path (default: config value or stdout)")
-        cmd.add_argument("--format", choices=("csv", "json"), help="output format")
         cmd.add_argument("--oracle-cap", type=int, help="product-space size cap for dense paths")
         cmd.add_argument("--time", help="comma-separated list of time values")
+        if name in ("simulate", "clt", "bench"):  # the rest write JSON only
+            cmd.add_argument("--format", choices=("csv", "json"), help="output format")
         if run is run_simulate:
             cmd.add_argument(
                 "--dense", action="store_true", help="also emit the dense joint law"

@@ -70,10 +70,19 @@ def _amplitudes(
     W is never formed.  The phase array cos(t lambda), with sin(t lambda)
     stacked on a leading axis, is contracted one spectral index m_l at a
     time: step l computes sum_m V_l[rows_l, m] X[..., m, ...] V_l[cols_l, m]
-    as an elementwise product with the row factor followed by one real matmul
-    with the column factor.  All pairs cost size^2 * sum n_l multiply-adds,
-    against size^3 per matmul with W.  Real matmuls rather than a
-    complex-phase product, which costs a complex matmul.
+    by scaling X with the row factor and one real matmul with the column
+    factor.  All pairs cost size^2 * sum n_l multiply-adds, against size^3
+    per matmul with W.  Real matmuls rather than a complex-phase product,
+    which costs a complex matmul.
+
+    A step that keeps a row axis and a column axis of two or more entries
+    writes its output one row index k_l at a time, (X * V_l[k_l]) @
+    V_l[cols_l]^T into out[..., k_l, ...]: besides the (2, size, size) result
+    of the all-pairs routes it holds arrays of 1/n_l of that size, not a
+    second slab.  Each such gemm sums an element as the gemm over all k_l
+    does, so the bits stay.  A one-entry or integer column makes a gemv,
+    whose sums depend on its row count, so that step keeps one product over
+    all k_l; its output (the dense column or element) is small.
 
     A single factor is that step alone, (V[rows] cos) @ V[cols]^T and the
     same with sin, kept as two matmuls: stacking them would change the BLAS
@@ -99,7 +108,18 @@ def _amplitudes(
     for v, r, c in zip(factors, rows, cols):
         left, right = v[r], v[c].T
         x = np.moveaxis(x, kept, -1)  # m_l last
-        if left.ndim == 2:  # k_l in m_l's place
+        if left.ndim == right.ndim == 2 and right.shape[1] > 1:  # one gemm per k_l
+            x = np.ascontiguousarray(x)  # read n_l times, so read in memory order
+            shape = x.shape[:-1] + right.shape[1:]
+            out = np.empty(shape[:kept] + left.shape[:1] + shape[kept:])
+            y, part = np.empty(x.shape), np.empty(shape)
+            for k, row in enumerate(left):
+                np.multiply(row, x, out=y)
+                np.matmul(y.reshape(-1, y.shape[-1]), right, out=part.reshape(-1, part.shape[-1]))
+                out[(slice(None),) * kept + (k,)] = part
+            x, kept = out, kept + 1
+            continue
+        if left.ndim == 2:  # k_l in m_l's place, one gemv for all of them
             x = np.expand_dims(x, kept)
             left = left.reshape(left.shape[0], *[1] * (x.ndim - kept - 2), -1)
             kept += 1

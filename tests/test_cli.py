@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -19,11 +20,12 @@ from hypothesis import strategies as st
 
 import bdqw
 from bdqw import cli, spectral
-from bdqw.chain import DimensionSpec
+from bdqw.chain import DimensionSpec, MultiChainSpec, ehrenfest_dimension
 from bdqw.cli import load_config, main, parse_config, resolve
+from bdqw.ctqw import dense_transition_matrix, factorized_transition_matrix
 from bdqw.spectral import SpectralData
 
-from conftest import dimension_specs, double_well
+from conftest import dimension_specs, double_well, random_dimension_spec
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -443,7 +445,7 @@ class TestVerify:
     @pytest.mark.parametrize(
         "route, key",
         [
-            ("factorized_transition_matrix", "theorem1_max_abs_err"),
+            ("transition_matrix_1d", "theorem1_max_abs_err"),
             ("stationary_distribution", "detailed_balance_defect"),
         ],
     )
@@ -502,6 +504,36 @@ class TestVerify:
         parts[1, n - 1, 0] = np.nan  # one NaN in the last block
         assert math.isnan(cli._unitarity_defect(parts))
 
+    def test_blockwise_theorem1_error_is_the_all_pairs_difference(self):
+        # the factorized law is subtracted a block at a time, with np.kron's products
+        rng = np.random.default_rng(5)
+        dims = tuple(random_dimension_spec(rng, max_size=6) for _ in range(3))
+        spec = MultiChainSpec(dims=dims, select_prob=(0.5, 0.2, 0.3))
+        spectra = spectral.chain_spectra(spec)
+        for t in (0.4, 3.7, 25.0):
+            error, _ = cli._dense_defects(spec, spectra, t, spec.product_size)
+            dense = dense_transition_matrix(spec, spectra, t)
+            expected = np.max(np.abs(dense - factorized_transition_matrix(spec, spectra, t)))
+            assert error > 0.0
+            assert error == expected  # bit for bit
+
+    def test_dense_defects_hold_one_slab(self):
+        # 4 x 16 x 16 = 1024 states: U's (2, n, n) slab is 16 n^2 bytes; the
+        # contraction, the unitarity Gram and the Theorem-1 check add a fraction of it
+        spec = MultiChainSpec(
+            dims=tuple(ehrenfest_dimension(size) for size in (3, 15, 15)),
+            select_prob=(0.2, 0.3, 0.5),
+        )
+        spectra = spectral.chain_spectra(spec)
+        tracemalloc.start()
+        try:
+            theorem1, unitarity = cli._dense_defects(spec, spectra, 1.3, spec.product_size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 16 * spec.product_size**2
+        assert theorem1 <= 1e-10 and unitarity <= 1e-10
+
     def test_corrupted_select_prob_exits_2(self, tmp_path, capsys):
         config = write_config(
             tmp_path,
@@ -518,11 +550,11 @@ class TestVerify:
         )
 
     def test_cap_checked_before_factorized_matrix(self, tmp_path, monkeypatch):
-        # 2^40 states: the all-pairs factorized matrix must never be attempted
+        # 2^40 states: no factor of the factorized all-pairs law may be attempted
         def refuse(*args, **kwargs):
-            raise AssertionError("factorized all-pairs matrix built over the cap")
+            raise AssertionError("factorized all-pairs law built over the cap")
 
-        monkeypatch.setattr(cli, "factorized_transition_matrix", refuse)
+        monkeypatch.setattr(cli, "transition_matrix_1d", refuse)
         config = write_config(tmp_path, dims=[{"size": 1}] * 40)
         assert main(["verify", "--config", config]) == 3
 
@@ -934,6 +966,17 @@ class TestResolution:
         config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2])
         assert main([command, "--config", config, *argv]) == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["verify", "dump-spectrum", "dump-config"])
+    def test_format_rejected_where_only_json_is_written(self, tmp_path, capsys, command):
+        out = tmp_path / "report.csv"
+        argv = [command, "--config", two_edge_config(tmp_path), "--output", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv) == 0 and out.exists()
 
     def test_subcommands_read_only_the_resolved_config(self, tmp_path, monkeypatch):
         monkeypatch.setenv("BDQW_ORACLE_CAP", "2")

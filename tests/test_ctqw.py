@@ -44,7 +44,13 @@ from bdqw.errors import NumericalError, SizeLimitError
 from bdqw.spectral import SpectralData, chain_spectra, dimension_spectrum
 from bdqw.stats import convolve_sum
 
-from conftest import multi_chain_specs, poly_table, random_multi_chain_spec, weights
+from conftest import (
+    multi_chain_specs,
+    poly_table,
+    random_dimension_spec,
+    random_multi_chain_spec,
+    weights,
+)
 
 
 def symmetrized_kernel_oracle(dim) -> np.ndarray:
@@ -231,6 +237,35 @@ class TestContractionKernel:
         assert np.max(np.abs(everything[1] - im)) <= 1e-14
         assert np.max(np.abs(column - np.stack([re[:, flat_j], im[:, flat_j]]))) <= 1e-14
         assert np.max(np.abs(element - [re[flat_k, flat_j], im[flat_k, flat_j]])) <= 1e-14
+
+    @pytest.mark.parametrize("row_kind", ["slice", "int"])
+    @pytest.mark.parametrize("col_kind", ["slice", "int"])
+    def test_row_and_column_kinds_match_kronecker_build(self, row_kind, col_kind):
+        # a slice keeps its axis (a row axis is written one index at a time when a
+        # column axis is kept too), an integer drops it
+        rng = np.random.default_rng([len(row_kind), len(col_kind)])
+
+        def pick(kind: str, n: int) -> int | slice:
+            start = int(rng.integers(n))
+            return start if kind == "int" else slice(start, int(rng.integers(start, n)) + 1)
+
+        for _ in range(25):
+            dims = tuple(random_dimension_spec(rng, max_size=5) for _ in range(rng.integers(2, 5)))
+            raw = rng.uniform(0.1, 1.0, size=len(dims))
+            spec = MultiChainSpec(dims=dims, select_prob=tuple(raw / raw.sum()))
+            spectra = chain_spectra(spec)
+            t = float(rng.uniform(-10, 10))
+            rows = tuple(pick(row_kind, n) for n in spec.shape)
+            cols = tuple(pick(col_kind, n) for n in spec.shape)
+            values = reduce(
+                np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)]
+            )
+            factors = tuple(s.eigenvectors for s in spectra)
+            got = _amplitudes(factors, values, t, rows, cols)
+            for part, ref in zip(got, kronecker_amplitudes(spec, spectra, t)):
+                expected = ref.reshape(spec.shape * 2)[rows + cols]
+                assert part.shape == expected.shape
+                assert np.max(np.abs(part - expected), initial=0.0) <= 1e-14
 
     @settings(max_examples=30, deadline=None)
     @given(multi_chain_specs(max_dims=1, max_size=8), st.floats(-10, 10), st.data())
