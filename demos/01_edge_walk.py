@@ -10,7 +10,8 @@ import math
 
 import numpy as np
 
-from bdqw import dimension_spectrum, ehrenfest_dimension, propagator, transition_prob_1d
+from bdqw import dimension_spectrum, ehrenfest_dimension, transition_prob_1d
+from bdqw.ctqw import propagator_parts
 
 edge = ehrenfest_dimension(1)
 spectrum = dimension_spectrum(edge)
@@ -19,7 +20,8 @@ print("eigenvalues:", spectrum.eigenvalues)
 print("weights:    ", spectrum.eigenvectors[0] ** 2)  # squared first components
 
 print("\npropagator at t = 0.7:")
-print(np.round(propagator(spectrum, 0.7), 6))
+re, im = propagator_parts(spectrum, 0.7)  # real and imaginary parts of exp(i t J)
+print(np.round(re + 1j * im, 6))
 
 print("\n    t    P(0 -> 1)    sin^2 t")
 for t in np.linspace(0.0, math.pi, 9):

@@ -21,12 +21,8 @@ from .chain import (
 )
 from .ctqw import (
     dense_position_distribution,
-    dense_propagator,
-    dense_transition_matrix,
     ehrenfest_sum_law,
-    factorized_transition_matrix,
     position_distribution,
-    propagator,
     transition_matrix_1d,
     transition_prob_1d,
     transition_prob_dense,
@@ -67,20 +63,16 @@ __all__ = [
     "clt_distance",
     "convolve_sum",
     "dense_position_distribution",
-    "dense_propagator",
-    "dense_transition_matrix",
     "dimension_spectrum",
     "ehrenfest_dimension",
     "ehrenfest_sum_law",
     "eigendecompose",
     "evolve_classical",
-    "factorized_transition_matrix",
     "full_transition_matrix",
     "gaussian_cdf",
     "moments",
     "orthogonality_defect",
     "position_distribution",
-    "propagator",
     "stationary_distribution",
     "symmetrize",
     "transition_matrix_1d",

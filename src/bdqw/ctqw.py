@@ -75,14 +75,11 @@ def _amplitudes(
     per matmul with W.  Real matmuls rather than a complex-phase product,
     which costs a complex matmul.
 
-    A step that keeps a row axis and a column axis of two or more entries
-    writes its output one row index k_l at a time, (X * V_l[k_l]) @
-    V_l[cols_l]^T into out[..., k_l, ...]: besides the (2, size, size) result
-    of the all-pairs routes it holds arrays of 1/n_l of that size, not a
-    second slab.  Each such gemm sums an element as the gemm over all k_l
-    does, so the bits stay.  A one-entry or integer column makes a gemv,
-    whose sums depend on its row count, so that step keeps one product over
-    all k_l; its output (the dense column or element) is small.
+    A step that keeps a row axis writes its output one row index k_l at a
+    time, (X * V_l[k_l]) @ V_l[cols_l]^T into out[..., k_l, ...]: besides the
+    (2, size, size) result of the all-pairs routes it holds arrays of 1/n_l
+    of that size, not a second slab, and each gemm sums an element as one
+    gemm over all k_l would.
 
     A single factor is that step alone, (V[rows] cos) @ V[cols]^T and the
     same with sin, kept as two matmuls: stacking them would change the BLAS
@@ -108,21 +105,17 @@ def _amplitudes(
     for v, r, c in zip(factors, rows, cols):
         left, right = v[r], v[c].T
         x = np.moveaxis(x, kept, -1)  # m_l last
-        if left.ndim == right.ndim == 2 and right.shape[1] > 1:  # one gemm per k_l
+        if left.ndim == 2:  # one product per k_l
             x = np.ascontiguousarray(x)  # read n_l times, so read in memory order
             shape = x.shape[:-1] + right.shape[1:]
             out = np.empty(shape[:kept] + left.shape[:1] + shape[kept:])
             y, part = np.empty(x.shape), np.empty(shape)
             for k, row in enumerate(left):
                 np.multiply(row, x, out=y)
-                np.matmul(y.reshape(-1, y.shape[-1]), right, out=part.reshape(-1, part.shape[-1]))
+                np.matmul(y.reshape(-1, y.shape[-1]), right, out=part.reshape(-1, *right.shape[1:]))
                 out[(slice(None),) * kept + (k,)] = part
             x, kept = out, kept + 1
             continue
-        if left.ndim == 2:  # k_l in m_l's place, one gemv for all of them
-            x = np.expand_dims(x, kept)
-            left = left.reshape(left.shape[0], *[1] * (x.ndim - kept - 2), -1)
-            kept += 1
         y = np.multiply(left, x, order="C")  # contiguous, whatever the layout of x
         x = (y.reshape(-1, y.shape[-1]) @ right).reshape(y.shape[:-1] + right.shape[1:])
     return x
@@ -134,19 +127,9 @@ def _probabilities(parts: np.ndarray) -> np.ndarray:
     return re * re + im * im  # not **2: on 0-d parts that is pow, which can miss by an ulp
 
 
-def _complex(parts: np.ndarray) -> np.ndarray:
-    re, im = parts
-    return re + 1j * im
-
-
 def propagator_parts(spectrum: SpectralData, t: float) -> np.ndarray:
-    """Real and imaginary parts of propagator(spectrum, t), one contiguous (2, n, n) array."""
+    """Real and imaginary parts of the 1-D unitary exp(i t J), one contiguous (2, n, n) array."""
     return np.asarray(_amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t))
-
-
-def propagator(spectrum: SpectralData, t: float) -> np.ndarray:
-    """One-dimensional evolution operator exp(i t J), a complex symmetric unitary."""
-    return _complex(_amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t))
 
 
 def _check_position(n_states: int, pos: int, name: str) -> None:
@@ -216,21 +199,6 @@ def transition_prob_factorized(
     for members, probs in _grouped_factors(spec, spectra, t, j, k):
         factors[members] = probs[:, 0]
     return math.prod(factors.tolist())
-
-
-def factorized_transition_matrix(
-    spec: MultiChainSpec, spectra: tuple[SpectralData, ...], t: float
-) -> np.ndarray:
-    """All-pairs factorized probabilities over the product space.
-
-    Kronecker product of the per-dimension all-pairs matrices at rescaled
-    times; entry [k_flat, j_flat] matches transition_prob_factorized.
-    """
-    _check_multi(spec, spectra, {})
-    out = np.ones((1, 1))
-    for q, s in zip(spec.select_prob, spectra):
-        out = np.kron(out, transition_matrix_1d(s, q * t))
-    return out
 
 
 def position_distribution(
@@ -317,18 +285,8 @@ def dense_propagator_parts(
     t: float,
     oracle_cap: int = DEFAULT_ORACLE_CAP,
 ) -> np.ndarray:
-    """Real and imaginary parts of dense_propagator, one contiguous (2, size, size) array."""
+    """Real and imaginary parts of the product-space unitary, one (2, size, size) array."""
     return _dense_amplitudes(spec, spectra, t, oracle_cap)
-
-
-def dense_propagator(
-    spec: MultiChainSpec,
-    spectra: tuple[SpectralData, ...],
-    t: float,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> np.ndarray:
-    """Full product-space evolution operator, a complex matrix (oracle path)."""
-    return _complex(_dense_amplitudes(spec, spectra, t, oracle_cap))
 
 
 def transition_prob_dense(
@@ -345,16 +303,6 @@ def transition_prob_dense(
     check for the fast path.
     """
     return float(_probabilities(_dense_amplitudes(spec, spectra, t, oracle_cap, j=j, k=k)))
-
-
-def dense_transition_matrix(
-    spec: MultiChainSpec,
-    spectra: tuple[SpectralData, ...],
-    t: float,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> np.ndarray:
-    """All-pairs probabilities from the dense oracle; entry [k_flat, j_flat]."""
-    return _probabilities(_dense_amplitudes(spec, spectra, t, oracle_cap))
 
 
 def dense_position_distribution(

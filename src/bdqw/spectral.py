@@ -63,6 +63,13 @@ class SymmetricTridiagonal:
     def n_states(self) -> int:
         return self.diag.size
 
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        """J @ v for a matrix v, read from the three diagonals in O(n) per column."""
+        out = self.diag[:, None] * v
+        out[:-1] += self.offdiag[:, None] * v[1:]
+        out[1:] += self.offdiag[:, None] * v[:-1]
+        return out
+
     def to_dense(self) -> np.ndarray:
         j = np.diag(self.diag)
         idx = np.arange(self.n_states - 1)

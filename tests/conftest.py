@@ -1,4 +1,4 @@
-"""Shared strategies, random fixtures and spectral views for the test suite."""
+"""Shared strategies, random fixtures, spectral views and reference routes for the test suite."""
 
 from __future__ import annotations
 
@@ -8,6 +8,7 @@ import numpy as np
 from hypothesis import strategies as st
 
 from bdqw.chain import DimensionSpec, MultiChainSpec
+from bdqw.ctqw import dense_propagator_parts, propagator_parts, transition_matrix_1d
 from bdqw.spectral import SpectralData
 
 
@@ -19,6 +20,32 @@ def weights(data: SpectralData) -> np.ndarray:
 def poly_table(data: SpectralData) -> np.ndarray:
     """``poly_table(data)[j, l]`` is eigenvector column l rescaled by its first component."""
     return data.eigenvectors / data.eigenvectors[0]
+
+
+def propagator(data: SpectralData, t: float) -> np.ndarray:
+    """The 1-D evolution operator exp(i t J) as one complex matrix."""
+    re, im = propagator_parts(data, t)
+    return re + 1j * im
+
+
+def dense_propagator(spec: MultiChainSpec, spectra: tuple, t: float) -> np.ndarray:
+    """The dense oracle's product-space evolution operator as one complex matrix."""
+    re, im = dense_propagator_parts(spec, spectra, t)
+    return re + 1j * im
+
+
+def dense_transition_matrix(spec: MultiChainSpec, spectra: tuple, t: float) -> np.ndarray:
+    """The dense oracle's all-pairs probabilities |U|^2; entry [k_flat, j_flat] is j -> k."""
+    re, im = dense_propagator_parts(spec, spectra, t)
+    return re * re + im * im
+
+
+def factorized_transition_matrix(spec: MultiChainSpec, spectra: tuple, t: float) -> np.ndarray:
+    """Theorem 1 over all pairs: the Kronecker product of the 1-D matrices at times q_l * t."""
+    out = np.ones((1, 1))
+    for q, s in zip(spec.select_prob, spectra):
+        out = np.kron(out, transition_matrix_1d(s, q * t))
+    return out
 
 
 def double_well(size: int) -> DimensionSpec:

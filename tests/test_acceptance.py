@@ -20,9 +20,7 @@ from bdqw.chain import (
 )
 from bdqw.cli import main
 from bdqw.ctqw import (
-    dense_transition_matrix,
     ehrenfest_sum_law,
-    factorized_transition_matrix,
     position_distribution,
     transition_matrix_1d,
     transition_prob_1d,
@@ -31,7 +29,13 @@ from bdqw.ctqw import (
 from bdqw.spectral import dimension_spectrum, eigendecompose, orthogonality_defect, symmetrize
 from bdqw.stats import clt_distance, convolve_sum
 
-from conftest import random_dimension_spec, random_multi_chain_spec, weights
+from conftest import (
+    dense_transition_matrix,
+    factorized_transition_matrix,
+    random_dimension_spec,
+    random_multi_chain_spec,
+    weights,
+)
 
 A1_TIMES = (0.1, 0.7, 1.0, math.pi, 10.0)
 A3_TIMES = (0.3, 1.0, math.pi / 2, 2.5)

@@ -20,12 +20,17 @@ from hypothesis import strategies as st
 
 import bdqw
 from bdqw import cli, spectral
-from bdqw.chain import DimensionSpec, MultiChainSpec, ehrenfest_dimension
+from bdqw.chain import DimensionSpec, MultiChainSpec, build_conditional_matrix, ehrenfest_dimension
 from bdqw.cli import load_config, main, parse_config, resolve
-from bdqw.ctqw import dense_transition_matrix, factorized_transition_matrix
 from bdqw.spectral import SpectralData
 
-from conftest import dimension_specs, double_well, random_dimension_spec
+from conftest import (
+    dense_transition_matrix,
+    dimension_specs,
+    double_well,
+    factorized_transition_matrix,
+    random_dimension_spec,
+)
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -484,6 +489,24 @@ class TestVerify:
         assert report["eigen_residual"] > 1e-2
         for key in ("theorem1_max_abs_err", "orthogonality_defect", "unitarity_defect"):
             assert report[key] <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_eigen_residual_is_the_dense_matmul_residual(self, tmp_path, seed):
+        # verify reads J V from the tridiagonal entries; the dense J is the reference
+        rng = np.random.default_rng(seed)
+        out = tmp_path / "report.json"
+        for _ in range(5):
+            dims = [random_dimension_spec(rng, max_size=40) for _ in range(2)]
+            expected = 0.0
+            for dim in dims:
+                tri = spectral.symmetrize(build_conditional_matrix(dim))
+                s = spectral.dimension_spectrum(dim)
+                v = s.eigenvectors
+                expected = max(expected, np.max(np.abs(tri.to_dense() @ v - v * s.eigenvalues)))
+            table = [{"size": dim.size, "p_table": list(dim.decrease_prob)} for dim in dims]
+            config = write_config(tmp_path, dims=table, time=0.8)
+            assert main(["verify", "--config", config, "--output", str(out)]) == 0
+            assert abs(json.loads(out.read_text())["eigen_residual"] - expected) <= 1e-15
 
     def test_unitarity_defect_is_the_complex_gram_defect(self):
         # a general complex matrix, neither unitary nor symmetric

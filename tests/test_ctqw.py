@@ -27,12 +27,8 @@ from bdqw.ctqw import (
     _check_position,
     _dense_amplitudes,
     dense_position_distribution,
-    dense_propagator,
-    dense_transition_matrix,
     ehrenfest_sum_law,
-    factorized_transition_matrix,
     position_distribution,
-    propagator,
     propagator_parts,
     transition_matrix_1d,
     transition_prob_1d,
@@ -45,8 +41,12 @@ from bdqw.spectral import SpectralData, chain_spectra, dimension_spectrum
 from bdqw.stats import convolve_sum
 
 from conftest import (
+    dense_propagator,
+    dense_transition_matrix,
+    factorized_transition_matrix,
     multi_chain_specs,
     poly_table,
+    propagator,
     random_dimension_spec,
     random_multi_chain_spec,
     weights,
@@ -423,6 +423,26 @@ class TestPositionDistribution:
         dense = dense_position_distribution(spec, spectra, 1.4, (1, 2))
         assert abs(float(dense.sum()) - 1.0) <= 1e-10
         assert np.max(np.abs(np.outer(first, second).ravel() - dense)) <= 1e-10
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_summed_position_law_of_the_dense_oracle_is_the_convolution(self, seed):
+        # Theorem 1 at the level of the paper's Gaussian variable: the law of
+        # the summed positions, binned from the oracle's joint law, is the
+        # convolution of the factorized marginals.
+        rng = np.random.default_rng(seed)
+        n_dims = int(rng.integers(2, 5))
+        dims = tuple(random_dimension_spec(rng, max_size=6) for _ in range(n_dims))
+        rates = rng.permutation(np.arange(1, n_dims + 1)) + rng.uniform(0.0, 0.5, n_dims)
+        spec = MultiChainSpec(dims=dims, select_prob=tuple(rates / rates.sum()))  # distinct q
+        spectra = chain_spectra(spec)
+        j = tuple(int(rng.integers(0, n)) for n in spec.shape)
+        total = sum(np.ix_(*(np.arange(n) for n in spec.shape)))  # the summed position per state
+        for t in (0.3, 2.0, 11.5):
+            joint = dense_position_distribution(spec, spectra, t, j)
+            binned = np.bincount(total.ravel(), weights=joint)
+            law = convolve_sum(position_distribution(spec, spectra, t, j)).mass
+            assert binned.shape == law.shape
+            assert np.max(np.abs(binned - law)) <= 1e-12
 
 
 class TestGroupedFactors:

@@ -299,6 +299,13 @@ class TestSymmetricTridiagonal:
         with pytest.raises(ValueError, match="^off-diagonal entries must be strictly positive$"):
             SymmetricTridiagonal(diag=np.zeros(3), offdiag=np.array([0.5, value]))
 
+    @pytest.mark.parametrize("n", [1, 2, 7, 40])
+    def test_matmul_is_the_dense_product(self, n):
+        rng = np.random.default_rng(n)
+        tri = SymmetricTridiagonal(diag=rng.uniform(-1, 1, n), offdiag=rng.uniform(0.1, 1, n - 1))
+        v = rng.standard_normal((n, 5))
+        assert np.max(np.abs(tri @ v - tri.to_dense() @ v)) <= 1e-15
+
 
 class TestSerialReference:
     """The QL solver, with and without eigenvectors, against the serial loop."""
