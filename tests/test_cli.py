@@ -203,6 +203,19 @@ class TestConfigParsing:
             ({"dims": [{"size": 1}], "d_sweep": []}, "d_sweep: expected a non-empty list"),
             ({"dims": [{"size": 1}], "d_sweep": [2, 0]}, "d_sweep: expected positive integers"),
             ({"dims": [{"size": 1}], "d_sweep": [2.0]}, "d_sweep: expected positive integers"),
+            # strings and booleans are not reals, though float() would take them
+            ({"dims": [{"size": 1}], "select_prob": [True]}, "select_prob[0]: expected a real number, got True"),
+            (
+                {"dims": [{"size": 1}] * 2, "select_prob": ["0.25", 0.75]},
+                "select_prob[0]: expected a real number, got '0.25'",
+            ),
+            ({"dims": [{"size": 2, "p_table": ["0.5"]}]}, "dims[0].p_table[0]: expected a real number, got '0.5'"),
+            (
+                {"dims": [{"size": 1}, {"size": 3, "p_table": [0.5, False]}]},
+                "dims[1].p_table[1]: expected a real number, got False",
+            ),
+            ({"dims": [{"size": 1}], "time": [0.5, "2"]}, "time[1]: expected a real number, got '2'"),
+            ({"dims": [{"size": 1}], "time": [0.5, 1e308 * 10]}, "time[1]: value inf is not a finite double"),
         ],
     )
     def test_rejection_names_its_field_and_writes_nothing(self, tmp_path, capsys, data, message):
