@@ -11,7 +11,9 @@ dump-config    the resolved, fully explicit config JSON (round-trips to the same
 
 One pipeline serves every subcommand: ``main`` loads the config, ``resolve``
 applies the flags and environment once, a ``run_*`` function maps the
-resolved config to ``(exit_code, text)``, and ``main`` writes the text.
+resolved config to ``(exit_code, chunks)``, and ``main`` writes the chunks of
+text as they come.  Each ``run_*`` does every check and evaluation before it
+returns, so the chunks only format what was computed.
 
 Exit codes: 0 success, 1 verification failure, 2 config/validation error
 (a numerical failure included), 3 over the oracle cap or out of memory.
@@ -22,6 +24,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
 import time
 from collections.abc import Iterable, Iterator
@@ -280,13 +283,16 @@ def resolve(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentCon
     )
 
 
+# CSV numeric format: 17 significant digits, round-trip exact for doubles.
+_FLOAT = ".17g"
+
+
 def _fmt(value: float) -> str:
-    """CSV numeric format: 17 significant digits, round-trip exact for doubles."""
-    return format(float(value), ".17g")
+    return format(float(value), _FLOAT)
 
 
 def _csv_text(header: list[str], rows: Iterable[list[str]]) -> str:
-    """The one CSV writer: comma-joined fields, one line per row.
+    """The CSV text of a table: comma-joined fields, one line per row.
 
     No field holds a comma, a quote or a line break, and no row is a single
     empty field, so csv.writer would quote nothing and gives the same text.
@@ -316,7 +322,15 @@ def _table(
     return _csv_text(header, lines)
 
 
-def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, str]:
+def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[str]]:
+    """Marginals (and with ``dense`` the joint law) at every configured time.
+
+    Every time is evaluated before anything is formatted, so the cap check
+    and any failure come first.  The CSV is then a generator of lines: the
+    header, then one ``time,dimension,position,probability`` line per
+    probability, each one f-string in _fmt's format, so the report is never
+    held as text.  JSON is one chunk.
+    """
     spec, j, cap = config.spec, config.initial, config.oracle_cap
     spectra = chain_spectra(spec)
     results = []  # (time, marginals, dense joint law or None)
@@ -336,19 +350,18 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, str]:
                 for t, marginals, joint in results
             ],
         }
-        return 0, json.dumps(payload, indent=2) + "\n"
+        return 0, [json.dumps(payload, indent=2) + "\n"]
 
-    def rows() -> Iterator[list[str]]:  # generated: each row's list goes once it is joined
+    def lines() -> Iterator[str]:
+        yield "time,dimension,position,probability\n"
         for t, marginals, joint in results:
             time_text = _fmt(t)
-            laws = [(str(l), law) for l, law in enumerate(marginals, start=1)]
-            if joint is not None:
-                laws.append(("joint", joint))
-            for dim, law in laws:
-                for pos, prob in enumerate(law.tolist()):
-                    yield [time_text, dim, str(pos), _fmt(prob)]
+            joint_law = [] if joint is None else [("joint", joint)]
+            for dim, law in chain(enumerate(marginals, start=1), joint_law):
+                for pos, p in enumerate(law.tolist()):
+                    yield f"{time_text},{dim},{pos},{p:{_FLOAT}}\n"
 
-    return 0, _csv_text(["time", "dimension", "position", "probability"], rows())
+    return 0, lines()
 
 
 def _unitarity_defect(parts: np.ndarray) -> float:
@@ -397,7 +410,7 @@ def _dense_defects(
     return float(np.max(np.abs(dense, out=dense))), unitarity
 
 
-def run_verify(config: ExperimentConfig) -> tuple[int, str]:
+def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
     spec, cap = config.spec, config.oracle_cap
     # before any spectrum is solved
     check_oracle_cap(spec.product_size, cap)
@@ -431,7 +444,7 @@ def run_verify(config: ExperimentConfig) -> tuple[int, str]:
     }
     passed = all(value <= VERIFY_TOLERANCE for value in defects.values())  # NaN fails
     report = {**defects, "tolerance": VERIFY_TOLERANCE, "times": list(config.times), "pass": passed}
-    return (0 if passed else 1), json.dumps(report, indent=2) + "\n"
+    return (0 if passed else 1), [json.dumps(report, indent=2) + "\n"]
 
 
 def _sweep_base(config: ExperimentConfig, command: str) -> tuple[DimensionSpec, float]:
@@ -445,7 +458,7 @@ def _sweep_base(config: ExperimentConfig, command: str) -> tuple[DimensionSpec, 
     return config.spec.dims[0], config.times[0]
 
 
-def run_clt(config: ExperimentConfig) -> tuple[int, str]:
+def run_clt(config: ExperimentConfig) -> tuple[int, list[str]]:
     base, t = _sweep_base(config, "clt")
     factor = transition_row(chain_spectra(config.spec)[0], t, config.initial[0])
     _, factor_var = moments(factor)
@@ -458,13 +471,15 @@ def run_clt(config: ExperimentConfig) -> tuple[int, str]:
         sum_dist = convolve_sum([factor] * d)
         distances.append(clt_distance(sum_dist))
     monotone = all(b < a for a, b in zip(distances, distances[1:]))
-    return 0, _table(
-        config,
-        {"reading": CLT_READING, "time": t},
-        ["d", "kolmogorov_distance"],
-        list(zip(config.d_sweep, distances)),
-        {"monotone_decrease": monotone},
-    )
+    return 0, [
+        _table(
+            config,
+            {"reading": CLT_READING, "time": t},
+            ["d", "kolmogorov_distance"],
+            list(zip(config.d_sweep, distances)),
+            {"monotone_decrease": monotone},
+        )
+    ]
 
 
 def _median_ms(fn) -> float:
@@ -476,7 +491,7 @@ def _median_ms(fn) -> float:
     return sorted(samples)[BENCH_REPETITIONS // 2]  # the median of an odd count
 
 
-def run_bench(config: ExperimentConfig) -> tuple[int, str]:
+def run_bench(config: ExperimentConfig) -> tuple[int, list[str]]:
     base, t = _sweep_base(config, "bench")
     cap = config.oracle_cap
     for d in config.d_sweep:
@@ -508,7 +523,7 @@ def run_bench(config: ExperimentConfig) -> tuple[int, str]:
         "factorized_flat": max(fact_times) <= BENCH_FLAT_FLAG * max(min(fact_times), 1e-9),
     }
     header = ["product_size", "dense_ms", "factorized_ms", "ratio"]
-    return 0, _table(config, {"time": t}, header, rows, flags)
+    return 0, [_table(config, {"time": t}, header, rows, flags)]
 
 
 def _json_array(values: np.ndarray, depth: int) -> str:
@@ -526,8 +541,8 @@ def _json_array(values: np.ndarray, depth: int) -> str:
     return "[" + pad + items + "\n" + "  " * depth + "]"
 
 
-def _spectrum_entry(dim: DimensionSpec, field: str) -> str:
-    """A dimension's spectral keys as JSON text at an entry's depth, from ``"eigenvalues"`` on.
+def _spectrum_keys(dim: DimensionSpec, field: str) -> dict[str, np.ndarray]:
+    """A dimension's spectral keys, in the order they are written, each checked finite.
 
     log_weights, 2 log V[0], is finite where V[0]^2 underflows.  A NumericalError,
     a non-finite value included (JSON has no NaN or infinity), names ``field``.
@@ -544,32 +559,43 @@ def _spectrum_entry(dim: DimensionSpec, field: str) -> str:
                 raise NumericalError(f"{key} holds a non-finite value, which JSON cannot write")
     except NumericalError as exc:
         raise NumericalError(f"{field} (size {dim.size}): {exc}") from exc
-    return ",".join(f'\n      "{key}": {_json_array(values, 3)}' for key, values in keys.items())
+    return keys
 
 
-def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, str]:
-    """``json.dumps({"dimensions": [entry, ...]}, indent=2) + "\\n"``, written directly.
+def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
+    """``json.dumps({"dimensions": [entry, ...]}, indent=2) + "\\n"``, streamed.
 
     Each entry is ``index`` (1-based), ``size``, ``eigenvalues``,
-    ``eigenvectors`` (one row per position) and ``log_weights``.  Each
-    distinct dimension is solved once and written as soon as it is solved,
-    so no spectrum outlives its own text; the float lists are written by
-    _json_array, byte for byte as json.dumps writes them, without the encoder.
+    ``eigenvectors`` (one row per position) and ``log_weights``.  Every
+    distinct dimension is solved and checked first, so a failure writes
+    nothing; the chunks then give the text one entry at a time.  Each
+    distinct dimension's keys are formatted once, at its first entry; the
+    float lists are written by _json_array, byte for byte as json.dumps
+    writes them, without the encoder.
     """
-    tables: dict[DimensionSpec, str] = {}  # an entry's spectral keys, indented to its depth
-    parts = ['{\n  "dimensions": [']
-    for idx, dim in enumerate(config.spec.dims):
-        if dim not in tables:
-            tables[dim] = _spectrum_entry(dim, f"dims[{idx}]")
-        separator = "," if idx else ""
-        parts.append(f'{separator}\n    {{\n      "index": {idx + 1},\n      "size": {dim.size},')
-        parts.append(tables[dim])
-        parts.append("\n    }")
-    parts.append("\n  ]\n}\n")
-    return 0, "".join(parts)
+    dims = config.spec.dims
+    spectra: dict[DimensionSpec, dict[str, np.ndarray]] = {}
+    for idx, dim in enumerate(dims):
+        if dim not in spectra:
+            spectra[dim] = _spectrum_keys(dim, f"dims[{idx}]")
+
+    def chunks() -> Iterator[str]:
+        texts: dict[DimensionSpec, str] = {}  # an entry's spectral keys, indented to its depth
+        yield '{\n  "dimensions": ['
+        for idx, dim in enumerate(dims):
+            if dim not in texts:
+                keys = spectra.pop(dim).items()
+                texts[dim] = ",".join(f'\n      "{k}": {_json_array(v, 3)}' for k, v in keys)
+            separator = "," if idx else ""
+            yield f'{separator}\n    {{\n      "index": {idx + 1},\n      "size": {dim.size},'
+            yield texts[dim]
+            yield "\n    }"
+        yield "\n  ]\n}\n"
+
+    return 0, chunks()
 
 
-def run_dump_config(config: ExperimentConfig) -> tuple[int, str]:
+def run_dump_config(config: ExperimentConfig) -> tuple[int, list[str]]:
     """The resolved config; it re-parses to the same chain, times and cap."""
     payload = {
         "dims": [
@@ -583,7 +609,7 @@ def run_dump_config(config: ExperimentConfig) -> tuple[int, str]:
     }
     if config.d_sweep is not None:
         payload["d_sweep"] = list(config.d_sweep)
-    return 0, json.dumps(payload, indent=2) + "\n"
+    return 0, [json.dumps(payload, indent=2) + "\n"]
 
 
 # name: (run function, help text); simulate's run also takes --dense
@@ -618,18 +644,53 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_file(path: str, chunks: Iterable[str]) -> None:
+    """Write the chunks to ``path`` whole or not at all.
+
+    A regular file, or a new one, is written beside itself under a temporary
+    name and renamed onto ``path`` (keeping an existing file's mode) once
+    every chunk is written; if formatting fails part way (out of memory), the
+    temporary file is removed and ``path`` is left as it was.  A device or a
+    pipe is written directly.  A symbolic link is followed.
+    """
+    target = os.path.realpath(path)
+    if os.path.exists(target) and not os.path.isfile(target):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(chunks)
+        return
+    partial = f"{target}.{os.getpid()}.tmp"
+    fh = open(partial, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            fh.writelines(chunks)
+        if os.path.exists(target):
+            shutil.copymode(target, partial)
+        os.replace(partial, target)
+    except BaseException:
+        os.unlink(partial)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand and return its exit code.
+
+    The run function checks and evaluates everything before the output is
+    opened, so a run that fails on its input, its numerics or the cap (exit 2
+    or 3) writes nothing; the report is then written chunk by chunk, as it is
+    formatted, to ``--output`` (renamed into place once whole, see
+    _write_file) or to stdout, where a failure while formatting (out of
+    memory) leaves what was written before it.
+    """
     args = build_parser().parse_args(argv)
     try:
         config = resolve(load_config(args.config), args)
         run, _ = _COMMANDS[args.command]
-        code, text = run(config, args.dense) if "dense" in args else run(config)
+        code, chunks = run(config, args.dense) if "dense" in args else run(config)
         path = config.output_path
         if path is None or path == "-":
-            sys.stdout.write(text)
+            sys.stdout.writelines(chunks)
         else:
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
+            _write_file(path, chunks)
         return code
     except (SizeLimitError, MemoryError) as exc:
         code, message = 3, str(exc) or "out of memory"

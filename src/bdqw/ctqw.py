@@ -44,10 +44,18 @@ from functools import reduce
 import numpy as np
 
 from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, check_oracle_cap
+from .errors import NumericalError
 from .spectral import SpectralData
 
 # Elements of one stacked (times, rows, n) phase product in a grouped kernel call: 4 MiB.
 _GROUP_CHUNK = 1 << 19
+
+# A 1-D factor at or below this is rounding noise, not a resolved probability:
+# SpectralData.validate accepts orthonormality defects up to 1e-10, and at t = 0
+# an exactly-zero transition comes out as such a defect squared.  On exact
+# zeros (Ehrenfest urns of up to 1100 at t = 0 and at the mirror time pi N / 2,
+# 3000 random chains of up to 41 states at t = 0) the noise reached 3.7e-25.
+_FACTOR_NOISE = 1e-20
 
 
 def _amplitudes(
@@ -193,12 +201,24 @@ def transition_prob_factorized(
     at the rescaled elapsed time q_l * t; the factors are multiplied in
     dimension order.  Never touches the product space, so it scales to
     dimensions where the dense route is infeasible.
+
+    Raises NumericalError, giving log10 of the product summed over the
+    factors, when their product rounds to 0.0 although every factor is above
+    the rounding noise _FACTOR_NOISE; with a factor in that noise the product
+    is 0 within rounding, and is returned as computed.
     """
     _check_multi(spec, spectra, {"j": tuple(j), "k": tuple(k)})
     factors = np.empty(spec.n_dims)
     for members, probs in _grouped_factors(spec, spectra, t, j, k):
         factors[members] = probs[:, 0]
-    return math.prod(factors.tolist())
+    prob = math.prod(factors.tolist())
+    if prob == 0.0 and factors.min() > _FACTOR_NOISE:
+        log10 = math.fsum(np.log10(factors).tolist())
+        raise NumericalError(
+            f"transition probability underflows: the product of {spec.n_dims} positive "
+            f"factors is 10^{log10:.1f}, below the smallest double"
+        )
+    return prob
 
 
 def position_distribution(

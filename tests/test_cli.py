@@ -273,13 +273,43 @@ class TestSimulate:
         assert abs(sum(joint) - 1.0) <= 1e-9
 
     def test_dense_over_cap_exits_3(self, tmp_path, capsys):
+        out = tmp_path / "out.csv"
         config = write_config(
             tmp_path,
             dims=[{"size": 1} for _ in range(13)],
             time=1.0,
         )
-        assert main(["simulate", "--config", config, "--dense"]) == 3
+        assert main(["simulate", "--config", config, "--dense", "--output", str(out)]) == 3
         assert "oracle cap" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_of_memory_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # the report is streamed, but only after every time has been evaluated
+        def exhaust(*args, **kwargs):
+            raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+        monkeypatch.setattr(cli, "position_distribution", exhaust)
+        out = tmp_path / "out.csv"
+        config = two_edge_config(tmp_path, time=[0.5, 1.0])
+        assert main(["simulate", "--config", config, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == "error: Unable to allocate 1.00 GiB for an array\n"
+        assert not out.exists()
+
+    def test_edge_swarm_report_is_not_held_as_text(self, tmp_path):
+        # 10 000 edges at 3 times are 60 000 rows, 2.3 MB of CSV.  The marginals
+        # (one array view per dimension and time) take about 4.1 MiB, and the
+        # traced peak of the whole run was 5.3 MiB (11.1 MiB when the report was
+        # joined into one string first); the bound leaves a 50 % margin.
+        config = write_config(tmp_path, dims=[{"size": 1}] * 10_000, time=[0.5, 1.0, 2.0])
+        out = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            assert main(["simulate", "--config", config, "--output", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
+        assert len(read_csv(str(out))) == 60_000
 
     def test_without_dense_large_product_is_fine(self, tmp_path):
         out = tmp_path / "out.csv"
@@ -402,8 +432,74 @@ class TestSimulate:
         assert out.read_text(encoding="utf-8") == buf.getvalue()
 
 
+class TestOutputTarget:
+    """``--output -`` (stdout) and ``--output FILE`` get the same bytes from every subcommand."""
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (["simulate"], {"dims": [{"size": 2}, {"size": 1}], "time": [0.5, 3.0]}),
+            (["simulate", "--dense", "--format", "json"], {"dims": [{"size": 2}, {"size": 1}]}),
+            (["verify"], {"dims": [{"size": 2}, {"size": 1}], "time": 1.0}),
+            (["clt"], {"dims": [{"size": 2}], "time": 1.0, "d_sweep": [1, 4, 16]}),
+            (["bench", "--format", "json"], {"dims": [{"size": 1}], "time": 1.0, "d_sweep": [2, 13]}),
+            (["dump-spectrum"], {"dims": [{"size": 2}, {"size": 3}, {"size": 2}]}),
+            (["dump-config"], {"dims": [{"size": 2}], "time": 1.0}),
+        ],
+    )
+    def test_stdout_and_file_are_byte_identical(
+        self, tmp_path, monkeypatch, capsysbinary, argv, fields
+    ):
+        # bench's timings are the one part of a report that differs between runs
+        monkeypatch.setattr(cli, "_median_ms", lambda fn: (fn(), 1.0)[1])
+        config, out = write_config(tmp_path, **fields), tmp_path / "out"
+        assert main([*argv, "--config", config, "--output", "-"]) == 0
+        stdout = capsysbinary.readouterr().out
+        assert main([*argv, "--config", config, "--output", str(out)]) == 0
+        written = out.read_bytes()
+        if argv[0] == "dump-config":  # it writes back the output path it resolved
+            written = written.replace(json.dumps(str(out)).encode(), b'"-"')
+        assert stdout and stdout == written
+
+    @pytest.mark.parametrize("existing", [None, "an earlier report\n"])
+    @pytest.mark.parametrize(
+        "argv, formatter", [(["simulate"], "_fmt"), (["dump-spectrum"], "_json_array")]
+    )
+    def test_failing_while_formatting_leaves_the_file_as_it_was(
+        self, tmp_path, monkeypatch, capsys, argv, formatter, existing
+    ):
+        # each formatter runs inside its report's chunk iterator, after the output is opened
+        def exhaust(*args):
+            raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+        config, out = write_config(tmp_path, dims=[{"size": 2}], time=1.0), tmp_path / "out"
+        if existing is not None:
+            out.write_text(existing, encoding="utf-8")
+        monkeypatch.setattr(cli, formatter, exhaust)
+        assert main([*argv, "--config", config, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == "error: Unable to allocate 1.00 GiB for an array\n"
+        assert (out.read_text(encoding="utf-8") if out.exists() else None) == existing
+        assert sorted(path.name for path in tmp_path.iterdir()) == (
+            ["config.json"] if existing is None else ["config.json", "out"]
+        )
+
+    def test_a_replaced_file_keeps_its_mode_and_a_link_is_followed(self, tmp_path):
+        config = write_config(tmp_path, dims=[{"size": 1}])
+        out, link = tmp_path / "out", tmp_path / "link"
+        out.write_text("an earlier report\n", encoding="utf-8")
+        out.chmod(0o600)
+        link.symlink_to(out)
+        assert main(["dump-config", "--config", config, "--output", str(link)]) == 0
+        assert link.is_symlink() and out.stat().st_mode & 0o777 == 0o600
+        assert json.loads(out.read_text(encoding="utf-8"))["output"]["path"] == str(link)
+
+    def test_a_device_is_written_directly(self, tmp_path):
+        config = write_config(tmp_path, dims=[{"size": 1}])
+        assert main(["simulate", "--config", config, "--output", os.devnull]) == 0
+
+
 class TestCsvWriter:
-    """The one CSV writer gives the text csv.writer gives, on every CSV subcommand."""
+    """The CSV text of a table is what csv.writer gives, on every CSV subcommand."""
 
     @pytest.mark.parametrize(
         "argv, fields",
@@ -699,6 +795,25 @@ class TestBench:
         assert main(["bench", "--config", config]) == 2
         assert "d_sweep" in capsys.readouterr().err
 
+    def test_underflowing_factorized_route_exits_2(self, tmp_path, capsys):
+        # From position 1 to 0 on each of 2000 edges at T = 1 the probability is
+        # 10^-13204.1, which no double holds; the route reports it, writing nothing.
+        out = tmp_path / "bench.csv"
+        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, initial=[1], d_sweep=[2000])
+        assert main(["bench", "--config", config, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: transition probability underflows")
+        assert "10^-13204.1" in err
+        assert not out.exists()
+
+    def test_a_zero_probability_is_not_an_underflow(self, tmp_path):
+        # From position 1 to 0 at T = 0 every edge's factor is rounding noise
+        # (5e-34) and the exact probability is 0, so the sweep is reported.
+        out = tmp_path / "bench.csv"
+        config = write_config(tmp_path, dims=[{"size": 1}], time=0.0, initial=[1], d_sweep=[10, 40])
+        assert main(["bench", "--config", config, "--output", str(out)]) == 0
+        assert [row["product_size"] for row in read_csv(str(out))[:2]] == ["1024", "1099511627776"]
+
     def test_out_of_memory_exits_3(self, tmp_path, monkeypatch, capsys):
         # stands in for numpy failing to allocate a dense array under a huge cap
         def exhaust(*args, **kwargs):
@@ -866,9 +981,9 @@ class TestDumps:
         config = parse_config(
             {"dims": [{"size": d.size, "p_table": list(d.decrease_prob)} for d in dims]}
         )
-        code, text = cli.run_dump_spectrum(config)
+        code, chunks = cli.run_dump_spectrum(config)
         assert code == 0
-        assert_same_text(text, dumped_spectra(config.spec.dims))
+        assert_same_text("".join(chunks), dumped_spectra(config.spec.dims))
 
     @pytest.mark.parametrize("key", ["eigenvalues", "eigenvectors"])
     def test_dump_spectrum_rejects_a_non_finite_value(self, tmp_path, monkeypatch, capsys, key):
@@ -1021,8 +1136,8 @@ class TestResolution:
         )
         config = resolve(load_config(two_edge_config(tmp_path, time=1.0)), args)
         assert config.oracle_cap == 64
-        code, text = cli.run_verify(config)  # the env cap of 2 would exit 3
-        assert code == 0 and json.loads(text)["pass"] is True
+        code, chunks = cli.run_verify(config)  # the env cap of 2 would exit 3
+        assert code == 0 and json.loads("".join(chunks))["pass"] is True
 
 
 class TestEntryPoint:

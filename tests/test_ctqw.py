@@ -300,6 +300,32 @@ class TestFactorizedVsDense:
         assert abs(transition_prob_factorized(spec, spectra, 0.0, (0, 1), (0, 1)) - 1.0) <= 1e-14
         assert transition_prob_factorized(spec, spectra, 0.0, (0, 1), (1, 1)) <= 1e-14
 
+    def test_an_underflowing_product_is_reported(self):
+        # Flipping all 2000 edges at t = 1: each factor is sin^2(1/2000), about
+        # 2.5e-7, and their product, 10^-13204.1, rounds to 0.0.
+        d = 2000
+        spec = uniform_multi_chain(ehrenfest_dimension(1), d)
+        log10 = d * math.log10(math.sin(1.0 / d) ** 2)
+        with pytest.raises(NumericalError) as exc:
+            transition_prob_factorized(spec, (EDGE,) * d, 1.0, (0,) * d, (1,) * d)
+        assert f"{log10:.1f}" == "-13204.1"
+        assert str(exc.value) == (
+            f"transition probability underflows: the product of {d} positive factors "
+            f"is 10^{log10:.1f}, below the smallest double"
+        )
+        # a product that is representable is returned as before
+        assert transition_prob_factorized(spec, (EDGE,) * d, 1.0, (0,) * d, (0,) * d) > 0.99
+
+    @pytest.mark.parametrize("t", [0.0, 20 * math.pi])
+    def test_a_product_of_rounding_noise_is_zero(self, t):
+        # Flipping all 20 edges at t = 0, or at q t = pi (q = 1/20), is exactly 0;
+        # each factor comes out as rounding noise (5e-34 and 1.5e-32), whose
+        # product rounds to 0.0, which is the probability, not an underflow.
+        d = 20
+        spec = uniform_multi_chain(ehrenfest_dimension(1), d)
+        assert 0.0 < transition_prob_1d(EDGE, t / d, 0, 1) <= 1e-30
+        assert transition_prob_factorized(spec, (EDGE,) * d, t, (0,) * d, (1,) * d) == 0.0
+
     def test_two_edges_dense_propagator_is_tensor_square(self):
         spec = uniform_multi_chain(ehrenfest_dimension(1), 2)
         t = 1.3
