@@ -23,14 +23,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
 import time
+from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -45,9 +47,9 @@ from .chain import (
     uniform_multi_chain,
 )
 from .ctqw import (
+    _marginal_laws,
     dense_position_distribution,
     dense_propagator_parts,
-    position_distribution,
     propagator_parts,
     transition_matrix_1d,
     transition_prob_dense,
@@ -326,17 +328,24 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
     """Marginals (and with ``dense`` the joint law) at every configured time.
 
     Every time is evaluated before anything is formatted, so the cap check
-    and any failure come first.  The CSV is then a generator of lines: the
-    header, then one ``time,dimension,position,probability`` line per
-    probability, each one f-string in _fmt's format, so the report is never
-    held as text.  JSON is one chunk.
+    and any failure come first.  A time's marginals are one array, each
+    dimension's law its next n_l values.  The CSV is then a generator of
+    lines: the header, then one ``time,dimension,position,probability`` line
+    per probability, each one f-string in _fmt's format, so the report is
+    never held as text.  JSON is one chunk.
     """
     spec, j, cap = config.spec, config.initial, config.oracle_cap
     spectra = chain_spectra(spec)
-    results = []  # (time, marginals, dense joint law or None)
-    for t in config.times:
-        joint = dense_position_distribution(spec, spectra, t, j, cap) if dense else None
-        results.append((t, position_distribution(spec, spectra, t, j), joint))
+    joints = [
+        dense_position_distribution(spec, spectra, t, j, cap) if dense else None
+        for t in config.times
+    ]
+    results = list(zip(config.times, _marginal_laws(spec, spectra, config.times, j), joints))
+
+    def split(marginals: np.ndarray) -> Iterator[list[float]]:
+        """Each dimension's law, in order: the next n_l values of a time's marginals."""
+        values = iter(marginals.tolist())
+        return (list(islice(values, n)) for n in spec.shape)
 
     if config.output_format == "json":
         payload = {
@@ -344,7 +353,7 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
             "results": [
                 {
                     "time": t,
-                    "marginals": [f.tolist() for f in marginals],
+                    "marginals": list(split(marginals)),
                     **({"dense": joint.tolist()} if joint is not None else {}),
                 }
                 for t, marginals, joint in results
@@ -356,9 +365,11 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
         yield "time,dimension,position,probability\n"
         for t, marginals, joint in results:
             time_text = _fmt(t)
-            joint_law = [] if joint is None else [("joint", joint)]
-            for dim, law in chain(enumerate(marginals, start=1), joint_law):
-                for pos, p in enumerate(law.tolist()):
+            laws = enumerate(split(marginals), start=1)
+            if joint is not None:
+                laws = chain(laws, [("joint", joint.tolist())])
+            for dim, law in laws:
+                for pos, p in enumerate(law):
                     yield f"{time_text},{dim},{pos},{p:{_FLOAT}}\n"
 
     return 0, lines()
@@ -491,16 +502,32 @@ def _median_ms(fn) -> float:
     return sorted(samples)[BENCH_REPETITIONS // 2]  # the median of an odd count
 
 
+def _too_many_digits(n: int, d: int) -> bool:
+    """Whether n**d, a product size, has more digits than int-to-str writes (CSV and JSON alike).
+
+    Decided from d log10(n), without building the integer: n**d has
+    floor(d log10(n)) + 1 digits.  Only within a digit of the limit, where
+    rounding could decide, is the integer built, and there it is cheap.
+    The limit is sys.get_int_max_str_digits(); 0, or its absence before
+    Python 3.10.7, means none.
+    """
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = d * math.log10(n) + 1
+    if not limit or abs(digits - limit) > 1:  # rounding cannot decide
+        return limit > 0 and digits > limit
+    try:
+        str(n**d)
+    except ValueError:
+        return True
+    return False
+
+
 def run_bench(config: ExperimentConfig) -> tuple[int, list[str]]:
     base, t = _sweep_base(config, "bench")
     cap = config.oracle_cap
     for d in config.d_sweep:
-        try:  # CSV and JSON alike write product sizes through int-to-str
-            str(base.n_states**d)
-        except ValueError as exc:
-            raise ConfigError(
-                f"d_sweep: the product size at d={d} has too many digits to write"
-            ) from exc
+        if _too_many_digits(base.n_states, d):
+            raise ConfigError(f"d_sweep: the product size at d={d} has too many digits to write")
 
     rows = []  # product size, dense ms or "skipped", factorized ms, ratio or None
     for d in config.d_sweep:
@@ -526,19 +553,25 @@ def run_bench(config: ExperimentConfig) -> tuple[int, list[str]]:
     return 0, [_table(config, {"time": t}, header, rows, flags)]
 
 
-def _json_array(values: np.ndarray, depth: int) -> str:
+def _json_array(values: np.ndarray, depth: int) -> Iterator[str]:
     """``json.dumps(values.tolist(), indent=2)`` for a non-empty float array ``depth`` levels deep.
 
-    JSON writes each float with float.__repr__, and a list's repr joins those
-    same strings with ", ", which no float's repr holds: splitting the repr
-    there and joining with the indent gives json's text for finite values.
+    Yields the text in chunks: a 1-D array is one chunk, a 2-D array one
+    chunk per row and one per separator.  JSON writes each float with
+    float.__repr__, and a list's repr joins those same strings with ", ",
+    which no float's repr holds: splitting the repr there and joining with
+    the indent gives json's text for finite values.
     """
-    pad = "\n" + "  " * (depth + 1)
+    pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth + "]"
     if values.ndim == 1:
-        items = repr(values.tolist())[1:-1].replace(", ", "," + pad)
-    else:
-        items = ("," + pad).join(_json_array(row, depth + 1) for row in values)
-    return "[" + pad + items + "\n" + "  " * depth + "]"
+        yield "[" + pad + repr(values.tolist())[1:-1].replace(", ", "," + pad) + end
+        return
+    separator = "["
+    for row in values:
+        yield separator + pad
+        yield from _json_array(row, depth + 1)
+        separator = ","
+    yield end
 
 
 def _spectrum_keys(dim: DimensionSpec, field: str) -> dict[str, np.ndarray]:
@@ -568,8 +601,10 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
     Each entry is ``index`` (1-based), ``size``, ``eigenvalues``,
     ``eigenvectors`` (one row per position) and ``log_weights``.  Every
     distinct dimension is solved and checked first, so a failure writes
-    nothing; the chunks then give the text one entry at a time.  Each
-    distinct dimension's keys are formatted once, at its first entry; the
+    nothing; the chunks then give the text as it is formatted, one
+    eigenvector row at a time, so the peak is the solved arrays and a row of
+    text.  Each distinct dimension's keys are formatted once, at its first
+    entry, and its chunks are kept only while a later entry repeats it.  The
     float lists are written by _json_array, byte for byte as json.dumps
     writes them, without the encoder.
     """
@@ -579,16 +614,26 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
         if dim not in spectra:
             spectra[dim] = _spectrum_keys(dim, f"dims[{idx}]")
 
+    def keys_text(keys: dict[str, np.ndarray]) -> Iterator[str]:
+        """An entry's spectral keys, indented to their depth."""
+        separator = ""
+        for key, values in keys.items():
+            yield f'{separator}\n      "{key}": '
+            yield from _json_array(values, 3)
+            separator = ","
+
     def chunks() -> Iterator[str]:
-        texts: dict[DimensionSpec, str] = {}  # an entry's spectral keys, indented to its depth
+        later = Counter(dims)  # per dimension, its entries not yet written
+        texts: dict[DimensionSpec, tuple[str, ...]] = {}  # of the dimensions a later entry repeats
         yield '{\n  "dimensions": ['
         for idx, dim in enumerate(dims):
-            if dim not in texts:
-                keys = spectra.pop(dim).items()
-                texts[dim] = ",".join(f'\n      "{k}": {_json_array(v, 3)}' for k, v in keys)
+            later[dim] -= 1
             separator = "," if idx else ""
             yield f'{separator}\n    {{\n      "index": {idx + 1},\n      "size": {dim.size},'
-            yield texts[dim]
+            text = texts.pop(dim) if dim in texts else keys_text(spectra.pop(dim))
+            if later[dim]:
+                text = texts[dim] = tuple(text)
+            yield from text
             yield "\n    }"
         yield "\n  ]\n}\n"
 

@@ -209,7 +209,7 @@ def transition_prob_factorized(
     """
     _check_multi(spec, spectra, {"j": tuple(j), "k": tuple(k)})
     factors = np.empty(spec.n_dims)
-    for members, probs in _grouped_factors(spec, spectra, t, j, k):
+    for _, members, probs in _grouped_factors(spec, spectra, (t,), j, k):
         factors[members] = probs[:, 0]
     prob = math.prod(factors.tolist())
     if prob == 0.0 and factors.min() > _FACTOR_NOISE:
@@ -229,46 +229,63 @@ def position_distribution(
     Entry l is dimension l's distribution at the rescaled time q_l * t; the
     marginals are independent, so their outer product is the joint law.
     """
+    laws = _marginal_laws(spec, spectra, (t,), j)[0]
+    return tuple(np.split(laws, np.cumsum(spec.shape)[:-1]))
+
+
+def _marginal_laws(
+    spec: MultiChainSpec,
+    spectra: tuple[SpectralData, ...],
+    times: tuple[float, ...],
+    j: tuple[int, ...],
+) -> np.ndarray:
+    """position_distribution at each of ``times``, one row of sum n_l values per time.
+
+    Row i holds every dimension's law at times[i], dimension after
+    dimension, as one array rather than one view per dimension.
+    """
     _check_multi(spec, spectra, {"j": tuple(j)})
-    out: list[np.ndarray] = [None] * spec.n_dims
-    for members, laws in _grouped_factors(spec, spectra, t, j):
-        for l, law in zip(members, laws):
-            out[l] = law
-    return tuple(out)
+    starts = np.cumsum((0,) + spec.shape[:-1])  # where each dimension's law begins in a row
+    out = np.empty((len(times), sum(spec.shape)))
+    for i, members, laws in _grouped_factors(spec, spectra, times, j):
+        out[i, starts[members][:, None] + np.arange(laws.shape[1])] = laws
+    return out
 
 
 def _grouped_factors(
     spec: MultiChainSpec,
     spectra: tuple[SpectralData, ...],
-    t: float,
+    times: tuple[float, ...],
     j: tuple[int, ...],
     k: tuple[int, ...] | None = None,
-) -> Iterator[tuple[list[int], np.ndarray]]:
+) -> Iterator[tuple[int, list[int], np.ndarray]]:
     """The 1-D probabilities from j_l at the rescaled times q_l * t, by groups of dimensions.
 
     Dimensions with the same spectrum object, start j_l and target k_l
     differ only in their time, so each such group is one kernel call per
-    chunk of its times.  Yields the chunk's dimensions and, row by row, their
-    position laws (transition_row) or, with ``k``, their one-element
-    probabilities of reaching k_l; each row is bit-identical to its own
-    kernel call.  A chunk's stacked (times, rows, n) phase products hold at
-    most _GROUP_CHUNK elements.
+    time t in ``times`` and per chunk of its rescaled times.  Yields the
+    index of t, the chunk's dimensions and, row by row, their position laws
+    (transition_row) or, with ``k``, their one-element probabilities of
+    reaching k_l; each row is bit-identical to its own kernel call.  A
+    chunk's stacked (times, rows, n) phase products hold at most
+    _GROUP_CHUNK elements.
     """
     groups: dict[tuple, list[int]] = defaultdict(list)
     targets = (None,) * len(j) if k is None else k
     for l, key in enumerate(zip(map(id, spectra), j, targets)):
         groups[key].append(l)
     select_prob = np.array(spec.select_prob)
-    for (_, jl, kl), members in groups.items():
-        s = spectra[members[0]]
-        # a one-row slice keeps a row axis, so each time is one dot as in transition_prob_1d
-        rows = None if kl is None else (slice(kl, kl + 1),)
-        step = max(1, _GROUP_CHUNK // (s.n_states * (s.n_states if kl is None else 1)))
-        times = select_prob[members] * t
-        for start in range(0, len(members), step):
-            chunk = slice(start, start + step)
-            parts = _amplitudes((s.eigenvectors,), s.eigenvalues, times[chunk], rows, (jl,))
-            yield members[chunk], _probabilities(parts)
+    for i, t in enumerate(times):
+        for (_, jl, kl), members in groups.items():
+            s = spectra[members[0]]
+            # a one-row slice keeps a row axis, so each time is one dot as in transition_prob_1d
+            rows = None if kl is None else (slice(kl, kl + 1),)
+            step = max(1, _GROUP_CHUNK // (s.n_states * (s.n_states if kl is None else 1)))
+            scaled = select_prob[members] * t
+            for start in range(0, len(members), step):
+                chunk = slice(start, start + step)
+                parts = _amplitudes((s.eigenvectors,), s.eigenvalues, scaled[chunk], rows, (jl,))
+                yield i, members[chunk], _probabilities(parts)
 
 
 def _dense_amplitudes(

@@ -9,6 +9,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -288,7 +289,7 @@ class TestSimulate:
         def exhaust(*args, **kwargs):
             raise MemoryError("Unable to allocate 1.00 GiB for an array")
 
-        monkeypatch.setattr(cli, "position_distribution", exhaust)
+        monkeypatch.setattr(cli, "_marginal_laws", exhaust)
         out = tmp_path / "out.csv"
         config = two_edge_config(tmp_path, time=[0.5, 1.0])
         assert main(["simulate", "--config", config, "--output", str(out)]) == 3
@@ -297,9 +298,10 @@ class TestSimulate:
 
     def test_edge_swarm_report_is_not_held_as_text(self, tmp_path):
         # 10 000 edges at 3 times are 60 000 rows, 2.3 MB of CSV.  The marginals
-        # (one array view per dimension and time) take about 4.1 MiB, and the
-        # traced peak of the whole run was 5.3 MiB (11.1 MiB when the report was
-        # joined into one string first); the bound leaves a 50 % margin.
+        # are one array of 20 000 values per time, and the traced peak of the
+        # whole run was 3.2 MiB (5.3 MiB with one array view per dimension and
+        # time, 11.1 MiB when the report was joined into one string first); the
+        # bound leaves a 40 % margin.
         config = write_config(tmp_path, dims=[{"size": 1}] * 10_000, time=[0.5, 1.0, 2.0])
         out = tmp_path / "out.csv"
         tracemalloc.start()
@@ -308,7 +310,7 @@ class TestSimulate:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 8 * 2**20
+        assert peak <= 4.5 * 2**20
         assert len(read_csv(str(out))) == 60_000
 
     def test_without_dense_large_product_is_fine(self, tmp_path):
@@ -795,6 +797,34 @@ class TestBench:
         assert main(["bench", "--config", config]) == 2
         assert "d_sweep" in capsys.readouterr().err
 
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str limit"
+    )
+    def test_a_huge_d_is_rejected_without_building_the_product_size(self, tmp_path, capsys):
+        # 3^(10^7) has 4.8 million digits; building it to count them took 3.9 s
+        config = write_config(tmp_path, dims=[{"size": 2}], d_sweep=[10**7])
+        start = time.perf_counter()
+        assert main(["bench", "--config", config]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert capsys.readouterr().err == (
+            "error: d_sweep: the product size at d=10000000 has too many digits to write\n"
+        )
+
+    @pytest.mark.skipif(
+        not getattr(sys, "get_int_max_str_digits", lambda: 0)(), reason="no int-to-str limit"
+    )
+    @pytest.mark.parametrize("n", [2, 3, 10, 121])
+    def test_the_digit_check_near_the_limit_is_int_to_str(self, n):
+        # around the limit d log10(n) is rounded, so the check must agree with str() exactly
+        near = int((sys.get_int_max_str_digits() - 1) / math.log10(n))
+        for d in range(near - 3, near + 4):
+            try:
+                str(n**d)
+                written = True
+            except ValueError:
+                written = False
+            assert cli._too_many_digits(n, d) is not written
+
     def test_underflowing_factorized_route_exits_2(self, tmp_path, capsys):
         # From position 1 to 0 on each of 2000 edges at T = 1 the probability is
         # 10^-13204.1, which no double holds; the route reports it, writing nothing.
@@ -984,6 +1014,42 @@ class TestDumps:
         code, chunks = cli.run_dump_spectrum(config)
         assert code == 0
         assert_same_text("".join(chunks), dumped_spectra(config.spec.dims))
+
+    def test_dump_spectrum_streams_rows_and_formats_each_dimension_once(self, monkeypatch):
+        # the urn of dims[0] recurs at dims[2]; the urn of dims[1] appears once
+        formatted = []
+        real = cli._json_array
+
+        def counting(values, depth):
+            if depth == 3:  # a key's whole array, not one of its rows
+                formatted.append(len(values))
+            return real(values, depth)
+
+        monkeypatch.setattr(cli, "_json_array", counting)
+        config = parse_config({"dims": [{"size": 40}, {"size": 30}, {"size": 40}]})
+        code, chunks = cli.run_dump_spectrum(config)
+        chunks = list(chunks)
+        assert code == 0
+        assert_same_text("".join(chunks), dumped_spectra(config.spec.dims))
+        assert formatted == [41, 41, 41, 31, 31, 31]  # each key of each distinct urn once
+        # no chunk holds more than one row of floats, kept for a repeat or not
+        assert max(chunk.count(",") for chunk in chunks) < 41
+
+    def test_dump_spectrum_is_not_held_as_text(self, tmp_path):
+        # The urn-deep workload's three urns: 3.0 MB of JSON from 0.74 MB of
+        # eigenpairs.  The traced peak of the whole run was 2.6 MiB (6.3 MiB
+        # when each dimension's text was joined and kept); the bound leaves a
+        # 50 % margin.
+        config = write_config(tmp_path, dims=[{"size": n} for n in (240, 160, 96)], time=1.0)
+        out = tmp_path / "spectrum.json"
+        tracemalloc.start()
+        try:
+            assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
+        assert out.stat().st_size == 3_022_425
 
     @pytest.mark.parametrize("key", ["eigenvalues", "eigenvectors"])
     def test_dump_spectrum_rejects_a_non_finite_value(self, tmp_path, monkeypatch, capsys, key):

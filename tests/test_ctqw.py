@@ -521,6 +521,9 @@ class TestGroupedFactors:
         starts = {(id(s), jl) for s, jl in zip(spectra, j)}
         assert len(calls) == len(starts) == 5
         calls.clear()
+        ctqw._marginal_laws(spec, spectra, (0.5, 1.0, 2.0), j)  # simulate's route: one per time
+        assert len(calls) == 3 * len(starts)
+        calls.clear()
         transition_prob_factorized(spec, spectra, 1.0, j, k)
         pairs = {(id(s), jl, kl) for s, jl, kl in zip(spectra, j, k)}
         assert len(calls) == len(pairs) == 8
