@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,9 +84,9 @@ class MultiChainSpec:
     def n_dims(self) -> int:
         return len(self.dims)
 
-    @property
+    @cached_property
     def shape(self) -> tuple[int, ...]:
-        """Per-dimension state counts, first dimension most significant."""
+        """Per-dimension state counts, first dimension most significant; built once."""
         return tuple(d.n_states for d in self.dims)
 
     @property

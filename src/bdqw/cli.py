@@ -32,7 +32,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
-from itertools import chain, islice
+from itertools import chain, islice, repeat
 
 import numpy as np
 
@@ -138,17 +138,19 @@ def _parse_dimensions(entries: list) -> tuple[DimensionSpec, ...]:
     stay apart) share the spec parsed for the first of them; an invalid
     entry is never shared, so its error names its own dims[idx].
     """
+    known = ("size", "p_table")
+    allowed = set(known)
     parsed: dict[tuple[str, str], DimensionSpec] = {}
     dims = []
     for idx, entry in enumerate(entries):
-        field = f"dims[{idx}]"
         if not isinstance(entry, dict):
-            raise ConfigError(f"{field}: expected an object with 'size' and 'p_table'")
-        _check_keys(entry, ("size", "p_table"), f"{field}.")
+            raise ConfigError(f"dims[{idx}]: expected an object with 'size' and 'p_table'")
+        if not entry.keys() <= allowed:  # _check_keys only names the bad key
+            _check_keys(entry, known, f"dims[{idx}].")
         size, table = entry.get("size"), entry.get("p_table", "ehrenfest")
         key = (repr(size), repr(table))
         if key not in parsed:
-            parsed[key] = _parse_dimension(size, table, field)
+            parsed[key] = _parse_dimension(size, table, f"dims[{idx}]")
         dims.append(parsed[key])
     return tuple(dims)
 
@@ -287,6 +289,8 @@ def resolve(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentCon
 
 # CSV numeric format: 17 significant digits, round-trip exact for doubles.
 _FLOAT = ".17g"
+# Rows of simulate's CSV formatted as one chunk.
+_CSV_BLOCK_ROWS = 4096
 
 
 def _fmt(value: float) -> str:
@@ -329,10 +333,11 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
 
     Every time is evaluated before anything is formatted, so the cap check
     and any failure come first.  A time's marginals are one array, each
-    dimension's law its next n_l values.  The CSV is then a generator of
-    lines: the header, then one ``time,dimension,position,probability`` line
-    per probability, each one f-string in _fmt's format, so the report is
-    never held as text.  JSON is one chunk.
+    dimension's law its next n_l values.  The CSV is then a generator: the
+    header, then the ``time,dimension,position,probability`` rows in blocks
+    of _CSV_BLOCK_ROWS, each one %-format of a template of its rows' labels,
+    built once per call, with the time's text and the probabilities in _fmt's
+    format; so the report is never held as text.  JSON is one chunk.
     """
     spec, j, cap = config.spec, config.initial, config.oracle_cap
     spectra = chain_spectra(spec)
@@ -361,18 +366,22 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
         }
         return 0, [json.dumps(payload, indent=2) + "\n"]
 
-    def lines() -> Iterator[str]:
+    def blocks() -> Iterator[str]:
         yield "time,dimension,position,probability\n"
+        rows = [f"%s{l},{k},%{_FLOAT}\n" for l, n in enumerate(spec.shape, 1) for k in range(n)]
+        if dense:
+            rows += [f"%sjoint,{k},%{_FLOAT}\n" for k in range(spec.product_size)]
+        step = _CSV_BLOCK_ROWS
+        templates = ["".join(rows[i : i + step]) for i in range(0, len(rows), step)]
+        del rows  # the templates hold the same text in a fifth of the memory
         for t, marginals, joint in results:
-            time_text = _fmt(t)
-            laws = enumerate(split(marginals), start=1)
-            if joint is not None:
-                laws = chain(laws, [("joint", joint.tolist())])
-            for dim, law in laws:
-                for pos, p in enumerate(law):
-                    yield f"{time_text},{dim},{pos},{p:{_FLOAT}}\n"
+            values = marginals if joint is None else np.concatenate((marginals, joint))
+            prefix = repeat(_fmt(t) + ",")
+            for i, template in enumerate(templates):
+                numbers = values[i * step : (i + 1) * step].tolist()
+                yield template % tuple(chain.from_iterable(zip(prefix, numbers)))
 
-    return 0, lines()
+    return 0, blocks()
 
 
 def _unitarity_defect(parts: np.ndarray) -> float:

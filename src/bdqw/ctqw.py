@@ -172,13 +172,14 @@ def _check_multi(
 ) -> None:
     """Check the spectra and multi-indices against the chain.
 
-    The positions are range-checked in C; an out-of-range one is then found
-    for the message.
+    Each distinct (spectrum object, size) pair is checked once, the positions
+    in C; an out-of-range position is then found for the message.
     """
     if len(spectra) != spec.n_dims:
         raise ValueError(f"{len(spectra)} spectra supplied for {spec.n_dims} dimensions")
     shape = spec.shape
-    if any(s.n_states != n for s, n in zip(spectra, shape)):
+    pairs = dict(zip(zip(map(id, spectra), shape), spectra))
+    if any(s.n_states != n for (_, n), s in pairs.items()):
         raise ValueError("spectrum size does not match its dimension")
     for name, multi in indices.items():
         if len(multi) != spec.n_dims:

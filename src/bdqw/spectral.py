@@ -311,16 +311,19 @@ def dimension_spectrum(spec: DimensionSpec) -> SpectralData:
 def chain_spectra(spec: MultiChainSpec) -> tuple[SpectralData, ...]:
     """Spectra of a chain's dimensions in order, one eigensolve per distinct dimension.
 
-    A NumericalError is prefixed with ``dims[i] (size N): ``, i the first
-    index of the dimension that failed.
+    Repeated objects are found by identity first, so only distinct objects
+    are hashed.  A NumericalError is prefixed with ``dims[i] (size N): ``,
+    i the first index of the dimension that failed.
     """
+    objects = dict(zip(map(id, spec.dims), spec.dims))
     solved = {}
-    for dim in dict.fromkeys(spec.dims):
+    for dim in dict.fromkeys(objects.values()):
         try:
             solved[dim] = dimension_spectrum(dim)
         except NumericalError as exc:
             raise NumericalError(f"dims[{spec.dims.index(dim)}] (size {dim.size}): {exc}") from exc
-    return tuple(solved[dim] for dim in spec.dims)
+    by_id = {key: solved[dim] for key, dim in objects.items()}
+    return tuple(map(by_id.__getitem__, map(id, spec.dims)))
 
 
 def orthogonality_defect(datasets: list[SpectralData] | tuple[SpectralData, ...]) -> float:

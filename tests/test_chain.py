@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -97,6 +100,29 @@ class TestMultiChainSpec:
         assert spec.n_dims == 3
         assert spec.product_size == 27
         assert abs(sum(spec.select_prob) - 1.0) <= 1e-12
+
+    def test_cached_shape_leaves_the_value_semantics_alone(self):
+        # shape is built once per spec and kept in the instance; it is not a
+        # field, so equality, hashing, replace, pickle and deepcopy see only
+        # dims and select_prob
+        dims = [ehrenfest_dimension(2), DimensionSpec(size=1), ehrenfest_dimension(4)]
+        spec = MultiChainSpec(dims=dims, select_prob=(0.5, 0.25, 0.25))  # a list of dims
+        fresh = MultiChainSpec(dims=tuple(dims), select_prob=(0.5, 0.25, 0.25))
+        assert spec.dims == tuple(dims)
+        assert spec.shape == tuple(d.n_states for d in dims) == (3, 2, 5)
+        assert spec.shape is spec.shape  # computed once
+        assert spec.product_size == 30
+        assert spec == fresh and hash(spec) == hash(fresh)  # fresh has no cached shape yet
+        assert [f.name for f in dataclasses.fields(spec)] == ["dims", "select_prob"]
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            spec.dims = ()
+        for other in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert other == spec and hash(other) == hash(spec)
+            assert other.shape == spec.shape
+        swapped = dataclasses.replace(spec, dims=(DimensionSpec(size=1),) + spec.dims[1:])
+        assert swapped.shape == (2, 2, 5) and spec.shape == (3, 2, 5)
+        assert swapped != spec
+        assert dataclasses.replace(spec) == spec
 
 
 class TestConditionalMatrix:

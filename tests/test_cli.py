@@ -11,6 +11,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -367,9 +368,11 @@ class TestSimulate:
             expected = np.abs(expm(1j * t * j)[:, 0]) ** 2
             assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
 
-    def test_streamed_csv_equals_the_row_list(self, tmp_path):
-        # The CSV is written from a generator of rows; the old form built the
-        # list of rows first.  Both must give the same bytes.
+    @pytest.mark.parametrize("block", [cli._CSV_BLOCK_ROWS, 1, 4])
+    def test_streamed_csv_equals_the_row_list(self, tmp_path, monkeypatch, block):
+        # The CSV is written from a generator of row blocks; the old form built
+        # the list of rows first.  Both must give the same bytes.
+        monkeypatch.setattr(cli, "_CSV_BLOCK_ROWS", block)
         from bdqw.ctqw import dense_position_distribution, position_distribution
         from bdqw.spectral import chain_spectra
 
@@ -432,6 +435,73 @@ class TestSimulate:
                 row = transition_row(s, q * t, jl)
                 writer.writerows([fmt(t), str(l), str(pos), fmt(p)] for pos, p in enumerate(row))
         assert out.read_text(encoding="utf-8") == buf.getvalue()
+
+    @staticmethod
+    def rows_written_one_at_a_time(config, dense: bool) -> str:
+        """The CSV as simulate wrote it before blocks: one f-string per row."""
+        from bdqw.ctqw import dense_position_distribution, position_distribution
+        from bdqw.spectral import chain_spectra
+
+        spec, j = config.spec, config.initial
+        spectra = chain_spectra(spec)
+        lines = ["time,dimension,position,probability\n"]
+        for t in config.times:
+            time = f"{t:.17g}"
+            laws = list(enumerate(position_distribution(spec, spectra, t, j), start=1))
+            if dense:
+                laws.append(("joint", dense_position_distribution(spec, spectra, t, j, 10**6)))
+            for dim, law in laws:
+                law = law.tolist()
+                lines.extend(f"{time},{dim},{pos},{p:.17g}\n" for pos, p in enumerate(law))
+        return "".join(lines)
+
+    @pytest.mark.parametrize(
+        "argv, fields, rows",
+        [
+            # 5000 edges, an urn of 3 and a biased dimension of 4: 10 009 rows a time
+            (
+                [],
+                {
+                    "dims": [{"size": 1}] * 5000
+                    + [{"size": 3}, {"size": 4, "p_table": [0.3, 0.55, 0.8]}],
+                    "time": [-3.75, 1234.5],
+                    "initial": [1, 0] * 2500 + [2, 3],
+                },
+                10_009,
+            ),
+            # a joint law of 5 * 7 * 10 * 13 = 4550 states after 35 marginal rows
+            (
+                ["--dense", "--oracle-cap", "5000"],
+                {
+                    "dims": [
+                        {"size": 4},
+                        {"size": 6, "p_table": [0.2, 0.7, 0.4, 0.5, 0.9]},
+                        {"size": 9},
+                        {"size": 12},
+                    ],
+                    "time": [-0.8, 2.5],
+                    "initial": [1, 6, 0, 5],
+                },
+                35 + 4550,
+            ),
+        ],
+    )
+    def test_blocks_give_the_bytes_of_one_row_at_a_time(self, tmp_path, argv, fields, rows):
+        # a time's rows cross block boundaries and end on a partial block
+        block = cli._CSV_BLOCK_ROWS
+        assert rows > block and rows % block
+        config_path = write_config(tmp_path, **fields)
+        out = tmp_path / "out.csv"
+        assert main(["simulate", *argv, "--config", config_path, "--output", str(out)]) == 0
+        dense = "--dense" in argv
+        expected = self.rows_written_one_at_a_time(load_config(config_path), dense)
+        assert_same_text(out.read_text(encoding="utf-8"), expected)
+        assert expected.count("\n") == 1 + 2 * rows
+        # the header, then per time one chunk per block of rows
+        config = replace(load_config(config_path), oracle_cap=5000)
+        chunks = list(cli.run_simulate(config, dense)[1])
+        assert len(chunks) == 1 + 2 * -(-rows // block)
+        assert all(chunk.endswith("\n") for chunk in chunks)
 
 
 class TestOutputTarget:

@@ -418,6 +418,40 @@ class TestFactorizedVsDense:
         with pytest.raises(ValueError, match="spectrum size"):
             dense_propagator(spec, (EDGE, dimension_spectrum(ehrenfest_dimension(2))), 1.0)
 
+    def test_one_spectrum_object_is_checked_at_every_size(self):
+        # the size check runs once per distinct (spectrum object, size) pair:
+        # EDGE fits the 9 999 edges and not the urn of 3 states at the end
+        d = 10_000
+        spec = MultiChainSpec(
+            dims=(ehrenfest_dimension(1),) * (d - 1) + (ehrenfest_dimension(2),),
+            select_prob=(1 / d,) * d,
+        )
+        j = (0,) * d
+        for call in (
+            lambda: transition_prob_factorized(spec, (EDGE,) * d, 1.0, j, j),
+            lambda: position_distribution(spec, (EDGE,) * d, 1.0, j),
+        ):
+            with pytest.raises(ValueError, match="^spectrum size does not match its dimension$"):
+                call()
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_chains_of_mixed_sizes(self, data):
+        # 2-3 dimensions of distinct sizes, random tables, weights, positions and time
+        sizes = data.draw(st.lists(st.integers(1, 6), min_size=2, max_size=3, unique=True))
+        step = st.floats(0.01, 0.99)
+        tables = [data.draw(st.lists(step, min_size=n - 1, max_size=n - 1)) for n in sizes]
+        dims = tuple(DimensionSpec(size=n, decrease_prob=table) for n, table in zip(sizes, tables))
+        raw = data.draw(st.lists(st.floats(0.05, 1.0), min_size=len(dims), max_size=len(dims)))
+        spec = MultiChainSpec(dims=dims, select_prob=tuple(q / math.fsum(raw) for q in raw))
+        j, k = (tuple(data.draw(st.integers(0, n)) for n in sizes) for _ in range(2))
+        t = data.draw(st.floats(-12.0, 12.0))
+        spectra = chain_spectra(spec)
+        fact = transition_prob_factorized(spec, spectra, t, j, k)
+        assert abs(fact - transition_prob_dense(spec, spectra, t, j, k)) <= 1e-12
+        joint = reduce(np.multiply.outer, position_distribution(spec, spectra, t, j)).ravel()
+        assert np.max(np.abs(joint - dense_position_distribution(spec, spectra, t, j))) <= 1e-12
+
 
 class TestPositionDistribution:
     def test_zero_time_point_mass(self):

@@ -469,14 +469,31 @@ class TestChainSpectra:
 
         monkeypatch.setattr(spectral, "dimension_spectrum", counting)
         a, b, c = ehrenfest_dimension(3), DimensionSpec(size=2, decrease_prob=(0.3,)), ehrenfest_dimension(1)
-        # equal by value, not by identity: a fresh ehrenfest_dimension(3) shares a's eigensolve
-        spec = MultiChainSpec(dims=(a, b, ehrenfest_dimension(3), c, b, a), select_prob=(1 / 6,) * 6)
+        # equal by value, not by identity: a fresh ehrenfest_dimension(3) shares a's eigensolve,
+        # a fresh copy of b shares b's
+        b_copy = DimensionSpec(size=2, decrease_prob=(0.3,))
+        dims = (a, b, ehrenfest_dimension(3), c, b, a, b_copy)
+        spec = MultiChainSpec(dims=dims, select_prob=(1 / 7,) * 7)
         spectra = chain_spectra(spec)
         assert solved == [a, b, c]
-        assert [s.n_states for s in spectra] == [4, 3, 4, 2, 3, 4]
+        assert [s.n_states for s in spectra] == [4, 3, 4, 2, 3, 4, 3]
         assert spectra[0] is spectra[2] is spectra[5]
+        assert spectra[1] is spectra[4] is spectra[6]
         for dim, s in zip(spec.dims, spectra):
             assert np.array_equal(s.eigenvectors, dimension_spectrum(dim).eigenvectors)
+
+    def test_a_failure_names_the_first_index_of_equal_objects(self):
+        # two separate but equal double wells that the eigensolver cannot resolve
+        first, second = double_well(42), double_well(42)
+        assert first == second and first is not second
+        dims = (ehrenfest_dimension(3), first, ehrenfest_dimension(5), second)
+        spec = MultiChainSpec(dims=dims, select_prob=(0.25,) * 4)
+        with pytest.raises(NumericalError) as info:
+            chain_spectra(spec)
+        assert str(info.value) == "dims[1] (size 42): eigenvalues are not strictly ascending"
+        flipped = MultiChainSpec(dims=(second,) + dims[:3], select_prob=(0.25,) * 4)
+        with pytest.raises(NumericalError, match=r"^dims\[0\] \(size 42\): "):
+            chain_spectra(flipped)
 
 
 class TestOrthogonalityDefect:
