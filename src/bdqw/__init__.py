@@ -43,6 +43,7 @@ from .stats import (
     SumDistribution,
     clt_distance,
     convolve_sum,
+    convolve_sweep,
     gaussian_cdf,
     moments,
 )
@@ -62,6 +63,7 @@ __all__ = [
     "chain_spectra",
     "clt_distance",
     "convolve_sum",
+    "convolve_sweep",
     "dense_position_distribution",
     "dimension_spectrum",
     "ehrenfest_dimension",

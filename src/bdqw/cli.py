@@ -58,7 +58,7 @@ from .ctqw import (
 )
 from .errors import NumericalError, SizeLimitError
 from .spectral import chain_spectra, dimension_spectrum, orthogonality_defect, symmetrize
-from .stats import clt_distance, convolve_sum, moments
+from .stats import clt_distance, convolve_sweep, moments
 
 ENV_ORACLE_CAP = "BDQW_ORACLE_CAP"
 VERIFY_TOLERANCE = 1e-10
@@ -479,17 +479,25 @@ def _sweep_base(config: ExperimentConfig, command: str) -> tuple[DimensionSpec, 
 
 
 def run_clt(config: ExperimentConfig) -> tuple[int, list[str]]:
+    """Kolmogorov distance of each d's standardized sum law to the normal law.
+
+    Before anything is computed, every d is checked to give a law whose
+    d * size + 1 doubles fit in the bytes an array can address.  The laws
+    come one at a time from one squaring table (convolve_sweep), and each is
+    dropped once its distance is taken: map holds no law across the next
+    convolution.
+    """
     base, t = _sweep_base(config, "clt")
+    for d in config.d_sweep:
+        if 8 * (d * base.size + 1) > sys.maxsize:
+            raise ConfigError(f"d_sweep: the sum law at d={d} is larger than an array can be")
     factor = transition_row(chain_spectra(config.spec)[0], t, config.initial[0])
     _, factor_var = moments(factor)
     if factor_var <= 1e-15:
         raise ConfigError(f"time: per-factor variance is zero at T={t} (degenerate statistic)")
 
     print(CLT_READING, file=sys.stderr)
-    distances = []
-    for d in config.d_sweep:
-        sum_dist = convolve_sum([factor] * d)
-        distances.append(clt_distance(sum_dist))
+    distances = list(map(clt_distance, convolve_sweep(factor, config.d_sweep)))
     monotone = all(b < a for a, b in zip(distances, distances[1:]))
     return 0, [
         _table(

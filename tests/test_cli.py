@@ -21,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdqw
-from bdqw import cli, spectral
+from bdqw import cli, spectral, stats
 from bdqw.chain import DimensionSpec, MultiChainSpec, build_conditional_matrix, ehrenfest_dimension
 from bdqw.cli import load_config, main, parse_config, resolve
 from bdqw.spectral import SpectralData
@@ -814,6 +814,72 @@ class TestClt:
     def test_requires_d_sweep(self, tmp_path):
         config = write_config(tmp_path, dims=[{"size": 1}], time=1.0)
         assert main(["clt", "--config", config]) == 2
+
+    def test_tables_equal_a_per_d_loop(self, tmp_path, capsys, monkeypatch):
+        # an unsorted sweep with a repeat, d = 1 and a d with twelve set bits
+        config = write_config(tmp_path, dims=[{"size": 4}], time=3.1, d_sweep=[64, 1, 4095, 64, 512])
+        formats = ("csv", "json")
+        texts = []
+        for fmt in formats:
+            assert main(["clt", "--config", config, "--format", fmt]) == 0
+            texts.append(capsys.readouterr().out)
+        monkeypatch.setattr(
+            cli,
+            "convolve_sweep",
+            lambda factor, counts: (stats.convolve_sum([factor] * d) for d in counts),
+        )
+        for fmt, text in zip(formats, texts):
+            assert main(["clt", "--config", config, "--format", fmt]) == 0
+            assert capsys.readouterr().out == text
+
+    @pytest.mark.parametrize("d", [2**58, 2**62, 2**63, 2**64])
+    def test_unaddressable_d_rejected_before_any_work(self, tmp_path, capsys, monkeypatch, d):
+        # the law at d is 4d + 1 doubles, more than 2^63 - 1 bytes from d = 2^58
+        # on; 2^63 used to escape main as an OverflowError from [factor] * d
+        def refuse(*args, **kwargs):
+            raise AssertionError("worked on a sweep whose law cannot be held")
+
+        monkeypatch.setattr(cli, "chain_spectra", refuse)
+        config = write_config(tmp_path, dims=[{"size": 4}], time=3.1, d_sweep=[8, d])
+        assert main(["clt", "--config", config]) == 2
+        assert "d_sweep" in capsys.readouterr().err
+
+    def test_largest_addressable_d_passes_the_check(self, tmp_path, monkeypatch):
+        class Reached(Exception):
+            pass
+
+        def stop(*args, **kwargs):
+            raise Reached
+
+        monkeypatch.setattr(cli, "chain_spectra", stop)
+        # on an edge the law at d is d + 1 doubles
+        largest = sys.maxsize // 8 - 1
+        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[largest])
+        with pytest.raises(Reached):
+            main(["clt", "--config", config])
+        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[largest + 1])
+        assert main(["clt", "--config", config]) == 2
+
+    def test_unallocatable_d_fails_at_once(self, tmp_path):
+        # d = 2^40 passes the check, but its law (32 TiB) cannot be held: the
+        # run must exit 3 out of memory, not square ever wider laws for hours.
+        # The child's address space is capped at 4 GiB, so that a host which
+        # overcommits memory refuses the allocation too.
+        config = write_config(tmp_path, dims=[{"size": 4}], time=3.1, d_sweep=[8, 2**40])
+        script = (
+            "import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32)); "
+            "from bdqw.cli import main; sys.exit(main(sys.argv[1:]))"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run(
+            [sys.executable, "-c", script, "clt", "--config", config],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.returncode == 3
+        assert "error: out of memory" in result.stderr
 
 
 class TestBench:

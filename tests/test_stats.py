@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +24,7 @@ from bdqw.stats import (
     SumDistribution,
     clt_distance,
     convolve_sum,
+    convolve_sweep,
     gaussian_cdf,
     moments,
 )
@@ -132,6 +137,37 @@ class TestConvolveSum:
         with pytest.raises(NumericalError, match="mean"):
             convolve_sum([np.array([0.2, 0.8])] * 2)
 
+    def test_moment_mismatch_raises_through_the_scaled_path(self, monkeypatch):
+        # a 1e-300 entry is a tail, so each product is four partial convolutions
+        convolve = np.convolve
+        calls = []
+
+        def reversed_convolve(a, b):
+            calls.append(a.size)
+            return convolve(a, b)[::-1]
+
+        monkeypatch.setattr(stats.np, "convolve", reversed_convolve)
+        with pytest.raises(NumericalError, match="mean"):
+            convolve_sum([np.array([1e-300, 0.2, 0.8])] * 2)
+        assert len(calls) == 4
+
+    def test_unallocatable_law_fails_before_any_convolution(self):
+        # 2^14 copies of a 65 537-atom uniform law: the sum is 8 GiB of
+        # doubles, beyond the child's 4 GiB address space.  Allocated first,
+        # it fails at once; squared first, the laws would grow for hours.
+        script = (
+            "import resource; resource.setrlimit(resource.RLIMIT_AS, (2**32, 2**32)); "
+            "import numpy as np; from bdqw.stats import convolve_sum; "
+            "f = np.full(2**16 + 1, 1 / (2**16 + 1))\n"
+            "try:\n    convolve_sum([f] * 2**14)\nexcept MemoryError:\n    print('refused')"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result.stdout == "refused\n", result.stderr
+
     def test_unnormalized_factor_rejected(self):
         with pytest.raises(ValueError):
             convolve_sum([np.array([0.5, 0.4])])
@@ -217,6 +253,103 @@ class TestConvolveSum:
         conv_mean, conv_var = moments(out.mass)
         assert abs(conv_mean - mean_sum) <= 1e-10
         assert abs(conv_var - var_sum) <= 1e-10
+
+
+def dyadic_exponent_law(rng: np.random.Generator, size: int) -> np.ndarray:
+    """Entries m * 2^-e, m uniform in [1, 2), e falling along a parabola
+    from 1021 at both ends to 1 in the middle: a bell whose values span
+    [2^-1021, 1) and whose far tails are below 2^-511."""
+    x = np.linspace(-1.0, 1.0, size)
+    return np.ldexp(rng.uniform(1.0, 2.0, size), -np.floor(1.0 + 1020.0 * x**2).astype(int))
+
+
+class TestScaledProduct:
+    @pytest.mark.parametrize("seed", range(16))
+    def test_against_exact_fractions(self, seed):
+        rng = np.random.default_rng(seed)
+        a, b = (dyadic_exponent_law(rng, int(rng.integers(3, 60))) for _ in range(2))
+        offsets = int(rng.integers(0, 5)), int(rng.integers(0, 5))
+        got, offset = stats._product((a, offsets[0]), (b, offsets[1]))
+        exact = [Fraction(0)] * (a.size + b.size - 1)
+        for i, u in enumerate(map(Fraction, a.tolist())):
+            for j, w in enumerate(map(Fraction, b.tolist())):
+                exact[i + j] += u * w
+        tiny = Fraction(np.finfo(float).tiny)
+        shift = sum(offsets) - offset
+        # every normal entry of the exact law is kept; the worst relative
+        # error measured over 200 such pairs is 3.4 units of 2^-53
+        for k, value in enumerate(exact):
+            if value >= tiny:
+                assert 0 <= k + shift < got.size
+                assert abs(Fraction(got[k + shift]) - value) <= value * Fraction(8, 2**53)
+        assert got[0] >= tiny and got[-1] >= tiny
+
+    def test_no_product_underflows(self, monkeypatch):
+        convolve = np.convolve
+        smallest = []
+
+        def recording(a, b):
+            smallest.append(np.abs(a[a != 0]).min() * np.abs(b[b != 0]).min())
+            return convolve(a, b)
+
+        monkeypatch.setattr(stats.np, "convolve", recording)
+        rng = np.random.default_rng(7)
+        a, b = dyadic_exponent_law(rng, 40), dyadic_exponent_law(rng, 31)
+        stats._product((a, 0), (b, 0))
+        assert len(smallest) == 9  # core and two tails each
+        assert min(smallest) >= np.finfo(float).tiny
+
+    def test_operands_without_tails_are_one_convolution(self, monkeypatch):
+        convolve = np.convolve
+        calls = []
+        monkeypatch.setattr(stats.np, "convolve", lambda a, b: calls.append(1) or convolve(a, b))
+        got, offset = stats._product((np.array([0.25, 0.75]), 1), (np.array([0.5, 0.5]), 2))
+        assert calls == [1]
+        assert got.tolist() == [0.125, 0.5, 0.375] and offset == 3
+
+
+class TestConvolveSweep:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        dyadic_factors(),
+        st.lists(st.integers(1, 300), min_size=1, max_size=5),
+        st.randoms(use_true_random=False),
+    )
+    def test_equals_per_count_sums(self, factor, counts, rng):
+        counts = [*counts, 1, counts[0]]  # d = 1 and a repeat, in random order
+        rng.shuffle(counts)
+        laws = list(convolve_sweep(factor, counts))
+        assert len(laws) == len(counts)
+        for d, law in zip(counts, laws):
+            reference = convolve_sum([factor] * d)
+            assert np.array_equal(law.mass, reference.mass)
+            assert (law.mean, law.variance) == (reference.mean, reference.variance)
+
+    def test_many_set_bits_on_a_law_with_tails(self):
+        # from d = 1024 on, this law has entries below 2^-511
+        factor = transition_row(dimension_spectrum(ehrenfest_dimension(4)), 3.1, 0)
+        counts = [4095, 1, 2048, 4095, 1023]
+        for d, law in zip(counts, convolve_sweep(factor, counts)):
+            reference = convolve_sum([factor] * d)
+            assert np.array_equal(law.mass, reference.mass)
+            assert (law.mean, law.variance) == (reference.mean, reference.variance)
+
+    def test_squares_computed_once(self, monkeypatch):
+        products = []
+        product = stats._product
+        monkeypatch.setattr(stats, "_product", lambda a, b: products.append(a is b) or product(a, b))
+        list(convolve_sweep(np.array([0.5, 0.5]), [8, 3, 16, 8]))
+        # squares up to 16 = 2^4, then 3 = 1 + 2 is one product
+        assert products == [True] * 3 + [False] + [True]
+
+    def test_numpy_integer_counts(self):
+        counts = 2 ** np.arange(3)
+        masses = [law.mass.tolist() for law in convolve_sweep(np.array([0.5, 0.5]), counts)]
+        assert masses == [[0.5, 0.5], [0.25, 0.5, 0.25], [1 / 16, 4 / 16, 6 / 16, 4 / 16, 1 / 16]]
+
+    def test_zero_count_rejected(self):
+        with pytest.raises(ValueError, match="at least one factor"):
+            list(convolve_sweep(np.array([0.5, 0.5]), [2, 0]))
 
 
 class TestGaussianCdf:
