@@ -1,32 +1,18 @@
-"""The classical side: composite kernels, stationarity and time averages.
+"""The classical side: one dimension's kernel, stationarity and time averages.
 
-Before anything quantum happens, the package models the classical chain: the
-composite kernel over the product space is a q-weighted Kronecker composition
-of per-dimension kernels.  The reflecting chain is periodic, so the
-distribution itself oscillates, but its even/odd subsequences settle and the
-time average converges to the detailed-balance stationary law.
+Before anything quantum happens, each dimension is a classical birth-death
+chain.  The reflecting chain is periodic, so the distribution itself
+oscillates, but its even/odd subsequences settle and the time average
+converges to the detailed-balance stationary law.
 """
 
 import numpy as np
 
-from bdqw import (
-    MultiChainSpec,
-    build_conditional_matrix,
-    ehrenfest_dimension,
-    evolve_classical,
-    full_transition_matrix,
-    stationary_distribution,
-)
-
-spec = MultiChainSpec(
-    dims=(ehrenfest_dimension(1), ehrenfest_dimension(2)),
-    select_prob=(0.3, 0.7),
-)
-kernel = full_transition_matrix(spec)
-print("composite kernel over", spec.product_size, "states; row sums:", kernel.sum(axis=1))
+from bdqw import build_conditional_matrix, ehrenfest_dimension, stationary_distribution
 
 dim = ehrenfest_dimension(4)
 m = build_conditional_matrix(dim)
+print("4-ball urn kernel; row sums:", m.sum(axis=1))
 pi = stationary_distribution(m)
 print("\n4-ball urn stationary law:", pi, "(binomial / 16)")
 
@@ -36,7 +22,7 @@ print("\nstep  distribution (started from position 0)")
 dist = init
 running = np.zeros(5)
 for step in range(1, 9):
-    dist = evolve_classical(dist, m, 1)
+    dist = dist @ m
     running += dist
     print(f"{step:4d}  {np.round(dist, 4)}")
 

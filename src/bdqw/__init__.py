@@ -14,8 +14,6 @@ from .chain import (
     MultiChainSpec,
     build_conditional_matrix,
     ehrenfest_dimension,
-    evolve_classical,
-    full_transition_matrix,
     stationary_distribution,
     uniform_multi_chain,
 )
@@ -69,8 +67,6 @@ __all__ = [
     "ehrenfest_dimension",
     "ehrenfest_sum_law",
     "eigendecompose",
-    "evolve_classical",
-    "full_transition_matrix",
     "gaussian_cdf",
     "moments",
     "orthogonality_defect",

@@ -140,47 +140,12 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def check_oracle_cap(size: int, oracle_cap: int = DEFAULT_ORACLE_CAP) -> None:
+def check_oracle_cap(size: int, oracle_cap: int) -> None:
     """Raise SizeLimitError when a product space of ``size`` states is over the cap."""
     if size > oracle_cap:
         raise SizeLimitError(
             f"product space has {size} states, exceeding the oracle cap of {oracle_cap}"
         )
-
-
-def full_transition_matrix(
-    spec: MultiChainSpec, oracle_cap: int = DEFAULT_ORACLE_CAP
-) -> np.ndarray:
-    """Composite kernel over the product space (oracle scale only).
-
-    Returns sum_i q_i * (I x ... x P_i x ... x I).  Positions are indexed in
-    mixed radix with dimension 1 most significant, i.e. C-order flattening of
-    the (N_1+1, ..., N_d+1) position array.
-    """
-    check_oracle_cap(spec.product_size, oracle_cap)
-    total = np.zeros((spec.product_size, spec.product_size))
-    for i, q in enumerate(spec.select_prob):
-        term = np.ones((1, 1))
-        for j, dim in enumerate(spec.dims):
-            factor = build_conditional_matrix(dim) if j == i else np.eye(dim.n_states)
-            term = np.kron(term, factor)
-        total += q * term
-    return total
-
-
-def evolve_classical(init: np.ndarray, matrix: np.ndarray, steps: int) -> np.ndarray:
-    """Push a distribution through ``steps`` applications of the kernel."""
-    dist = np.asarray(init, dtype=float)
-    m = np.asarray(matrix, dtype=float)
-    if steps < 0:
-        raise ValueError("steps must be a nonnegative integer")
-    if dist.shape != (m.shape[0],) or m.shape[0] != m.shape[1]:
-        raise ValueError(
-            f"dimension mismatch: distribution of length {dist.shape}, kernel {m.shape}"
-        )
-    for _ in range(steps):
-        dist = dist @ m
-    return dist
 
 
 def check_probability_vector(mass: np.ndarray) -> np.ndarray:

@@ -57,7 +57,7 @@ from .ctqw import (
     transition_row,
 )
 from .errors import NumericalError, SizeLimitError
-from .spectral import chain_spectra, dimension_spectrum, orthogonality_defect, symmetrize
+from .spectral import SpectralData, chain_spectra, orthogonality_defect, symmetrize
 from .stats import clt_distance, convolve_sweep, moments
 
 ENV_ORACLE_CAP = "BDQW_ORACLE_CAP"
@@ -591,24 +591,20 @@ def _json_array(values: np.ndarray, depth: int) -> Iterator[str]:
     yield end
 
 
-def _spectrum_keys(dim: DimensionSpec, field: str) -> dict[str, np.ndarray]:
+def _spectrum_keys(spectrum: SpectralData, name: str) -> dict[str, np.ndarray]:
     """A dimension's spectral keys, in the order they are written, each checked finite.
 
-    log_weights, 2 log V[0], is finite where V[0]^2 underflows.  A NumericalError,
-    a non-finite value included (JSON has no NaN or infinity), names ``field``.
+    log_weights, 2 log V[0], is finite where V[0]^2 underflows.  A non-finite
+    value (JSON has no NaN or infinity) raises NumericalError prefixed with ``name``.
     """
-    try:
-        spectrum = dimension_spectrum(dim)
-        keys = {
-            "eigenvalues": spectrum.eigenvalues,
-            "eigenvectors": spectrum.eigenvectors,
-            "log_weights": 2.0 * np.log(spectrum.eigenvectors[0]),
-        }
-        for key, values in keys.items():
-            if not np.isfinite(values).all():
-                raise NumericalError(f"{key} holds a non-finite value, which JSON cannot write")
-    except NumericalError as exc:
-        raise NumericalError(f"{field} (size {dim.size}): {exc}") from exc
+    keys = {
+        "eigenvalues": spectrum.eigenvalues,
+        "eigenvectors": spectrum.eigenvectors,
+        "log_weights": 2.0 * np.log(spectrum.eigenvectors[0]),
+    }
+    for key, values in keys.items():
+        if not np.isfinite(values).all():
+            raise NumericalError(f"{name}: {key} holds a non-finite value, which JSON cannot write")
     return keys
 
 
@@ -627,9 +623,9 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
     """
     dims = config.spec.dims
     spectra: dict[DimensionSpec, dict[str, np.ndarray]] = {}
-    for idx, dim in enumerate(dims):
+    for idx, (dim, spectrum) in enumerate(zip(dims, chain_spectra(config.spec))):
         if dim not in spectra:
-            spectra[dim] = _spectrum_keys(dim, f"dims[{idx}]")
+            spectra[dim] = _spectrum_keys(spectrum, f"dims[{idx}] (size {dim.size})")
 
     def keys_text(keys: dict[str, np.ndarray]) -> Iterator[str]:
         """An entry's spectral keys, indented to their depth."""
@@ -713,13 +709,16 @@ def _write_file(path: str, chunks: Iterable[str]) -> None:
     name and renamed onto ``path`` (keeping an existing file's mode) once
     every chunk is written; if formatting fails part way (out of memory), the
     temporary file is removed and ``path`` is left as it was.  A device or a
-    pipe is written directly.  A symbolic link is followed.
+    pipe is written directly through ``path`` as given, since ``/dev/stdout``
+    on a pipe resolves to ``/proc/<pid>/fd/pipe:[...]``, beside which no file
+    can be made.  A symbolic link to a regular file is followed, and the
+    temporary file renamed onto its target.
     """
-    target = os.path.realpath(path)
-    if os.path.exists(target) and not os.path.isfile(target):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
         return
+    target = os.path.realpath(path)
     partial = f"{target}.{os.getpid()}.tmp"
     fh = open(partial, "x", encoding="utf-8", newline="")
     try:
@@ -767,4 +766,15 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entrypoint() -> None:
+    """Run ``main`` on the command line as a Unix filter.
+
+    A reader that closes the pipe early (``bdqw simulate ... | head -1``)
+    ends the process by SIGPIPE, as it ends any Unix filter, instead of an
+    OSError reported as exit 2.  ``signal`` is imported here, so that
+    importing the module for ``main`` does not pay for it (about 1 ms).
+    """
+    import signal
+
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Chain construction, stationary laws and the composite product-space kernel."""
+"""Chain construction, conditional kernels, stationary laws and the oracle cap."""
 
 from __future__ import annotations
 
@@ -10,40 +10,21 @@ import pickle
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import given
 
 from bdqw.chain import (
     DimensionSpec,
     MultiChainSpec,
     build_conditional_matrix,
+    check_oracle_cap,
     check_probability_vector,
     ehrenfest_dimension,
-    evolve_classical,
-    full_transition_matrix,
     stationary_distribution,
     uniform_multi_chain,
 )
 from bdqw.errors import SizeLimitError
 
 from conftest import multi_chain_specs
-
-
-def kron_expansion_oracle(spec: MultiChainSpec) -> np.ndarray:
-    """Independent triple-loop expansion of the composite kernel."""
-    shape = spec.shape
-    size = int(np.prod(shape))
-    kernels = [build_conditional_matrix(dim) for dim in spec.dims]
-    out = np.zeros((size, size))
-    for row in range(size):
-        row_multi = np.unravel_index(row, shape)
-        for col in range(size):
-            col_multi = np.unravel_index(col, shape)
-            for i, q in enumerate(spec.select_prob):
-                if all(
-                    row_multi[m] == col_multi[m] for m in range(spec.n_dims) if m != i
-                ):
-                    out[row, col] += q * kernels[i][row_multi[i], col_multi[i]]
-    return out
 
 
 class TestDimensionSpec:
@@ -170,6 +151,16 @@ class TestStationaryDistribution:
         assert np.max(np.abs(pi @ m - pi)) <= 1e-12
         check_probability_vector(pi)
 
+    def test_period_two_cycle_averages_to_the_stationary_law(self):
+        # the reflecting chain is periodic: from position 0 its even and odd steps
+        # settle apart, and only their average is the stationary law
+        m = build_conditional_matrix(ehrenfest_dimension(2))
+        even = np.linalg.matrix_power(m, 200)[0]
+        odd = np.linalg.matrix_power(m, 201)[0]
+        assert np.allclose(even, [0.5, 0.0, 0.5], atol=1e-12)
+        assert np.allclose(odd, [0.0, 1.0, 0.0], atol=1e-12)
+        assert np.allclose((even + odd) / 2.0, stationary_distribution(m), atol=1e-12)
+
     @pytest.mark.filterwarnings("error")
     def test_large_urn_does_not_overflow(self):
         # pi is proportional to C(N, k), which overflows a double near N = 1030
@@ -181,95 +172,15 @@ class TestStationaryDistribution:
         assert np.max(np.abs(pi[keep] - expected[keep]) / expected[keep]) <= 1e-10
 
 
-class TestFullTransitionMatrix:
-    def test_single_dimension_is_the_conditional_kernel(self):
-        spec = MultiChainSpec(dims=(ehrenfest_dimension(1),), select_prob=(1.0,))
-        assert np.array_equal(full_transition_matrix(spec), [[0, 1], [1, 0]])
+class TestCheckOracleCap:
+    def test_cap_is_inclusive_and_named(self):
+        check_oracle_cap(4096, 4096)
+        with pytest.raises(SizeLimitError, match="8192 states, exceeding the oracle cap of 4096"):
+            check_oracle_cap(uniform_multi_chain(ehrenfest_dimension(1), 13).product_size, 4096)
+        with pytest.raises(SizeLimitError, match="128 states, exceeding the oracle cap of 64"):
+            check_oracle_cap(128, 64)
 
-    def test_two_edges_uniform(self):
-        spec = uniform_multi_chain(ehrenfest_dimension(1), 2)
-        m = full_transition_matrix(spec)
-        expected = np.array(
-            [
-                [0.0, 0.5, 0.5, 0.0],
-                [0.5, 0.0, 0.0, 0.5],
-                [0.5, 0.0, 0.0, 0.5],
-                [0.0, 0.5, 0.5, 0.0],
-            ]
-        )
-        assert np.allclose(m, expected, atol=0)
-        # doubly stochastic
-        assert np.allclose(m.sum(axis=0), 1.0, atol=1e-15)
-        assert np.allclose(m.sum(axis=1), 1.0, atol=1e-15)
-
-    def test_mixed_sizes_row_sums(self):
-        spec = MultiChainSpec(
-            dims=(ehrenfest_dimension(1), ehrenfest_dimension(2)),
-            select_prob=(0.3, 0.7),
-        )
-        m = full_transition_matrix(spec)
-        assert m.shape == (6, 6)
-        assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-12
-        assert np.allclose(m, kron_expansion_oracle(spec), atol=1e-15)
-
-    def test_oracle_cap_enforced(self):
-        spec = uniform_multi_chain(ehrenfest_dimension(1), 13)  # 8192 states
-        with pytest.raises(SizeLimitError, match="4096"):
-            full_transition_matrix(spec)
-        with pytest.raises(SizeLimitError, match="64"):
-            full_transition_matrix(uniform_multi_chain(ehrenfest_dimension(1), 7), oracle_cap=64)
-
-    @settings(max_examples=40, deadline=None)
-    @given(multi_chain_specs(max_dims=3, max_size=4, max_states=256))
-    def test_matches_triple_loop_oracle(self, spec):
-        m = full_transition_matrix(spec)
-        assert np.allclose(m, kron_expansion_oracle(spec), atol=1e-14)
-        assert float(m.min()) >= 0.0
-        assert np.max(np.abs(m.sum(axis=1) - 1.0)) <= 1e-12
-
-
-class TestEvolveClassical:
-    def test_zero_steps_is_identity(self):
-        spec = uniform_multi_chain(ehrenfest_dimension(1), 2)
-        m = full_transition_matrix(spec)
-        init = np.array([0.25, 0.25, 0.25, 0.25])
-        assert np.array_equal(evolve_classical(init, m, 0), init)
-
-    def test_edge_permutation_step(self):
-        m = full_transition_matrix(
-            MultiChainSpec(dims=(ehrenfest_dimension(1),), select_prob=(1.0,))
-        )
-        assert np.array_equal(evolve_classical(np.array([1.0, 0.0]), m, 1), [0.0, 1.0])
-
-    def test_period_two_limit_cycle_and_time_average(self):
-        m = full_transition_matrix(
-            MultiChainSpec(dims=(ehrenfest_dimension(2),), select_prob=(1.0,))
-        )
-        init = np.array([1.0, 0.0, 0.0])
-        even = evolve_classical(init, m, 200)
-        odd = evolve_classical(init, m, 201)
-        assert np.allclose(even, [0.5, 0.0, 0.5], atol=1e-12)
-        assert np.allclose(odd, [0.0, 1.0, 0.0], atol=1e-12)
-        average = (even + odd) / 2.0
-        assert np.allclose(average, stationary_distribution(m), atol=1e-12)
-
-    def test_dimension_mismatch(self):
-        m = full_transition_matrix(
-            MultiChainSpec(dims=(ehrenfest_dimension(1),), select_prob=(1.0,))
-        )
-        with pytest.raises(ValueError):
-            evolve_classical(np.array([1.0, 0.0, 0.0]), m, 1)
-        with pytest.raises(ValueError):
-            evolve_classical(np.array([1.0, 0.0]), m, -1)
-
-    @settings(max_examples=25, deadline=None)
-    @given(multi_chain_specs(max_dims=3, max_size=4, max_states=256))
-    def test_mass_preserved_per_step(self, spec):
-        m = full_transition_matrix(spec)
-        rng = np.random.default_rng(7)
-        init = rng.uniform(0.0, 1.0, size=spec.product_size)
-        init /= init.sum()
-        dist = init
-        for _ in range(5):
-            dist = evolve_classical(dist, m, 1)
-            assert abs(float(dist.sum()) - 1.0) <= 1e-12
+    def test_the_cap_has_no_default(self):
+        # every caller passes the cap it resolved; there is no second default to drift
+        with pytest.raises(TypeError):
+            check_oracle_cap(4097)

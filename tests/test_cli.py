@@ -7,8 +7,10 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import threading
 import time
 import tracemalloc
 from dataclasses import replace
@@ -569,6 +571,30 @@ class TestOutputTarget:
         config = write_config(tmp_path, dims=[{"size": 1}])
         assert main(["simulate", "--config", config, "--output", os.devnull]) == 0
 
+    def test_a_link_to_a_device_is_written_through_the_link(self, tmp_path):
+        config, link = write_config(tmp_path, dims=[{"size": 1}]), tmp_path / "link"
+        link.symlink_to(os.devnull)
+        assert main(["simulate", "--config", config, "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "link"]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+    def test_a_named_pipe_is_written_directly(self, tmp_path):
+        config = write_config(tmp_path, dims=[{"size": 1}])
+        fifo, out = tmp_path / "fifo", tmp_path / "out"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+        reader.start()
+        try:
+            code = main(["simulate", "--config", config, "--output", str(fifo)])
+        finally:
+            reader.join(timeout=60)
+        assert code == 0 and not reader.is_alive()
+        assert main(["simulate", "--config", config, "--output", str(out)]) == 0
+        assert received == [out.read_bytes()]
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json", "fifo", "out"]
+
 
 class TestCsvWriter:
     """The CSV text of a table is what csv.writer gives, on every CSV subcommand."""
@@ -1042,7 +1068,7 @@ class TestOneSpectraStage:
         monkeypatch.setattr(spectral, "dimension_spectrum", counting)
         return calls
 
-    @pytest.mark.parametrize("argv", [["simulate", "--dense"], ["verify"]])
+    @pytest.mark.parametrize("argv", [["simulate", "--dense"], ["verify"], ["dump-spectrum"]])
     def test_two_distinct_dims_at_two_times(self, tmp_path, solved, argv):
         config = write_config(tmp_path, dims=[{"size": 1}, {"size": 2}], time=[0.5, 1.5])
         assert main([*argv, "--config", config, "--output", str(tmp_path / "out")]) == 0
@@ -1075,13 +1101,13 @@ class TestDumps:
 
     def test_dump_spectrum_text_and_one_solve_per_distinct_dimension(self, tmp_path, monkeypatch):
         solved = []
-        solve = cli.dimension_spectrum
+        solve = spectral.dimension_spectrum
 
         def counting(dim):
             solved.append(dim)
             return solve(dim)
 
-        monkeypatch.setattr(cli, "dimension_spectrum", counting)
+        monkeypatch.setattr(spectral, "dimension_spectrum", counting)
         dims = [{"size": 3}, {"size": 2, "p_table": [0.3]}, {"size": 3}, {"size": 1}, {"size": 3}]
         out = tmp_path / "spectrum.json"
         config = write_config(tmp_path, dims=dims, time=1.0)
@@ -1102,6 +1128,21 @@ class TestDumps:
             )
         payload = {"dimensions": entries}
         assert out.read_text(encoding="utf-8") == json.dumps(payload, indent=2) + "\n"
+
+    def test_dump_spectrum_takes_its_spectra_from_the_shared_stage(self, tmp_path, monkeypatch):
+        calls = []
+        shared = cli.chain_spectra
+
+        def recording(spec):
+            calls.append(spec)
+            return shared(spec)
+
+        monkeypatch.setattr(cli, "chain_spectra", recording)
+        config = write_config(tmp_path, dims=[{"size": 2}, {"size": 1}, {"size": 2}], time=1.0)
+        out = tmp_path / "spectrum.json"
+        assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 0
+        assert calls == [load_config(config).spec]
+        assert out.read_text(encoding="utf-8") == dumped_spectra(calls[0].dims)
 
     def test_dump_spectrum(self, tmp_path):
         out = tmp_path / "spectrum.json"
@@ -1190,7 +1231,7 @@ class TestDumps:
     @pytest.mark.parametrize("key", ["eigenvalues", "eigenvectors"])
     def test_dump_spectrum_rejects_a_non_finite_value(self, tmp_path, monkeypatch, capsys, key):
         # json.dumps would write NaN, which is not JSON
-        solve = cli.dimension_spectrum
+        solve = spectral.dimension_spectrum
 
         def with_nan(dim):
             data = solve(dim)
@@ -1199,7 +1240,7 @@ class TestDumps:
             arrays[key][0] = math.nan  # an eigenvalue, or every first component and log-weight
             return SpectralData(**arrays)
 
-        monkeypatch.setattr(cli, "dimension_spectrum", with_nan)
+        monkeypatch.setattr(spectral, "dimension_spectrum", with_nan)
         out = tmp_path / "spectrum.json"
         config = write_config(tmp_path, dims=[{"size": 2}], time=1.0)
         assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 2
@@ -1359,3 +1400,51 @@ class TestEntryPoint:
         lines = result.stdout.strip().splitlines()
         assert lines[0] == "time,dimension,position,probability"
         assert len(lines) == 3
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_main_leaves_the_sigpipe_handler_alone(self, tmp_path):
+        # only the command-line entry point acts as a filter; a caller of main keeps its handler
+        before = signal.getsignal(signal.SIGPIPE)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", edge_config(tmp_path), "--output", str(out)]) == 0
+        assert signal.getsignal(signal.SIGPIPE) == before
+
+    @pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="no /dev/stdout")
+    def test_output_dev_stdout_on_a_pipe(self, tmp_path):
+        # on a pipe, /dev/stdout resolves to /proc/<pid>/fd/pipe:[...], beside which
+        # no temporary file can be made: it must be written directly, as stdout is
+        config = write_config(tmp_path, dims=[{"size": 2}, {"size": 1}], time=[0.5, 3.0])
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        results = [
+            subprocess.run(
+                [sys.executable, "-m", "bdqw", "simulate", "--config", config, "--output", target],
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                env=env,
+                timeout=60,
+            )
+            for target in ("/dev/stdout", "-")
+        ]
+        assert [(r.returncode, r.stderr) for r in results] == [(0, b""), (0, b"")]
+        assert results[0].stdout.startswith(b"time,dimension,position,probability\n")
+        assert results[0].stdout == results[1].stdout
+
+    @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
+    def test_a_reader_closing_the_pipe_ends_the_run_as_a_filter(self, tmp_path):
+        # 1.8 MB of CSV, far more than a pipe buffers: the run is still writing when
+        # the reader goes, and ends by SIGPIPE with nothing on stderr, not exit 2
+        config = write_config(
+            tmp_path, dims=[{"size": 1}] * 10000, time=[2345.5, 11000.25, 19876.0]
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        with subprocess.Popen(
+            [sys.executable, "-m", "bdqw", "simulate", "--config", config],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        ) as proc:
+            assert proc.stdout.readline() == b"time,dimension,position,probability\n"
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            proc.wait(timeout=60)
+        assert (proc.returncode, stderr) == (-signal.SIGPIPE, b"")

@@ -7,10 +7,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.stats
 from hypothesis import given, settings
 
 from bdqw import spectral
+from bdqw.ctqw import transition_matrix_1d
 from bdqw.chain import (
     DimensionSpec,
     MultiChainSpec,
@@ -415,6 +417,23 @@ class TestTwistedEigenvectors:
         ref_values, ref_vectors = serial_reference(tri)
         assert np.array_equal(data.eigenvalues, ref_values)
         assert np.array_equal(data.eigenvectors, ref_vectors)
+
+    # A disordered chain of 300 states: its tight gaps take the QL, and |U|^2 must
+    # stay within K t eps of expm.  Measured on seeds 0-15: up to 85 at t = 0.7,
+    # 12 at t = 30 and 9.4 at t = 500; seed 0 reads 53, 12 and 5.9.  Any
+    # replacement of the QL has to meet this, beyond the 80 states tested above.
+    def test_disordered_chain_on_the_full_ql_matches_expm(self, monkeypatch):
+        calls = full_ql_counter(monkeypatch)
+        rng = np.random.default_rng(0)
+        spec = DimensionSpec(size=299, decrease_prob=tuple(rng.uniform(0.02, 0.98, 298)))
+        data = dimension_spectrum(spec)
+        assert calls == [300]
+        assert float(np.diff(data.eigenvalues).min()) < spectral._TWIST_MIN_GAP
+        j = spectrum_of(spec).to_dense()
+        for t in (0.7, 30.0, 500.0):
+            expected = np.abs(scipy.linalg.expm(1j * t * j)) ** 2
+            error = np.max(np.abs(transition_matrix_1d(data, t) - expected))
+            assert error <= 74 * t * np.finfo(float).eps
 
     # Without the gap rule the twisted vectors' defect, about eps / gap, exceeds
     # the validation tolerance from size 16 (smallest gap 8.3e-8) on.
