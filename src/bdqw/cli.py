@@ -391,18 +391,23 @@ def _unitarity_defect(parts: np.ndarray) -> float:
     stacked (2n x n) slab S = [R; I] and Im(U^dagger U) = R^T I - (R^T I)^T.
     The Gram is Hermitian, so its upper triangle holds every |entry|: three
     gemms per block of _DEFECT_BLOCK_ROWS rows, from the block's diagonal
-    on, give the bits of the n x n products in O(n * block) memory.
+    on, give the bits of the n x n products.  Each gemm writes into one of
+    two buffers of a block each, made once: R^T I into the first, I^T R
+    into the second and subtracted from the first, then S^T S into the
+    second; so the check holds 2 * _DEFECT_BLOCK_ROWS * n doubles beside U.
     """
     n = parts.shape[-1]
     stacked = parts.reshape(2 * n, n)
     re, im = parts
+    buffers = np.empty((2, min(n, _DEFECT_BLOCK_ROWS) * n))
     maxima = []
     for i in range(0, n, _DEFECT_BLOCK_ROWS):
         rows = slice(i, i + _DEFECT_BLOCK_ROWS)
-        gram = stacked[:, rows].T @ stacked[:, i:]
+        cross, gram = buffers[:, : min(n - i, _DEFECT_BLOCK_ROWS) * (n - i)].reshape(2, -1, n - i)
+        np.matmul(re[:, rows].T, im[:, i:], out=cross)
+        cross -= np.matmul(im[:, rows].T, re[:, i:], out=gram)
+        np.matmul(stacked[:, rows].T, stacked[:, i:], out=gram)
         gram.flat[:: n - i + 1] -= 1.0  # the diagonal: column i + r of row r
-        cross = re[:, rows].T @ im[:, i:]
-        cross -= im[:, rows].T @ re[:, i:]
         maxima.append(np.max(np.hypot(gram, cross, out=cross)))
     return float(np.max(maxima))  # np.max, not max(): a NaN block fails the check
 
@@ -711,11 +716,20 @@ def _write_file(path: str, chunks: Iterable[str]) -> None:
     temporary file is removed and ``path`` is left as it was.  A device or a
     pipe is written directly through ``path`` as given, since ``/dev/stdout``
     on a pipe resolves to ``/proc/<pid>/fd/pipe:[...]``, beside which no file
-    can be made.  A symbolic link to a regular file is followed, and the
+    can be made.  A path that names an open descriptor (``/dev/stdout``,
+    ``/dev/stderr``, ``/dev/fd/N``, ``/proc/self/fd/N``) is written through
+    that descriptor, at its offset: the file a shell redirected it to may
+    hold what the shell wrote before, as after ``>> log`` or in
+    ``{ echo header; bdqw ...; } > f``, which opening or replacing the file
+    would lose.  A symbolic link to a regular file is followed, and the
     temporary file renamed onto its target.
     """
-    if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+    aliases = {"/dev/stdout": "/dev/fd/1", "/dev/stderr": "/dev/fd/2"}
+    head, _, tail = aliases.get(path, path).rpartition("/")
+    fd = int(tail) if head in ("/dev/fd", "/proc/self/fd") and tail.isdecimal() else None
+    if fd is not None or os.path.exists(path) and not os.path.isfile(path):
+        target, closefd = (path, True) if fd is None else (fd, False)
+        with open(target, "w", encoding="utf-8", newline="", closefd=closefd) as fh:
             fh.writelines(chunks)
         return
     target = os.path.realpath(path)

@@ -78,26 +78,32 @@ def _amplitudes(
     W is never formed.  The phase array cos(t lambda), with sin(t lambda)
     stacked on a leading axis, is contracted one spectral index m_l at a
     time: step l computes sum_m V_l[rows_l, m] X[..., m, ...] V_l[cols_l, m]
-    by scaling X with the row factor and one real matmul with the column
-    factor.  All pairs cost size^2 * sum n_l multiply-adds, against size^3
-    per matmul with W.  Real matmuls rather than a complex-phase product,
-    which costs a complex matmul.
+    by real matmuls with the column factor.  All pairs cost size^2 * sum n_l
+    multiply-adds, against size^3 per matmul with W.  Real matmuls rather
+    than a complex-phase product, which costs a complex matmul.
 
-    A step that keeps a row axis writes its output one row index k_l at a
-    time, (X * V_l[k_l]) @ V_l[cols_l]^T into out[..., k_l, ...]: besides the
-    (2, size, size) result of the all-pairs routes it holds arrays of 1/n_l
-    of that size, not a second slab, and each gemm sums an element as one
-    gemm over all k_l would.
+    A step that drops the row axis scales X by its row V_l[k_l] and makes one
+    matmul.  A step that keeps it makes one matmul per row index k_l: X, read
+    in place as (lead, rest, m_l) with lead the axes kept so far and rest
+    the axes after m_l, times V_l[cols_l]^T scaled by V_l[k_l], written
+    straight into the slice out[:, k_l] of the output viewed as (lead, n_l,
+    rest, cols).  The step holds its input and its output and nothing else:
+    for the all-pairs routes the (2, size, size) result plus, in the last
+    step, an input of 1/n_d of it.  Each term is x * (V_l[k_l, m] V_l[c, m])
+    rather than (x * V_l[k_l, m]) * V_l[c, m], so the sums round differently
+    from scaling X (within 2 eps on every chain measured), and the k_l blocks
+    are no longer what one gemm over all k_l would sum.
 
-    A single factor is that step alone, (V[rows] cos) @ V[cols]^T and the
-    same with sin, kept as two matmuls: stacking them would change the BLAS
-    call (and so the bits) of every one-dimensional route, whose many tiny
-    calls also pay for any bookkeeping.  There ``t`` may also be a 1-D array
-    of times, which puts a leading time axis on each part.  With a row axis
-    kept (a slice in ``rows``), numpy's stacked matmul then makes, per time,
-    the BLAS call that scalar ``t`` makes, so each time's block is
-    bit-identical to its own call; an integer row would turn the per-time
-    dot products into one gemv, whose sums differ in the last bits.
+    A single factor is one step that scales its input, (V[rows] cos) @
+    V[cols]^T and the same with sin, kept as two matmuls: stacking them
+    would change the BLAS call (and so the bits) of every one-dimensional
+    route, whose many tiny calls also pay for any bookkeeping.  There ``t``
+    may also be a 1-D array of times, which puts a leading time axis on each
+    part.  With a row axis kept (a slice in ``rows``), numpy's stacked
+    matmul then makes, per time, the BLAS call that scalar ``t`` makes, so
+    each time's block is bit-identical to its own call; an integer row would
+    turn the per-time dot products into one gemv, whose sums differ in the
+    last bits.
     """
     full = (slice(None),) * len(factors)
     rows, cols = rows or full, cols or full
@@ -112,18 +118,17 @@ def _amplitudes(
     kept = 1  # the parts' axis and the row axes kept so far lead x
     for v, r, c in zip(factors, rows, cols):
         left, right = v[r], v[c].T
-        x = np.moveaxis(x, kept, -1)  # m_l last
-        if left.ndim == 2:  # one product per k_l
-            x = np.ascontiguousarray(x)  # read n_l times, so read in memory order
-            shape = x.shape[:-1] + right.shape[1:]
-            out = np.empty(shape[:kept] + left.shape[:1] + shape[kept:])
-            y, part = np.empty(x.shape), np.empty(shape)
+        if left.ndim == 2:  # one matmul per k_l, each into its slice of the output
+            lead, m = x.shape[:kept], x.shape[kept]
+            src = x.reshape(math.prod(lead), m, -1).swapaxes(1, 2)  # (lead, rest, m), in place
+            x = np.empty(lead + left.shape[:1] + x.shape[kept + 1 :] + right.shape[1:])
+            dst = x.reshape(len(src), len(left), src.shape[1], -1)  # (lead, n_l, rest, cols)
             for k, row in enumerate(left):
-                np.multiply(row, x, out=y)
-                np.matmul(y.reshape(-1, y.shape[-1]), right, out=part.reshape(-1, *right.shape[1:]))
-                out[(slice(None),) * kept + (k,)] = part
-            x, kept = out, kept + 1
+                np.matmul(src, (v[c] * row).T.reshape(m, -1), out=dst[:, k])
+            del src, dst  # the step's input is freed here, not held into the next step
+            kept += 1
             continue
+        x = np.moveaxis(x, kept, -1)  # m_l last
         y = np.multiply(left, x, order="C")  # contiguous, whatever the layout of x
         x = (y.reshape(-1, y.shape[-1]) @ right).reshape(y.shape[:-1] + right.shape[1:])
     return x

@@ -48,6 +48,40 @@ def factorized_transition_matrix(spec: MultiChainSpec, spectra: tuple, t: float)
     return out
 
 
+def scaled_input_amplitudes(
+    factors: tuple, values: np.ndarray, t: float, rows: tuple | None = None, cols: tuple | None = None
+) -> np.ndarray:
+    """The dense kernel as it was before its kept-row step scaled the column factor.
+
+    A reference for ``ctqw._amplitudes`` with two factors or more: a step that
+    keeps a row axis scales the whole input X by V_l[k_l] and writes
+    (X * V_l[k_l]) @ V_l[cols_l]^T into a part buffer, then copies the part
+    into out[..., k_l, ...]; the other steps are the kernel's own.
+    """
+    full = (slice(None),) * len(factors)
+    rows, cols = rows or full, cols or full
+    lam_t = np.multiply.outer(t, values)
+    x = np.stack((np.cos(lam_t), np.sin(lam_t)))
+    kept = 1
+    for v, r, c in zip(factors, rows, cols):
+        left, right = v[r], v[c].T
+        x = np.moveaxis(x, kept, -1)
+        if left.ndim == 2:
+            x = np.ascontiguousarray(x)
+            shape = x.shape[:-1] + right.shape[1:]
+            out = np.empty(shape[:kept] + left.shape[:1] + shape[kept:])
+            y, part = np.empty(x.shape), np.empty(shape)
+            for k, row in enumerate(left):
+                np.multiply(row, x, out=y)
+                np.matmul(y.reshape(-1, y.shape[-1]), right, out=part.reshape(-1, *right.shape[1:]))
+                out[(slice(None),) * kept + (k,)] = part
+            x, kept = out, kept + 1
+            continue
+        y = np.multiply(left, x, order="C")
+        x = (y.reshape(-1, y.shape[-1]) @ right).reshape(y.shape[:-1] + right.shape[1:])
+    return x
+
+
 def double_well(size: int) -> DimensionSpec:
     """p = 0.9 below the middle, 0.1 above: two wells whose eigenvalues pair up tightly."""
     table = tuple(0.9 if k < size / 2 else 0.1 for k in range(1, size))

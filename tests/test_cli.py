@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shlex
 import signal
 import subprocess
 import sys
@@ -734,6 +735,24 @@ class TestVerify:
         parts[1, n - 1, 0] = np.nan  # one NaN in the last block
         assert math.isnan(cli._unitarity_defect(parts))
 
+    def test_unitarity_defect_holds_two_blocks(self):
+        # the 8 x 16 x 16 oracle's U: the Gram's gemms write into two buffers of
+        # _DEFECT_BLOCK_ROWS x size doubles each; fresh products held a third block
+        spec = MultiChainSpec(
+            dims=tuple(ehrenfest_dimension(size) for size in (7, 15, 15)),
+            select_prob=(0.2, 0.3, 0.5),
+        )
+        parts = cli.dense_propagator_parts(spec, spectral.chain_spectra(spec), 1.3)
+        block = 8 * cli._DEFECT_BLOCK_ROWS * spec.product_size
+        tracemalloc.start()
+        try:
+            defect = cli._unitarity_defect(parts)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * block + 2**16  # 64 KiB for the Python objects, not a third block
+        assert defect <= 1e-10
+
     def test_blockwise_theorem1_error_is_the_all_pairs_difference(self):
         # the factorized law is subtracted a block at a time, with np.kron's products
         rng = np.random.default_rng(5)
@@ -1428,6 +1447,33 @@ class TestEntryPoint:
         assert [(r.returncode, r.stderr) for r in results] == [(0, b""), (0, b"")]
         assert results[0].stdout.startswith(b"time,dimension,position,probability\n")
         assert results[0].stdout == results[1].stdout
+
+    @pytest.mark.parametrize("redirect", [">>", ">"])
+    @pytest.mark.parametrize(
+        "target, fd",
+        [("/dev/stdout", 1), ("/dev/stderr", 2), ("/dev/fd/1", 1), ("/proc/self/fd/1", 1)],
+    )
+    def test_an_open_descriptor_is_written_at_its_offset(self, tmp_path, target, fd, redirect):
+        # the shell's file behind the descriptor keeps what was written before the
+        # report, whether appended to (>>) or written by a { ...; } > f group
+        if not os.path.exists(target):
+            pytest.skip(f"no {target}")
+        config = write_config(tmp_path, dims=[{"size": 1}])
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        log = tmp_path / "log.txt"
+        log.write_text("earlier\n", encoding="utf-8")
+        run = f"{shlex.quote(sys.executable)} -m bdqw dump-config --config {shlex.quote(config)}"
+        script = (
+            f"{{ echo header >&{fd}; {run} --output {target}; echo footer >&{fd}; }}"
+            f" {fd}{redirect} {shlex.quote(str(log))}"
+        )
+        result = subprocess.run(["/bin/sh", "-c", script], env=env, timeout=60)
+        assert result.returncode == 0
+        text = log.read_text(encoding="utf-8")
+        expected_head = ("earlier\n" if redirect == ">>" else "") + "header\n"
+        assert text.startswith(expected_head) and text.endswith("footer\n")
+        report = json.loads(text[len(expected_head) : -len("footer\n")])
+        assert report["output"]["path"] == target
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
     def test_a_reader_closing_the_pipe_ends_the_run_as_a_filter(self, tmp_path):
