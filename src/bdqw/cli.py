@@ -28,7 +28,6 @@ import os
 import shutil
 import sys
 import time
-from collections import Counter
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, replace
 from functools import reduce
@@ -245,9 +244,19 @@ def parse_config(data: object) -> ExperimentConfig:
     )
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A decoded JSON object; a key given twice is rejected by name, never overwritten."""
+    data = dict(pairs)
+    if len(data) < len(pairs):
+        seen: set[str] = set()
+        key = next(key for key, _ in pairs if key in seen or seen.add(key))
+        raise ConfigError(f"config: duplicate key {key!r}")
+    return data
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+        data = json.load(fh, object_pairs_hook=_unique_keys)
     return parse_config(data)
 
 
@@ -621,10 +630,10 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
     distinct dimension is solved and checked first, so a failure writes
     nothing; the chunks then give the text as it is formatted, one
     eigenvector row at a time, so the peak is the solved arrays and a row of
-    text.  Each distinct dimension's keys are formatted once, at its first
-    entry, and its chunks are kept only while a later entry repeats it.  The
-    float lists are written by _json_array, byte for byte as json.dumps
-    writes them, without the encoder.
+    text.  A repeated dimension is solved once, and each of its entries is
+    written from the same arrays.  The float lists are written by
+    _json_array, byte for byte as json.dumps writes them, without the
+    encoder.
     """
     dims = config.spec.dims
     spectra: dict[DimensionSpec, dict[str, np.ndarray]] = {}
@@ -632,26 +641,14 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
         if dim not in spectra:
             spectra[dim] = _spectrum_keys(spectrum, f"dims[{idx}] (size {dim.size})")
 
-    def keys_text(keys: dict[str, np.ndarray]) -> Iterator[str]:
-        """An entry's spectral keys, indented to their depth."""
-        separator = ""
-        for key, values in keys.items():
-            yield f'{separator}\n      "{key}": '
-            yield from _json_array(values, 3)
-            separator = ","
-
     def chunks() -> Iterator[str]:
-        later = Counter(dims)  # per dimension, its entries not yet written
-        texts: dict[DimensionSpec, tuple[str, ...]] = {}  # of the dimensions a later entry repeats
         yield '{\n  "dimensions": ['
         for idx, dim in enumerate(dims):
-            later[dim] -= 1
             separator = "," if idx else ""
-            yield f'{separator}\n    {{\n      "index": {idx + 1},\n      "size": {dim.size},'
-            text = texts.pop(dim) if dim in texts else keys_text(spectra.pop(dim))
-            if later[dim]:
-                text = texts[dim] = tuple(text)
-            yield from text
+            yield f'{separator}\n    {{\n      "index": {idx + 1},\n      "size": {dim.size}'
+            for key, values in spectra[dim].items():
+                yield f',\n      "{key}": '
+                yield from _json_array(values, 3)
             yield "\n    }"
         yield "\n  ]\n}\n"
 
@@ -722,19 +719,24 @@ def _write_file(path: str, chunks: Iterable[str]) -> None:
     hold what the shell wrote before, as after ``>> log`` or in
     ``{ echo header; bdqw ...; } > f``, which opening or replacing the file
     would lose.  A symbolic link to a regular file is followed, and the
-    temporary file renamed onto its target.
+    temporary file renamed onto its target.  A path that cannot be opened is
+    named as given in the error, not as its descriptor or temporary file.
     """
     aliases = {"/dev/stdout": "/dev/fd/1", "/dev/stderr": "/dev/fd/2"}
     head, _, tail = aliases.get(path, path).rpartition("/")
     fd = int(tail) if head in ("/dev/fd", "/proc/self/fd") and tail.isdecimal() else None
-    if fd is not None or os.path.exists(path) and not os.path.isfile(path):
-        target, closefd = (path, True) if fd is None else (fd, False)
-        with open(target, "w", encoding="utf-8", newline="", closefd=closefd) as fh:
-            fh.writelines(chunks)
-        return
+    direct = fd is not None or os.path.exists(path) and not os.path.isfile(path)
     target = os.path.realpath(path)
     partial = f"{target}.{os.getpid()}.tmp"
-    fh = open(partial, "x", encoding="utf-8", newline="")
+    file, mode = (path if fd is None else fd, "w") if direct else (partial, "x")
+    try:  # a failure names the path as given, not its descriptor or temporary file
+        fh = open(file, mode, encoding="utf-8", newline="", closefd=fd is None)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+    if direct:
+        with fh:
+            fh.writelines(chunks)
+        return
     try:
         with fh:
             fh.writelines(chunks)

@@ -82,17 +82,19 @@ def _amplitudes(
     multiply-adds, against size^3 per matmul with W.  Real matmuls rather
     than a complex-phase product, which costs a complex matmul.
 
-    A step that drops the row axis scales X by its row V_l[k_l] and makes one
-    matmul.  A step that keeps it makes one matmul per row index k_l: X, read
-    in place as (lead, rest, m_l) with lead the axes kept so far and rest
-    the axes after m_l, times V_l[cols_l]^T scaled by V_l[k_l], written
-    straight into the slice out[:, k_l] of the output viewed as (lead, n_l,
-    rest, cols).  The step holds its input and its output and nothing else:
-    for the all-pairs routes the (2, size, size) result plus, in the last
-    step, an input of 1/n_d of it.  Each term is x * (V_l[k_l, m] V_l[c, m])
-    rather than (x * V_l[k_l, m]) * V_l[c, m], so the sums round differently
-    from scaling X (within 2 eps on every chain measured), and the k_l blocks
-    are no longer what one gemm over all k_l would sum.
+    Every step keeps its row axis, an integer row k_l as the one-row slice
+    k_l:k_l+1 whose axis is squeezed on return, and makes one matmul per row
+    index k_l: X, read in place as (lead, rest, m_l) with lead the axes kept
+    so far and rest the axes after m_l, times V_l[cols_l]^T scaled by
+    V_l[k_l], written straight into the slice out[:, k_l] of the output
+    viewed as (lead, n_l, rest, cols).  The step holds its input and its
+    output and nothing else: for the all-pairs routes the (2, size, size)
+    result plus, in the last step, an input of 1/n_d of it; for one element,
+    the phase array plus an output of 1/n_1 of it.  Each term is
+    x * (V_l[k_l, m] V_l[c, m]) rather than (x * V_l[k_l, m]) * V_l[c, m], so
+    the sums round differently from scaling X (within 2 eps on every chain
+    measured), and the k_l blocks are no longer what one gemm over all k_l
+    would sum.
 
     A single factor is one step that scales its input, (V[rows] cos) @
     V[cols]^T and the same with sin, kept as two matmuls: stacking them
@@ -115,23 +117,15 @@ def _amplitudes(
             cos, sin = cos[..., None, :], sin[..., None, :]
         return [(left * cos) @ right, (left * sin) @ right]
     x = np.stack((np.cos(lam_t), np.sin(lam_t)))
-    kept = 1  # the parts' axis and the row axes kept so far lead x
-    for v, r, c in zip(factors, rows, cols):
-        left, right = v[r], v[c].T
-        if left.ndim == 2:  # one matmul per k_l, each into its slice of the output
-            lead, m = x.shape[:kept], x.shape[kept]
-            src = x.reshape(math.prod(lead), m, -1).swapaxes(1, 2)  # (lead, rest, m), in place
-            x = np.empty(lead + left.shape[:1] + x.shape[kept + 1 :] + right.shape[1:])
-            dst = x.reshape(len(src), len(left), src.shape[1], -1)  # (lead, n_l, rest, cols)
-            for k, row in enumerate(left):
-                np.matmul(src, (v[c] * row).T.reshape(m, -1), out=dst[:, k])
-            del src, dst  # the step's input is freed here, not held into the next step
-            kept += 1
-            continue
-        x = np.moveaxis(x, kept, -1)  # m_l last
-        y = np.multiply(left, x, order="C")  # contiguous, whatever the layout of x
-        x = (y.reshape(-1, y.shape[-1]) @ right).reshape(y.shape[:-1] + right.shape[1:])
-    return x
+    for l, (v, r, c) in enumerate(zip(factors, rows, cols)):
+        left, right = np.atleast_2d(v[r]), v[c].T  # an integer row: an axis of length one
+        lead, m = x.shape[: 1 + l], x.shape[1 + l]  # the parts' axis and the row axes so far
+        src = x.reshape(math.prod(lead), m, -1).swapaxes(1, 2)  # (lead, rest, m), in place
+        x = np.empty(lead + left.shape[:1] + x.shape[2 + l :] + right.shape[1:])
+        dst = x.reshape(len(src), len(left), src.shape[1], -1)  # (lead, n_l, rest, cols)
+        for k, row in enumerate(left):
+            np.matmul(src, (v[c] * row).T.reshape(m, -1), out=dst[:, k])
+    return x.squeeze(tuple(1 + l for l, r in enumerate(rows) if not isinstance(r, slice)))
 
 
 def _probabilities(parts: np.ndarray) -> np.ndarray:

@@ -147,6 +147,22 @@ class TestConfigParsing:
         assert main(["dump-config", "--config", write_config(tmp_path, **fields)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {path}: unknown key")
 
+    @pytest.mark.parametrize(
+        "text, key",
+        [
+            ('{"dims": [{"size": 1}], "time": 1.0, "time": 2.0}', "time"),
+            ('{"dims": [{"size": 1, "size": 2}]}', "size"),
+            ('{"dims": [{"size": 1}], "output": {"format": "csv", "format": "json"}}', "format"),
+        ],
+        ids=["top level", "dimension", "output"],
+    )
+    def test_duplicate_key_rejected(self, tmp_path, capsys, text, key):
+        # json keeps the last of a repeated key: the first value would be dropped
+        path = tmp_path / "dup.json"
+        path.write_text(text, encoding="utf-8")
+        assert main(["dump-config", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: config: duplicate key '{key}'\n")
+
     def test_nan_select_prob_rejected(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"dims": [{"size": 1}], "select_prob": [NaN]}', encoding="utf-8")
@@ -567,6 +583,25 @@ class TestOutputTarget:
         assert main(["dump-config", "--config", config, "--output", str(link)]) == 0
         assert link.is_symlink() and out.stat().st_mode & 0o777 == 0o600
         assert json.loads(out.read_text(encoding="utf-8"))["output"]["path"] == str(link)
+
+    @pytest.mark.parametrize(
+        "kind, reason",
+        [
+            ("descriptor", "[Errno 9] Bad file descriptor"),
+            ("file", "[Errno 2] No such file or directory"),
+        ],
+    )
+    def test_an_output_that_cannot_be_opened_is_named_as_given(
+        self, tmp_path, capsys, kind, reason
+    ):
+        # as a missing --config is named: not as the descriptor or the temporary file
+        config = write_config(tmp_path, dims=[{"size": 1}])
+        closed = os.open(os.devnull, os.O_RDONLY)
+        os.close(closed)
+        out = f"/dev/fd/{closed}" if kind == "descriptor" else str(tmp_path / "missing" / "out")
+        assert main(["dump-config", "--config", config, "--output", out]) == 2
+        assert capsys.readouterr() == ("", f"error: {reason}: {out!r}\n")
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
     def test_a_device_is_written_directly(self, tmp_path):
         config = write_config(tmp_path, dims=[{"size": 1}])
@@ -1211,24 +1246,14 @@ class TestDumps:
         assert code == 0
         assert_same_text("".join(chunks), dumped_spectra(config.spec.dims))
 
-    def test_dump_spectrum_streams_rows_and_formats_each_dimension_once(self, monkeypatch):
+    def test_dump_spectrum_streams_rows(self):
         # the urn of dims[0] recurs at dims[2]; the urn of dims[1] appears once
-        formatted = []
-        real = cli._json_array
-
-        def counting(values, depth):
-            if depth == 3:  # a key's whole array, not one of its rows
-                formatted.append(len(values))
-            return real(values, depth)
-
-        monkeypatch.setattr(cli, "_json_array", counting)
         config = parse_config({"dims": [{"size": 40}, {"size": 30}, {"size": 40}]})
         code, chunks = cli.run_dump_spectrum(config)
         chunks = list(chunks)
         assert code == 0
         assert_same_text("".join(chunks), dumped_spectra(config.spec.dims))
-        assert formatted == [41, 41, 41, 31, 31, 31]  # each key of each distinct urn once
-        # no chunk holds more than one row of floats, kept for a repeat or not
+        # no chunk holds more than one row of floats, repeated or not
         assert max(chunk.count(",") for chunk in chunks) < 41
 
     def test_dump_spectrum_is_not_held_as_text(self, tmp_path):

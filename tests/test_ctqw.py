@@ -325,6 +325,22 @@ class TestContractionKernel:
             tracemalloc.stop()
         assert peak <= slab + slab // spec.shape[-1] + 2**20
 
+    @pytest.mark.parametrize("n_balls, d", [(1, 16), (15, 4)])
+    def test_one_element_holds_the_phase_array(self, n_balls, d):
+        # 2^16 states: the eigenvalue sum, t lambda, cos, sin and their stack are
+        # 48 bytes a state, and the first step writes 1/n_1 of the stack; scaling
+        # each step's input into a copy held 50-56 bytes a state, 0.13-0.5 MiB
+        # above this bound, and the Python objects take about 5 kB
+        spec = uniform_multi_chain(ehrenfest_dimension(n_balls), d)
+        spectra = chain_spectra(spec)
+        tracemalloc.start()
+        try:
+            transition_prob_dense(spec, spectra, 1.3, (0,) * d, (n_balls,) * d, 2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 48 * spec.product_size + 2**16
+
     @settings(max_examples=30, deadline=None)
     @given(multi_chain_specs(max_dims=1, max_size=8), st.floats(-10, 10), st.data())
     def test_one_factor_is_the_two_matmuls_bit_for_bit(self, spec, t, data):
