@@ -46,6 +46,7 @@ from .chain import (
     uniform_multi_chain,
 )
 from .ctqw import (
+    _kronecker_sum,
     _marginal_laws,
     dense_position_distribution,
     dense_propagator_parts,
@@ -64,8 +65,9 @@ VERIFY_TOLERANCE = 1e-10
 BENCH_REPETITIONS = 5
 BENCH_SPEEDUP_FLAG = 10.0
 BENCH_FLAT_FLAG = 10.0
-# Rows of the unitarity Gram formed at once: 2 MiB blocks at 2048 states.
-_DEFECT_BLOCK_ROWS = 128
+# Columns of U whose unitarity is checked at once: each step of the check
+# holds two blocks of 2 * 32 * size doubles, 1 MiB each at 2048 states.
+_DEFECT_BLOCK_COLS = 32
 
 # Documented reading of the Gaussian-limit statistic: the d summands are
 # independent copies of the single-dimension walk, each evaluated at the
@@ -393,32 +395,53 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
     return 0, blocks()
 
 
-def _unitarity_defect(parts: np.ndarray) -> float:
-    """Largest |(U^dagger U - I)[a, b]| for U = parts[0] + i parts[1], in real arithmetic.
+def _unitarity_defect(
+    parts: np.ndarray, factors: tuple[np.ndarray, ...], values: np.ndarray, t: float
+) -> float:
+    """Largest |(U_s^dagger U - I)[a, b]| for U = parts[0] + i parts[1] and its spectral form U_s.
 
-    With R, I the real and imaginary parts, Re(U^dagger U) = S^T S for the
-    stacked (2n x n) slab S = [R; I] and Im(U^dagger U) = R^T I - (R^T I)^T.
-    The Gram is Hermitian, so its upper triangle holds every |entry|: three
-    gemms per block of _DEFECT_BLOCK_ROWS rows, from the block's diagonal
-    on, give the bits of the n x n products.  Each gemm writes into one of
-    two buffers of a block each, made once: R^T I into the first, I^T R
-    into the second and subtracted from the first, then S^T S into the
-    second; so the check holds 2 * _DEFECT_BLOCK_ROWS * n doubles beside U.
+    U_s = W diag(e^{i t lambda}) W^T, with W = V_1 (x) ... (x) V_d the
+    Kronecker product of the orthonormal ``factors`` and ``values`` the
+    eigenvalues of W's columns, one axis per factor: for the dense oracle
+    the unsplit q-weighted Kronecker sum, for one dimension q_l lambda_l.
+    If U = U_s + E, this reads U_s^dagger E, first order in E as the Gram
+    U^dagger U - I is, and a U that is unitary but not U_s (built at
+    another time, say) fails too.
+
+    Neither W nor U_s is formed: U_s^dagger U is taken _DEFECT_BLOCK_COLS
+    columns of U at a time, the block read as (size, 2, cols).  W^T is
+    applied one factor at a time, each step one gemm that contracts the
+    leading axis and puts the new index last, so after d steps the block is
+    (2, cols, size) in the order of ``values``; then e^{-i t lambda}, in
+    place; then W one factor at a time, the last first, each step putting
+    its index in front, which gives (size, 2, cols) back.  That is
+    4 size^2 sum n_l multiply-adds, against 2 size^3 for the Gram.  The
+    largest squared modulus is rooted once, at the end.
     """
     n = parts.shape[-1]
-    stacked = parts.reshape(2 * n, n)
-    re, im = parts
-    buffers = np.empty((2, min(n, _DEFECT_BLOCK_ROWS) * n))
+    lam_t = t * values.ravel()
+    cos, sin = np.cos(lam_t), np.sin(lam_t)
     maxima = []
-    for i in range(0, n, _DEFECT_BLOCK_ROWS):
-        rows = slice(i, i + _DEFECT_BLOCK_ROWS)
-        cross, gram = buffers[:, : min(n - i, _DEFECT_BLOCK_ROWS) * (n - i)].reshape(2, -1, n - i)
-        np.matmul(re[:, rows].T, im[:, i:], out=cross)
-        cross -= np.matmul(im[:, rows].T, re[:, i:], out=gram)
-        np.matmul(stacked[:, rows].T, stacked[:, i:], out=gram)
-        gram.flat[:: n - i + 1] -= 1.0  # the diagonal: column i + r of row r
-        maxima.append(np.max(np.hypot(gram, cross, out=cross)))
-    return float(np.max(maxima))  # np.max, not max(): a NaN block fails the check
+    for i in range(0, n, _DEFECT_BLOCK_COLS):
+        block = parts[:, :, i : i + _DEFECT_BLOCK_COLS].swapaxes(0, 1)  # (size, 2, cols)
+        width = block.shape[-1]
+        for v in factors:  # W^T
+            block = block.reshape(len(v), -1).T @ v
+        re, im = block.reshape(2, width, n)
+        rotated = re * sin
+        re *= cos
+        re += im * sin
+        im *= cos
+        im -= rotated  # (re + i im) e^{-i t lambda}
+        del re, im, rotated  # so the W steps hold two blocks, not the first one too
+        for v in reversed(factors):  # W
+            block = v @ block.reshape(-1, len(v)).T
+        block = block.reshape(n, 2, width)
+        cols = np.arange(width)
+        block[i + cols, 0, cols] -= 1.0  # the identity's columns i ... i + width - 1
+        np.square(block, out=block)
+        maxima.append(np.max(block[:, 0] + block[:, 1]))
+    return math.sqrt(np.max(maxima))  # np.max, not max(): a NaN block fails the check
 
 
 def _dense_defects(
@@ -427,13 +450,17 @@ def _dense_defects(
     """Theorem-1 error and unitarity defect of the dense oracle's U at one time.
 
     U's real and imaginary parts are one contiguous (2, n, n) slab, the only
-    n x n array.  After the unitarity check |U|^2 overwrites it, and the
-    factorized law is subtracted in place, each row of the leading factors'
-    Kronecker product times the last factor's matrix: np.kron's products, so
-    the error matches the tests' Kronecker-product reference bit for bit.
+    n x n array.  The unitarity check compares U with its spectral form over
+    the same unsplit Kronecker-sum phase the oracle used, a block of columns
+    at a time, so it forms no second n x n array and uses no Theorem 1.
+    After it |U|^2 overwrites the slab, and the factorized law is subtracted
+    in place, each row of the leading factors' Kronecker product times the
+    last factor's matrix: np.kron's products, so the error matches the
+    tests' Kronecker-product reference bit for bit.
     """
     parts = dense_propagator_parts(spec, spectra, t, oracle_cap=cap)
-    unitarity = _unitarity_defect(parts)
+    factors = tuple(s.eigenvectors for s in spectra)
+    unitarity = _unitarity_defect(parts, factors, _kronecker_sum(spec, spectra), t)
     dense = np.square(parts, out=parts)[0]
     dense += parts[1]
     *leading, last = [transition_matrix_1d(s, q * t) for q, s in zip(spec.select_prob, spectra)]
@@ -457,7 +484,8 @@ def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
         theorem1.append(theorem1_err)
         unitarity.append(dense_unitarity)
         for q, s in zip(spec.select_prob, spectra):
-            unitarity.append(_unitarity_defect(propagator_parts(s, q * t)))
+            u = propagator_parts(s, q * t)
+            unitarity.append(_unitarity_defect(u, (s.eigenvectors,), q * s.eigenvalues, t))
 
     balance, residual = [], []
     for dim, s in dict(zip(spec.dims, spectra)).items():  # each distinct dimension once
@@ -719,8 +747,9 @@ def _write_file(path: str, chunks: Iterable[str]) -> None:
     hold what the shell wrote before, as after ``>> log`` or in
     ``{ echo header; bdqw ...; } > f``, which opening or replacing the file
     would lose.  A symbolic link to a regular file is followed, and the
-    temporary file renamed onto its target.  A path that cannot be opened is
-    named as given in the error, not as its descriptor or temporary file.
+    temporary file renamed onto its target.  A path that cannot be opened or
+    written (a descriptor open only for reading, a full disk) is named as
+    given in the error, not as its descriptor or temporary file.
     """
     aliases = {"/dev/stdout": "/dev/fd/1", "/dev/stderr": "/dev/fd/2"}
     head, _, tail = aliases.get(path, path).rpartition("/")
@@ -731,21 +760,21 @@ def _write_file(path: str, chunks: Iterable[str]) -> None:
     file, mode = (path if fd is None else fd, "w") if direct else (partial, "x")
     try:  # a failure names the path as given, not its descriptor or temporary file
         fh = open(file, mode, encoding="utf-8", newline="", closefd=fd is None)
+        if direct:
+            with fh:
+                fh.writelines(chunks)
+            return
+        try:
+            with fh:
+                fh.writelines(chunks)
+            if os.path.exists(target):
+                shutil.copymode(target, partial)
+            os.replace(partial, target)
+        except BaseException:
+            os.unlink(partial)
+            raise
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
-    if direct:
-        with fh:
-            fh.writelines(chunks)
-        return
-    try:
-        with fh:
-            fh.writelines(chunks)
-        if os.path.exists(target):
-            shutil.copymode(target, partial)
-        os.replace(partial, target)
-    except BaseException:
-        os.unlink(partial)
-        raise
 
 
 def main(argv: list[str] | None = None) -> int:

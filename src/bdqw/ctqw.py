@@ -288,6 +288,11 @@ def _grouped_factors(
                 yield i, members[chunk], _probabilities(parts)
 
 
+def _kronecker_sum(spec: MultiChainSpec, spectra: tuple[SpectralData, ...]) -> np.ndarray:
+    """The product generator's eigenvalues sum_l q_l lambda_l, one axis per dimension."""
+    return reduce(np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)])
+
+
 def _dense_amplitudes(
     spec: MultiChainSpec,
     spectra: tuple[SpectralData, ...],
@@ -308,9 +313,7 @@ def _dense_amplitudes(
     indices = {name: tuple(m) for name, m in (("j", j), ("k", k)) if m is not None}
     _check_multi(spec, spectra, indices)
     check_oracle_cap(spec.product_size, oracle_cap)
-    values = reduce(
-        np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)]
-    )
+    values = _kronecker_sum(spec, spectra)
     factors = tuple(s.eigenvectors for s in spectra)
     parts = _amplitudes(factors, values, t, indices.get("k"), indices.get("j"))
     return np.reshape(parts, (2,) + (spec.product_size,) * (2 - len(indices)))

@@ -588,18 +588,25 @@ class TestOutputTarget:
         "kind, reason",
         [
             ("descriptor", "[Errno 9] Bad file descriptor"),
+            ("read-only descriptor", "[Errno 9] Bad file descriptor"),
             ("file", "[Errno 2] No such file or directory"),
         ],
     )
     def test_an_output_that_cannot_be_opened_is_named_as_given(
         self, tmp_path, capsys, kind, reason
     ):
-        # as a missing --config is named: not as the descriptor or the temporary file
+        # as a missing --config is named: not as the descriptor or the temporary
+        # file; a descriptor open only for reading opens, and the write fails
         config = write_config(tmp_path, dims=[{"size": 1}])
-        closed = os.open(os.devnull, os.O_RDONLY)
-        os.close(closed)
-        out = f"/dev/fd/{closed}" if kind == "descriptor" else str(tmp_path / "missing" / "out")
-        assert main(["dump-config", "--config", config, "--output", out]) == 2
+        fd = os.open(os.devnull, os.O_RDONLY)
+        if kind != "read-only descriptor":
+            os.close(fd)
+        out = str(tmp_path / "missing" / "out") if kind == "file" else f"/dev/fd/{fd}"
+        try:
+            assert main(["dump-config", "--config", config, "--output", out]) == 2
+        finally:
+            if kind == "read-only descriptor":
+                os.close(fd)
         assert capsys.readouterr() == ("", f"error: {reason}: {out!r}\n")
         assert sorted(path.name for path in tmp_path.iterdir()) == ["config.json"]
 
@@ -655,6 +662,22 @@ class TestCsvWriter:
         assert buf.getvalue() == text
         if argv == ["bench"]:  # the flag rows end in empty fields
             assert rows[-1][0] == "factorized_flat" and rows[-1][2:] == ["", ""]
+
+
+def unitarity_defect(parts: np.ndarray, spec: MultiChainSpec, t: float) -> float:
+    """verify's check of the dense parts against the chain's spectral form at time t."""
+    spectra = spectral.chain_spectra(spec)
+    factors = tuple(s.eigenvectors for s in spectra)
+    return cli._unitarity_defect(parts, factors, cli._kronecker_sum(spec, spectra), t)
+
+
+def spectral_form_defect(parts: np.ndarray, spec: MultiChainSpec, spectra: tuple, t: float):
+    """The complex reference: max |U^dagger W diag(e^{i t lambda}) W^T - I|, W and lambda formed."""
+    w, lam = np.ones((1, 1)), np.zeros(1)
+    for q, s in zip(spec.select_prob, spectra):
+        w, lam = np.kron(w, s.eigenvectors), np.add.outer(lam, q * s.eigenvalues).ravel()
+    u = parts[0] + 1j * parts[1]
+    return np.max(np.abs(u.conj().T @ (w * np.exp(1j * t * lam)) @ w.T - np.eye(len(u))))
 
 
 class TestVerify:
@@ -751,41 +774,84 @@ class TestVerify:
             assert main(["verify", "--config", config, "--output", str(out)]) == 0
             assert abs(json.loads(out.read_text())["eigen_residual"] - expected) <= 1e-15
 
-    def test_unitarity_defect_is_the_complex_gram_defect(self):
-        # a general complex matrix, neither unitary nor symmetric
-        rng = np.random.default_rng(7)
-        parts = rng.standard_normal((2, 6, 6))
-        u = parts[0] + 1j * parts[1]
-        expected = np.max(np.abs(u.conj().T @ u - np.eye(6)))
-        assert abs(cli._unitarity_defect(parts) - expected) <= 1e-13 * expected
+    @pytest.mark.parametrize("seed", range(4))
+    def test_unitarity_defect_is_the_complex_spectral_form_defect(self, seed):
+        # a general complex U, neither unitary nor symmetric, on chains of one
+        # to three dimensions, a size-1 edge among them
+        rng = np.random.default_rng(seed)
+        for n_dims in (1, 2, 3):
+            dims = [random_dimension_spec(rng, max_size=7) for _ in range(n_dims - 1)]
+            dims.insert(seed % n_dims, ehrenfest_dimension(1))
+            q = rng.uniform(0.1, 1.0, size=n_dims)
+            spec = MultiChainSpec(dims=tuple(dims), select_prob=tuple(q / q.sum()))
+            parts = rng.standard_normal((2, spec.product_size, spec.product_size))
+            t = float(rng.uniform(0.0, 10.0))
+            expected = spectral_form_defect(parts, spec, spectral.chain_spectra(spec), t)
+            assert abs(unitarity_defect(parts, spec, t) - expected) <= 1e-13 * expected
 
-    @pytest.mark.parametrize("n", [cli._DEFECT_BLOCK_ROWS - 1, 2 * cli._DEFECT_BLOCK_ROWS + 3])
+    @pytest.mark.parametrize("n", [cli._DEFECT_BLOCK_COLS - 1, 2 * cli._DEFECT_BLOCK_COLS + 3])
     def test_blocked_unitarity_defect(self, n):
-        # the antisymmetric part is taken a block of rows at a time
+        # the columns are taken a block at a time; the last block is short
         rng = np.random.default_rng(n)
+        dim = DimensionSpec(size=n - 1, decrease_prob=tuple(rng.uniform(0.02, 0.98, n - 2)))
+        spec = MultiChainSpec(dims=(dim,), select_prob=(1.0,))
         parts = rng.standard_normal((2, n, n)) / math.sqrt(n)
-        u = parts[0] + 1j * parts[1]
-        expected = np.max(np.abs(u.conj().T @ u - np.eye(n)))
-        assert abs(cli._unitarity_defect(parts) - expected) <= 1e-13 * expected
-        parts[1, n - 1, 0] = np.nan  # one NaN in the last block
-        assert math.isnan(cli._unitarity_defect(parts))
+        expected = spectral_form_defect(parts, spec, spectral.chain_spectra(spec), 2.5)
+        assert abs(unitarity_defect(parts, spec, 2.5) - expected) <= 1e-13 * expected
+        parts[1, 0, n - 1] = np.nan  # one NaN in the last block
+        assert math.isnan(unitarity_defect(parts, spec, 2.5))
 
-    def test_unitarity_defect_holds_two_blocks(self):
-        # the 8 x 16 x 16 oracle's U: the Gram's gemms write into two buffers of
-        # _DEFECT_BLOCK_ROWS x size doubles each; fresh products held a third block
+    def test_a_nan_in_the_last_block_fails(self, tmp_path, monkeypatch):
+        # 65 states: the last block of columns is the last column alone
+        real = cli.propagator_parts
+
+        def with_nan(*args):
+            parts = real(*args)
+            parts[0, -1, -1] = np.nan
+            return parts
+
+        monkeypatch.setattr(cli, "propagator_parts", with_nan)
+        out = tmp_path / "report.json"
+        config = write_config(tmp_path, dims=[{"size": 2 * cli._DEFECT_BLOCK_COLS}], time=1.0)
+        assert main(["verify", "--config", config, "--output", str(out)]) == 1
+        report = json.loads(out.read_text())
+        assert math.isnan(report["unitarity_defect"]) and report["pass"] is False
+        for key in ("theorem1_max_abs_err", "orthogonality_defect", "eigen_residual"):
+            assert report[key] <= 1e-10
+
+    def test_a_unitary_of_another_time_fails(self):
+        # the 3 x 5 x 6 oracle built at t + 1e-6 is unitary, so its Gram U^dagger U
+        # is I; it is not the walk's unitary at t, and the check against that fails
+        spec = MultiChainSpec(
+            dims=tuple(ehrenfest_dimension(size) for size in (2, 4, 5)),
+            select_prob=(0.2, 0.3, 0.5),
+        )
+        spectra = spectral.chain_spectra(spec)
+        parts = cli.dense_propagator_parts(spec, spectra, 1.3 + 1e-6)
+        u = parts[0] + 1j * parts[1]
+        assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= cli.VERIFY_TOLERANCE
+        defect = unitarity_defect(parts, spec, 1.3)
+        assert defect > 1e3 * cli.VERIFY_TOLERANCE
+        # the entries are O(1), so their rounding bounds the difference, not the defect
+        assert abs(defect - spectral_form_defect(parts, spec, spectra, 1.3)) <= 1e-14
+
+    def test_unitarity_defect_holds_a_few_blocks(self):
+        # the 8 x 16 x 16 oracle's U: each step of the check holds its input and
+        # output blocks of 2 x _DEFECT_BLOCK_COLS x size doubles, 1 MiB each; the
+        # Gram it replaced held two buffers of 128 x size doubles, 2 MiB each
         spec = MultiChainSpec(
             dims=tuple(ehrenfest_dimension(size) for size in (7, 15, 15)),
             select_prob=(0.2, 0.3, 0.5),
         )
         parts = cli.dense_propagator_parts(spec, spectral.chain_spectra(spec), 1.3)
-        block = 8 * cli._DEFECT_BLOCK_ROWS * spec.product_size
         tracemalloc.start()
         try:
-            defect = cli._unitarity_defect(parts)
+            defect = unitarity_defect(parts, spec, 1.3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 2 * block + 2**16  # 64 KiB for the Python objects, not a third block
+        block = 8 * 2 * cli._DEFECT_BLOCK_COLS * spec.product_size
+        assert peak <= 2 * block + 2**18  # 256 KiB for the phases and the Python objects
         assert defect <= 1e-10
 
     def test_blockwise_theorem1_error_is_the_all_pairs_difference(self):
@@ -803,7 +869,7 @@ class TestVerify:
 
     def test_dense_defects_hold_one_slab(self):
         # 4 x 16 x 16 = 1024 states: U's (2, n, n) slab is 16 n^2 bytes; the
-        # contraction, the unitarity Gram and the Theorem-1 check add a fraction of it
+        # contraction, the unitarity check and the Theorem-1 check add a fraction of it
         spec = MultiChainSpec(
             dims=tuple(ehrenfest_dimension(size) for size in (3, 15, 15)),
             select_prob=(0.2, 0.3, 0.5),
