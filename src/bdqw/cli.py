@@ -84,13 +84,13 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed experiment description; see README for the JSON schema."""
+    """Parsed experiment description, every default filled in; see README for the JSON schema."""
 
     spec: MultiChainSpec
     times: tuple[float, ...]
     initial: tuple[int, ...]
-    oracle_cap: int | None  # an integer once resolved
-    output_path: str | None
+    oracle_cap: int
+    output_path: str  # "-" is stdout
     output_format: str
     d_sweep: tuple[int, ...] | None
 
@@ -118,132 +118,156 @@ def _check_reals(values: list, field: str) -> tuple[float, ...]:
     return tuple(reals)
 
 
-def _check_cap(value: object, source: str) -> int:
-    """The one check of every oracle-cap source: a positive integer."""
+def _check_times(values: list | str, field: str, spec: MultiChainSpec) -> tuple[float, ...]:
+    """The one check of ``time`` and ``--time``: a non-empty list of reals within the phase budget.
+
+    ``--time`` is a string of comma-separated numbers.  A factor's phase
+    q_l lambda t carries an absolute error of about |t| q_l eps, and
+    SpectralData.validate bounds |lambda| by 1, so a time with
+    |t| max_l q_l eps above VERIFY_TOLERANCE gives laws that no check could
+    trust.  No spectrum is needed to tell.
+    """
+    if isinstance(values, str):
+        try:
+            values = [float(chunk) for chunk in values.split(",")]
+        except ValueError:
+            raise ConfigError(f"{field}: {values!r} is not a list of real numbers") from None
+    times = _check_reals(values, field)
+    if not times:
+        raise ConfigError(f"{field}: expected at least one value")
+    limit = VERIFY_TOLERANCE / (sys.float_info.epsilon * max(spec.select_prob))
+    for idx, t in enumerate(times):
+        if abs(t) > limit:
+            budget = f"|t| <= {limit:.6g}, where |t| max q_l eps is {VERIFY_TOLERANCE}"
+            raise ConfigError(f"{field}[{idx}]: {t} is beyond the phase budget {budget}")
+    return times
+
+
+def _check_path(path: object, field: str) -> str:
+    """The one check of ``output.path`` and ``--output``: a non-empty string, "-" for stdout."""
+    if not isinstance(path, str):
+        raise ConfigError(f"{field}: expected a string")
+    if not path:
+        raise ConfigError(f"{field}: expected a file name or '-' for stdout, got ''")
+    return path
+
+
+def _check_positive(value: object, field: str) -> int:
+    """The one check of a positive integer: a dimension's size and every oracle-cap source."""
     if not _is_int(value) or value < 1:
-        raise ConfigError(f"{source}: expected a positive integer, got {value!r}")
+        raise ConfigError(f"{field}: expected a positive integer, got {value!r}")
     return value
 
 
-def _check_keys(entry: dict, known: tuple[str, ...], prefix: str = "") -> None:
-    """Reject a key the schema does not define, naming its path; a typo is never dropped."""
-    for key in entry:
+def _check_object(value: object, known: tuple[str, ...], field: str | None = None) -> dict:
+    """The one check of a config object: a dict whose keys are all in ``known``.
+
+    ``field`` names a nested object (``dims[i]``, ``output``); None is the
+    top level.  A key the schema does not define is rejected by its path, so
+    a typo is never dropped.
+    """
+    if not isinstance(value, dict):
+        if field is None:
+            raise ConfigError("config: top level must be a JSON object")
+        raise ConfigError(f"{field}: expected an object with {' and '.join(map(repr, known))}")
+    for key in value:
         if key not in known:
-            raise ConfigError(f"{prefix}{key}: unknown key, expected one of {', '.join(known)}")
+            path = key if field is None else f"{field}.{key}"
+            raise ConfigError(f"{path}: unknown key, expected one of {', '.join(known)}")
+    return value
 
 
-def _parse_dimensions(entries: list) -> tuple[DimensionSpec, ...]:
+def _parse_dimensions(entries: object) -> tuple[DimensionSpec, ...]:
     """One DimensionSpec per distinct ``dims`` entry, each entry checked for unknown keys.
 
     Equal entries (by the repr of their size and table, so 1, 1.0 and true
     stay apart) share the spec parsed for the first of them; an invalid
-    entry is never shared, so its error names its own dims[idx].
+    entry is never shared, so its error names its own dims[idx].  A
+    repeated entry costs a few dict operations and calls no Python function:
+    a chain of 10 000 edges has 10 000 entries.
     """
+    if not isinstance(entries, list) or not entries:
+        raise ConfigError("dims: expected a non-empty list of dimension objects")
     known = ("size", "p_table")
     allowed = set(known)
     parsed: dict[tuple[str, str], DimensionSpec] = {}
     dims = []
     for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"dims[{idx}]: expected an object with 'size' and 'p_table'")
-        if not entry.keys() <= allowed:  # _check_keys only names the bad key
-            _check_keys(entry, known, f"dims[{idx}].")
+        if not isinstance(entry, dict) or not entry.keys() <= allowed:
+            _check_object(entry, known, f"dims[{idx}]")  # raises, naming the entry
         size, table = entry.get("size"), entry.get("p_table", "ehrenfest")
         key = (repr(size), repr(table))
         if key not in parsed:
-            parsed[key] = _parse_dimension(size, table, f"dims[{idx}]")
+            field = f"dims[{idx}]"
+            size = _check_positive(size, f"{field}.size")
+            if table == "ehrenfest":
+                parsed[key] = ehrenfest_dimension(size)
+            elif not isinstance(table, list):
+                raise ConfigError(
+                    f"{field}.p_table: expected 'ehrenfest' or a list of probabilities"
+                )
+            else:
+                probs = _check_reals(table, f"{field}.p_table")
+                try:
+                    parsed[key] = DimensionSpec(size=size, decrease_prob=probs)
+                except ValueError as exc:
+                    raise ConfigError(f"{field}.p_table: {exc}") from exc
         dims.append(parsed[key])
     return tuple(dims)
 
 
-def _parse_dimension(size: object, table: object, field: str) -> DimensionSpec:
-    if not _is_int(size) or size < 1:
-        raise ConfigError(f"{field}.size: expected a positive integer, got {size!r}")
-    if table == "ehrenfest":
-        return ehrenfest_dimension(size)
-    if not isinstance(table, list):
-        raise ConfigError(f"{field}.p_table: expected 'ehrenfest' or a list of probabilities")
-    probs = _check_reals(table, f"{field}.p_table")
-    try:
-        return DimensionSpec(size=size, decrease_prob=probs)
-    except ValueError as exc:
-        raise ConfigError(f"{field}.p_table: {exc}") from exc
-
-
 def parse_config(data: object) -> ExperimentConfig:
-    """Build an ExperimentConfig from decoded JSON, naming bad fields."""
-    if not isinstance(data, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    _check_keys(data, ("dims", "select_prob", "time", "initial", "oracle_cap", "output", "d_sweep"))
+    """Build an ExperimentConfig from decoded JSON, naming bad fields.
 
-    dims_raw = data.get("dims")
-    if not isinstance(dims_raw, list) or not dims_raw:
-        raise ConfigError("dims: expected a non-empty list of dimension objects")
-    dims = _parse_dimensions(dims_raw)
+    Every default is filled in here.  A null ``oracle_cap``, ``output``,
+    ``output.path`` or ``d_sweep`` reads as the key's absence.
+    """
+    keys = ("dims", "select_prob", "time", "initial", "oracle_cap", "output", "d_sweep")
+    _check_object(data, keys)
+    dims = _parse_dimensions(data.get("dims"))
 
     select = data.get("select_prob", "uniform")
     if select == "uniform":
-        select_prob = (1.0 / len(dims),) * len(dims)
-    elif isinstance(select, list):
-        select_prob = _check_reals(select, "select_prob")
-    else:
+        select = [1.0 / len(dims)] * len(dims)
+    if not isinstance(select, list):
         raise ConfigError("select_prob: expected 'uniform' or a list of reals")
+    select_prob = _check_reals(select, "select_prob")
     try:
         spec = MultiChainSpec(dims=dims, select_prob=select_prob)
     except ValueError as exc:  # every message reachable here names select_prob
         raise ConfigError(str(exc)) from exc
 
-    times_raw = data.get("time", 1.0)
-    times = _check_reals(times_raw if isinstance(times_raw, list) else [times_raw], "time")
-    if not times:
-        raise ConfigError("time: expected at least one value")
+    times = data.get("time", 1.0)
+    times = _check_times(times if isinstance(times, list) else [times], "time", spec)
 
-    initial_raw = data.get("initial", [0] * spec.n_dims)
-    if not isinstance(initial_raw, list) or len(initial_raw) != spec.n_dims:
+    initial = data.get("initial", [0] * spec.n_dims)
+    if not isinstance(initial, list) or len(initial) != spec.n_dims:
         raise ConfigError(f"initial: expected a list of {spec.n_dims} positions")
-    initial: list[int] = []
-    for pos, dim in zip(initial_raw, spec.dims):
+    for pos, dim in zip(initial, dims):
         if not _is_int(pos) or not 0 <= pos <= dim.size:
             raise ConfigError(f"initial: position {pos!r} out of range 0..{dim.size}")
-        initial.append(pos)
 
     cap = data.get("oracle_cap")
-    if cap is not None:
-        _check_cap(cap, "oracle_cap")
+    cap = DEFAULT_ORACLE_CAP if cap is None else _check_positive(cap, "oracle_cap")
 
-    output_path: str | None = None
-    output_format = "csv"
     output = data.get("output")
-    if output is not None:
-        if not isinstance(output, dict):
-            raise ConfigError("output: expected an object with 'path' and 'format'")
-        _check_keys(output, ("path", "format"), "output.")
-        output_path = output.get("path")
-        if output_path is not None and not isinstance(output_path, str):
-            raise ConfigError("output.path: expected a string")
-        output_format = output.get("format", "csv")
-        if output_format not in ("csv", "json"):
-            raise ConfigError(f"output.format: expected 'csv' or 'json', got {output_format!r}")
+    output = _check_object({} if output is None else output, ("path", "format"), "output")
+    path = output.get("path")
+    path = "-" if path is None else _check_path(path, "output.path")
+    output_format = output.get("format", "csv")
+    if output_format not in ("csv", "json"):
+        raise ConfigError(f"output.format: expected 'csv' or 'json', got {output_format!r}")
 
-    d_sweep: tuple[int, ...] | None = None
-    sweep_raw = data.get("d_sweep")
-    if sweep_raw is not None:
-        if not isinstance(sweep_raw, list) or not sweep_raw:
+    sweep = data.get("d_sweep")
+    if sweep is not None:
+        if not isinstance(sweep, list) or not sweep:
             raise ConfigError("d_sweep: expected a non-empty list of positive integers")
-        for d in sweep_raw:
+        for d in sweep:
             if not _is_int(d) or d < 1:
                 raise ConfigError(f"d_sweep: expected positive integers, got {d!r}")
-        d_sweep = tuple(sweep_raw)
+        sweep = tuple(sweep)
 
-    return ExperimentConfig(
-        spec=spec,
-        times=times,
-        initial=tuple(initial),
-        oracle_cap=cap,
-        output_path=output_path,
-        output_format=output_format,
-        d_sweep=d_sweep,
-    )
+    return ExperimentConfig(spec, times, tuple(initial), cap, path, output_format, sweep)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -258,44 +282,34 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh, object_pairs_hook=_unique_keys)
-    return parse_config(data)
+        try:
+            return parse_config(json.load(fh, object_pairs_hook=_unique_keys))
+        except RecursionError:  # not exit 1, which is a failed verification
+            raise ConfigError("config: nested too deeply to parse") from None
 
 
 def resolve(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """Apply the flags and the environment to a parsed config, for every subcommand.
+    """Overlay the flags and the environment on a parsed config, for every subcommand.
 
-    The oracle cap resolves as --oracle-cap > BDQW_ORACLE_CAP > config field >
-    DEFAULT_ORACLE_CAP, always to an integer; --time, --output and, where the
-    subcommand takes it, --format override their config fields.
+    The oracle cap resolves as --oracle-cap > BDQW_ORACLE_CAP > the config's
+    (parse_config's default if absent); --time, --output and, where the
+    subcommand takes it, --format override their config fields.  Each value
+    goes through the one check of its field.
     """
-    env = os.environ.get(ENV_ORACLE_CAP)
+    cap, env = config.oracle_cap, os.environ.get(ENV_ORACLE_CAP)
     if args.oracle_cap is not None:
-        cap = _check_cap(args.oracle_cap, "--oracle-cap")
+        cap = _check_positive(args.oracle_cap, "--oracle-cap")
     elif env is not None:
         try:
-            env_cap: object = int(env)
+            env = int(env)  # as int() reads it: " 12 " and "1_000" are integers
         except ValueError:
-            env_cap = env  # rejected below, quoted as given
-        cap = _check_cap(env_cap, ENV_ORACLE_CAP)
-    else:
-        cap = config.oracle_cap or DEFAULT_ORACLE_CAP
+            pass  # rejected below, quoted as given
+        cap = _check_positive(env, ENV_ORACLE_CAP)
 
-    times = config.times
-    if args.time is not None:
-        try:
-            flag_times = [float(chunk) for chunk in args.time.split(",")]
-        except ValueError:
-            raise ConfigError(f"--time: {args.time!r} is not a list of real numbers") from None
-        times = _check_reals(flag_times, "--time")
-
-    return replace(
-        config,
-        times=times,
-        oracle_cap=cap,
-        output_path=args.output or config.output_path,
-        output_format=getattr(args, "format", None) or config.output_format,
-    )
+    times = config.times if args.time is None else _check_times(args.time, "--time", config.spec)
+    path = config.output_path if args.output is None else _check_path(args.output, "--output")
+    fmt = getattr(args, "format", None) or config.output_format
+    return replace(config, times=times, oracle_cap=cap, output_path=path, output_format=fmt)
 
 
 # CSV numeric format: 17 significant digits, round-trip exact for doubles.
@@ -684,19 +698,16 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
 
 
 def run_dump_config(config: ExperimentConfig) -> tuple[int, list[str]]:
-    """The resolved config; it re-parses to the same chain, times and cap."""
+    """The resolved config, every field explicit; parse_config reads it back to an equal config."""
     payload = {
-        "dims": [
-            {"size": dim.size, "p_table": list(dim.decrease_prob)} for dim in config.spec.dims
-        ],
+        "dims": [{"size": d.size, "p_table": list(d.decrease_prob)} for d in config.spec.dims],
         "select_prob": list(config.spec.select_prob),
         "time": list(config.times),
         "initial": list(config.initial),
         "oracle_cap": config.oracle_cap,
-        "output": {"path": config.output_path or "-", "format": config.output_format},
+        "output": {"path": config.output_path, "format": config.output_format},
+        **({} if config.d_sweep is None else {"d_sweep": list(config.d_sweep)}),
     }
-    if config.d_sweep is not None:
-        payload["d_sweep"] = list(config.d_sweep)
     return 0, [json.dumps(payload, indent=2) + "\n"]
 
 
@@ -792,11 +803,10 @@ def main(argv: list[str] | None = None) -> int:
         config = resolve(load_config(args.config), args)
         run, _ = _COMMANDS[args.command]
         code, chunks = run(config, args.dense) if "dense" in args else run(config)
-        path = config.output_path
-        if path is None or path == "-":
+        if config.output_path == "-":
             sys.stdout.writelines(chunks)
         else:
-            _write_file(path, chunks)
+            _write_file(config.output_path, chunks)
         return code
     except (SizeLimitError, MemoryError) as exc:
         code, message = 3, str(exc) or "out of memory"

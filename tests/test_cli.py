@@ -16,6 +16,7 @@ import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -1219,6 +1220,66 @@ class TestDumps:
         assert reparsed.initial == original.initial
         assert reparsed.d_sweep == original.d_sweep == (4, 1, 16)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_dump_config_round_trips_every_resolved_field(self, data):
+        # parse_config reads dump-config's text back to the resolved config,
+        # field for field, whatever the config left out or set to null and
+        # whatever the flags and BDQW_ORACLE_CAP overrode; "-" is stdout in both
+        draw = data.draw
+
+        def maybe(strategy):
+            return st.one_of(st.just(None), strategy)
+
+        sizes = draw(st.lists(st.integers(1, 5), min_size=1, max_size=4))
+        table = lambda n: st.lists(st.floats(0.01, 0.99), min_size=n - 1, max_size=n - 1)  # noqa: E731
+        tables = [draw(maybe(st.just("ehrenfest") | table(n))) for n in sizes]
+        weights = draw(st.lists(st.floats(1.0, 3.0), min_size=len(sizes), max_size=len(sizes)))
+        time = st.floats(-1e3, 1e3) | st.integers(-1000, 1000)
+        output = st.fixed_dictionaries(
+            {},
+            optional={
+                "path": maybe(st.sampled_from(["-", "out.csv"])),
+                "format": st.sampled_from(["csv", "json"]),
+            },
+        )
+        fields = {
+            "dims": [{"size": n, **({} if t is None else {"p_table": t})} for n, t in zip(sizes, tables)],
+            "select_prob": draw(maybe(st.sampled_from(["uniform", [w / sum(weights) for w in weights]]))),
+            "time": draw(maybe(time | st.lists(time, min_size=1, max_size=3))),
+            "initial": draw(maybe(st.tuples(*(st.integers(0, n) for n in sizes)).map(list))),
+            "oracle_cap": draw(maybe(st.integers(1, 10**6))),
+            "output": draw(maybe(output)),
+            "d_sweep": draw(maybe(st.lists(st.integers(1, 100), min_size=1, max_size=3))),
+        }
+        nullable = ("oracle_cap", "output", "d_sweep")  # null reads as absent
+        config = {
+            key: value
+            for key, value in fields.items()
+            if value is not None or key in nullable and draw(st.booleans())
+        }
+
+        argv = ["simulate", "--config", "unused.json"]
+        flag_times = draw(maybe(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3)))
+        flags = {
+            "--time": None if flag_times is None else ",".join(map(repr, flag_times)),
+            "--oracle-cap": draw(maybe(st.integers(1, 10**6))),
+            "--format": draw(maybe(st.sampled_from(["csv", "json"]))),
+            "--output": draw(maybe(st.sampled_from(["-", "report.txt"]))),
+        }
+        argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
+        spellings = lambda n: st.sampled_from([str(n), f" {n} ", f"{n:_}", f"+{n}"])  # noqa: E731
+        env = draw(maybe(st.integers(1, 10**6).flatmap(spellings)))
+        with mock.patch.dict(os.environ):
+            os.environ.pop("BDQW_ORACLE_CAP", None)
+            if env is not None:
+                os.environ["BDQW_ORACLE_CAP"] = env
+            resolved = resolve(parse_config(config), cli.build_parser().parse_args(argv))
+
+        code, chunks = cli.run_dump_config(resolved)
+        assert code == 0
+        assert parse_config(json.loads("".join(chunks))) == resolved
+
     def test_dump_spectrum_text_and_one_solve_per_distinct_dimension(self, tmp_path, monkeypatch):
         solved = []
         solve = spectral.dimension_spectrum
@@ -1491,6 +1552,249 @@ class TestResolution:
         assert config.oracle_cap == 64
         code, chunks = cli.run_verify(config)  # the env cap of 2 would exit 3
         assert code == 0 and json.loads("".join(chunks))["pass"] is True
+
+
+EDGE = {"size": 1}
+BIG = "1" + "0" * 400  # a JSON integer with no double value
+TOP_KEYS = "dims, select_prob, time, initial, oracle_cap, output, d_sweep"
+# One edge selected with q = 1: |t| q eps reaches VERIFY_TOLERANCE at |t| = 450359.96...
+BUDGET = "is beyond the phase budget |t| <= 450360, where |t| max q_l eps is 1e-10"
+
+
+def case(config, message, argv=(), env=None, code=2, dumped=None, id=None):
+    """A row of the table: a config (a dict, or the file's text), flags and BDQW_ORACLE_CAP."""
+    return pytest.param(config, list(argv), env, code, message, dumped, id=id)
+
+
+# Every rejection of a config, a flag or an environment value, with its full
+# stderr, and the inputs next to them that are accepted.  argparse's own
+# rejections (a non-integer --oracle-cap, an unknown --format) are not here:
+# their text is argparse's.  The last rows are the rejections of an empty
+# output path, a time beyond the phase budget and a config nested too deeply
+# for json; every other row reads the same at the commit before them.
+REJECTIONS = [
+    # the object checks
+    case([{"dims": [EDGE]}], "config: top level must be a JSON object", id="top-list"),
+    case(None, "config: top level must be a JSON object", id="top-null"),
+    case('{"dims": [{"size": 1}],}', "config is not valid JSON at line 1 column 24: "
+         "Expecting property name enclosed in double quotes", id="not-json"),
+    case({"dims": [EDGE], "times": [0.5]}, f"times: unknown key, expected one of {TOP_KEYS}"),
+    case({"dims": [EDGE], "intial": [1]}, f"intial: unknown key, expected one of {TOP_KEYS}"),
+    case({"dims": [EDGE, {"size": 2, "ptable": [0.3]}]},
+         "dims[1].ptable: unknown key, expected one of size, p_table"),
+    case({"dims": [EDGE], "output": {"path": "-", "fmt": "json"}},
+         "output.fmt: unknown key, expected one of path, format"),
+    case('{"dims": [{"size": 1}], "time": 1.0, "time": 2.0}', "config: duplicate key 'time'",
+         id="duplicate-top"),
+    case('{"dims": [{"size": 1, "size": 2}]}', "config: duplicate key 'size'", id="duplicate-dim"),
+    case('{"dims": [{"size": 1}], "output": {"format": "csv", "format": "json"}}',
+         "config: duplicate key 'format'", id="duplicate-output"),
+    # dims
+    case({"time": 1.0}, "dims: expected a non-empty list of dimension objects", id="dims-absent"),
+    case({"dims": []}, "dims: expected a non-empty list of dimension objects"),
+    case({"dims": "x"}, "dims: expected a non-empty list of dimension objects"),
+    case({"dims": [EDGE, [1]]}, "dims[1]: expected an object with 'size' and 'p_table'"),
+    case({"dims": [None]}, "dims[0]: expected an object with 'size' and 'p_table'"),
+    case({"dims": [{"size": 0}]}, "dims[0].size: expected a positive integer, got 0"),
+    case({"dims": [EDGE, {"size": True}]}, "dims[1].size: expected a positive integer, got True"),
+    case({"dims": [{"size": 1.0}]}, "dims[0].size: expected a positive integer, got 1.0"),
+    case({"dims": [{"size": "2"}]}, "dims[0].size: expected a positive integer, got '2'"),
+    case({"dims": [{"p_table": "ehrenfest"}]},
+         "dims[0].size: expected a positive integer, got None", id="size-absent"),
+    case({"dims": [{"size": 2, "p_table": "[0.5]"}]},
+         "dims[0].p_table: expected 'ehrenfest' or a list of probabilities"),
+    case({"dims": [{"size": 2, "p_table": None}]},
+         "dims[0].p_table: expected 'ehrenfest' or a list of probabilities"),
+    case({"dims": [{"size": 2, "p_table": [0.5, 0.5]}]},
+         "dims[0].p_table: decrease_prob needs 1 interior entries, got 2"),
+    case({"dims": [{"size": 3, "p_table": [0.5, 1.5]}]},
+         "dims[0].p_table: decrease_prob[2] = 1.5 is not strictly inside (0, 1)"),
+    case({"dims": [{"size": 2, "p_table": ["0.5"]}]},
+         "dims[0].p_table[0]: expected a real number, got '0.5'"),
+    case({"dims": [EDGE, {"size": 3, "p_table": [0.5, False]}]},
+         "dims[1].p_table[1]: expected a real number, got False"),
+    case('{"dims": [{"size": 2, "p_table": [NaN]}]}',
+         "dims[0].p_table[0]: value nan is not a finite double", id="p_table-nan"),
+    case(f'{{"dims": [{{"size": 2, "p_table": [{BIG}]}}]}}',
+         f"dims[0].p_table[0]: value {BIG} is not a finite double", id="p_table-big-int"),
+    # select_prob
+    case({"dims": [EDGE], "select_prob": 1.0}, "select_prob: expected 'uniform' or a list of reals"),
+    case({"dims": [EDGE], "select_prob": None}, "select_prob: expected 'uniform' or a list of reals"),
+    case({"dims": [EDGE], "select_prob": [0.5]}, "select_prob entries must sum to 1"),
+    case({"dims": [EDGE] * 2, "select_prob": [0.5, 0.6]}, "select_prob entries must sum to 1"),
+    case({"dims": [EDGE] * 2, "select_prob": [0, 1]},
+         "select_prob entry 0.0 is not finite and strictly positive"),
+    case({"dims": [EDGE] * 2, "select_prob": [-0.5, 1.5]},
+         "select_prob entry -0.5 is not finite and strictly positive"),
+    case({"dims": [EDGE], "select_prob": [True]}, "select_prob[0]: expected a real number, got True"),
+    case({"dims": [EDGE] * 2, "select_prob": ["0.25", 0.75]},
+         "select_prob[0]: expected a real number, got '0.25'"),
+    case('{"dims": [{"size": 1}], "select_prob": [NaN]}',
+         "select_prob[0]: value nan is not a finite double", id="select_prob-nan"),
+    case(f'{{"dims": [{{"size": 1}}, {{"size": 1}}], "select_prob": [{BIG}, 0.5]}}',
+         f"select_prob[0]: value {BIG} is not a finite double", id="select_prob-big-int"),
+    # time and --time
+    case({"dims": [EDGE], "time": []}, "time: expected at least one value"),
+    case({"dims": [EDGE], "time": "soon"}, "time[0]: expected a real number, got 'soon'"),
+    case({"dims": [EDGE], "time": None}, "time[0]: expected a real number, got None"),
+    case({"dims": [EDGE], "time": [0.5, "2"]}, "time[1]: expected a real number, got '2'"),
+    case('{"dims": [{"size": 1}], "time": Infinity}', "time[0]: value inf is not a finite double",
+         id="time-inf"),
+    case('{"dims": [{"size": 1}], "time": [0.5, 1e309]}',
+         "time[1]: value inf is not a finite double", id="time-1e309"),
+    case(f'{{"dims": [{{"size": 1}}], "time": {BIG}}}',
+         f"time[0]: value {BIG} is not a finite double", id="time-big-int"),
+    case({"dims": [EDGE]}, "--time: '1,,2' is not a list of real numbers", ["--time", "1,,2"]),
+    case({"dims": [EDGE]}, "--time: 'soon' is not a list of real numbers", ["--time", "soon"]),
+    case({"dims": [EDGE]}, "--time: '' is not a list of real numbers", ["--time="]),
+    case({"dims": [EDGE]}, "--time[0]: value nan is not a finite double", ["--time", "nan"]),
+    case({"dims": [EDGE]}, "--time[0]: value inf is not a finite double", ["--time", "1e400"]),
+    case({"dims": [EDGE]}, "--time[1]: value inf is not a finite double", ["--time", "1,inf"]),
+    # initial
+    case({"dims": [EDGE], "initial": [0, 0]}, "initial: expected a list of 1 positions"),
+    case({"dims": [EDGE], "initial": "0"}, "initial: expected a list of 1 positions"),
+    case({"dims": [EDGE], "initial": None}, "initial: expected a list of 1 positions"),
+    case({"dims": [EDGE], "initial": [5]}, "initial: position 5 out of range 0..1"),
+    case({"dims": [EDGE], "initial": [-1]}, "initial: position -1 out of range 0..1"),
+    case({"dims": [EDGE], "initial": [True]}, "initial: position True out of range 0..1"),
+    case({"dims": [EDGE], "initial": [0.0]}, "initial: position 0.0 out of range 0..1"),
+    # oracle_cap, --oracle-cap and BDQW_ORACLE_CAP
+    case({"dims": [EDGE], "oracle_cap": -1}, "oracle_cap: expected a positive integer, got -1"),
+    case({"dims": [EDGE], "oracle_cap": 0}, "oracle_cap: expected a positive integer, got 0"),
+    case({"dims": [EDGE], "oracle_cap": 1.5}, "oracle_cap: expected a positive integer, got 1.5"),
+    case({"dims": [EDGE], "oracle_cap": "12"}, "oracle_cap: expected a positive integer, got '12'"),
+    case({"dims": [EDGE], "oracle_cap": True}, "oracle_cap: expected a positive integer, got True"),
+    case({"dims": [EDGE]}, "--oracle-cap: expected a positive integer, got 0", ["--oracle-cap", "0"]),
+    case({"dims": [EDGE]}, "--oracle-cap: expected a positive integer, got -5",
+         ["--oracle-cap", "-5"]),
+    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got 'many'", env="many"),
+    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got 0", env="0"),
+    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got -3", env="-3"),
+    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got '2.5'", env="2.5"),
+    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got ''", env=""),
+    # output
+    case({"dims": [EDGE], "output": "out.csv"}, "output: expected an object with 'path' and 'format'"),
+    case({"dims": [EDGE], "output": []}, "output: expected an object with 'path' and 'format'"),
+    case({"dims": [EDGE], "output": False}, "output: expected an object with 'path' and 'format'"),
+    case({"dims": [EDGE], "output": {"path": 3}}, "output.path: expected a string"),
+    case({"dims": [EDGE], "output": {"format": "xml"}},
+         "output.format: expected 'csv' or 'json', got 'xml'"),
+    case({"dims": [EDGE], "output": {"format": None}},
+         "output.format: expected 'csv' or 'json', got None"),
+    # d_sweep
+    case({"dims": [EDGE], "d_sweep": []}, "d_sweep: expected a non-empty list of positive integers"),
+    case({"dims": [EDGE], "d_sweep": "x"}, "d_sweep: expected a non-empty list of positive integers"),
+    case({"dims": [EDGE], "d_sweep": 0}, "d_sweep: expected a non-empty list of positive integers"),
+    case({"dims": [EDGE], "d_sweep": [2, 0]}, "d_sweep: expected positive integers, got 0"),
+    case({"dims": [EDGE], "d_sweep": [2.0]}, "d_sweep: expected positive integers, got 2.0"),
+    case({"dims": [EDGE], "d_sweep": [True]}, "d_sweep: expected positive integers, got True"),
+    # accepted: a null read as an absent key, and BDQW_ORACLE_CAP as int() reads it
+    case({"dims": [EDGE], "oracle_cap": None}, "", code=0, dumped={"oracle_cap": 4096}),
+    case({"dims": [EDGE], "output": None}, "", code=0,
+         dumped={"output": {"path": "-", "format": "csv"}}),
+    case({"dims": [EDGE], "output": {"path": None}}, "", code=0,
+         dumped={"output": {"path": "-", "format": "csv"}}),
+    case({"dims": [EDGE], "d_sweep": None}, "", code=0, dumped={"time": [1.0]}),
+    case({"dims": [EDGE]}, "", env=" 12 ", code=0, dumped={"oracle_cap": 12}, id="env-spaces"),
+    case({"dims": [EDGE]}, "", env="1_000", code=0, dumped={"oracle_cap": 1000}, id="env-1_000"),
+    case({"dims": [EDGE]}, "", ["--oracle-cap", "7"], env="many", code=0, dumped={"oracle_cap": 7},
+         id="flag-before-env"),
+    case({"dims": [EDGE], "time": 450359}, "", code=0, dumped={"time": [450359.0]},
+         id="time-inside-budget"),
+    # rejected since the phase budget, the empty-path check and the nesting check
+    case({"dims": [EDGE], "output": {"path": ""}},
+         "output.path: expected a file name or '-' for stdout, got ''", id="new-output-path-empty"),
+    case({"dims": [EDGE]}, "--output: expected a file name or '-' for stdout, got ''",
+         ["--output="], id="new-output-flag-empty"),
+    case({"dims": [EDGE], "time": 1e17}, f"time[0]: 1e+17 {BUDGET}", id="new-time-1e17"),
+    case({"dims": [EDGE], "time": [1.0, -450361]}, f"time[1]: -450361.0 {BUDGET}",
+         id="new-time-beyond-budget"),
+    case({"dims": [EDGE]}, f"--time[0]: 1e+17 {BUDGET}", ["--time", "1e17"], id="new-flag-1e17"),
+    # json gave up with a RecursionError: a traceback and exit 1
+    case('{"dims": ' + "[" * 100_000, "config: nested too deeply to parse", id="new-deep"),
+]
+
+
+class TestEveryRejection:
+    @pytest.mark.parametrize("config, argv, env, code, message, dumped", REJECTIONS)
+    def test_exit_code_and_full_stderr(
+        self, tmp_path, monkeypatch, capsys, config, argv, env, code, message, dumped
+    ):
+        path = tmp_path / "config.json"
+        path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
+        if env is None:
+            monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
+        else:
+            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
+        assert main(["dump-config", "--config", str(path), *argv]) == code
+        out, err = capsys.readouterr()
+        assert err == (f"error: {message}\n" if message else "")
+        if dumped is None:
+            assert out == ""
+        else:
+            assert json.loads(out).items() >= dumped.items()
+
+
+class TestNewRejections:
+    """A time beyond the phase budget and an empty output path, on the subcommands that write.
+
+    The table above holds their messages and that of a config nested too deeply.
+    """
+
+    @pytest.mark.parametrize("command", ["simulate", "verify"])
+    @pytest.mark.parametrize(
+        "time, argv, field, value",
+        [
+            (1e17, [], "time[0]", "1e+17"),
+            (1.0, ["--time", "1e17"], "--time[0]", "1e+17"),
+            (1.0, ["--time", "2,-5e5"], "--time[1]", "-500000.0"),
+        ],
+    )
+    def test_a_time_beyond_the_phase_budget_exits_2(
+        self, tmp_path, capsys, command, time, argv, field, value
+    ):
+        # at t = 1e17 one edge's phase is off by about 11 radians: simulate
+        # printed 0.784/0.216 and verify passed, both with exit 0
+        out = tmp_path / "out"
+        config = edge_config(tmp_path, time=time)
+        assert main([command, "--config", config, "--output", str(out), *argv]) == 2
+        assert capsys.readouterr() == ("", f"error: {field}: {value} {BUDGET}\n")
+        assert not out.exists()
+
+    def test_the_phase_budget_scales_with_the_largest_selection_probability(self):
+        # 1e-10 / (eps * 0.75) = 600479.95...
+        fields = {"dims": [{"size": 1}] * 2, "select_prob": [0.25, 0.75]}
+        assert parse_config({**fields, "time": [-600479, 600479]}).times == (-600479.0, 600479.0)
+        budget = r"is beyond the phase budget \|t\| <= 600480,"
+        with pytest.raises(ValueError, match=rf"^time\[0\]: 600480.0 {budget}"):
+            parse_config({**fields, "time": 600480.0})
+
+    def test_the_edge_swarm_times_are_inside_the_budget(self):
+        # 10 000 edges at q_l near 1e-4 need t near 1e4 for q_l t near one
+        weights = [1.0 + (l % 3) for l in range(10_000)]
+        total = sum(weights)
+        select_prob = [w / total for w in weights]
+        config = {"dims": [{"size": 1}] * 10_000, "select_prob": select_prob, "time": 2e4}
+        assert parse_config(config).times == (2e4,)
+
+    @pytest.mark.parametrize(
+        "fields, argv, source",
+        [({"output": {"path": ""}}, [], "output.path"), ({}, ["--output="], "--output")],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "dump-config"])
+    def test_an_empty_output_path_exits_2_and_writes_nothing(
+        self, tmp_path, monkeypatch, capsys, fields, argv, source, command
+    ):
+        # --output= wrote to stdout; "path": "" made a temporary file beside
+        # the working directory and failed with "Is a directory: ''"
+        config = edge_config(tmp_path, **fields)
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        assert main([command, "--config", config, *argv]) == 2
+        message = f"error: {source}: expected a file name or '-' for stdout, got ''\n"
+        assert capsys.readouterr() == ("", message)
+        assert sorted(os.listdir(tmp_path)) == ["config.json", "work"] and not os.listdir(work)
 
 
 class TestEntryPoint:
