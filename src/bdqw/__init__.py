@@ -5,7 +5,10 @@ selection-probability-weighted Kronecker sum of per-dimension birth-death
 operators.  The central fact it implements and verifies: the d-dimensional
 transition probability factorizes exactly into one-dimensional transition
 probabilities, each evaluated at the rescaled elapsed time q_l * t.  A dense
-tensor-space oracle (capped in size) cross-checks the factorized fast path.
+tensor-space oracle (capped in size) evaluates the same probabilities from the
+product spectrum.  It reads the eigenpairs the fast path reads, so the CLI's
+``verify`` checks the factorization against Chebyshev propagation of the
+product generator instead, on probe vectors: that side reads only the kernels.
 """
 
 from .chain import (

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 simulate       factorized marginals (and optionally the dense joint law) per time value
-verify         factorized-vs-dense, orthogonality, eigen-residual, unitarity, balance defects
+verify         Theorem 1 on Chebyshev probes of H, orthogonality, eigen-residual, unitarity, balance
 clt            Kolmogorov distance of the standardized d-fold sum to the normal law, over a d sweep
 bench          wall-clock comparison of the dense oracle against the factorized path
 dump-spectrum  per-dimension eigenvalues, eigenvectors and log-weights as JSON
@@ -16,7 +16,8 @@ text as they come.  Each ``run_*`` does every check and evaluation before it
 returns, so the chunks only format what was computed.
 
 Exit codes: 0 success, 1 verification failure, 2 config/validation error
-(a numerical failure included), 3 over the oracle cap or out of memory.
+(a numerical failure included), 3 over the oracle cap (for verify, a time |t| above it too)
+or out of memory.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ import shutil
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass, field, replace
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -46,12 +46,11 @@ from .chain import (
     uniform_multi_chain,
 )
 from .ctqw import (
-    _kronecker_sum,
+    _chebyshev_propagate,
+    _factorized_propagate,
     _marginal_laws,
     dense_position_distribution,
-    dense_propagator_parts,
     propagator_parts,
-    transition_matrix_1d,
     transition_prob_dense,
     transition_prob_factorized,
     transition_row,
@@ -66,8 +65,10 @@ BENCH_REPETITIONS = 5
 BENCH_SPEEDUP_FLAG = 10.0
 BENCH_FLAT_FLAG = 10.0
 # Columns of U whose unitarity is checked at once: each step of the check
-# holds two blocks of 2 * 32 * size doubles, 1 MiB each at 2048 states.
+# holds two blocks of 2 * 32 * n doubles for an n-state U.
 _DEFECT_BLOCK_COLS = 32
+# Seed of verify's two probe vectors, whose entries are e^{2 pi i u}, u uniform in [0, 1).
+_PROBE_SEED = 1977
 
 # Documented reading of the Gaussian-limit statistic: the d summands are
 # independent copies of the single-dimension walk, each evaluated at the
@@ -93,6 +94,8 @@ class ExperimentConfig:
     output_path: str  # "-" is stdout
     output_format: str
     d_sweep: tuple[int, ...] | None
+    # what errors call ``times``: "time", or "--time" once the flag overrides it
+    times_field: str = field(default="time", compare=False)
 
 
 def _is_int(value: object) -> bool:
@@ -306,10 +309,12 @@ def resolve(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentCon
             pass  # rejected below, quoted as given
         cap = _check_positive(env, ENV_ORACLE_CAP)
 
-    times = config.times if args.time is None else _check_times(args.time, "--time", config.spec)
+    if args.time is not None:
+        times = _check_times(args.time, "--time", config.spec)
+        config = replace(config, times=times, times_field="--time")
     path = config.output_path if args.output is None else _check_path(args.output, "--output")
     fmt = getattr(args, "format", None) or config.output_format
-    return replace(config, times=times, oracle_cap=cap, output_path=path, output_format=fmt)
+    return replace(config, oracle_cap=cap, output_path=path, output_format=fmt)
 
 
 # CSV numeric format: 17 significant digits, round-trip exact for doubles.
@@ -416,8 +421,9 @@ def _unitarity_defect(
 
     U_s = W diag(e^{i t lambda}) W^T, with W = V_1 (x) ... (x) V_d the
     Kronecker product of the orthonormal ``factors`` and ``values`` the
-    eigenvalues of W's columns, one axis per factor: for the dense oracle
-    the unsplit q-weighted Kronecker sum, for one dimension q_l lambda_l.
+    eigenvalues of W's columns, one axis per factor: verify passes each
+    dimension's U at q_l t with its one factor and q_l lambda_l; a dense
+    product-space U goes with the unsplit q-weighted Kronecker sum.
     If U = U_s + E, this reads U_s^dagger E, first order in E as the Gram
     U^dagger U - I is, and a U that is unitary but not U_s (built at
     another time, say) fails too.
@@ -458,58 +464,48 @@ def _unitarity_defect(
     return math.sqrt(np.max(maxima))  # np.max, not max(): a NaN block fails the check
 
 
-def _dense_defects(
-    spec: MultiChainSpec, spectra: tuple, t: float, cap: int
-) -> tuple[float, float]:
-    """Theorem-1 error and unitarity defect of the dense oracle's U at one time.
-
-    U's real and imaginary parts are one contiguous (2, n, n) slab, the only
-    n x n array.  The unitarity check compares U with its spectral form over
-    the same unsplit Kronecker-sum phase the oracle used, a block of columns
-    at a time, so it forms no second n x n array and uses no Theorem 1.
-    After it |U|^2 overwrites the slab, and the factorized law is subtracted
-    in place, each row of the leading factors' Kronecker product times the
-    last factor's matrix: np.kron's products, so the error matches the
-    tests' Kronecker-product reference bit for bit.
-    """
-    parts = dense_propagator_parts(spec, spectra, t, oracle_cap=cap)
-    factors = tuple(s.eigenvectors for s in spectra)
-    unitarity = _unitarity_defect(parts, factors, _kronecker_sum(spec, spectra), t)
-    dense = np.square(parts, out=parts)[0]
-    dense += parts[1]
-    *leading, last = [transition_matrix_1d(s, q * t) for q, s in zip(spec.select_prob, spectra)]
-    lead = reduce(np.kron, leading, np.ones((1, 1)))
-    blocks = dense.reshape(len(lead), len(last), len(lead), len(last))  # [a, k, b, j]
-    for block, row in zip(blocks, lead):
-        block -= row[:, None] * last[:, None, :]
-    return float(np.max(np.abs(dense, out=dense))), unitarity
-
-
 def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
+    """The five defects at every configured time, and whether each is within VERIFY_TOLERANCE.
+
+    Theorem 1 is checked as the operator identity e^{itH} = (x)_l e^{i q_l t J_l}
+    on two fixed probe vectors (Freivalds, 1977): the left side by Chebyshev
+    propagation of H, which reads the kernels J_l and no eigenpair, the right
+    side one dimension's propagator at a time.  The Chebyshev series takes
+    about |t| terms, so a time with |t| above the oracle cap exits 3, as a
+    product space over it does; both are checked before any spectrum is solved.
+    """
     spec, cap = config.spec, config.oracle_cap
-    # before any spectrum is solved
     check_oracle_cap(spec.product_size, cap)
+    for idx, t in enumerate(config.times):
+        if abs(t) > cap:
+            raise SizeLimitError(
+                f"{config.times_field}[{idx}]: {t} is beyond the oracle cap of {cap} on |t|: "
+                "verify's Chebyshev check takes about |t| terms"
+            )
     spectra = chain_spectra(spec)
 
     # per-check defects, folded by np.max so that a NaN fails the check
-    theorem1, unitarity = [], []
-    for t in config.times:
-        theorem1_err, dense_unitarity = _dense_defects(spec, spectra, t, cap)
-        theorem1.append(theorem1_err)
-        unitarity.append(dense_unitarity)
-        for q, s in zip(spec.select_prob, spectra):
-            u = propagator_parts(s, q * t)
-            unitarity.append(_unitarity_defect(u, (s.eigenvectors,), q * s.eigenvalues, t))
-
-    balance, residual = [], []
+    balance, residual, kernels = [], [], {}
     for dim, s in dict(zip(spec.dims, spectra)).items():  # each distinct dimension once
         m = build_conditional_matrix(dim)
         pi = stationary_distribution(m)
         balance.append(np.max(np.abs(pi[:-1] * np.diag(m, 1) - pi[1:] * np.diag(m, -1))))
         balance.append(np.max(np.abs(pi @ m - pi)))
-        # the only check that ties the spectra to the kernel: J V = V Lambda
+        # J V = V Lambda ties the spectra to the kernel, as the probe check below does
+        kernels[dim] = symmetrize(m)
         v = s.eigenvectors
-        residual.append(np.max(np.abs(symmetrize(m) @ v - v * s.eigenvalues)))
+        residual.append(np.max(np.abs(kernels[dim] @ v - v * s.eigenvalues)))
+
+    axis_kernels = tuple(kernels[dim] for dim in spec.dims)
+    phases = np.random.default_rng(_PROBE_SEED).random((2,) + spec.shape)
+    probes = np.exp(2j * np.pi * phases)
+    theorem1, unitarity = [], []
+    for t in config.times:
+        left = _chebyshev_propagate(spec, axis_kernels, probes, t)
+        theorem1.append(np.max(np.abs(left - _factorized_propagate(spec, spectra, probes, t))))
+        for q, s in zip(spec.select_prob, spectra):
+            u = propagator_parts(s, q * t)
+            unitarity.append(_unitarity_defect(u, (s.eigenvectors,), q * s.eigenvalues, t))
 
     defects = {
         "theorem1_max_abs_err": float(np.max(theorem1)),
@@ -714,7 +710,7 @@ def run_dump_config(config: ExperimentConfig) -> tuple[int, list[str]]:
 # name: (run function, help text); simulate's run also takes --dense
 _COMMANDS = {
     "simulate": (run_simulate, "emit factorized marginals (and optionally the dense joint law)"),
-    "verify": (run_verify, "run the factorized-vs-dense and spectral verification suite"),
+    "verify": (run_verify, "check Theorem 1 on Chebyshev probes of H, and the spectral defects"),
     "clt": (run_clt, "Kolmogorov distance of the standardized sum to the normal law"),
     "bench": (run_bench, "time the dense oracle against the factorized path"),
     "dump-spectrum": (run_dump_spectrum, "emit per-dimension eigensystems as JSON"),

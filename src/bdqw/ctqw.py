@@ -24,6 +24,13 @@ Every route is a slice of one kernel, the elements of W diag(e^{i t lambda}) W^T
 with W the Kronecker product of per-dimension bases V_l: one factor for the
 factorized path, all of them for the oracle.
 
+The oracle reads the eigenpairs the fast path reads, so it cannot see a wrong
+spectrum.  The independent check of Theorem 1, which the CLI's verify runs,
+applies both sides of e^{itH} = (x)_l e^{i q_l t J_l} to vectors of the
+product space: _chebyshev_propagate sums Chebyshev terms of H built from the
+kernels J_l alone, reading no eigenpair, and _factorized_propagate applies
+each dimension's propagator along its axis.
+
 The phase t * lambda carries an absolute error of about |t| eps, and the
 probabilities inherit it: from position 0 of the Ehrenfest urn (N = 3, 7,
 96) they stay within 0.57 |t| eps of Binomial(N, sin^2(t/N)) for t >= 100,
@@ -45,7 +52,7 @@ import numpy as np
 
 from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, check_oracle_cap
 from .errors import NumericalError
-from .spectral import SpectralData
+from .spectral import SpectralData, SymmetricTridiagonal
 
 # Elements of one stacked (times, rows, n) phase product in a grouped kernel call: 4 MiB.
 _GROUP_CHUNK = 1 << 19
@@ -56,6 +63,10 @@ _GROUP_CHUNK = 1 << 19
 # zeros (Ehrenfest urns of up to 1100 at t = 0 and at the mirror time pi N / 2,
 # 3000 random chains of up to 41 states at t = 0) the noise reached 3.7e-25.
 _FACTOR_NOISE = 1e-20
+
+# The Chebyshev series of e^{itH} is cut past k = |t| once two consecutive
+# |J_k(t)| are below this; the terms dropped then sum to about 1e-17 |x|.
+_BESSEL_TAIL = 1e-17
 
 
 def _amplitudes(
@@ -288,6 +299,107 @@ def _grouped_factors(
                 yield i, members[chunk], _probabilities(parts)
 
 
+def _bessel_coefficients(t: float) -> np.ndarray:
+    """J_k(t) for k = 0, 1, ..., K - 1: the Chebyshev series of e^{itx} that is kept.
+
+    Miller's backward recurrence J_{k-1} = (2k / |t|) J_k - J_{k+1}, started
+    from 0 and 1e-300 at k = |t| + 25 (|t| / 2)^{1/3} + 30, where J_k(t) is
+    below 1e-35 (past k = |t| it falls as Ai(s) at k = |t| + s (|t| / 2)^{1/3})
+    and above 1e-562 (at |t| = 2e-17 and k = 31, the smallest), so the values
+    stay finite; then normalized by J_0 + 2 sum_k J_{2k} = 1, and
+    J_k(-t) = (-1)^k J_k(t).  K is the first k > |t| with |J_k| and |J_{k+1}|
+    below _BESSEL_TAIL, so about |t| terms.  Below |t| = 2 _BESSEL_TAIL,
+    J_1 ~ t / 2 is in the tail already and J_0 rounds to 1.
+    """
+    a = abs(t)
+    if a < 2 * _BESSEL_TAIL:
+        return np.ones(1)
+    values, above, here = [], 0.0, 1e-300
+    for k in range(math.ceil(a + 25.0 * (a / 2.0) ** (1.0 / 3.0)) + 30, 0, -1):
+        values.append(here)
+        above, here = here, 2.0 * k / a * here - above
+    values.append(here)
+    j = np.array(values[::-1])
+    j /= j[0] + 2.0 * j[2::2].sum()
+    small = np.abs(j) < _BESSEL_TAIL
+    first = math.floor(a) + 1
+    j = j[: first + int(np.argmax(small[first:-1] & small[first + 1 :]))]
+    if t < 0:
+        j[1::2] *= -1.0
+    return j
+
+
+def _chebyshev_propagate(
+    spec: MultiChainSpec, kernels: tuple[SymmetricTridiagonal, ...], x: np.ndarray, t: float
+) -> np.ndarray:
+    """e^{itH} x for H = sum_l q_l J_l, with J_l = ``kernels[l]`` acting on axis l of x's last d.
+
+    x is complex, one product-space vector of ``spec.shape`` per leading index.
+    No eigenpair is read.  H's spectrum lies in [-1, 1] (each J_l is similar to
+    a stochastic kernel and the q_l sum to 1), so e^{itH} x is the Chebyshev
+    series J_0(t) x + 2 sum_{k>=1} i^k J_k(t) T_k(H) x (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967, 1984), cut where _bessel_coefficients cuts it.
+
+    T_{k+1}(H) x = 2 H T_k(H) x - T_{k-1}(H) x is one pass over the flattened
+    vectors for H's diagonal and two per axis: J_l couples flat indices s_l
+    apart, s_l the stride of axis l, with the weight 2 q_l J_l[k, k+1] at each
+    flat index whose axis-l index k is not the last and 0 where it is, so
+    every pass is one long contiguous loop.  H is real, so the recurrence runs
+    on x's real and imaginary parts, stacked as rows, in real arithmetic; i^k
+    only sends term k to the even or odd sum, with the sign (-1)^{k // 2}.  A
+    term costs about 2d + 2 multiply-adds per entry of x's parts, and
+    the arrays held are a few of x's size.
+    """
+    coeffs = _bessel_coefficients(t)
+    coeffs[1:] *= 2.0
+    coeffs[2::4] *= -1.0
+    coeffs[3::4] *= -1.0  # i^k is (-1)^{k // 2}, times i for odd k
+    size = stride = spec.product_size
+    steps = []  # s_l, and the weights of the flat indices up to size - s_l
+    for n, q, kernel in zip(spec.shape, spec.select_prob, kernels):
+        stride //= n
+        weights = np.repeat(np.append(2.0 * q * kernel.offdiag, 0.0), stride)
+        steps.append((stride, np.tile(weights, size // (n * stride))[: size - stride]))
+    diag = reduce(np.add.outer, [2.0 * q * k.diag for q, k in zip(spec.select_prob, kernels)])
+    diag = diag.ravel()
+
+    def twice_h_minus(cur: np.ndarray, out: np.ndarray) -> None:
+        """out = 2 H cur - out, in place."""
+        np.subtract(diag * cur, out, out=out)
+        for stride, w in steps:
+            out[:, :-stride] += w * cur[:, stride:]
+            out[:, stride:] += w * cur[:, :-stride]
+
+    vectors = x.reshape(-1, size)
+    prev, cur = np.zeros((2 * len(vectors), size)), np.concatenate((vectors.real, vectors.imag))
+    sums = np.zeros((2,) + cur.shape)  # the even and the odd terms
+    sums[0] = coeffs[0] * cur
+    for k in range(1, len(coeffs)):
+        twice_h_minus(cur, prev)
+        if k == 1:
+            prev *= 0.5  # T_1 = H T_0, from T_{-1} = 0
+        prev, cur = cur, prev
+        sums[k & 1] += coeffs[k] * cur
+    (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, -1, size)
+    return ((even_re - odd_im) + 1j * (even_im + odd_re)).reshape(x.shape)
+
+
+def _factorized_propagate(
+    spec: MultiChainSpec, spectra: tuple[SpectralData, ...], x: np.ndarray, t: float
+) -> np.ndarray:
+    """(U_1(q_1 t) (x) ... (x) U_d(q_d t)) x, the factorized side of Theorem 1 on whole vectors.
+
+    x is as for _chebyshev_propagate.  Each dimension's propagator_parts is
+    contracted along its axis of x: size * sum n_l complex multiply-adds per
+    vector, and no product-space operator is formed.
+    """
+    for l, (q, s) in enumerate(zip(spec.select_prob, spectra)):
+        re, im = propagator_parts(s, q * t)
+        axis = x.ndim - spec.n_dims + l
+        x = np.moveaxis(np.tensordot(re + 1j * im, x, axes=(1, axis)), 0, axis)
+    return x
+
+
 def _kronecker_sum(spec: MultiChainSpec, spectra: tuple[SpectralData, ...]) -> np.ndarray:
     """The product generator's eigenvalues sum_l q_l lambda_l, one axis per dimension."""
     return reduce(np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)])
@@ -339,8 +451,8 @@ def transition_prob_dense(
 ) -> float:
     """Transition probability evaluated on the full product space.
 
-    Single sum over the product spectrum, no factorization; the independent
-    check for the fast path.
+    Single sum over the product spectrum, no factorization, from the same
+    eigenpairs as the fast path.
     """
     return float(_probabilities(_dense_amplitudes(spec, spectra, t, oracle_cap, j=j, k=k)))
 

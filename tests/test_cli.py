@@ -25,16 +25,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdqw
-from bdqw import cli, spectral, stats
+from bdqw import cli, ctqw, spectral, stats
 from bdqw.chain import DimensionSpec, MultiChainSpec, build_conditional_matrix, ehrenfest_dimension
 from bdqw.cli import load_config, main, parse_config, resolve
 from bdqw.spectral import SpectralData
 
 from conftest import (
-    dense_transition_matrix,
     dimension_specs,
     double_well,
-    factorized_transition_matrix,
     random_dimension_spec,
 )
 
@@ -669,7 +667,7 @@ def unitarity_defect(parts: np.ndarray, spec: MultiChainSpec, t: float) -> float
     """verify's check of the dense parts against the chain's spectral form at time t."""
     spectra = spectral.chain_spectra(spec)
     factors = tuple(s.eigenvectors for s in spectra)
-    return cli._unitarity_defect(parts, factors, cli._kronecker_sum(spec, spectra), t)
+    return cli._unitarity_defect(parts, factors, ctqw._kronecker_sum(spec, spectra), t)
 
 
 def spectral_form_defect(parts: np.ndarray, spec: MultiChainSpec, spectra: tuple, t: float):
@@ -679,6 +677,55 @@ def spectral_form_defect(parts: np.ndarray, spec: MultiChainSpec, spectra: tuple
         w, lam = np.kron(w, s.eigenvectors), np.add.outer(lam, q * s.eigenvalues).ravel()
     u = parts[0] + 1j * parts[1]
     return np.max(np.abs(u.conj().T @ (w * np.exp(1j * t * lam)) @ w.T - np.eye(len(u))))
+
+
+def shifted_eigenvalue(s: SpectralData) -> SpectralData:
+    values = s.eigenvalues.copy()
+    values[3] += 1e-9
+    return replace(s, eigenvalues=values)
+
+
+def rotated_eigenvectors(s: SpectralData) -> SpectralData:
+    """Eigenvectors 2 and 5 rotated by 1e-9 radians: still orthonormal."""
+    c, sn = math.cos(1e-9), math.sin(1e-9)
+    vectors = s.eigenvectors.copy()
+    vectors[:, [2, 5]] = vectors[:, [2, 5]] @ np.array([[c, sn], [-sn, c]])
+    return replace(s, eigenvectors=vectors)
+
+
+def perturbed_kernel(s: SpectralData) -> SpectralData:
+    """The spectrum of the 7-ball urn with p_table[2] raised by 1e-6."""
+    table = list(ehrenfest_dimension(7).decrease_prob)
+    table[2] += 1e-6
+    return spectral.dimension_spectrum(DimensionSpec(size=7, decrease_prob=tuple(table)))
+
+
+def identity_column(real, s: SpectralData, t: float) -> np.ndarray:
+    parts = real(s, t)
+    parts[:, :, 0] = 0.0
+    parts[0, 0, 0] = 1.0
+    return parts
+
+
+# 8 x 16 x 16 Ehrenfest urns with distinct q at t = 7.3; each fault below,
+# alone, in dims[0]'s spectrum or in every 1-D propagator of the factorized
+# side, must push theorem1_max_abs_err over the tolerance.
+FAULT_CONFIG = parse_config(
+    {"dims": [{"size": n} for n in (7, 15, 15)], "select_prob": [0.2, 0.3, 0.5], "time": 7.3}
+)
+SPECTRUM_FAULTS = {
+    "eigenvalue + 1e-9": shifted_eigenvalue,
+    "two eigenvectors rotated by 1e-9": rotated_eigenvectors,
+    "p_table changed by 1e-6": perturbed_kernel,
+}
+# dims[1] and dims[2] share one spectrum, so swapping their times swaps their U's
+SWAPPED = {0.3 * 7.3: 0.5 * 7.3, 0.5 * 7.3: 0.3 * 7.3}
+FACTOR_FAULTS = {
+    "phase sign flipped": lambda real, s, t: real(s, t) * np.array([1.0, -1.0])[:, None, None],
+    "identity column": identity_column,
+    "W order swapped": lambda real, s, t: real(s, SWAPPED.get(t, t)),
+    "U at t + 1e-6": lambda real, s, t: real(s, t + 1e-6),
+}
 
 
 class TestVerify:
@@ -717,7 +764,8 @@ class TestVerify:
     @pytest.mark.parametrize(
         "route, key",
         [
-            ("transition_matrix_1d", "theorem1_max_abs_err"),
+            ("_chebyshev_propagate", "theorem1_max_abs_err"),
+            ("_factorized_propagate", "theorem1_max_abs_err"),
             ("stationary_distribution", "detailed_balance_defect"),
         ],
     )
@@ -735,8 +783,8 @@ class TestVerify:
 
     def test_spectra_of_a_wrong_kernel_fail(self, tmp_path, monkeypatch):
         # Orthonormal spectra of the right sizes but of another J: the
-        # factorized and dense routes agree on them, so only the eigen-residual
-        # J V - V Lambda ties them back to the configured kernel.
+        # eigen-residual J V - V Lambda and the probe check, whose Chebyshev
+        # side reads the configured kernel and no eigenpair, both fail them.
         config = write_config(
             tmp_path,
             dims=[{"size": 2}, {"size": 3}],
@@ -754,7 +802,8 @@ class TestVerify:
         assert main(["verify", "--config", config, "--output", str(out)]) == 1
         report = json.loads(out.read_text())
         assert report["eigen_residual"] > 1e-2
-        for key in ("theorem1_max_abs_err", "orthogonality_defect", "unitarity_defect"):
+        assert report["theorem1_max_abs_err"] > cli.VERIFY_TOLERANCE
+        for key in ("orthogonality_defect", "unitarity_defect"):
             assert report[key] <= 1e-10
 
     @pytest.mark.parametrize("seed", range(4))
@@ -828,7 +877,7 @@ class TestVerify:
             select_prob=(0.2, 0.3, 0.5),
         )
         spectra = spectral.chain_spectra(spec)
-        parts = cli.dense_propagator_parts(spec, spectra, 1.3 + 1e-6)
+        parts = ctqw.dense_propagator_parts(spec, spectra, 1.3 + 1e-6)
         u = parts[0] + 1j * parts[1]
         assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= cli.VERIFY_TOLERANCE
         defect = unitarity_defect(parts, spec, 1.3)
@@ -844,7 +893,7 @@ class TestVerify:
             dims=tuple(ehrenfest_dimension(size) for size in (7, 15, 15)),
             select_prob=(0.2, 0.3, 0.5),
         )
-        parts = cli.dense_propagator_parts(spec, spectral.chain_spectra(spec), 1.3)
+        parts = ctqw.dense_propagator_parts(spec, spectral.chain_spectra(spec), 1.3)
         tracemalloc.start()
         try:
             defect = unitarity_defect(parts, spec, 1.3)
@@ -855,35 +904,67 @@ class TestVerify:
         assert peak <= 2 * block + 2**18  # 256 KiB for the phases and the Python objects
         assert defect <= 1e-10
 
-    def test_blockwise_theorem1_error_is_the_all_pairs_difference(self):
-        # the factorized law is subtracted a block at a time, with np.kron's products
-        rng = np.random.default_rng(5)
-        dims = tuple(random_dimension_spec(rng, max_size=6) for _ in range(3))
-        spec = MultiChainSpec(dims=dims, select_prob=(0.5, 0.2, 0.3))
+    def test_probe_stage_holds_a_few_probe_sized_arrays(self):
+        # 8 x 16 x 16 states at t = 7.3: both sides of the probe check hold
+        # arrays of the two probes' size (64 KiB of complex entries), where the
+        # dense U they replace was a (2, size, size) slab of 64 MiB
+        spec = FAULT_CONFIG.spec
         spectra = spectral.chain_spectra(spec)
-        for t in (0.4, 3.7, 25.0):
-            error, _ = cli._dense_defects(spec, spectra, t, spec.product_size)
-            dense = dense_transition_matrix(spec, spectra, t)
-            expected = np.max(np.abs(dense - factorized_transition_matrix(spec, spectra, t)))
-            assert error > 0.0
-            assert error == expected  # bit for bit
-
-    def test_dense_defects_hold_one_slab(self):
-        # 4 x 16 x 16 = 1024 states: U's (2, n, n) slab is 16 n^2 bytes; the
-        # contraction, the unitarity check and the Theorem-1 check add a fraction of it
-        spec = MultiChainSpec(
-            dims=tuple(ehrenfest_dimension(size) for size in (3, 15, 15)),
-            select_prob=(0.2, 0.3, 0.5),
-        )
-        spectra = spectral.chain_spectra(spec)
+        kernels = tuple(spectral.symmetrize(build_conditional_matrix(dim)) for dim in spec.dims)
+        phases = np.random.default_rng(cli._PROBE_SEED).random((2,) + spec.shape)
+        probes = np.exp(2j * np.pi * phases)
         tracemalloc.start()
         try:
-            theorem1, unitarity = cli._dense_defects(spec, spectra, 1.3, spec.product_size)
+            left = cli._chebyshev_propagate(spec, kernels, probes, 7.3)
+            error = np.max(np.abs(left - cli._factorized_propagate(spec, spectra, probes, 7.3)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * 16 * spec.product_size**2
-        assert theorem1 <= 1e-10 and unitarity <= 1e-10
+        assert peak <= 12 * probes.nbytes
+        assert error <= 1e-12
+
+    def test_the_fault_chain_passes_without_a_fault(self):
+        code, chunks = cli.run_verify(FAULT_CONFIG)
+        report = json.loads("".join(chunks))
+        assert code == 0 and report["pass"] is True
+        assert report["theorem1_max_abs_err"] <= 1e-12
+
+    @pytest.mark.parametrize("fault", SPECTRUM_FAULTS)
+    def test_a_wrong_spectrum_fails_the_probe_check(self, monkeypatch, fault):
+        # the dense U read the same eigenpairs as the factorized route, so it
+        # could not see these; the Chebyshev side reads only the kernels
+        real = cli.chain_spectra
+
+        def with_fault(spec):
+            first, *rest = real(spec)
+            return (SPECTRUM_FAULTS[fault](first), *rest)
+
+        monkeypatch.setattr(cli, "chain_spectra", with_fault)
+        code, chunks = cli.run_verify(FAULT_CONFIG)
+        assert json.loads("".join(chunks))["theorem1_max_abs_err"] > cli.VERIFY_TOLERANCE
+        assert code == 1
+
+    @pytest.mark.parametrize("fault", FACTOR_FAULTS)
+    def test_a_wrong_factor_fails_the_probe_check(self, monkeypatch, fault):
+        # each 1-D propagator of the factorized side goes through the mutant
+        real = ctqw.propagator_parts
+        monkeypatch.setattr(ctqw, "propagator_parts", lambda s, t: FACTOR_FAULTS[fault](real, s, t))
+        code, chunks = cli.run_verify(FAULT_CONFIG)
+        assert json.loads("".join(chunks))["theorem1_max_abs_err"] > cli.VERIFY_TOLERANCE
+        assert code == 1
+
+    def test_output_is_byte_identical_across_runs(self, tmp_path):
+        config = write_config(
+            tmp_path,
+            dims=[{"size": 3}, {"size": 2, "p_table": [0.3]}, {"size": 4}],
+            select_prob=[0.2, 0.3, 0.5],
+            time=[-2.5, 0.0, 7.3],
+        )
+        argv = [sys.executable, "-m", "bdqw", "verify", "--config", config]
+        env = {**os.environ, "PYTHONPATH": SRC}
+        first, second = (subprocess.run(argv, env=env, capture_output=True) for _ in range(2))
+        assert first.returncode == 0 and first.stderr == b""
+        assert first.stdout == second.stdout
 
     def test_corrupted_select_prob_exits_2(self, tmp_path, capsys):
         config = write_config(
@@ -900,12 +981,13 @@ class TestVerify:
             main(["verify", "--config", two_edge_config(tmp_path), "--oracle-cap", "2"]) == 3
         )
 
-    def test_cap_checked_before_factorized_matrix(self, tmp_path, monkeypatch):
-        # 2^40 states: no factor of the factorized all-pairs law may be attempted
+    def test_cap_checked_before_any_spectrum(self, tmp_path, monkeypatch):
+        # 2^40 states: no spectrum may be solved and no probe propagated
         def refuse(*args, **kwargs):
-            raise AssertionError("factorized all-pairs law built over the cap")
+            raise AssertionError("verify ran over the cap")
 
-        monkeypatch.setattr(cli, "transition_matrix_1d", refuse)
+        for route in ("chain_spectra", "_chebyshev_propagate", "_factorized_propagate"):
+            monkeypatch.setattr(cli, route, refuse)
         config = write_config(tmp_path, dims=[{"size": 1}] * 40)
         assert main(["verify", "--config", config]) == 3
 
@@ -1451,6 +1533,54 @@ class TestSpectralFailureNamesItsDimension:
 
 
 class TestOracleCapResolution:
+    @pytest.mark.parametrize(
+        "argv, env, fields, field",
+        [
+            ([], None, {"oracle_cap": 4}, "time[1]: -5.0"),
+            (["--oracle-cap", "4"], None, {}, "time[1]: -5.0"),
+            ([], "4", {}, "time[1]: -5.0"),
+            (["--time", "1,-6"], None, {"oracle_cap": 5}, "--time[1]: -6.0"),
+        ],
+    )
+    def test_a_time_over_the_cap_exits_3_before_any_spectrum(
+        self, tmp_path, capsys, monkeypatch, argv, env, fields, field
+    ):
+        # verify's Chebyshev check takes about |t| terms, so the cap bounds |t| too
+        monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
+        if env is not None:
+            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
+
+        def refuse(spec):
+            raise AssertionError("a spectrum was solved for a time over the cap")
+
+        monkeypatch.setattr(cli, "chain_spectra", refuse)
+        out = tmp_path / "out"
+        config = edge_config(tmp_path, time=[1.0, -5.0], **fields)
+        assert main(["verify", "--config", config, "--output", str(out), *argv]) == 3
+        cap = fields.get("oracle_cap", 4)
+        assert capsys.readouterr().err == (
+            f"error: {field} is beyond the oracle cap of {cap} on |t|: "
+            "verify's Chebyshev check takes about |t| terms\n"
+        )
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "argv, env", [(["--oracle-cap", "5"], None), ([], "5"), (["--time", "1,4"], None)]
+    )
+    def test_the_cap_sources_raise_the_time_bound(self, tmp_path, monkeypatch, argv, env):
+        # the config's cap of 4 rejects t = -5; a flag or BDQW_ORACLE_CAP of 5 admits
+        # it, as they raise the size cap, and --time replaces the times checked
+        monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
+        if env is not None:
+            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
+        config = edge_config(tmp_path, time=[1.0, -5.0], oracle_cap=4)
+        assert main(["verify", "--config", config, *argv]) == 0
+
+    @pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--dense"], ["dump-spectrum"]])
+    def test_the_time_bound_is_verify_s_alone(self, tmp_path, argv):
+        config = edge_config(tmp_path, time=[1.0, -5.0], oracle_cap=4)
+        assert main([*argv, "--config", config, "--output", str(tmp_path / "out")]) == 0
+
     def test_env_var_overrides_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BDQW_ORACLE_CAP", "2")
         assert main(["verify", "--config", two_edge_config(tmp_path)]) == 3

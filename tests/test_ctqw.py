@@ -9,6 +9,7 @@ from functools import reduce
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.special
 import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -37,7 +38,7 @@ from bdqw.ctqw import (
     transition_row,
 )
 from bdqw.errors import NumericalError, SizeLimitError
-from bdqw.spectral import SpectralData, chain_spectra, dimension_spectrum
+from bdqw.spectral import SpectralData, chain_spectra, dimension_spectrum, symmetrize
 from bdqw.stats import convolve_sum
 
 from conftest import (
@@ -533,6 +534,62 @@ class TestFactorizedVsDense:
         assert abs(fact - transition_prob_dense(spec, spectra, t, j, k)) <= 1e-12
         joint = reduce(np.multiply.outer, position_distribution(spec, spectra, t, j)).ravel()
         assert np.max(np.abs(joint - dense_position_distribution(spec, spectra, t, j))) <= 1e-12
+
+
+class TestChebyshevPropagation:
+    """verify's spectrum-free side of Theorem 1: e^{itH} x from Chebyshev terms of H."""
+
+    @pytest.mark.parametrize("t", [0.0, 3e-17, -1e-9, -7.3, 0.5, 7.3, 60.0, 1000.0, 4096.0])
+    def test_bessel_coefficients_match_scipy(self, t):
+        coeffs = ctqw._bessel_coefficients(t)
+        k = np.arange(len(coeffs) + 2)
+        reference = scipy.special.jv(k, t)
+        assert np.max(np.abs(coeffs - reference[:-2])) <= 1e-13
+        # cut at the first k > |t| with |J_k| and |J_{k+1}| below 1e-17
+        assert len(coeffs) > abs(t)
+        assert np.all(np.abs(reference[-2:]) < 1e-17)
+        assert len(coeffs) - 1 <= abs(t) or np.max(np.abs(reference[-3:-1])) >= 1e-17
+
+    @pytest.mark.parametrize("sizes", [(198,), (9, 19), (4, 5, 6), (1, 2, 3, 4)])
+    def test_column_matches_expm_and_the_dense_oracle(self, sizes):
+        # random chains of 120 to 210 states; the kernels alone drive the series
+        rng = np.random.default_rng(sum(sizes))
+        dims = tuple(
+            DimensionSpec(size=n, decrease_prob=tuple(rng.uniform(0.02, 0.98, n - 1)))
+            for n in sizes
+        )
+        q = rng.uniform(0.1, 1.0, len(sizes))
+        spec = MultiChainSpec(dims=dims, select_prob=tuple(q / q.sum()))
+        kernels = tuple(symmetrize(build_conditional_matrix(dim)) for dim in spec.dims)
+        spectra = chain_spectra(spec)
+        j = tuple(int(rng.integers(n)) for n in spec.shape)
+        basis = np.zeros((1,) + spec.shape, dtype=complex)
+        basis[(0,) + j] = 1.0
+        for t in (0.7, -7.3, 7.3, 60.0):
+            expected = expm_oracle(spec, t)[:, np.ravel_multi_index(j, spec.shape)]
+            column = ctqw._chebyshev_propagate(spec, kernels, basis, t).ravel()
+            assert np.max(np.abs(column - expected)) <= 1e-13
+            law = dense_position_distribution(spec, spectra, t, j)
+            assert np.max(np.abs(column.real**2 + column.imag**2 - law)) <= 1e-13
+            factorized = ctqw._factorized_propagate(spec, spectra, basis, t).ravel()
+            assert np.max(np.abs(factorized - expected)) <= 1e-13
+
+    def test_probes_on_leading_axes_are_independent(self):
+        # two probes in one pass give what each gives alone, on both sides
+        spec = MultiChainSpec(
+            dims=(ehrenfest_dimension(3), random_dimension_spec(np.random.default_rng(7), 6)),
+            select_prob=(0.35, 0.65),
+        )
+        kernels = tuple(symmetrize(build_conditional_matrix(dim)) for dim in spec.dims)
+        spectra = chain_spectra(spec)
+        probes = np.exp(2j * np.pi * np.random.default_rng(8).random((2,) + spec.shape))
+        for t in (0.0, 2.9):
+            both = ctqw._chebyshev_propagate(spec, kernels, probes, t)
+            factorized = ctqw._factorized_propagate(spec, spectra, probes, t)
+            for i in range(2):
+                alone = ctqw._chebyshev_propagate(spec, kernels, probes[i : i + 1], t)
+                assert np.array_equal(both[i], alone[0])
+                assert np.max(np.abs(factorized[i] - alone[0])) <= 1e-13
 
 
 class TestPositionDistribution:
