@@ -26,6 +26,7 @@ import argparse
 import json
 import math
 import os
+import random
 import shutil
 import sys
 import time
@@ -464,6 +465,23 @@ def _unitarity_defect(
     return math.sqrt(np.max(maxima))  # np.max, not max(): a NaN block fails the check
 
 
+def _probes(shape: tuple[int, ...]) -> np.ndarray:
+    """verify's two probe vectors, stacked: shape ``(2,) + shape``, entries e^{2 pi i u}.
+
+    Each u is 53 bits of ``random.Random(_PROBE_SEED).randbytes``, read as a
+    little-endian uint64 and shifted into a double in [0, 1).  The standard
+    library's generator spares the import of numpy.random, and one bytes
+    object makes no Python object per entry.
+    """
+    count = 2 * math.prod(shape)
+    words = np.frombuffer(random.Random(_PROBE_SEED).randbytes(8 * count), dtype="<u8")
+    phases = (words >> np.uint64(11)).astype(float)
+    del words  # and with it the bytes, so at most 24 bytes per entry are held
+    phases *= 2.0**-53
+    probes = phases * (2j * np.pi)
+    return np.exp(probes, out=probes).reshape((2,) + shape)
+
+
 def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
     """The five defects at every configured time, and whether each is within VERIFY_TOLERANCE.
 
@@ -497,8 +515,7 @@ def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
         residual.append(np.max(np.abs(kernels[dim] @ v - v * s.eigenvalues)))
 
     axis_kernels = tuple(kernels[dim] for dim in spec.dims)
-    phases = np.random.default_rng(_PROBE_SEED).random((2,) + spec.shape)
-    probes = np.exp(2j * np.pi * phases)
+    probes = _probes(spec.shape)
     theorem1, unitarity = [], []
     for t in config.times:
         left = _chebyshev_propagate(spec, axis_kernels, probes, t)

@@ -104,12 +104,13 @@ class SpectralData:
         square underflows to 0 passes.
         """
         lam, vec = self.eigenvalues, self.eigenvectors
-        n = self.n_states
         if lam.size > 1 and not float(np.diff(lam).min()) > 0.0:
             raise NumericalError("eigenvalues are not strictly ascending")
         if not float(np.max(np.abs(lam))) <= 1.0 + 1e-10:
             raise NumericalError("spectrum escapes [-1, 1]")
-        ortho = float(np.max(np.abs(vec.T @ vec - np.eye(n))))
+        gram = vec.T @ vec  # the one n x n buffer: G - I and |G - I| are formed in place
+        gram.reshape(-1)[:: len(gram) + 1] -= 1.0
+        ortho = float(np.max(np.abs(gram, out=gram)))
         if not ortho <= _VALIDATE_TOLERANCE:
             raise NumericalError(f"eigenvector columns not orthonormal (defect {ortho})")
         if not float(vec[0].min()) > 0.0:
@@ -252,12 +253,17 @@ def _twisted_eigenvectors(diag: np.ndarray, offdiag: np.ndarray, values: np.ndar
     pivmin = float(np.finfo(float).tiny) * max(1.0, float((offdiag * offdiag).max(initial=0.0)))
     down = _pivots(diag, offdiag, values, pivmin)
     up = _pivots(diag[::-1], offdiag[::-1], values, pivmin)[::-1]
-    gamma = down + up
+    # Each n x n array goes after its last read, so at most three are held at
+    # once.  gamma is column-major: argmin copies any array whose axis 0 is not contiguous.
+    gamma = np.add(down, up, out=np.empty_like(down, order="F"))
     gamma -= diag[:, None]
     gamma += values
-    twist = np.argmin(np.abs(gamma), axis=0)
+    twist = np.argmin(np.abs(gamma, out=gamma), axis=0)
+    del gamma
     vectors = _ratio_products(offdiag, down, twist)
+    del down
     vectors *= _ratio_products(offdiag[::-1], up[::-1], n - 1 - twist)[::-1]
+    del up
     vectors /= np.sqrt((vectors * vectors).sum(axis=0))
     return vectors
 
@@ -295,10 +301,10 @@ def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
     else:
         vectors = _twisted_eigenvectors(tri.diag, tri.offdiag, values)
 
-    first = vectors[0].copy()
-    if np.any(first == 0.0):
+    if np.any(vectors[0] == 0.0):
         raise NumericalError("eigenvector with vanishing first component")
-    data = SpectralData(eigenvalues=values, eigenvectors=vectors * np.sign(first))
+    vectors *= np.sign(vectors[0])  # np.sign makes a copy of the row before it is flipped
+    data = SpectralData(eigenvalues=values, eigenvectors=vectors)
     data.validate()
     return data
 

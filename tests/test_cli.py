@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import random
 import shlex
 import signal
 import subprocess
@@ -911,8 +912,7 @@ class TestVerify:
         spec = FAULT_CONFIG.spec
         spectra = spectral.chain_spectra(spec)
         kernels = tuple(spectral.symmetrize(build_conditional_matrix(dim)) for dim in spec.dims)
-        phases = np.random.default_rng(cli._PROBE_SEED).random((2,) + spec.shape)
-        probes = np.exp(2j * np.pi * phases)
+        probes = cli._probes(spec.shape)
         tracemalloc.start()
         try:
             left = cli._chebyshev_propagate(spec, kernels, probes, 7.3)
@@ -922,6 +922,30 @@ class TestVerify:
             tracemalloc.stop()
         assert peak <= 12 * probes.nbytes
         assert error <= 1e-12
+
+    @pytest.mark.parametrize("shape", [(1,), (2, 3), (8, 16, 16)])
+    def test_probes_are_the_seeded_standard_library_phases(self, shape):
+        probes = cli._probes(shape)
+        assert probes.shape == (2,) + shape and probes.dtype == complex
+        assert np.max(np.abs(np.abs(probes) - 1.0)) <= 4 * np.finfo(float).eps
+        assert cli._probes(shape).tobytes() == probes.tobytes()
+        # getrandbits(64) per entry, not randbytes: the same stream read another way
+        rng = random.Random(1977)
+        words = [rng.getrandbits(64) >> 11 for _ in range(probes.size)]
+        phases = np.array(words, dtype=float).reshape(probes.shape) / 2.0**53
+        assert np.exp(2j * np.pi * phases).tobytes() == probes.tobytes()
+
+    def test_probes_hold_only_arrays(self):
+        # no Python object per entry: the bytes drawn, then the phases beside the
+        # complex probes, 24 bytes per entry at the peak, as at 2^20 states, and
+        # numpy's 128 KiB buffer for casting the phases to complex
+        tracemalloc.start()
+        try:
+            probes = cli._probes((1 << 16,))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * probes.nbytes + 2**18
 
     def test_the_fault_chain_passes_without_a_fault(self):
         code, chunks = cli.run_verify(FAULT_CONFIG)
@@ -1930,6 +1954,38 @@ class TestNewRejections:
 class TestEntryPoint:
     def test_every_public_name_resolves(self):
         assert [name for name in bdqw.__all__ if not hasattr(bdqw, name)] == []
+
+    @pytest.mark.parametrize(
+        "argv, fields",
+        [
+            (["verify"], {"dims": [{"size": 3}, {"size": 2}], "time": [0.5, 2.0]}),
+            (["simulate", "--dense"], {"dims": [{"size": 3}, {"size": 2}], "time": 0.5}),
+            (["clt"], {"dims": [{"size": 4}], "d_sweep": [8, 16], "time": 3.1}),
+            (["bench"], {"dims": [{"size": 1}], "d_sweep": [4, 8], "time": 1.7}),
+            (["dump-spectrum"], {"dims": [{"size": 5}, {"size": 1}]}),
+        ],
+        ids=lambda value: value[0] if isinstance(value, list) else None,
+    )
+    def test_no_subcommand_imports_numpy_random(self, tmp_path, argv, fields):
+        # numpy.random's extension modules and the hashlib chain its seeding pulls
+        # in cost a call about 5 MiB resident; a fresh interpreter shows whether main
+        # imports it, since this process already has
+        config, out = write_config(tmp_path, **fields), str(tmp_path / "out")
+        script = (
+            "import sys, numpy\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "from bdqw.cli import main\n"
+            f"code = main({[*argv, '--config', config, '--output', out]!r})\n"
+            "print(code, before, 'numpy.random' in sys.modules)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, env=env, timeout=60
+        )
+        code, before, after = result.stdout.split()
+        if before == "True":
+            pytest.skip("this numpy imports numpy.random with numpy itself")
+        assert (code, after) == ("0", "False"), result.stderr
 
     def test_module_invocation(self, tmp_path):
         config = edge_config(tmp_path)

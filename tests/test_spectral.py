@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -247,6 +248,39 @@ class TestEigendecompose:
         data = SpectralData(eigenvalues=np.linspace(-0.9, 0.9, n), eigenvectors=vectors)
         with pytest.raises(NumericalError, match="^weights do not sum to 1$"):
             data.validate()
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_validate_defect_is_the_gram_defect(self, seed, monkeypatch):
+        # validate forms G - I and |G - I| in G's buffer; at a tolerance of -1 every
+        # defect fails and is named, so the message shows the value it compared
+        monkeypatch.setattr(spectral, "_VALIDATE_TOLERANCE", -1.0)
+        rng = np.random.default_rng(seed)
+        for n in (1, 2, 5, 33, 100):
+            orthonormal = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            near = orthonormal + 1e-9 * rng.standard_normal((n, n))
+            with_nan = rng.standard_normal((n, n))
+            with_nan[rng.integers(n), rng.integers(n)] = math.nan
+            for vectors in (rng.standard_normal((n, n)), orthonormal, near, with_nan):
+                data = SpectralData(eigenvalues=np.linspace(-0.9, 0.9, n), eigenvectors=vectors)
+                with pytest.raises(NumericalError, match="not orthonormal") as caught:
+                    data.validate()
+                defect = float(str(caught.value).rpartition("defect ")[2].rstrip(")"))
+                expected = np.max(np.abs(vectors.T @ vectors - np.eye(n)))
+                assert defect == expected or math.isnan(defect) and math.isnan(expected)
+
+    def test_solve_holds_at_most_four_n_by_n_arrays(self):
+        # the twisted vectors hold the two pivot tables and one more n x n array at
+        # a time, 3.25 arrays in all; with |gamma| and argmin's copy of it beside
+        # gamma, and an unflipped copy beside the eigenvectors, the solve held 5.25
+        spec = ehrenfest_dimension(400)
+        dimension_spectrum(spec)  # LAPACK's first call, outside the trace
+        tracemalloc.start()
+        try:
+            dimension_spectrum(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4.1 * 8 * 401**2
 
     @settings(max_examples=60, deadline=None)
     @given(dimension_specs(max_size=12))
