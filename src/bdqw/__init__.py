@@ -4,11 +4,12 @@ The package evaluates transition probabilities of a walk whose generator is a
 selection-probability-weighted Kronecker sum of per-dimension birth-death
 operators.  The central fact it implements and verifies: the d-dimensional
 transition probability factorizes exactly into one-dimensional transition
-probabilities, each evaluated at the rescaled elapsed time q_l * t.  A dense
-tensor-space oracle (capped in size) evaluates the same probabilities from the
-product spectrum.  It reads the eigenpairs the fast path reads, so the CLI's
-``verify`` checks the factorization against Chebyshev propagation of the
-product generator instead, on probe vectors: that side reads only the kernels.
+probabilities, each evaluated at the rescaled elapsed time q_l * t.  One
+tensor-space oracle, Chebyshev propagation of the product generator built
+from the per-dimension kernels alone, checks it without reading an eigenpair:
+``dense_position_distribution`` is its joint law from one start, and the
+CLI's ``verify`` applies it to probe vectors.  Its cost grows with the
+product-space size and with |t|, so both are capped.
 """
 
 from .chain import (
@@ -26,7 +27,6 @@ from .ctqw import (
     position_distribution,
     transition_matrix_1d,
     transition_prob_1d,
-    transition_prob_dense,
     transition_prob_factorized,
     transition_row,
 )
@@ -78,7 +78,6 @@ __all__ = [
     "symmetrize",
     "transition_matrix_1d",
     "transition_prob_1d",
-    "transition_prob_dense",
     "transition_prob_factorized",
     "transition_row",
     "uniform_multi_chain",

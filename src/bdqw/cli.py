@@ -2,10 +2,10 @@
 
 Subcommands
 -----------
-simulate       factorized marginals (and optionally the dense joint law) per time value
+simulate       factorized marginals (and optionally the oracle's joint law) per time value
 verify         Theorem 1 on Chebyshev probes of H, orthogonality, eigen-residual, unitarity, balance
 clt            Kolmogorov distance of the standardized d-fold sum to the normal law, over a d sweep
-bench          wall-clock comparison of the dense oracle against the factorized path
+bench          wall-clock comparison of the oracle's column against the factorized path
 dump-spectrum  per-dimension eigenvalues, eigenvectors and log-weights as JSON
 dump-config    the resolved, fully explicit config JSON (round-trips to the same chain)
 
@@ -16,8 +16,8 @@ text as they come.  Each ``run_*`` does every check and evaluation before it
 returns, so the chunks only format what was computed.
 
 Exit codes: 0 success, 1 verification failure, 2 config/validation error
-(a numerical failure included), 3 over the oracle cap (for verify, a time |t| above it too)
-or out of memory.
+(a numerical failure included), 3 over the oracle cap (a product size or, for
+verify and simulate --dense, a time |t| above it) or out of memory.
 """
 
 from __future__ import annotations
@@ -41,23 +41,23 @@ from .chain import (
     DimensionSpec,
     MultiChainSpec,
     build_conditional_matrix,
-    check_oracle_cap,
     ehrenfest_dimension,
     stationary_distribution,
     uniform_multi_chain,
 )
 from .ctqw import (
+    _axis_kernels,
     _chebyshev_propagate,
+    _check_oracle_work,
     _factorized_propagate,
     _marginal_laws,
     dense_position_distribution,
     propagator_parts,
-    transition_prob_dense,
     transition_prob_factorized,
     transition_row,
 )
 from .errors import NumericalError, SizeLimitError
-from .spectral import SpectralData, chain_spectra, orthogonality_defect, symmetrize
+from .spectral import SpectralData, chain_spectra, orthogonality_defect
 from .stats import clt_distance, convolve_sweep, moments
 
 ENV_ORACLE_CAP = "BDQW_ORACLE_CAP"
@@ -360,22 +360,23 @@ def _table(
 
 
 def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[str]]:
-    """Marginals (and with ``dense`` the joint law) at every configured time.
+    """Marginals (and with ``dense`` the oracle's joint law) at every configured time.
 
-    Every time is evaluated before anything is formatted, so the cap check
-    and any failure come first.  A time's marginals are one array, each
-    dimension's law its next n_l values.  The CSV is then a generator: the
-    header, then the ``time,dimension,position,probability`` rows in blocks
-    of _CSV_BLOCK_ROWS, each one %-format of a template of its rows' labels,
-    built once per call, with the time's text and the probabilities in _fmt's
-    format; so the report is never held as text.  JSON is one chunk.
+    With ``dense``, the product size and every |t| are checked against the
+    oracle cap before any spectrum is solved.  Every time is evaluated before
+    anything is formatted, so any failure comes first.  A time's marginals
+    are one array, each dimension's law its next n_l values.  The CSV is
+    then a generator: the header, then the
+    ``time,dimension,position,probability`` rows in blocks of
+    _CSV_BLOCK_ROWS, each one %-format of a template of its rows' labels,
+    built once per call, with the time's text and the probabilities in
+    _fmt's format; so the report is never held as text.  JSON is one chunk.
     """
     spec, j, cap = config.spec, config.initial, config.oracle_cap
+    if dense:
+        _check_oracle_work(spec.product_size, config.times, cap, config.times_field)
     spectra = chain_spectra(spec)
-    joints = [
-        dense_position_distribution(spec, spectra, t, j, cap) if dense else None
-        for t in config.times
-    ]
+    joints = [dense_position_distribution(spec, t, j, cap) if dense else None for t in config.times]
     results = list(zip(config.times, _marginal_laws(spec, spectra, config.times, j), joints))
 
     def split(marginals: np.ndarray) -> Iterator[list[float]]:
@@ -415,49 +416,39 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
     return 0, blocks()
 
 
-def _unitarity_defect(
-    parts: np.ndarray, factors: tuple[np.ndarray, ...], values: np.ndarray, t: float
-) -> float:
+def _unitarity_defect(parts: np.ndarray, v: np.ndarray, values: np.ndarray, t: float) -> float:
     """Largest |(U_s^dagger U - I)[a, b]| for U = parts[0] + i parts[1] and its spectral form U_s.
 
-    U_s = W diag(e^{i t lambda}) W^T, with W = V_1 (x) ... (x) V_d the
-    Kronecker product of the orthonormal ``factors`` and ``values`` the
-    eigenvalues of W's columns, one axis per factor: verify passes each
-    dimension's U at q_l t with its one factor and q_l lambda_l; a dense
-    product-space U goes with the unsplit q-weighted Kronecker sum.
-    If U = U_s + E, this reads U_s^dagger E, first order in E as the Gram
-    U^dagger U - I is, and a U that is unitary but not U_s (built at
-    another time, say) fails too.
+    U_s = V diag(e^{i t lambda}) V^T, with V the orthonormal basis ``v`` and
+    ``values`` the eigenvalues of its columns: verify passes each
+    dimension's U at q_l t with its V and q_l lambda_l.  If U = U_s + E, this
+    reads U_s^dagger E, first order in E as the Gram U^dagger U - I is, and a
+    U that is unitary but not U_s (built at another time, say) fails too.
 
-    Neither W nor U_s is formed: U_s^dagger U is taken _DEFECT_BLOCK_COLS
-    columns of U at a time, the block read as (size, 2, cols).  W^T is
-    applied one factor at a time, each step one gemm that contracts the
-    leading axis and puts the new index last, so after d steps the block is
-    (2, cols, size) in the order of ``values``; then e^{-i t lambda}, in
-    place; then W one factor at a time, the last first, each step putting
-    its index in front, which gives (size, 2, cols) back.  That is
-    4 size^2 sum n_l multiply-adds, against 2 size^3 for the Gram.  The
-    largest squared modulus is rooted once, at the end.
+    U_s is never formed: U_s^dagger U is taken _DEFECT_BLOCK_COLS columns of
+    U at a time, the block read as (n, 2, cols).  One gemm applies V^T,
+    contracting the leading axis and putting the new index last, so the
+    block is (2, cols, n); then e^{-i t lambda}, in place; then one gemm
+    applies V, putting its index in front, which gives (n, 2, cols) back.
+    Each step holds two blocks of 2 cols n doubles and no n x n temporary.
+    The largest squared modulus is rooted once, at the end.
     """
     n = parts.shape[-1]
-    lam_t = t * values.ravel()
+    lam_t = t * values
     cos, sin = np.cos(lam_t), np.sin(lam_t)
     maxima = []
     for i in range(0, n, _DEFECT_BLOCK_COLS):
-        block = parts[:, :, i : i + _DEFECT_BLOCK_COLS].swapaxes(0, 1)  # (size, 2, cols)
+        block = parts[:, :, i : i + _DEFECT_BLOCK_COLS].swapaxes(0, 1)  # (n, 2, cols)
         width = block.shape[-1]
-        for v in factors:  # W^T
-            block = block.reshape(len(v), -1).T @ v
+        block = block.reshape(n, -1).T @ v  # V^T
         re, im = block.reshape(2, width, n)
         rotated = re * sin
         re *= cos
         re += im * sin
         im *= cos
         im -= rotated  # (re + i im) e^{-i t lambda}
-        del re, im, rotated  # so the W steps hold two blocks, not the first one too
-        for v in reversed(factors):  # W
-            block = v @ block.reshape(-1, len(v)).T
-        block = block.reshape(n, 2, width)
+        del re, im, rotated  # so the V step holds two blocks, not the first one too
+        block = (v @ block.reshape(-1, n).T).reshape(n, 2, width)  # V
         cols = np.arange(width)
         block[i + cols, 0, cols] -= 1.0  # the identity's columns i ... i + width - 1
         np.square(block, out=block)
@@ -488,41 +479,36 @@ def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
     Theorem 1 is checked as the operator identity e^{itH} = (x)_l e^{i q_l t J_l}
     on two fixed probe vectors (Freivalds, 1977): the left side by Chebyshev
     propagation of H, which reads the kernels J_l and no eigenpair, the right
-    side one dimension's propagator at a time.  The Chebyshev series takes
-    about |t| terms, so a time with |t| above the oracle cap exits 3, as a
-    product space over it does; both are checked before any spectrum is solved.
+    side one dimension's propagator at a time.  The product size and every
+    |t| are checked against the oracle cap before any spectrum is solved.
     """
-    spec, cap = config.spec, config.oracle_cap
-    check_oracle_cap(spec.product_size, cap)
-    for idx, t in enumerate(config.times):
-        if abs(t) > cap:
-            raise SizeLimitError(
-                f"{config.times_field}[{idx}]: {t} is beyond the oracle cap of {cap} on |t|: "
-                "verify's Chebyshev check takes about |t| terms"
-            )
+    spec = config.spec
+    _check_oracle_work(spec.product_size, config.times, config.oracle_cap, config.times_field)
     spectra = chain_spectra(spec)
+    kernels = _axis_kernels(spec)
 
     # per-check defects, folded by np.max so that a NaN fails the check
-    balance, residual, kernels = [], [], {}
-    for dim, s in dict(zip(spec.dims, spectra)).items():  # each distinct dimension once
+    balance, residual = [], []
+    for dim, (s, kernel) in dict(zip(spec.dims, zip(spectra, kernels))).items():  # distinct dims
         m = build_conditional_matrix(dim)
         pi = stationary_distribution(m)
         balance.append(np.max(np.abs(pi[:-1] * np.diag(m, 1) - pi[1:] * np.diag(m, -1))))
         balance.append(np.max(np.abs(pi @ m - pi)))
         # J V = V Lambda ties the spectra to the kernel, as the probe check below does
-        kernels[dim] = symmetrize(m)
         v = s.eigenvectors
-        residual.append(np.max(np.abs(kernels[dim] @ v - v * s.eigenvalues)))
+        residual.append(np.max(np.abs(kernel @ v - v * s.eigenvalues)))
 
-    axis_kernels = tuple(kernels[dim] for dim in spec.dims)
     probes = _probes(spec.shape)
+    rows = np.concatenate((probes.real, probes.imag)).reshape(4, -1)  # real parts, then imaginary
     theorem1, unitarity = [], []
     for t in config.times:
-        left = _chebyshev_propagate(spec, axis_kernels, probes, t)
+        sums = _chebyshev_propagate(spec, kernels, rows, t)
+        (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, 2, -1)
+        left = ((even_re - odd_im) + 1j * (even_im + odd_re)).reshape(probes.shape)
         theorem1.append(np.max(np.abs(left - _factorized_propagate(spec, spectra, probes, t))))
         for q, s in zip(spec.select_prob, spectra):
             u = propagator_parts(s, q * t)
-            unitarity.append(_unitarity_defect(u, (s.eigenvectors,), q * s.eigenvalues, t))
+            unitarity.append(_unitarity_defect(u, s.eigenvectors, q * s.eigenvalues, t))
 
     defects = {
         "theorem1_max_abs_err": float(np.max(theorem1)),
@@ -623,11 +609,14 @@ def run_bench(config: ExperimentConfig) -> tuple[int, list[str]]:
         k = (0,) * d
         # each lambda is timed and dropped within its own iteration
         fact = _median_ms(lambda: transition_prob_factorized(spec, spectra, t, j, k))
-        if spec.product_size <= cap:
-            dense = _median_ms(lambda: transition_prob_dense(spec, spectra, t, j, k, cap))
-            rows.append((spec.product_size, dense, fact, dense / fact if fact > 0 else None))
-        else:
+        # the column checks the size and |T| against the cap before any work;
+        # k = (0, ..., 0) is its element 0
+        try:
+            dense = _median_ms(lambda: dense_position_distribution(spec, t, j, cap)[0])
+        except SizeLimitError:
             rows.append((spec.product_size, "skipped", fact, None))
+            continue
+        rows.append((spec.product_size, dense, fact, dense / fact if fact > 0 else None))
 
     ratios = [ratio for *_, ratio in rows if ratio is not None]
     fact_times = [fact for _, _, fact, _ in rows]
@@ -726,10 +715,10 @@ def run_dump_config(config: ExperimentConfig) -> tuple[int, list[str]]:
 
 # name: (run function, help text); simulate's run also takes --dense
 _COMMANDS = {
-    "simulate": (run_simulate, "emit factorized marginals (and optionally the dense joint law)"),
+    "simulate": (run_simulate, "emit factorized marginals (and optionally the oracle's joint law)"),
     "verify": (run_verify, "check Theorem 1 on Chebyshev probes of H, and the spectral defects"),
     "clt": (run_clt, "Kolmogorov distance of the standardized sum to the normal law"),
-    "bench": (run_bench, "time the dense oracle against the factorized path"),
+    "bench": (run_bench, "time the oracle's column against the factorized path"),
     "dump-spectrum": (run_dump_spectrum, "emit per-dimension eigensystems as JSON"),
     "dump-config": (run_dump_config, "emit the resolved, fully explicit config JSON"),
 }
@@ -745,13 +734,15 @@ def build_parser() -> argparse.ArgumentParser:
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
         cmd.add_argument("--output", help="output path (default: config value or stdout)")
-        cmd.add_argument("--oracle-cap", type=int, help="product-space size cap for dense paths")
+        cmd.add_argument(
+            "--oracle-cap", type=int, help="cap on the oracle's product-space size and on |t|"
+        )
         cmd.add_argument("--time", help="comma-separated list of time values")
         if name in ("simulate", "clt", "bench"):  # the rest write JSON only
             cmd.add_argument("--format", choices=("csv", "json"), help="output format")
         if run is run_simulate:
             cmd.add_argument(
-                "--dense", action="store_true", help="also emit the dense joint law"
+                "--dense", action="store_true", help="also emit the oracle's joint law"
             )
     return parser
 

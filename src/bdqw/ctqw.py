@@ -3,33 +3,27 @@
 The walk on one dimension evolves under the unitary U(t) = exp(i t J) built
 from that dimension's eigensystem; transition probabilities are squared
 moduli of its matrix elements.  On a d-dimensional product space the
-generator is the selection-probability-weighted Kronecker sum of the
+generator H is the selection-probability-weighted Kronecker sum of the
 per-dimension J's, and its transition probability factorizes exactly into
-one-dimensional transition probabilities evaluated at rescaled times q_l * t.
+one-dimensional transition probabilities evaluated at rescaled times q_l * t
+(Theorem 1: e^{itH} = (x)_l e^{i q_l t J_l}).
 
-Two evaluation routes are provided, both given the per-dimension spectra
-(solved once, e.g. by spectral.chain_spectra):
+Two evaluation routes are provided:
 
-* the factorized fast path, a product of d small one-dimensional
-  calculations that never touches the product space; dimensions that share
-  a spectrum and a start (and a target) differ only in their time q_l * t,
-  so each such group is one kernel call over its rescaled times; and
-* a dense oracle that evaluates the amplitude as one sum over the product
-  spectrum: the phase is taken at every Kronecker-sum eigenvalue, never split
-  per dimension, and the tensor-product eigenvectors are applied one
-  dimension at a time without forming their matrix.  The oracle is capped,
-  since its cost grows with the product-space size.
-
-Every route is a slice of one kernel, the elements of W diag(e^{i t lambda}) W^T
-with W the Kronecker product of per-dimension bases V_l: one factor for the
-factorized path, all of them for the oracle.
-
-The oracle reads the eigenpairs the fast path reads, so it cannot see a wrong
-spectrum.  The independent check of Theorem 1, which the CLI's verify runs,
-applies both sides of e^{itH} = (x)_l e^{i q_l t J_l} to vectors of the
-product space: _chebyshev_propagate sums Chebyshev terms of H built from the
-kernels J_l alone, reading no eigenpair, and _factorized_propagate applies
-each dimension's propagator along its axis.
+* the factorized fast path, given the per-dimension spectra (solved once,
+  e.g. by spectral.chain_spectra): a product of d small one-dimensional
+  calculations that never touches the product space.  Every one of them is
+  a slice of one kernel, the elements of V diag(e^{i t lambda}) V^T for one
+  dimension's basis V; dimensions that share a spectrum and a start (and a
+  target) differ only in their time q_l * t, so each such group is one
+  kernel call over its rescaled times; and
+* one product-space oracle that reads no eigenpair: _chebyshev_propagate
+  sums Chebyshev terms of H built from the kernels J_l alone, so it checks
+  Theorem 1 independently of the spectra.  dense_position_distribution is
+  its column |e^{itH} e_j|^2, and the CLI's verify applies it to probe
+  vectors against _factorized_propagate, which applies each dimension's
+  propagator along its axis.  It costs about |t| terms over the product
+  space, so the oracle cap bounds both the product size and |t|.
 
 The phase t * lambda carries an absolute error of about |t| eps, and the
 probabilities inherit it: from position 0 of the Ehrenfest urn (N = 3, 7,
@@ -50,9 +44,9 @@ from functools import reduce
 
 import numpy as np
 
-from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, check_oracle_cap
-from .errors import NumericalError
-from .spectral import SpectralData, SymmetricTridiagonal
+from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, build_conditional_matrix, check_oracle_cap
+from .errors import NumericalError, SizeLimitError
+from .spectral import SpectralData, SymmetricTridiagonal, symmetrize
 
 # Elements of one stacked (times, rows, n) phase product in a grouped kernel call: 4 MiB.
 _GROUP_CHUNK = 1 << 19
@@ -70,73 +64,35 @@ _BESSEL_TAIL = 1e-17
 
 
 def _amplitudes(
-    factors: tuple[np.ndarray, ...],
+    vectors: np.ndarray,
     values: np.ndarray,
     t: float | np.ndarray,
-    rows: tuple[int | slice, ...] | None = None,
-    cols: tuple[int | slice, ...] | None = None,
-) -> np.ndarray | list[np.ndarray]:
-    """Real and imaginary parts of the [rows, cols] block of W diag(e^{i t lambda}) W^T.
+    row: int | slice = slice(None),
+    col: int | slice = slice(None),
+) -> list[np.ndarray]:
+    """Real and imaginary parts of the [row, col] block of V diag(e^{i t lambda}) V^T.
 
-    The one amplitude kernel behind every route.  W = V_1 (x) ... (x) V_d is
-    the Kronecker product of the per-dimension bases ``factors``, and
-    ``values`` holds the eigenvalues of its columns, one axis per factor.
-    ``rows`` and ``cols`` give one index per factor (all of each by default);
-    an integer drops that axis.  The two parts come first; in each, the kept
-    row axes come before the kept column axes, in factor order, so a C-order
-    reshape flattens them as multi-indices.
+    The one amplitude kernel behind every spectral route: V = ``vectors`` is
+    one dimension's orthonormal basis and ``values`` its eigenvalues.
+    ``row`` and ``col`` are a position or a slice of positions (all of them
+    by default); an integer drops that axis.  The parts are
+    (V[row] cos) @ V[col]^T and the same with sin, kept as two matmuls:
+    stacking them would change the BLAS call (and so the bits) of every
+    route, whose many tiny calls also pay for any bookkeeping.
 
-    W is never formed.  The phase array cos(t lambda), with sin(t lambda)
-    stacked on a leading axis, is contracted one spectral index m_l at a
-    time: step l computes sum_m V_l[rows_l, m] X[..., m, ...] V_l[cols_l, m]
-    by real matmuls with the column factor.  All pairs cost size^2 * sum n_l
-    multiply-adds, against size^3 per matmul with W.  Real matmuls rather
-    than a complex-phase product, which costs a complex matmul.
-
-    Every step keeps its row axis, an integer row k_l as the one-row slice
-    k_l:k_l+1 whose axis is squeezed on return, and makes one matmul per row
-    index k_l: X, read in place as (lead, rest, m_l) with lead the axes kept
-    so far and rest the axes after m_l, times V_l[cols_l]^T scaled by
-    V_l[k_l], written straight into the slice out[:, k_l] of the output
-    viewed as (lead, n_l, rest, cols).  The step holds its input and its
-    output and nothing else: for the all-pairs routes the (2, size, size)
-    result plus, in the last step, an input of 1/n_d of it; for one element,
-    the phase array plus an output of 1/n_1 of it.  Each term is
-    x * (V_l[k_l, m] V_l[c, m]) rather than (x * V_l[k_l, m]) * V_l[c, m], so
-    the sums round differently from scaling X (within 2 eps on every chain
-    measured), and the k_l blocks are no longer what one gemm over all k_l
-    would sum.
-
-    A single factor is one step that scales its input, (V[rows] cos) @
-    V[cols]^T and the same with sin, kept as two matmuls: stacking them
-    would change the BLAS call (and so the bits) of every one-dimensional
-    route, whose many tiny calls also pay for any bookkeeping.  There ``t``
-    may also be a 1-D array of times, which puts a leading time axis on each
-    part.  With a row axis kept (a slice in ``rows``), numpy's stacked
-    matmul then makes, per time, the BLAS call that scalar ``t`` makes, so
-    each time's block is bit-identical to its own call; an integer row would
-    turn the per-time dot products into one gemv, whose sums differ in the
-    last bits.
+    ``t`` may also be a 1-D array of times, which puts a leading time axis
+    on each part.  With a row axis kept (a slice), numpy's stacked matmul
+    then makes, per time, the BLAS call that scalar ``t`` makes, so each
+    time's block is bit-identical to its own call; an integer row would turn
+    the per-time dot products into one gemv, whose sums differ in the last
+    bits.
     """
-    full = (slice(None),) * len(factors)
-    rows, cols = rows or full, cols or full
     lam_t = np.multiply.outer(t, values)
-    if len(factors) == 1:
-        left, right = factors[0][rows[0]], factors[0][cols[0]].T
-        cos, sin = np.cos(lam_t), np.sin(lam_t)
-        if left.ndim == 2:  # the row axis, after the time axis if any
-            cos, sin = cos[..., None, :], sin[..., None, :]
-        return [(left * cos) @ right, (left * sin) @ right]
-    x = np.stack((np.cos(lam_t), np.sin(lam_t)))
-    for l, (v, r, c) in enumerate(zip(factors, rows, cols)):
-        left, right = np.atleast_2d(v[r]), v[c].T  # an integer row: an axis of length one
-        lead, m = x.shape[: 1 + l], x.shape[1 + l]  # the parts' axis and the row axes so far
-        src = x.reshape(math.prod(lead), m, -1).swapaxes(1, 2)  # (lead, rest, m), in place
-        x = np.empty(lead + left.shape[:1] + x.shape[2 + l :] + right.shape[1:])
-        dst = x.reshape(len(src), len(left), src.shape[1], -1)  # (lead, n_l, rest, cols)
-        for k, row in enumerate(left):
-            np.matmul(src, (v[c] * row).T.reshape(m, -1), out=dst[:, k])
-    return x.squeeze(tuple(1 + l for l, r in enumerate(rows) if not isinstance(r, slice)))
+    left, right = vectors[row], vectors[col].T
+    cos, sin = np.cos(lam_t), np.sin(lam_t)
+    if left.ndim == 2:  # the row axis, after the time axis if any
+        cos, sin = cos[..., None, :], sin[..., None, :]
+    return [(left * cos) @ right, (left * sin) @ right]
 
 
 def _probabilities(parts: np.ndarray) -> np.ndarray:
@@ -147,7 +103,7 @@ def _probabilities(parts: np.ndarray) -> np.ndarray:
 
 def propagator_parts(spectrum: SpectralData, t: float) -> np.ndarray:
     """Real and imaginary parts of the 1-D unitary exp(i t J), one contiguous (2, n, n) array."""
-    return np.asarray(_amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t))
+    return np.asarray(_amplitudes(spectrum.eigenvectors, spectrum.eigenvalues, t))
 
 
 def _check_position(n_states: int, pos: int, name: str) -> None:
@@ -159,38 +115,39 @@ def transition_prob_1d(spectrum: SpectralData, t: float, j: int, k: int) -> floa
     """Probability of moving from position j to k in elapsed time t."""
     _check_position(spectrum.n_states, j, "j")
     _check_position(spectrum.n_states, k, "k")
-    parts = _amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t, (k,), (j,))
+    parts = _amplitudes(spectrum.eigenvectors, spectrum.eigenvalues, t, k, j)
     return float(_probabilities(parts))
 
 
 def transition_matrix_1d(spectrum: SpectralData, t: float) -> np.ndarray:
     """All-pairs transition probabilities; entry [k, j] is j -> k."""
-    return _probabilities(_amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t))
+    return _probabilities(_amplitudes(spectrum.eigenvectors, spectrum.eigenvalues, t))
 
 
 def transition_row(spectrum: SpectralData, t: float, j: int) -> np.ndarray:
     """Position distribution after elapsed time t, started from position j."""
     _check_position(spectrum.n_states, j, "j")
-    parts = _amplitudes((spectrum.eigenvectors,), spectrum.eigenvalues, t, None, (j,))
+    parts = _amplitudes(spectrum.eigenvectors, spectrum.eigenvalues, t, slice(None), j)
     return _probabilities(parts)
 
 
 def _check_multi(
     spec: MultiChainSpec,
-    spectra: tuple[SpectralData, ...],
+    spectra: tuple[SpectralData, ...] | None,
     indices: dict[str, tuple[int, ...]],
 ) -> None:
-    """Check the spectra and multi-indices against the chain.
+    """Check the spectra (None for a route that reads none) and multi-indices against the chain.
 
     Each distinct (spectrum object, size) pair is checked once, the positions
     in C; an out-of-range position is then found for the message.
     """
-    if len(spectra) != spec.n_dims:
-        raise ValueError(f"{len(spectra)} spectra supplied for {spec.n_dims} dimensions")
     shape = spec.shape
-    pairs = dict(zip(zip(map(id, spectra), shape), spectra))
-    if any(s.n_states != n for (_, n), s in pairs.items()):
-        raise ValueError("spectrum size does not match its dimension")
+    if spectra is not None:
+        if len(spectra) != spec.n_dims:
+            raise ValueError(f"{len(spectra)} spectra supplied for {spec.n_dims} dimensions")
+        pairs = dict(zip(zip(map(id, spectra), shape), spectra))
+        if any(s.n_states != n for (_, n), s in pairs.items()):
+            raise ValueError("spectrum size does not match its dimension")
     for name, multi in indices.items():
         if len(multi) != spec.n_dims:
             raise ValueError(f"multi-index {name} has length {len(multi)}, expected {spec.n_dims}")
@@ -290,12 +247,12 @@ def _grouped_factors(
         for (_, jl, kl), members in groups.items():
             s = spectra[members[0]]
             # a one-row slice keeps a row axis, so each time is one dot as in transition_prob_1d
-            rows = None if kl is None else (slice(kl, kl + 1),)
+            rows = slice(None) if kl is None else slice(kl, kl + 1)
             step = max(1, _GROUP_CHUNK // (s.n_states * (s.n_states if kl is None else 1)))
             scaled = select_prob[members] * t
             for start in range(0, len(members), step):
                 chunk = slice(start, start + step)
-                parts = _amplitudes((s.eigenvectors,), s.eigenvalues, scaled[chunk], rows, (jl,))
+                parts = _amplitudes(s.eigenvectors, s.eigenvalues, scaled[chunk], rows, jl)
                 yield i, members[chunk], _probabilities(parts)
 
 
@@ -329,26 +286,35 @@ def _bessel_coefficients(t: float) -> np.ndarray:
     return j
 
 
+def _axis_kernels(spec: MultiChainSpec) -> tuple[SymmetricTridiagonal, ...]:
+    """J_l = symmetrize(build_conditional_matrix(dim_l)) per axis, built once per distinct dim_l."""
+    built = {dim: symmetrize(build_conditional_matrix(dim)) for dim in dict.fromkeys(spec.dims)}
+    return tuple(map(built.__getitem__, spec.dims))
+
+
 def _chebyshev_propagate(
-    spec: MultiChainSpec, kernels: tuple[SymmetricTridiagonal, ...], x: np.ndarray, t: float
+    spec: MultiChainSpec, kernels: tuple[SymmetricTridiagonal, ...], rows: np.ndarray, t: float
 ) -> np.ndarray:
-    """e^{itH} x for H = sum_l q_l J_l, with J_l = ``kernels[l]`` acting on axis l of x's last d.
+    """The even and odd Chebyshev sums of e^{itH} on real ``rows``, one (2, m, size) array.
 
-    x is complex, one product-space vector of ``spec.shape`` per leading index.
-    No eigenpair is read.  H's spectrum lies in [-1, 1] (each J_l is similar to
-    a stochastic kernel and the q_l sum to 1), so e^{itH} x is the Chebyshev
-    series J_0(t) x + 2 sum_{k>=1} i^k J_k(t) T_k(H) x (Tal-Ezer & Kosloff,
-    J. Chem. Phys. 81, 3967, 1984), cut where _bessel_coefficients cuts it.
+    H = sum_l q_l J_l, with J_l = ``kernels[l]`` acting on axis l of each of
+    the m rows of ``rows``, read as product-space vectors of ``spec.shape``.
+    No eigenpair is read.  H's spectrum lies in [-1, 1] (each J_l is similar
+    to a stochastic kernel and the q_l sum to 1), so e^{itH} x is the
+    Chebyshev series J_0(t) x + 2 sum_{k>=1} i^k J_k(t) T_k(H) x (Tal-Ezer &
+    Kosloff, J. Chem. Phys. 81, 3967, 1984), cut where _bessel_coefficients
+    cuts it.  H is real, so for a real x the terms with even k, whose i^k is
+    (-1)^{k // 2}, sum to the real part and those with odd k to the
+    imaginary part: e^{itH} x = even + i odd.  A complex vector goes as its
+    real and imaginary parts, two rows, whose four sums its caller combines.
 
-    T_{k+1}(H) x = 2 H T_k(H) x - T_{k-1}(H) x is one pass over the flattened
-    vectors for H's diagonal and two per axis: J_l couples flat indices s_l
-    apart, s_l the stride of axis l, with the weight 2 q_l J_l[k, k+1] at each
-    flat index whose axis-l index k is not the last and 0 where it is, so
-    every pass is one long contiguous loop.  H is real, so the recurrence runs
-    on x's real and imaginary parts, stacked as rows, in real arithmetic; i^k
-    only sends term k to the even or odd sum, with the sign (-1)^{k // 2}.  A
-    term costs about 2d + 2 multiply-adds per entry of x's parts, and
-    the arrays held are a few of x's size.
+    T_{k+1}(H) x = 2 H T_k(H) x - T_{k-1}(H) x is one pass over the rows for
+    H's diagonal and two per axis: J_l couples flat indices s_l apart, s_l
+    the stride of axis l, with the weight 2 q_l J_l[k, k+1] at each flat
+    index whose axis-l index k is not the last and 0 where it is, so every
+    pass is one long contiguous loop.  A term costs about 2d + 2
+    multiply-adds per entry of the rows, and the arrays held are a few of
+    their size.
     """
     coeffs = _bessel_coefficients(t)
     coeffs[1:] *= 2.0
@@ -370,8 +336,7 @@ def _chebyshev_propagate(
             out[:, :-stride] += w * cur[:, stride:]
             out[:, stride:] += w * cur[:, :-stride]
 
-    vectors = x.reshape(-1, size)
-    prev, cur = np.zeros((2 * len(vectors), size)), np.concatenate((vectors.real, vectors.imag))
+    prev, cur = np.zeros(rows.shape), rows.astype(float)  # a copy: the recurrence writes it
     sums = np.zeros((2,) + cur.shape)  # the even and the odd terms
     sums[0] = coeffs[0] * cur
     for k in range(1, len(coeffs)):
@@ -380,8 +345,7 @@ def _chebyshev_propagate(
             prev *= 0.5  # T_1 = H T_0, from T_{-1} = 0
         prev, cur = cur, prev
         sums[k & 1] += coeffs[k] * cur
-    (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, -1, size)
-    return ((even_re - odd_im) + 1j * (even_im + odd_re)).reshape(x.shape)
+    return sums
 
 
 def _factorized_propagate(
@@ -389,7 +353,8 @@ def _factorized_propagate(
 ) -> np.ndarray:
     """(U_1(q_1 t) (x) ... (x) U_d(q_d t)) x, the factorized side of Theorem 1 on whole vectors.
 
-    x is as for _chebyshev_propagate.  Each dimension's propagator_parts is
+    x is complex, a product-space vector of ``spec.shape`` on its last d
+    axes per leading index.  Each dimension's propagator_parts is
     contracted along its axis of x: size * sum n_l complex multiply-adds per
     vector, and no product-space operator is formed.
     """
@@ -400,72 +365,37 @@ def _factorized_propagate(
     return x
 
 
-def _kronecker_sum(spec: MultiChainSpec, spectra: tuple[SpectralData, ...]) -> np.ndarray:
-    """The product generator's eigenvalues sum_l q_l lambda_l, one axis per dimension."""
-    return reduce(np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)])
+def _check_oracle_work(size: int, times: tuple[float, ...], cap: int, field: str = "t") -> None:
+    """Raise SizeLimitError for a product space or a time over the oracle cap ``cap``.
 
-
-def _dense_amplitudes(
-    spec: MultiChainSpec,
-    spectra: tuple[SpectralData, ...],
-    t: float,
-    oracle_cap: int,
-    j: tuple[int, ...] | None = None,
-    k: tuple[int, ...] | None = None,
-) -> np.ndarray:
-    """The kernel over the product basis: rows k, columns j, all of each by default.
-
-    Each part is flattened over the product space, so all pairs come as one
-    contiguous (2, size, size) array.  The phase is taken over the full
-    q-weighted Kronecker sum of the eigenvalues, one entry per product
-    eigenvector, and never split per dimension: that split is Theorem 1, the
-    claim this oracle checks.  The spectra, the indices and the oracle cap
-    are checked first.
+    The oracle's Chebyshev series takes about |t| terms over the ``size``
+    states of the product space, so the cap bounds |t| as it bounds the
+    size.  A time over it is named as ``field[i]``, i its index in ``times``.
     """
-    indices = {name: tuple(m) for name, m in (("j", j), ("k", k)) if m is not None}
-    _check_multi(spec, spectra, indices)
-    check_oracle_cap(spec.product_size, oracle_cap)
-    values = _kronecker_sum(spec, spectra)
-    factors = tuple(s.eigenvectors for s in spectra)
-    parts = _amplitudes(factors, values, t, indices.get("k"), indices.get("j"))
-    return np.reshape(parts, (2,) + (spec.product_size,) * (2 - len(indices)))
-
-
-def dense_propagator_parts(
-    spec: MultiChainSpec,
-    spectra: tuple[SpectralData, ...],
-    t: float,
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> np.ndarray:
-    """Real and imaginary parts of the product-space unitary, one (2, size, size) array."""
-    return _dense_amplitudes(spec, spectra, t, oracle_cap)
-
-
-def transition_prob_dense(
-    spec: MultiChainSpec,
-    spectra: tuple[SpectralData, ...],
-    t: float,
-    j: tuple[int, ...],
-    k: tuple[int, ...],
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
-) -> float:
-    """Transition probability evaluated on the full product space.
-
-    Single sum over the product spectrum, no factorization, from the same
-    eigenpairs as the fast path.
-    """
-    return float(_probabilities(_dense_amplitudes(spec, spectra, t, oracle_cap, j=j, k=k)))
+    check_oracle_cap(size, cap)
+    for idx, t in enumerate(times):
+        if abs(t) > cap:
+            raise SizeLimitError(
+                f"{field}[{idx}]: {t} is beyond the oracle cap of {cap} on |t|: "
+                "the Chebyshev series takes about |t| terms"
+            )
 
 
 def dense_position_distribution(
-    spec: MultiChainSpec,
-    spectra: tuple[SpectralData, ...],
-    t: float,
-    j: tuple[int, ...],
-    oracle_cap: int = DEFAULT_ORACLE_CAP,
+    spec: MultiChainSpec, t: float, j: tuple[int, ...], oracle_cap: int = DEFAULT_ORACLE_CAP
 ) -> np.ndarray:
-    """Joint position law from the dense oracle, flattened in C order over the product space."""
-    return _probabilities(_dense_amplitudes(spec, spectra, t, oracle_cap, j=j))
+    """Joint position law |e^{itH} e_j|^2 over the product space, flattened in C order.
+
+    The oracle's column: e_j propagated by Chebyshev terms of H, built from
+    the kernels alone, so no eigenpair is read and a wrong spectrum cannot
+    hide in it.  The product size and |t| are checked against ``oracle_cap``
+    first (see _check_oracle_work).
+    """
+    _check_multi(spec, None, {"j": tuple(j)})
+    _check_oracle_work(spec.product_size, (t,), oracle_cap)
+    start = np.zeros((1, spec.product_size))
+    start[0, np.ravel_multi_index(tuple(j), spec.shape)] = 1.0
+    return _probabilities(_chebyshev_propagate(spec, _axis_kernels(spec), start, t)[:, 0])
 
 
 def ehrenfest_sum_law(d: int, t: float) -> np.ndarray:

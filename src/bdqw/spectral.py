@@ -345,6 +345,10 @@ def orthogonality_defect(datasets: list[SpectralData] | tuple[SpectralData, ...]
     1 - prod dmin_l), the worst off-diagonal entry max_l offmax_l *
     prod_{m != l} absmax_m.  Rounding is monotone in non-negative factors,
     so products formed left to right, as np.kron does, give its exact value.
+
+    Each dimension holds its Gram and no other n x n array: the diagonal's
+    extremes are read first, then the Gram is made absolute in place, its
+    maximum read, its diagonal zeroed and the off-diagonal maximum read.
     """
     datasets = tuple(datasets)
     if not datasets:
@@ -354,10 +358,11 @@ def orthogonality_defect(datasets: list[SpectralData] | tuple[SpectralData, ...]
     for s in datasets:
         gram = s.eigenvectors @ s.eigenvectors.T
         diag = np.diagonal(gram)
-        top = np.abs(gram).max()
-        # np.maximum keeps a NaN, as the maximum over the Kronecker build does
-        off = np.maximum(off * top, span * np.abs(gram - np.diag(diag)).max())
-        span *= top
         diag_max *= diag.max()
         diag_min *= diag.min()
+        top = np.abs(gram, out=gram).max()
+        np.fill_diagonal(gram, 0.0)  # a NaN there is in diag_max and top already
+        # np.maximum keeps a NaN, as the maximum over the Kronecker build does
+        off = np.maximum(off * top, span * gram.max())
+        span *= top
     return float(np.max([diag_max - 1.0, 1.0 - diag_min, off]))

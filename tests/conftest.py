@@ -5,10 +5,16 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 from hypothesis import strategies as st
 
-from bdqw.chain import DimensionSpec, MultiChainSpec
-from bdqw.ctqw import dense_propagator_parts, propagator_parts, transition_matrix_1d
+from bdqw.chain import (
+    DimensionSpec,
+    MultiChainSpec,
+    build_conditional_matrix,
+    stationary_distribution,
+)
+from bdqw.ctqw import propagator_parts, transition_matrix_1d
 from bdqw.spectral import SpectralData
 
 
@@ -28,16 +34,34 @@ def propagator(data: SpectralData, t: float) -> np.ndarray:
     return re + 1j * im
 
 
-def dense_propagator(spec: MultiChainSpec, spectra: tuple, t: float) -> np.ndarray:
-    """The dense oracle's product-space evolution operator as one complex matrix."""
-    re, im = dense_propagator_parts(spec, spectra, t)
-    return re + 1j * im
+def symmetrized_kernel_oracle(dim: DimensionSpec) -> np.ndarray:
+    """Dense D^{1/2} P D^{-1/2}, independent of the spectral module."""
+    m = build_conditional_matrix(dim)
+    pi = stationary_distribution(m)
+    root = np.sqrt(pi)
+    return np.diag(root) @ m @ np.diag(1.0 / root)
 
 
-def dense_transition_matrix(spec: MultiChainSpec, spectra: tuple, t: float) -> np.ndarray:
-    """The dense oracle's all-pairs probabilities |U|^2; entry [k_flat, j_flat] is j -> k."""
-    re, im = dense_propagator_parts(spec, spectra, t)
-    return re * re + im * im
+def expm_oracle(spec: MultiChainSpec, t: float) -> np.ndarray:
+    """Structure-blind scaling-and-squaring propagator over the product space.
+
+    scipy's expm of the Kronecker-sum generator, built as a dense matrix from
+    the symmetrized kernels: it reads no eigenpair and no Chebyshev term, so
+    it is Theorem 1's reference for every route of the package.
+    """
+    generator = np.zeros((spec.product_size, spec.product_size))
+    for i, q in enumerate(spec.select_prob):
+        term = np.ones((1, 1))
+        for j, dim in enumerate(spec.dims):
+            block = symmetrized_kernel_oracle(dim) if j == i else np.eye(dim.n_states)
+            term = np.kron(term, block)
+        generator += q * term
+    return scipy.linalg.expm(1j * t * generator)
+
+
+def expm_transition_matrix(spec: MultiChainSpec, t: float) -> np.ndarray:
+    """expm_oracle's all-pairs probabilities |U|^2; entry [k_flat, j_flat] is j -> k."""
+    return np.abs(expm_oracle(spec, t)) ** 2
 
 
 def factorized_transition_matrix(spec: MultiChainSpec, spectra: tuple, t: float) -> np.ndarray:
@@ -46,40 +70,6 @@ def factorized_transition_matrix(spec: MultiChainSpec, spectra: tuple, t: float)
     for q, s in zip(spec.select_prob, spectra):
         out = np.kron(out, transition_matrix_1d(s, q * t))
     return out
-
-
-def scaled_input_amplitudes(
-    factors: tuple, values: np.ndarray, t: float, rows: tuple | None = None, cols: tuple | None = None
-) -> np.ndarray:
-    """The dense kernel as it was before its kept-row step scaled the column factor.
-
-    A reference for ``ctqw._amplitudes`` with two factors or more: a step that
-    keeps a row axis scales the whole input X by V_l[k_l] and writes
-    (X * V_l[k_l]) @ V_l[cols_l]^T into a part buffer, then copies the part
-    into out[..., k_l, ...]; the other steps are the kernel's own.
-    """
-    full = (slice(None),) * len(factors)
-    rows, cols = rows or full, cols or full
-    lam_t = np.multiply.outer(t, values)
-    x = np.stack((np.cos(lam_t), np.sin(lam_t)))
-    kept = 1
-    for v, r, c in zip(factors, rows, cols):
-        left, right = v[r], v[c].T
-        x = np.moveaxis(x, kept, -1)
-        if left.ndim == 2:
-            x = np.ascontiguousarray(x)
-            shape = x.shape[:-1] + right.shape[1:]
-            out = np.empty(shape[:kept] + left.shape[:1] + shape[kept:])
-            y, part = np.empty(x.shape), np.empty(shape)
-            for k, row in enumerate(left):
-                np.multiply(row, x, out=y)
-                np.matmul(y.reshape(-1, y.shape[-1]), right, out=part.reshape(-1, *right.shape[1:]))
-                out[(slice(None),) * kept + (k,)] = part
-            x, kept = out, kept + 1
-            continue
-        y = np.multiply(left, x, order="C")
-        x = (y.reshape(-1, y.shape[-1]) @ right).reshape(y.shape[:-1] + right.shape[1:])
-    return x
 
 
 def double_well(size: int) -> DimensionSpec:

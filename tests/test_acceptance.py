@@ -30,7 +30,7 @@ from bdqw.spectral import dimension_spectrum, eigendecompose, orthogonality_defe
 from bdqw.stats import clt_distance, convolve_sum
 
 from conftest import (
-    dense_transition_matrix,
+    expm_transition_matrix,
     factorized_transition_matrix,
     random_dimension_spec,
     random_multi_chain_spec,
@@ -56,7 +56,7 @@ def test_a1_factorized_equals_dense_on_random_chains():
         spectra = tuple(dimension_spectrum(dim) for dim in spec.dims)
         for t in A1_TIMES:
             fact = factorized_transition_matrix(spec, spectra, t)
-            dense = dense_transition_matrix(spec, spectra, t)
+            dense = expm_transition_matrix(spec, t)
             worst = max(worst, float(np.max(np.abs(fact - dense))))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-10 and elapsed < 60.0
@@ -77,7 +77,7 @@ def test_a2_time_rescaling_mutation_breaks_equivalence():
     mutated = np.ones((1, 1))
     for s in spectra:
         mutated = np.kron(mutated, transition_matrix_1d(s, t))  # q * t replaced by t
-    err = float(np.max(np.abs(mutated - dense_transition_matrix(spec, spectra, t))))
+    err = float(np.max(np.abs(mutated - expm_transition_matrix(spec, t))))
     ok = err > 1e-3
     assert _report(
         "A2 time-rescaling mutation detected",

@@ -27,13 +27,14 @@ from hypothesis import strategies as st
 
 import bdqw
 from bdqw import cli, ctqw, spectral, stats
-from bdqw.chain import DimensionSpec, MultiChainSpec, build_conditional_matrix, ehrenfest_dimension
+from bdqw.chain import DimensionSpec, build_conditional_matrix, ehrenfest_dimension
 from bdqw.cli import load_config, main, parse_config, resolve
 from bdqw.spectral import SpectralData
 
 from conftest import (
     dimension_specs,
     double_well,
+    expm_oracle,
     random_dimension_spec,
 )
 
@@ -304,6 +305,36 @@ class TestSimulate:
         assert "oracle cap" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_the_joint_law_reads_no_spectrum(self, tmp_path, monkeypatch):
+        # one eigenvalue of dims[0] shifted by 1e-9: the factorized marginals,
+        # which read it, move; the joint law, from the kernels alone, stays on
+        # scipy's expm of H.  An oracle of the same eigenpairs moved with them.
+        config_path = write_config(
+            tmp_path,
+            dims=[{"size": 3}, {"size": 4}],
+            select_prob=[0.35, 0.65],
+            time=[2.5, 7.3],
+            initial=[1, 2],
+            output={"format": "json"},
+        )
+        out = tmp_path / "out.json"
+
+        def run() -> list[dict]:
+            assert main(["simulate", "--dense", "--config", config_path, "--output", str(out)]) == 0
+            return json.loads(out.read_text())["results"]
+
+        clean, real = run(), cli.chain_spectra
+        monkeypatch.setattr(
+            cli, "chain_spectra", lambda spec: (shifted_eigenvalue(real(spec)[0]), *real(spec)[1:])
+        )
+        spec = load_config(config_path).spec
+        for before, after in zip(clean, run()):
+            moved = np.subtract(after["marginals"][0], before["marginals"][0])
+            assert np.max(np.abs(moved)) > 1e-12
+            u = expm_oracle(spec, after["time"])
+            expected = np.abs(u[:, np.ravel_multi_index((1, 2), spec.shape)]) ** 2
+            assert np.max(np.abs(np.array(after["dense"]) - expected)) <= 1e-13
+
     def test_out_of_memory_writes_nothing(self, tmp_path, monkeypatch, capsys):
         # the report is streamed, but only after every time has been evaluated
         def exhaust(*args, **kwargs):
@@ -407,7 +438,7 @@ class TestSimulate:
         for t in config.times:
             for l, factor in enumerate(position_distribution(spec, spectra, t, j), start=1):
                 rows.extend([fmt(t), str(l), str(pos), fmt(p)] for pos, p in enumerate(factor))
-            joint = dense_position_distribution(spec, spectra, t, j, 4096)
+            joint = dense_position_distribution(spec, t, j, 4096)
             rows.extend([fmt(t), "joint", str(pos), fmt(p)] for pos, p in enumerate(joint))
         expected = cli._csv_text(["time", "dimension", "position", "probability"], rows)
         assert out.read_text(encoding="utf-8") == expected
@@ -468,7 +499,7 @@ class TestSimulate:
             time = f"{t:.17g}"
             laws = list(enumerate(position_distribution(spec, spectra, t, j), start=1))
             if dense:
-                laws.append(("joint", dense_position_distribution(spec, spectra, t, j, 10**6)))
+                laws.append(("joint", dense_position_distribution(spec, t, j, 10**6)))
             for dim, law in laws:
                 law = law.tolist()
                 lines.extend(f"{time},{dim},{pos},{p:.17g}\n" for pos, p in enumerate(law))
@@ -664,20 +695,15 @@ class TestCsvWriter:
             assert rows[-1][0] == "factorized_flat" and rows[-1][2:] == ["", ""]
 
 
-def unitarity_defect(parts: np.ndarray, spec: MultiChainSpec, t: float) -> float:
-    """verify's check of the dense parts against the chain's spectral form at time t."""
-    spectra = spectral.chain_spectra(spec)
-    factors = tuple(s.eigenvectors for s in spectra)
-    return cli._unitarity_defect(parts, factors, ctqw._kronecker_sum(spec, spectra), t)
+def unitarity_defect(parts: np.ndarray, s: SpectralData, t: float) -> float:
+    """verify's check of a dimension's parts against its spectral form at time t."""
+    return cli._unitarity_defect(parts, s.eigenvectors, s.eigenvalues, t)
 
 
-def spectral_form_defect(parts: np.ndarray, spec: MultiChainSpec, spectra: tuple, t: float):
-    """The complex reference: max |U^dagger W diag(e^{i t lambda}) W^T - I|, W and lambda formed."""
-    w, lam = np.ones((1, 1)), np.zeros(1)
-    for q, s in zip(spec.select_prob, spectra):
-        w, lam = np.kron(w, s.eigenvectors), np.add.outer(lam, q * s.eigenvalues).ravel()
-    u = parts[0] + 1j * parts[1]
-    return np.max(np.abs(u.conj().T @ (w * np.exp(1j * t * lam)) @ w.T - np.eye(len(u))))
+def spectral_form_defect(parts: np.ndarray, s: SpectralData, t: float):
+    """The complex reference: max |U^dagger V diag(e^{i t lambda}) V^T - I|, formed."""
+    v, u = s.eigenvectors, parts[0] + 1j * parts[1]
+    return np.max(np.abs(u.conj().T @ (v * np.exp(1j * t * s.eigenvalues)) @ v.T - np.eye(len(u))))
 
 
 def shifted_eigenvalue(s: SpectralData) -> SpectralData:
@@ -827,30 +853,27 @@ class TestVerify:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_unitarity_defect_is_the_complex_spectral_form_defect(self, seed):
-        # a general complex U, neither unitary nor symmetric, on chains of one
-        # to three dimensions, a size-1 edge among them
+        # a general complex U, neither unitary nor symmetric, on a random chain
+        # of up to 8 states and on a size-1 edge
         rng = np.random.default_rng(seed)
-        for n_dims in (1, 2, 3):
-            dims = [random_dimension_spec(rng, max_size=7) for _ in range(n_dims - 1)]
-            dims.insert(seed % n_dims, ehrenfest_dimension(1))
-            q = rng.uniform(0.1, 1.0, size=n_dims)
-            spec = MultiChainSpec(dims=tuple(dims), select_prob=tuple(q / q.sum()))
-            parts = rng.standard_normal((2, spec.product_size, spec.product_size))
+        for dim in (random_dimension_spec(rng, max_size=7), ehrenfest_dimension(1)):
+            s = spectral.dimension_spectrum(dim)
+            parts = rng.standard_normal((2, s.n_states, s.n_states))
             t = float(rng.uniform(0.0, 10.0))
-            expected = spectral_form_defect(parts, spec, spectral.chain_spectra(spec), t)
-            assert abs(unitarity_defect(parts, spec, t) - expected) <= 1e-13 * expected
+            expected = spectral_form_defect(parts, s, t)
+            assert abs(unitarity_defect(parts, s, t) - expected) <= 1e-13 * expected
 
     @pytest.mark.parametrize("n", [cli._DEFECT_BLOCK_COLS - 1, 2 * cli._DEFECT_BLOCK_COLS + 3])
     def test_blocked_unitarity_defect(self, n):
         # the columns are taken a block at a time; the last block is short
         rng = np.random.default_rng(n)
         dim = DimensionSpec(size=n - 1, decrease_prob=tuple(rng.uniform(0.02, 0.98, n - 2)))
-        spec = MultiChainSpec(dims=(dim,), select_prob=(1.0,))
+        s = spectral.dimension_spectrum(dim)
         parts = rng.standard_normal((2, n, n)) / math.sqrt(n)
-        expected = spectral_form_defect(parts, spec, spectral.chain_spectra(spec), 2.5)
-        assert abs(unitarity_defect(parts, spec, 2.5) - expected) <= 1e-13 * expected
+        expected = spectral_form_defect(parts, s, 2.5)
+        assert abs(unitarity_defect(parts, s, 2.5) - expected) <= 1e-13 * expected
         parts[1, 0, n - 1] = np.nan  # one NaN in the last block
-        assert math.isnan(unitarity_defect(parts, spec, 2.5))
+        assert math.isnan(unitarity_defect(parts, s, 2.5))
 
     def test_a_nan_in_the_last_block_fails(self, tmp_path, monkeypatch):
         # 65 states: the last block of columns is the last column alone
@@ -871,37 +894,30 @@ class TestVerify:
             assert report[key] <= 1e-10
 
     def test_a_unitary_of_another_time_fails(self):
-        # the 3 x 5 x 6 oracle built at t + 1e-6 is unitary, so its Gram U^dagger U
+        # the 90-state urn's U built at t + 1e-6 is unitary, so its Gram U^dagger U
         # is I; it is not the walk's unitary at t, and the check against that fails
-        spec = MultiChainSpec(
-            dims=tuple(ehrenfest_dimension(size) for size in (2, 4, 5)),
-            select_prob=(0.2, 0.3, 0.5),
-        )
-        spectra = spectral.chain_spectra(spec)
-        parts = ctqw.dense_propagator_parts(spec, spectra, 1.3 + 1e-6)
+        s = spectral.dimension_spectrum(ehrenfest_dimension(89))
+        parts = ctqw.propagator_parts(s, 1.3 + 1e-6)
         u = parts[0] + 1j * parts[1]
         assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= cli.VERIFY_TOLERANCE
-        defect = unitarity_defect(parts, spec, 1.3)
+        defect = unitarity_defect(parts, s, 1.3)
         assert defect > 1e3 * cli.VERIFY_TOLERANCE
         # the entries are O(1), so their rounding bounds the difference, not the defect
-        assert abs(defect - spectral_form_defect(parts, spec, spectra, 1.3)) <= 1e-14
+        assert abs(defect - spectral_form_defect(parts, s, 1.3)) <= 1e-14
 
     def test_unitarity_defect_holds_a_few_blocks(self):
-        # the 8 x 16 x 16 oracle's U: each step of the check holds its input and
-        # output blocks of 2 x _DEFECT_BLOCK_COLS x size doubles, 1 MiB each; the
-        # Gram it replaced held two buffers of 128 x size doubles, 2 MiB each
-        spec = MultiChainSpec(
-            dims=tuple(ehrenfest_dimension(size) for size in (7, 15, 15)),
-            select_prob=(0.2, 0.3, 0.5),
-        )
-        parts = ctqw.dense_propagator_parts(spec, spectral.chain_spectra(spec), 1.3)
+        # the 1024-state urn's U: each step of the check holds its input and
+        # output blocks of 2 x _DEFECT_BLOCK_COLS x n doubles, 512 KiB each; a
+        # Gram would hold n x n complex entries, 16 MiB
+        s = spectral.dimension_spectrum(ehrenfest_dimension(1023))
+        parts = ctqw.propagator_parts(s, 1.3)
         tracemalloc.start()
         try:
-            defect = unitarity_defect(parts, spec, 1.3)
+            defect = unitarity_defect(parts, s, 1.3)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        block = 8 * 2 * cli._DEFECT_BLOCK_COLS * spec.product_size
+        block = 8 * 2 * cli._DEFECT_BLOCK_COLS * s.n_states
         assert peak <= 2 * block + 2**18  # 256 KiB for the phases and the Python objects
         assert defect <= 1e-10
 
@@ -911,11 +927,15 @@ class TestVerify:
         # dense U they replace was a (2, size, size) slab of 64 MiB
         spec = FAULT_CONFIG.spec
         spectra = spectral.chain_spectra(spec)
-        kernels = tuple(spectral.symmetrize(build_conditional_matrix(dim)) for dim in spec.dims)
+        kernels = ctqw._axis_kernels(spec)
         probes = cli._probes(spec.shape)
         tracemalloc.start()
         try:
-            left = cli._chebyshev_propagate(spec, kernels, probes, 7.3)
+            rows = np.concatenate((probes.real, probes.imag)).reshape(4, -1)
+            (even_re, even_im), (odd_re, odd_im) = cli._chebyshev_propagate(
+                spec, kernels, rows, 7.3
+            ).reshape(2, 2, 2, -1)
+            left = ((even_re - odd_im) + 1j * (even_im + odd_re)).reshape(probes.shape)
             error = np.max(np.abs(left - cli._factorized_propagate(spec, spectra, probes, 7.3)))
             _, peak = tracemalloc.get_traced_memory()
         finally:
@@ -1238,7 +1258,7 @@ class TestBench:
         def exhaust(*args, **kwargs):
             raise MemoryError("Unable to allocate 2.00 GiB for an array")
 
-        monkeypatch.setattr(cli, "transition_prob_dense", exhaust)
+        monkeypatch.setattr(cli, "dense_position_distribution", exhaust)
         config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2])
         assert main(["bench", "--config", config]) == 3
         err = capsys.readouterr().err
@@ -1584,7 +1604,7 @@ class TestOracleCapResolution:
         cap = fields.get("oracle_cap", 4)
         assert capsys.readouterr().err == (
             f"error: {field} is beyond the oracle cap of {cap} on |t|: "
-            "verify's Chebyshev check takes about |t| terms\n"
+            "the Chebyshev series takes about |t| terms\n"
         )
         assert not out.exists()
 
@@ -1600,10 +1620,36 @@ class TestOracleCapResolution:
         config = edge_config(tmp_path, time=[1.0, -5.0], oracle_cap=4)
         assert main(["verify", "--config", config, *argv]) == 0
 
-    @pytest.mark.parametrize("argv", [["simulate"], ["simulate", "--dense"], ["dump-spectrum"]])
-    def test_the_time_bound_is_verify_s_alone(self, tmp_path, argv):
+    @pytest.mark.parametrize("argv", [["simulate"], ["dump-spectrum"]])
+    def test_the_time_bound_spares_the_spectral_routes(self, tmp_path, argv):
         config = edge_config(tmp_path, time=[1.0, -5.0], oracle_cap=4)
         assert main([*argv, "--config", config, "--output", str(tmp_path / "out")]) == 0
+
+    def test_a_time_over_the_cap_stops_the_oracle_column(self, tmp_path, capsys, monkeypatch):
+        # simulate --dense's column takes about |t| Chebyshev terms too: it exits 3
+        # before any spectrum is solved, and writes nothing
+        def refuse(spec):
+            raise AssertionError("a spectrum was solved for a time over the cap")
+
+        monkeypatch.setattr(cli, "chain_spectra", refuse)
+        out = tmp_path / "out"
+        config = edge_config(tmp_path, time=[5.0, 1.0], oracle_cap=4)
+        assert main(["simulate", "--dense", "--config", config, "--output", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "error: time[0]: 5.0 is beyond the oracle cap of 4 on |t|: "
+            "the Chebyshev series takes about |t| terms\n"
+        )
+        assert not out.exists()
+
+    def test_bench_skips_the_column_for_a_time_over_the_cap(self, tmp_path):
+        # 4 states fit the cap of 4 and T = 5 does not: the dense cell is skipped,
+        # as it is for a size over the cap, and the factorized cell is filled
+        out = tmp_path / "bench.csv"
+        config = write_config(tmp_path, dims=[{"size": 1}], time=5.0, d_sweep=[2], oracle_cap=4)
+        assert main(["bench", "--config", config, "--output", str(out)]) == 0
+        row = read_csv(str(out))[0]
+        assert row["product_size"] == "4" and row["dense_ms"] == "skipped"
+        assert float(row["factorized_ms"]) > 0.0 and row["ratio"] == ""
 
     def test_env_var_overrides_default(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("BDQW_ORACLE_CAP", "2")

@@ -1,4 +1,4 @@
-"""Propagators, transition probabilities and the factorized-vs-dense equivalence."""
+"""Propagators, transition probabilities and the factorized-vs-oracle equivalence."""
 
 from __future__ import annotations
 
@@ -20,20 +20,17 @@ from bdqw.chain import (
     MultiChainSpec,
     build_conditional_matrix,
     ehrenfest_dimension,
-    stationary_distribution,
     uniform_multi_chain,
 )
 from bdqw.ctqw import (
     _amplitudes,
     _check_position,
-    _dense_amplitudes,
     dense_position_distribution,
     ehrenfest_sum_law,
     position_distribution,
     propagator_parts,
     transition_matrix_1d,
     transition_prob_1d,
-    transition_prob_dense,
     transition_prob_factorized,
     transition_row,
 )
@@ -42,25 +39,17 @@ from bdqw.spectral import SpectralData, chain_spectra, dimension_spectrum, symme
 from bdqw.stats import convolve_sum
 
 from conftest import (
-    dense_propagator,
-    dense_transition_matrix,
+    expm_oracle,
+    expm_transition_matrix,
     factorized_transition_matrix,
     multi_chain_specs,
     poly_table,
     propagator,
     random_dimension_spec,
     random_multi_chain_spec,
-    scaled_input_amplitudes,
+    symmetrized_kernel_oracle,
     weights,
 )
-
-
-def symmetrized_kernel_oracle(dim) -> np.ndarray:
-    """Dense D^{1/2} P D^{-1/2}, independent of the spectral module."""
-    m = build_conditional_matrix(dim)
-    pi = stationary_distribution(m)
-    root = np.sqrt(pi)
-    return np.diag(root) @ m @ np.diag(1.0 / root)
 
 
 def triple_loop_generator(spec: MultiChainSpec) -> np.ndarray:
@@ -79,6 +68,13 @@ def triple_loop_generator(spec: MultiChainSpec) -> np.ndarray:
     return out
 
 
+def oracle_propagator(spec: MultiChainSpec, t: float) -> np.ndarray:
+    """The oracle's e^{itH} as one complex matrix: the Chebyshev sums of every e_j, as columns."""
+    kernels, starts = ctqw._axis_kernels(spec), np.eye(spec.product_size)
+    even, odd = ctqw._chebyshev_propagate(spec, kernels, starts, t)
+    return (even + 1j * odd).T
+
+
 def transition_prob_weight_form(spectrum: SpectralData, t: float, j: int, k: int) -> float:
     """transition_prob_1d evaluated through the polynomial table and weights.
 
@@ -90,29 +86,6 @@ def transition_prob_weight_form(spectrum: SpectralData, t: float, j: int, k: int
     poly = poly_table(spectrum)
     amp = np.sum(np.exp(1j * t * spectrum.eigenvalues) * poly[k] * poly[j] * weights(spectrum))
     return float(abs(amp) ** 2)
-
-
-def expm_oracle(spec: MultiChainSpec, t: float) -> np.ndarray:
-    """Structure-blind scaling-and-squaring propagator over the product space."""
-    generator = np.zeros((spec.product_size, spec.product_size))
-    for i, q in enumerate(spec.select_prob):
-        term = np.ones((1, 1))
-        for j, dim in enumerate(spec.dims):
-            block = symmetrized_kernel_oracle(dim) if j == i else np.eye(dim.n_states)
-            term = np.kron(term, block)
-        generator += q * term
-    return scipy.linalg.expm(1j * t * generator)
-
-
-def kronecker_amplitudes(spec: MultiChainSpec, spectra, t: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Kronecker-product build of the dense amplitudes, the contraction's reference.
-
-    W = V_1 (x) ... (x) V_d as one matrix, then (W cos) @ W^T and (W sin) @ W^T.
-    """
-    vectors = reduce(np.kron, [s.eigenvectors for s in spectra])
-    values = reduce(np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)])
-    lam_t = t * values.ravel()
-    return (vectors * np.cos(lam_t)) @ vectors.T, (vectors * np.sin(lam_t)) @ vectors.T
 
 
 EDGE = dimension_spectrum(ehrenfest_dimension(1))
@@ -231,116 +204,7 @@ class TestTransitionProb1d:
 
 
 class TestContractionKernel:
-    """The dense routes contract the product spectrum one dimension at a time."""
-
-    @settings(max_examples=40, deadline=None)
-    @given(
-        multi_chain_specs(max_dims=4, max_size=4, max_states=256),
-        st.floats(-10, 10),
-        st.data(),
-    )
-    def test_matches_kronecker_build(self, spec, t, data):
-        spectra = chain_spectra(spec)
-        re, im = kronecker_amplitudes(spec, spectra, t)
-        size = spec.product_size
-        j = tuple(data.draw(st.integers(0, n - 1)) for n in spec.shape)
-        k = tuple(data.draw(st.integers(0, n - 1)) for n in spec.shape)
-        flat_j, flat_k = np.ravel_multi_index(j, spec.shape), np.ravel_multi_index(k, spec.shape)
-        everything = _dense_amplitudes(spec, spectra, t, size)
-        column = _dense_amplitudes(spec, spectra, t, size, j=j)
-        element = _dense_amplitudes(spec, spectra, t, size, j=j, k=k)
-        assert everything.shape == (2, size, size)
-        assert column.shape == (2, size) and element.shape == (2,)
-        assert np.max(np.abs(everything[0] - re)) <= 1e-14
-        assert np.max(np.abs(everything[1] - im)) <= 1e-14
-        assert np.max(np.abs(column - np.stack([re[:, flat_j], im[:, flat_j]]))) <= 1e-14
-        assert np.max(np.abs(element - [re[flat_k, flat_j], im[flat_k, flat_j]])) <= 1e-14
-
-    @pytest.mark.parametrize("row_kind", ["slice", "int"])
-    @pytest.mark.parametrize("col_kind", ["slice", "int"])
-    def test_row_and_column_kinds_match_kronecker_build(self, row_kind, col_kind):
-        # a slice keeps its axis (a row axis is written one index at a time when a
-        # column axis is kept too), an integer drops it
-        rng = np.random.default_rng([len(row_kind), len(col_kind)])
-
-        def pick(kind: str, n: int) -> int | slice:
-            start = int(rng.integers(n))
-            return start if kind == "int" else slice(start, int(rng.integers(start, n)) + 1)
-
-        for _ in range(25):
-            dims = tuple(random_dimension_spec(rng, max_size=5) for _ in range(rng.integers(2, 5)))
-            raw = rng.uniform(0.1, 1.0, size=len(dims))
-            spec = MultiChainSpec(dims=dims, select_prob=tuple(raw / raw.sum()))
-            spectra = chain_spectra(spec)
-            t = float(rng.uniform(-10, 10))
-            rows = tuple(pick(row_kind, n) for n in spec.shape)
-            cols = tuple(pick(col_kind, n) for n in spec.shape)
-            values = reduce(
-                np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)]
-            )
-            factors = tuple(s.eigenvectors for s in spectra)
-            got = _amplitudes(factors, values, t, rows, cols)
-            for part, ref in zip(got, kronecker_amplitudes(spec, spectra, t)):
-                expected = ref.reshape(spec.shape * 2)[rows + cols]
-                assert part.shape == expected.shape
-                assert np.max(np.abs(part - expected), initial=0.0) <= 1e-14
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        multi_chain_specs(max_dims=4, max_size=7, max_states=64),
-        st.floats(-1000, 1000),
-        st.data(),
-    )
-    def test_kept_rows_match_the_scaled_input_reference(self, spec, t, data):
-        # a kept-row step scales the column factor by V_l[k_l], not the input, so
-        # the sums round differently: over 20 000 random chains of up to 64 states
-        # the all-pairs and column routes came within 4.4e-16 (2 eps) of scaling
-        # the input (1.7e-16 on a 2048-state urn); the bound is twice that
-        spectra = chain_spectra(spec)
-        values = reduce(
-            np.add.outer, [q * s.eigenvalues for q, s in zip(spec.select_prob, spectra)]
-        )
-        factors = tuple(s.eigenvectors for s in spectra)
-        j = tuple(data.draw(st.integers(0, n - 1)) for n in spec.shape)
-        for cols in (None, j):
-            got = np.asarray(_amplitudes(factors, values, t, None, cols))
-            expected = scaled_input_amplitudes(factors, values, t, None, cols)
-            assert got.shape == expected.shape
-            assert np.max(np.abs(got - expected)) <= 4 * np.finfo(float).eps
-
-    def test_dense_parts_hold_the_output_and_one_step_input(self):
-        # 8 x 16 x 16 = 2048 states: the (2, size, size) output is 16 size^2 bytes,
-        # and the last step reads an input of 1/n_last of that in place; scaling
-        # the input and copying each k_l's part held three more such arrays
-        spec = MultiChainSpec(
-            dims=tuple(ehrenfest_dimension(size) for size in (7, 15, 15)),
-            select_prob=(0.2, 0.3, 0.5),
-        )
-        spectra = chain_spectra(spec)
-        slab = 16 * spec.product_size**2
-        tracemalloc.start()
-        try:
-            ctqw.dense_propagator_parts(spec, spectra, 1.3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= slab + slab // spec.shape[-1] + 2**20
-
-    @pytest.mark.parametrize("n_balls, d", [(1, 16), (15, 4)])
-    def test_one_element_holds_the_phase_array(self, n_balls, d):
-        # 2^16 states: the eigenvalue sum, t lambda, cos, sin and their stack are
-        # 48 bytes a state, and the first step writes 1/n_1 of the stack; scaling
-        # each step's input into a copy held 50-56 bytes a state, 0.13-0.5 MiB
-        # above this bound, and the Python objects take about 5 kB
-        spec = uniform_multi_chain(ehrenfest_dimension(n_balls), d)
-        spectra = chain_spectra(spec)
-        tracemalloc.start()
-        try:
-            transition_prob_dense(spec, spectra, 1.3, (0,) * d, (n_balls,) * d, 2**16)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 48 * spec.product_size + 2**16
+    """Every spectral route is a slice of V diag(e^{i t lambda}) V^T for one basis V."""
 
     @settings(max_examples=30, deadline=None)
     @given(multi_chain_specs(max_dims=1, max_size=8), st.floats(-10, 10), st.data())
@@ -351,10 +215,10 @@ class TestContractionKernel:
         k = data.draw(st.integers(0, s.n_states - 1))
         for l, phase in enumerate((np.cos(lam_t), np.sin(lam_t))):
             assert np.array_equal(propagator_parts(s, t)[l], (v * phase) @ v.T)
-            assert np.array_equal(_amplitudes((v,), s.eigenvalues, t)[l], (v * phase) @ v.T)
-            column = _amplitudes((v,), s.eigenvalues, t, None, (j,))[l]
+            assert np.array_equal(_amplitudes(v, s.eigenvalues, t)[l], (v * phase) @ v.T)
+            column = _amplitudes(v, s.eigenvalues, t, slice(None), j)[l]
             assert np.array_equal(column, (v * phase) @ v[j])
-            element = _amplitudes((v,), s.eigenvalues, t, (k,), (j,))[l]
+            element = _amplitudes(v, s.eigenvalues, t, k, j)[l]
             assert np.array_equal(element, (v[k] * phase) @ v[j])
 
 
@@ -405,9 +269,8 @@ class TestFactorizedVsDense:
         spec = uniform_multi_chain(ehrenfest_dimension(1), 2)
         t = 1.3
         u1 = propagator(EDGE, t / 2)
-        expected = np.kron(u1, u1)
-        got = dense_propagator(spec, (EDGE, EDGE), t)
-        assert np.max(np.abs(got - expected)) <= 1e-12
+        assert np.max(np.abs(np.kron(u1, u1) - expm_oracle(spec, t))) <= 1e-12
+        assert np.max(np.abs(oracle_propagator(spec, t) - expm_oracle(spec, t))) <= 1e-13
 
     def test_all_pairs_against_dense_oracle(self):
         spec = MultiChainSpec(
@@ -416,56 +279,60 @@ class TestFactorizedVsDense:
         )
         spectra = tuple(dimension_spectrum(d) for d in spec.dims)
         fact = factorized_transition_matrix(spec, spectra, 1.0)
-        dense = dense_transition_matrix(spec, spectra, 1.0)
-        assert np.max(np.abs(fact - dense)) <= 1e-10
+        assert np.max(np.abs(fact - expm_transition_matrix(spec, 1.0))) <= 1e-10
         for j0 in range(2):
             for j1 in range(3):
+                column = dense_position_distribution(spec, 1.0, (j0, j1))
                 for k0 in range(2):
                     for k1 in range(3):
                         got = transition_prob_factorized(spec, spectra, 1.0, (j0, j1), (k0, k1))
                         assert abs(got - fact[k0 * 3 + k1, j0 * 3 + j1]) <= 1e-13
-                        point = transition_prob_dense(spec, spectra, 1.0, (j0, j1), (k0, k1))
-                        assert abs(got - point) <= 1e-10
+                        assert abs(got - column[k0 * 3 + k1]) <= 1e-10
 
     def test_dense_agrees_with_expm_oracle(self):
         spec = MultiChainSpec(
             dims=(ehrenfest_dimension(2), ehrenfest_dimension(1)),
             select_prob=(0.4, 0.6),
         )
-        spectra = tuple(dimension_spectrum(d) for d in spec.dims)
         for t in (0.5, 2.0):
-            u = dense_propagator(spec, spectra, t)
-            assert np.max(np.abs(u - expm_oracle(spec, t))) <= 1e-11
+            u = expm_oracle(spec, t)
+            assert np.max(np.abs(oracle_propagator(spec, t) - u)) <= 1e-13
+            for flat, j in enumerate(np.ndindex(spec.shape)):
+                law = dense_position_distribution(spec, t, j)
+                assert np.max(np.abs(law - np.abs(u[:, flat]) ** 2)) <= 1e-13
 
     @settings(max_examples=25, deadline=None)
     @given(multi_chain_specs(max_dims=3, max_size=4, max_states=64), st.sampled_from([0.5, 2.0, 7.0]))
     def test_dense_oracle_is_the_exponential_of_the_triple_loop_generator(self, spec, t):
         # independent of the Kronecker build of expm_oracle: the composite is expanded by index
-        spectra = tuple(dimension_spectrum(d) for d in spec.dims)
         expected = scipy.linalg.expm(1j * t * triple_loop_generator(spec))
-        assert np.max(np.abs(dense_propagator(spec, spectra, t) - expected)) <= 1e-12
+        assert np.max(np.abs(oracle_propagator(spec, t) - expected)) <= 1e-12
 
     def test_single_dimension_degenerates_to_1d(self):
         spec = MultiChainSpec(dims=(ehrenfest_dimension(3),), select_prob=(1.0,))
         data = dimension_spectrum(ehrenfest_dimension(3))
         for j in range(4):
+            column = dense_position_distribution(spec, 0.9, (j,))
             for k in range(4):
-                dense = transition_prob_dense(spec, (data,), 0.9, (j,), (k,))
-                assert abs(dense - transition_prob_1d(data, 0.9, j, k)) <= 1e-12
+                assert abs(column[k] - transition_prob_1d(data, 0.9, j, k)) <= 1e-12
 
     def test_dense_rows_sum_to_one(self):
         spec = MultiChainSpec(
             dims=(ehrenfest_dimension(1), ehrenfest_dimension(2)),
             select_prob=(0.25, 0.75),
         )
-        spectra = tuple(dimension_spectrum(d) for d in spec.dims)
-        matrix = dense_transition_matrix(spec, spectra, 4.2)
-        assert np.max(np.abs(matrix.sum(axis=0) - 1.0)) <= 1e-10
+        for j in np.ndindex(spec.shape):
+            assert abs(dense_position_distribution(spec, 4.2, j).sum() - 1.0) <= 1e-10
 
     def test_cap_enforced(self):
         spec = uniform_multi_chain(ehrenfest_dimension(1), 13)
-        with pytest.raises(SizeLimitError):
-            transition_prob_dense(spec, (EDGE,) * 13, 1.0, (0,) * 13, (0,) * 13)
+        with pytest.raises(SizeLimitError, match="exceeding the oracle cap of 4096"):
+            dense_position_distribution(spec, 1.0, (0,) * 13)
+        # the column takes about |t| Chebyshev terms, so the cap bounds |t| too
+        small = uniform_multi_chain(ehrenfest_dimension(1), 2)
+        with pytest.raises(SizeLimitError, match=r"^t\[0\]: -5.0 is beyond the oracle cap of 4 on"):
+            dense_position_distribution(small, -5.0, (0, 0), 4)
+        assert dense_position_distribution(small, -4.0, (0, 0), 4).shape == (4,)
 
     def test_time_rescaling_is_load_bearing(self):
         spec = MultiChainSpec(
@@ -476,16 +343,14 @@ class TestFactorizedVsDense:
         mutated = np.ones((1, 1))
         for s in spectra:
             mutated = np.kron(mutated, transition_matrix_1d(s, 1.0))  # rescaling dropped
-        dense = dense_transition_matrix(spec, spectra, 1.0)
-        assert np.max(np.abs(mutated - dense)) > 1e-3
+        assert np.max(np.abs(mutated - expm_transition_matrix(spec, 1.0))) > 1e-3
 
     @settings(max_examples=25, deadline=None)
     @given(multi_chain_specs(max_dims=3, max_size=4, max_states=256), st.sampled_from([0.1, 0.7, 1.0, math.pi, 10.0]))
     def test_equivalence_property(self, spec, t):
         spectra = tuple(dimension_spectrum(d) for d in spec.dims)
         fact = factorized_transition_matrix(spec, spectra, t)
-        dense = dense_transition_matrix(spec, spectra, t)
-        assert np.max(np.abs(fact - dense)) <= 1e-10
+        assert np.max(np.abs(fact - expm_transition_matrix(spec, t))) <= 1e-10
 
     def test_index_validation(self):
         spec = uniform_multi_chain(ehrenfest_dimension(1), 2)
@@ -497,9 +362,14 @@ class TestFactorizedVsDense:
         with pytest.raises(ValueError):
             transition_prob_factorized(spec, (EDGE,), 1.0, (0, 0), (0, 0))
         with pytest.raises(ValueError, match="1 spectra supplied for 2"):
-            transition_prob_dense(spec, (EDGE,), 1.0, (0, 0), (0, 0))
+            transition_prob_factorized(spec, (EDGE,), 1.0, (0, 0), (0, 0))
         with pytest.raises(ValueError, match="spectrum size"):
-            dense_propagator(spec, (EDGE, dimension_spectrum(ehrenfest_dimension(2))), 1.0)
+            urn = dimension_spectrum(ehrenfest_dimension(2))
+            transition_prob_factorized(spec, (EDGE, urn), 1.0, (0, 0), (0, 0))
+        with pytest.raises(ValueError, match="multi-index j has length 1, expected 2"):
+            dense_position_distribution(spec, 1.0, (0,))
+        with pytest.raises(ValueError, match=r"position j=2 out of range 0\.\.1"):
+            dense_position_distribution(spec, 1.0, (0, 2))
 
     def test_one_spectrum_object_is_checked_at_every_size(self):
         # the size check runs once per distinct (spectrum object, size) pair:
@@ -531,9 +401,10 @@ class TestFactorizedVsDense:
         t = data.draw(st.floats(-12.0, 12.0))
         spectra = chain_spectra(spec)
         fact = transition_prob_factorized(spec, spectra, t, j, k)
-        assert abs(fact - transition_prob_dense(spec, spectra, t, j, k)) <= 1e-12
+        column = dense_position_distribution(spec, t, j)
+        assert abs(fact - column[np.ravel_multi_index(k, spec.shape)]) <= 1e-12
         joint = reduce(np.multiply.outer, position_distribution(spec, spectra, t, j)).ravel()
-        assert np.max(np.abs(joint - dense_position_distribution(spec, spectra, t, j))) <= 1e-12
+        assert np.max(np.abs(joint - column)) <= 1e-12
 
 
 class TestChebyshevPropagation:
@@ -563,16 +434,41 @@ class TestChebyshevPropagation:
         kernels = tuple(symmetrize(build_conditional_matrix(dim)) for dim in spec.dims)
         spectra = chain_spectra(spec)
         j = tuple(int(rng.integers(n)) for n in spec.shape)
-        basis = np.zeros((1,) + spec.shape, dtype=complex)
-        basis[(0,) + j] = 1.0
+        start = np.zeros((1, spec.product_size))
+        start[0, np.ravel_multi_index(j, spec.shape)] = 1.0
+        basis = start.reshape((1,) + spec.shape).astype(complex)
         for t in (0.7, -7.3, 7.3, 60.0):
             expected = expm_oracle(spec, t)[:, np.ravel_multi_index(j, spec.shape)]
-            column = ctqw._chebyshev_propagate(spec, kernels, basis, t).ravel()
-            assert np.max(np.abs(column - expected)) <= 1e-13
-            law = dense_position_distribution(spec, spectra, t, j)
-            assert np.max(np.abs(column.real**2 + column.imag**2 - law)) <= 1e-13
+            even, odd = ctqw._chebyshev_propagate(spec, kernels, start, t)[:, 0]
+            assert np.max(np.abs(even + 1j * odd - expected)) <= 1e-13
+            # the joint law is the column's two sums squared, a real start needing one row
+            assert np.array_equal(dense_position_distribution(spec, t, j), even * even + odd * odd)
             factorized = ctqw._factorized_propagate(spec, spectra, basis, t).ravel()
             assert np.max(np.abs(factorized - expected)) <= 1e-13
+
+    @settings(max_examples=40, deadline=None)
+    @given(multi_chain_specs(max_dims=3, max_size=5, max_states=128), st.floats(-60, 60), st.data())
+    def test_column_matches_the_expm_column(self, spec, t, data):
+        j = tuple(data.draw(st.integers(0, n - 1)) for n in spec.shape)
+        expected = expm_oracle(spec, t)[:, np.ravel_multi_index(j, spec.shape)]
+        law = dense_position_distribution(spec, t, j)
+        assert np.max(np.abs(law - np.abs(expected) ** 2)) <= 1e-13
+
+    @pytest.mark.parametrize("n_balls, d", [(1, 16), (15, 4)])
+    def test_column_holds_its_weights_and_a_few_rows(self, n_balls, d):
+        # 2^16 states: the flat layout keeps one weight array per axis, each as
+        # long as the product space, beside H's diagonal, the start, the two
+        # recurrence rows, the two sums and a temporary of one row; that is
+        # d + 7 arrays of the product size, measured at both shapes
+        spec = uniform_multi_chain(ehrenfest_dimension(n_balls), d)
+        tracemalloc.start()
+        try:
+            law = dense_position_distribution(spec, 1.3, (0,) * d, 2**16)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * spec.product_size * (d + 8)
+        assert abs(law.sum() - 1.0) <= 1e-12
 
     def test_probes_on_leading_axes_are_independent(self):
         # two probes in one pass give what each gives alone, on both sides
@@ -583,13 +479,17 @@ class TestChebyshevPropagation:
         kernels = tuple(symmetrize(build_conditional_matrix(dim)) for dim in spec.dims)
         spectra = chain_spectra(spec)
         probes = np.exp(2j * np.pi * np.random.default_rng(8).random((2,) + spec.shape))
+        rows = np.concatenate((probes.real, probes.imag)).reshape(4, -1)
         for t in (0.0, 2.9):
-            both = ctqw._chebyshev_propagate(spec, kernels, probes, t)
-            factorized = ctqw._factorized_propagate(spec, spectra, probes, t)
-            for i in range(2):
-                alone = ctqw._chebyshev_propagate(spec, kernels, probes[i : i + 1], t)
-                assert np.array_equal(both[i], alone[0])
-                assert np.max(np.abs(factorized[i] - alone[0])) <= 1e-13
+            both = ctqw._chebyshev_propagate(spec, kernels, rows, t)
+            for i in range(4):
+                alone = ctqw._chebyshev_propagate(spec, kernels, rows[i : i + 1], t)
+                assert np.array_equal(both[:, i], alone[:, 0])
+            # e^{itH}(a + ib) = (even_a - odd_b) + i (odd_a + even_b), a and b real
+            (even_re, even_im), (odd_re, odd_im) = both.reshape(2, 2, 2, -1)
+            left = (even_re - odd_im) + 1j * (even_im + odd_re)
+            factorized = ctqw._factorized_propagate(spec, spectra, probes, t).reshape(2, -1)
+            assert np.max(np.abs(factorized - left)) <= 1e-13
 
 
 class TestPositionDistribution:
@@ -619,7 +519,7 @@ class TestPositionDistribution:
         )
         spectra = tuple(dimension_spectrum(d) for d in spec.dims)
         first, second = position_distribution(spec, spectra, 1.4, (1, 2))
-        dense = dense_position_distribution(spec, spectra, 1.4, (1, 2))
+        dense = dense_position_distribution(spec, 1.4, (1, 2))
         assert abs(float(dense.sum()) - 1.0) <= 1e-10
         assert np.max(np.abs(np.outer(first, second).ravel() - dense)) <= 1e-10
 
@@ -637,7 +537,7 @@ class TestPositionDistribution:
         j = tuple(int(rng.integers(0, n)) for n in spec.shape)
         total = sum(np.ix_(*(np.arange(n) for n in spec.shape)))  # the summed position per state
         for t in (0.3, 2.0, 11.5):
-            joint = dense_position_distribution(spec, spectra, t, j)
+            joint = dense_position_distribution(spec, t, j)
             binned = np.bincount(total.ravel(), weights=joint)
             law = convolve_sum(position_distribution(spec, spectra, t, j)).mass
             assert binned.shape == law.shape
@@ -854,5 +754,5 @@ class TestAcceptanceScaleSpotChecks:
             spectra = tuple(dimension_spectrum(d) for d in spec.dims)
             t = float(rng.uniform(-3, 3))
             fact = factorized_transition_matrix(spec, spectra, t)
-            dense = dense_transition_matrix(spec, spectra, t)
+            dense = expm_transition_matrix(spec, t)
             assert np.max(np.abs(fact - dense)) <= 1e-10

@@ -122,6 +122,26 @@ def kronecker_orthogonality_defect(datasets) -> float:
     return float(np.max(np.abs(gram - np.eye(size))))
 
 
+def three_array_orthogonality_defect(datasets) -> float:
+    """orthogonality_defect as it was written with three n x n arrays per dimension.
+
+    The same folds over the dimensions, with the off-diagonal maximum read
+    from np.abs(gram - np.diag(diag)); the one-Gram evaluation must equal it
+    bit for bit.
+    """
+    diag_max = diag_min = span = 1.0
+    off = 0.0
+    for s in datasets:
+        gram = s.eigenvectors @ s.eigenvectors.T
+        diag = np.diagonal(gram)
+        top = np.abs(gram).max()
+        off = np.maximum(off * top, span * np.abs(gram - np.diag(diag)).max())
+        span *= top
+        diag_max *= diag.max()
+        diag_min *= diag.min()
+    return float(np.max([diag_max - 1.0, 1.0 - diag_min, off]))
+
+
 def spectrum_of(spec: DimensionSpec):
     return symmetrize(build_conditional_matrix(spec))
 
@@ -599,6 +619,47 @@ class TestOrthogonalityDefect:
         bad = dataclasses.replace(data, eigenvectors=vectors)
         for datasets in ([bad], [data, bad], [bad, data]):
             assert math.isnan(orthogonality_defect(datasets))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_one_gram_equals_the_three_array_form_bit_for_bit(self, seed):
+        # random matrices of 1 to 40 rows, near-orthogonal and far from it, one to
+        # three dimensions; then a NaN in a row (on the Gram's diagonal and off
+        # it) and an infinity beside zeros (a NaN off the diagonal, inf on it)
+        rng = np.random.default_rng(seed)
+
+        def data(n: int, scale: float) -> SpectralData:
+            q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+            vectors = q + scale * rng.standard_normal((n, n))
+            return SpectralData(eigenvalues=np.zeros(n), eigenvectors=vectors)
+
+        for _ in range(10):
+            datasets = [
+                data(int(rng.integers(1, 41)), float(rng.choice([0.0, 1e-12, 1e-3, 1.0])))
+                for _ in range(rng.integers(1, 4))
+            ]
+            assert orthogonality_defect(datasets) == three_array_orthogonality_defect(datasets)
+        for value, fill in ((math.nan, None), (math.inf, 0.0)):
+            bad = data(5, 1e-3)
+            if fill is not None:
+                bad.eigenvectors[:, 2] = fill
+            bad.eigenvectors[3, 2] = value
+            for datasets in ([bad], [data(4, 0.0), bad], [bad, data(3, 1e-6)]):
+                with np.errstate(invalid="ignore"):  # inf * 0 in the Gram is the point
+                    assert math.isnan(three_array_orthogonality_defect(datasets))
+                    assert math.isnan(orthogonality_defect(datasets))
+
+    def test_holds_one_gram(self):
+        # the N = 400 urn's Gram is 8 * 401^2 bytes; the three-array form held
+        # three such arrays at its peak
+        data = dimension_spectrum(ehrenfest_dimension(400))
+        tracemalloc.start()
+        try:
+            defect = orthogonality_defect([data])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 8 * 401**2
+        assert defect <= 1e-10
 
     @settings(max_examples=60, deadline=None)
     @given(dimension_specs(max_size=12))
