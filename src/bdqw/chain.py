@@ -20,8 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import SizeLimitError
-
 DEFAULT_ORACLE_CAP = 4096
 # Bound on the negative entries and the normalization error check_probability_vector accepts.
 PROBABILITY_TOLERANCE = 1e-10
@@ -116,12 +114,10 @@ def build_conditional_matrix(spec: DimensionSpec) -> np.ndarray:
     """
     n = spec.size
     m = np.zeros((n + 1, n + 1))
-    m[0, 1] = 1.0
-    m[n, n - 1] = 1.0
-    for k in range(1, n):
-        p = spec.decrease_prob[k - 1]
-        m[k, k - 1] = p
-        m[k, k + 1] = 1.0 - p
+    m[0, 1] = m[n, n - 1] = 1.0
+    k, p = np.arange(1, n), np.array(spec.decrease_prob)
+    m[k, k - 1] = p
+    m[k, k + 1] = 1.0 - p
     return m
 
 
@@ -138,14 +134,6 @@ def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
     log_pi = np.concatenate(([0.0], np.cumsum(np.log(np.diag(m, 1)) - np.log(np.diag(m, -1)))))
     pi = np.exp(log_pi - log_pi.max())
     return pi / pi.sum()
-
-
-def check_oracle_cap(size: int, oracle_cap: int) -> None:
-    """Raise SizeLimitError when a product space of ``size`` states is over the cap."""
-    if size > oracle_cap:
-        raise SizeLimitError(
-            f"product space has {size} states, exceeding the oracle cap of {oracle_cap}"
-        )
 
 
 def check_probability_vector(mass: np.ndarray) -> np.ndarray:

@@ -3,7 +3,7 @@
 Subcommands
 -----------
 simulate       factorized marginals (and optionally the oracle's joint law) per time value
-verify         Theorem 1 on Chebyshev probes of H, orthogonality, eigen-residual, unitarity, balance
+verify         Theorem 1 and norms on Chebyshev probes of H, orthogonality, eigen-residual, balance
 clt            Kolmogorov distance of the standardized d-fold sum to the normal law, over a d sweep
 bench          wall-clock comparison of the oracle's column against the factorized path
 dump-spectrum  per-dimension eigenvalues, eigenvectors and log-weights as JSON
@@ -52,7 +52,6 @@ from .ctqw import (
     _factorized_propagate,
     _marginal_laws,
     dense_position_distribution,
-    propagator_parts,
     transition_prob_factorized,
     transition_row,
 )
@@ -65,9 +64,6 @@ VERIFY_TOLERANCE = 1e-10
 BENCH_REPETITIONS = 5
 BENCH_SPEEDUP_FLAG = 10.0
 BENCH_FLAT_FLAG = 10.0
-# Columns of U whose unitarity is checked at once: each step of the check
-# holds two blocks of 2 * 32 * n doubles for an n-state U.
-_DEFECT_BLOCK_COLS = 32
 # Seed of verify's two probe vectors, whose entries are e^{2 pi i u}, u uniform in [0, 1).
 _PROBE_SEED = 1977
 
@@ -416,46 +412,6 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
     return 0, blocks()
 
 
-def _unitarity_defect(parts: np.ndarray, v: np.ndarray, values: np.ndarray, t: float) -> float:
-    """Largest |(U_s^dagger U - I)[a, b]| for U = parts[0] + i parts[1] and its spectral form U_s.
-
-    U_s = V diag(e^{i t lambda}) V^T, with V the orthonormal basis ``v`` and
-    ``values`` the eigenvalues of its columns: verify passes each
-    dimension's U at q_l t with its V and q_l lambda_l.  If U = U_s + E, this
-    reads U_s^dagger E, first order in E as the Gram U^dagger U - I is, and a
-    U that is unitary but not U_s (built at another time, say) fails too.
-
-    U_s is never formed: U_s^dagger U is taken _DEFECT_BLOCK_COLS columns of
-    U at a time, the block read as (n, 2, cols).  One gemm applies V^T,
-    contracting the leading axis and putting the new index last, so the
-    block is (2, cols, n); then e^{-i t lambda}, in place; then one gemm
-    applies V, putting its index in front, which gives (n, 2, cols) back.
-    Each step holds two blocks of 2 cols n doubles and no n x n temporary.
-    The largest squared modulus is rooted once, at the end.
-    """
-    n = parts.shape[-1]
-    lam_t = t * values
-    cos, sin = np.cos(lam_t), np.sin(lam_t)
-    maxima = []
-    for i in range(0, n, _DEFECT_BLOCK_COLS):
-        block = parts[:, :, i : i + _DEFECT_BLOCK_COLS].swapaxes(0, 1)  # (n, 2, cols)
-        width = block.shape[-1]
-        block = block.reshape(n, -1).T @ v  # V^T
-        re, im = block.reshape(2, width, n)
-        rotated = re * sin
-        re *= cos
-        re += im * sin
-        im *= cos
-        im -= rotated  # (re + i im) e^{-i t lambda}
-        del re, im, rotated  # so the V step holds two blocks, not the first one too
-        block = (v @ block.reshape(-1, n).T).reshape(n, 2, width)  # V
-        cols = np.arange(width)
-        block[i + cols, 0, cols] -= 1.0  # the identity's columns i ... i + width - 1
-        np.square(block, out=block)
-        maxima.append(np.max(block[:, 0] + block[:, 1]))
-    return math.sqrt(np.max(maxima))  # np.max, not max(): a NaN block fails the check
-
-
 def _probes(shape: tuple[int, ...]) -> np.ndarray:
     """verify's two probe vectors, stacked: shape ``(2,) + shape``, entries e^{2 pi i u}.
 
@@ -479,8 +435,10 @@ def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
     Theorem 1 is checked as the operator identity e^{itH} = (x)_l e^{i q_l t J_l}
     on two fixed probe vectors (Freivalds, 1977): the left side by Chebyshev
     propagation of H, which reads the kernels J_l and no eigenpair, the right
-    side one dimension's propagator at a time.  The product size and every
-    |t| are checked against the oracle cap before any spectrum is solved.
+    side one dimension's propagator at a time.  ``unitarity_defect`` is the
+    norm check of the right side on the same probes, max |(|y| / |x|)^2 - 1|
+    with y = (x)_l U_l x.  The product size and every |t| are checked
+    against the oracle cap before any spectrum is solved.
     """
     spec = config.spec
     _check_oracle_work(spec.product_size, config.times, config.oracle_cap, config.times_field)
@@ -500,15 +458,16 @@ def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
 
     probes = _probes(spec.shape)
     rows = np.concatenate((probes.real, probes.imag)).reshape(4, -1)  # real parts, then imaginary
+    norms = np.linalg.norm(probes.reshape(2, -1), axis=1)
     theorem1, unitarity = [], []
     for t in config.times:
         sums = _chebyshev_propagate(spec, kernels, rows, t)
         (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, 2, -1)
         left = ((even_re - odd_im) + 1j * (even_im + odd_re)).reshape(probes.shape)
-        theorem1.append(np.max(np.abs(left - _factorized_propagate(spec, spectra, probes, t))))
-        for q, s in zip(spec.select_prob, spectra):
-            u = propagator_parts(s, q * t)
-            unitarity.append(_unitarity_defect(u, s.eigenvectors, q * s.eigenvalues, t))
+        right = _factorized_propagate(spec, spectra, probes, t)
+        theorem1.append(np.max(np.abs(left - right)))
+        ratios = np.linalg.norm(right.reshape(2, -1), axis=1) / norms  # a unitary keeps each norm
+        unitarity.append(np.max(np.abs(ratios * ratios - 1.0)))
 
     defects = {
         "theorem1_max_abs_err": float(np.max(theorem1)),

@@ -44,7 +44,7 @@ from functools import reduce
 
 import numpy as np
 
-from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, build_conditional_matrix, check_oracle_cap
+from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, build_conditional_matrix
 from .errors import NumericalError, SizeLimitError
 from .spectral import SpectralData, SymmetricTridiagonal, symmetrize
 
@@ -371,8 +371,16 @@ def _check_oracle_work(size: int, times: tuple[float, ...], cap: int, field: str
     The oracle's Chebyshev series takes about |t| terms over the ``size``
     states of the product space, so the cap bounds |t| as it bounds the
     size.  A time over it is named as ``field[i]``, i its index in ``times``.
+    A size of 2^63 or more is named by its bit length, as "at least 2^k",
+    not in decimal: past int-to-str's digit limit (4300 digits by default)
+    str() raises ValueError, and below it the message could run to
+    thousands of digits.
     """
-    check_oracle_cap(size, cap)
+    if size > cap:
+        states = size if size < 2**63 else f"at least 2^{size.bit_length() - 1}"
+        raise SizeLimitError(
+            f"product space has {states} states, exceeding the oracle cap of {cap}"
+        )
     for idx, t in enumerate(times):
         if abs(t) > cap:
             raise SizeLimitError(

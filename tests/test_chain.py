@@ -1,4 +1,4 @@
-"""Chain construction, conditional kernels, stationary laws and the oracle cap."""
+"""Chain construction, conditional kernels and stationary laws."""
 
 from __future__ import annotations
 
@@ -16,15 +16,12 @@ from bdqw.chain import (
     DimensionSpec,
     MultiChainSpec,
     build_conditional_matrix,
-    check_oracle_cap,
     check_probability_vector,
     ehrenfest_dimension,
     stationary_distribution,
     uniform_multi_chain,
 )
-from bdqw.errors import SizeLimitError
-
-from conftest import multi_chain_specs
+from conftest import multi_chain_specs, random_dimension_spec
 
 
 class TestDimensionSpec:
@@ -120,6 +117,26 @@ class TestConditionalMatrix:
         assert np.allclose(m[1], [0.3, 0.0, 0.7, 0.0], atol=0)
         assert np.allclose(m[2], [0.0, 0.6, 0.0, 0.4], atol=0)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_equals_the_row_loop_bit_for_bit(self, seed):
+        # random tables and urns, against the row-by-row construction
+        def row_loop(spec: DimensionSpec) -> np.ndarray:
+            n = spec.size
+            m = np.zeros((n + 1, n + 1))
+            m[0, 1] = 1.0
+            m[n, n - 1] = 1.0
+            for k in range(1, n):
+                p = spec.decrease_prob[k - 1]
+                m[k, k - 1] = p
+                m[k, k + 1] = 1.0 - p
+            return m
+
+        rng = np.random.default_rng(seed)
+        dims = [random_dimension_spec(rng, max_size=60) for _ in range(50)]
+        dims += [ehrenfest_dimension(int(n)) for n in (1, 2, *rng.integers(3, 1101, 3))]
+        for dim in dims:
+            assert build_conditional_matrix(dim).tobytes() == row_loop(dim).tobytes()
+
     @given(multi_chain_specs(max_dims=1, max_size=12))
     def test_rows_sum_to_one(self, spec):
         m = build_conditional_matrix(spec.dims[0])
@@ -170,17 +187,3 @@ class TestStationaryDistribution:
         expected = scipy.stats.binom.pmf(np.arange(n + 1), n, 0.5)
         keep = expected >= 1e-300
         assert np.max(np.abs(pi[keep] - expected[keep]) / expected[keep]) <= 1e-10
-
-
-class TestCheckOracleCap:
-    def test_cap_is_inclusive_and_named(self):
-        check_oracle_cap(4096, 4096)
-        with pytest.raises(SizeLimitError, match="8192 states, exceeding the oracle cap of 4096"):
-            check_oracle_cap(uniform_multi_chain(ehrenfest_dimension(1), 13).product_size, 4096)
-        with pytest.raises(SizeLimitError, match="128 states, exceeding the oracle cap of 64"):
-            check_oracle_cap(128, 64)
-
-    def test_the_cap_has_no_default(self):
-        # every caller passes the cap it resolved; there is no second default to drift
-        with pytest.raises(TypeError):
-            check_oracle_cap(4097)

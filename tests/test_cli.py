@@ -695,17 +695,6 @@ class TestCsvWriter:
             assert rows[-1][0] == "factorized_flat" and rows[-1][2:] == ["", ""]
 
 
-def unitarity_defect(parts: np.ndarray, s: SpectralData, t: float) -> float:
-    """verify's check of a dimension's parts against its spectral form at time t."""
-    return cli._unitarity_defect(parts, s.eigenvectors, s.eigenvalues, t)
-
-
-def spectral_form_defect(parts: np.ndarray, s: SpectralData, t: float):
-    """The complex reference: max |U^dagger V diag(e^{i t lambda}) V^T - I|, formed."""
-    v, u = s.eigenvectors, parts[0] + 1j * parts[1]
-    return np.max(np.abs(u.conj().T @ (v * np.exp(1j * t * s.eigenvalues)) @ v.T - np.eye(len(u))))
-
-
 def shifted_eigenvalue(s: SpectralData) -> SpectralData:
     values = s.eigenvalues.copy()
     values[3] += 1e-9
@@ -752,6 +741,34 @@ FACTOR_FAULTS = {
     "identity column": identity_column,
     "W order swapped": lambda real, s, t: real(s, SWAPPED.get(t, t)),
     "U at t + 1e-6": lambda real, s, t: real(s, t + 1e-6),
+    "every U_l x (1 + 1e-9)": lambda real, s, t: real(s, t) * (1.0 + 1e-9),
+}
+
+
+def scaled_columns(scales: dict[int, float]):
+    """dims[0]'s eigenvectors with column c scaled by scales[c]: no longer orthonormal."""
+
+    def fault(s: SpectralData) -> SpectralData:
+        vectors = s.eigenvectors.copy()
+        for c, scale in scales.items():
+            vectors[:, c] *= scale
+        return replace(s, eigenvectors=vectors)
+
+    return fault
+
+
+def sheared_eigenvectors(s: SpectralData) -> SpectralData:
+    """V (I + 1e-9 S), S symmetric with ones at (2, 5) and (5, 2): not orthonormal."""
+    shear = np.eye(s.n_states)
+    shear[2, 5] = shear[5, 2] = 1e-9
+    return replace(s, eigenvectors=s.eigenvectors @ shear)
+
+
+# faults in dims[0]'s V that leave it non-orthonormal
+BASIS_FAULTS = {
+    "columns 2 and 5 x (1 +- 1e-9)": scaled_columns({2: 1.0 + 1e-9, 5: 1.0 - 1e-9}),
+    "column 2 x (1 + 1e-9)": scaled_columns({2: 1.0 + 1e-9}),
+    "V (I + 1e-9 sym(2, 5))": sheared_eigenvectors,
 }
 
 
@@ -851,75 +868,24 @@ class TestVerify:
             assert main(["verify", "--config", config, "--output", str(out)]) == 0
             assert abs(json.loads(out.read_text())["eigen_residual"] - expected) <= 1e-15
 
-    @pytest.mark.parametrize("seed", range(4))
-    def test_unitarity_defect_is_the_complex_spectral_form_defect(self, seed):
-        # a general complex U, neither unitary nor symmetric, on a random chain
-        # of up to 8 states and on a size-1 edge
-        rng = np.random.default_rng(seed)
-        for dim in (random_dimension_spec(rng, max_size=7), ehrenfest_dimension(1)):
-            s = spectral.dimension_spectrum(dim)
-            parts = rng.standard_normal((2, s.n_states, s.n_states))
-            t = float(rng.uniform(0.0, 10.0))
-            expected = spectral_form_defect(parts, s, t)
-            assert abs(unitarity_defect(parts, s, t) - expected) <= 1e-13 * expected
-
-    @pytest.mark.parametrize("n", [cli._DEFECT_BLOCK_COLS - 1, 2 * cli._DEFECT_BLOCK_COLS + 3])
-    def test_blocked_unitarity_defect(self, n):
-        # the columns are taken a block at a time; the last block is short
-        rng = np.random.default_rng(n)
-        dim = DimensionSpec(size=n - 1, decrease_prob=tuple(rng.uniform(0.02, 0.98, n - 2)))
-        s = spectral.dimension_spectrum(dim)
-        parts = rng.standard_normal((2, n, n)) / math.sqrt(n)
-        expected = spectral_form_defect(parts, s, 2.5)
-        assert abs(unitarity_defect(parts, s, 2.5) - expected) <= 1e-13 * expected
-        parts[1, 0, n - 1] = np.nan  # one NaN in the last block
-        assert math.isnan(unitarity_defect(parts, s, 2.5))
-
-    def test_a_nan_in_the_last_block_fails(self, tmp_path, monkeypatch):
-        # 65 states: the last block of columns is the last column alone
-        real = cli.propagator_parts
+    def test_a_nan_in_one_propagator_entry_fails(self, tmp_path, monkeypatch):
+        # the factorized side carries the NaN into both probe readings
+        real = ctqw.propagator_parts
 
         def with_nan(*args):
             parts = real(*args)
             parts[0, -1, -1] = np.nan
             return parts
 
-        monkeypatch.setattr(cli, "propagator_parts", with_nan)
+        monkeypatch.setattr(ctqw, "propagator_parts", with_nan)
         out = tmp_path / "report.json"
-        config = write_config(tmp_path, dims=[{"size": 2 * cli._DEFECT_BLOCK_COLS}], time=1.0)
+        config = write_config(tmp_path, dims=[{"size": 64}], time=1.0)
         assert main(["verify", "--config", config, "--output", str(out)]) == 1
         report = json.loads(out.read_text())
-        assert math.isnan(report["unitarity_defect"]) and report["pass"] is False
-        for key in ("theorem1_max_abs_err", "orthogonality_defect", "eigen_residual"):
+        assert math.isnan(report["theorem1_max_abs_err"]) and math.isnan(report["unitarity_defect"])
+        assert report["pass"] is False
+        for key in ("orthogonality_defect", "eigen_residual", "detailed_balance_defect"):
             assert report[key] <= 1e-10
-
-    def test_a_unitary_of_another_time_fails(self):
-        # the 90-state urn's U built at t + 1e-6 is unitary, so its Gram U^dagger U
-        # is I; it is not the walk's unitary at t, and the check against that fails
-        s = spectral.dimension_spectrum(ehrenfest_dimension(89))
-        parts = ctqw.propagator_parts(s, 1.3 + 1e-6)
-        u = parts[0] + 1j * parts[1]
-        assert np.max(np.abs(u.conj().T @ u - np.eye(len(u)))) <= cli.VERIFY_TOLERANCE
-        defect = unitarity_defect(parts, s, 1.3)
-        assert defect > 1e3 * cli.VERIFY_TOLERANCE
-        # the entries are O(1), so their rounding bounds the difference, not the defect
-        assert abs(defect - spectral_form_defect(parts, s, 1.3)) <= 1e-14
-
-    def test_unitarity_defect_holds_a_few_blocks(self):
-        # the 1024-state urn's U: each step of the check holds its input and
-        # output blocks of 2 x _DEFECT_BLOCK_COLS x n doubles, 512 KiB each; a
-        # Gram would hold n x n complex entries, 16 MiB
-        s = spectral.dimension_spectrum(ehrenfest_dimension(1023))
-        parts = ctqw.propagator_parts(s, 1.3)
-        tracemalloc.start()
-        try:
-            defect = unitarity_defect(parts, s, 1.3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        block = 8 * 2 * cli._DEFECT_BLOCK_COLS * s.n_states
-        assert peak <= 2 * block + 2**18  # 256 KiB for the phases and the Python objects
-        assert defect <= 1e-10
 
     def test_probe_stage_holds_a_few_probe_sized_arrays(self):
         # 8 x 16 x 16 states at t = 7.3: both sides of the probe check hold
@@ -936,12 +902,16 @@ class TestVerify:
                 spec, kernels, rows, 7.3
             ).reshape(2, 2, 2, -1)
             left = ((even_re - odd_im) + 1j * (even_im + odd_re)).reshape(probes.shape)
-            error = np.max(np.abs(left - cli._factorized_propagate(spec, spectra, probes, 7.3)))
+            right = cli._factorized_propagate(spec, spectra, probes, 7.3)
+            error = np.max(np.abs(left - right))
+            norms = np.linalg.norm(probes.reshape(2, -1), axis=1)
+            ratios = np.linalg.norm(right.reshape(2, -1), axis=1) / norms
+            defect = np.max(np.abs(ratios * ratios - 1.0))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 12 * probes.nbytes
-        assert error <= 1e-12
+        assert error <= 1e-12 and defect <= 1e-14
 
     @pytest.mark.parametrize("shape", [(1,), (2, 3), (8, 16, 16)])
     def test_probes_are_the_seeded_standard_library_phases(self, shape):
@@ -995,6 +965,30 @@ class TestVerify:
         monkeypatch.setattr(ctqw, "propagator_parts", lambda s, t: FACTOR_FAULTS[fault](real, s, t))
         code, chunks = cli.run_verify(FAULT_CONFIG)
         assert json.loads("".join(chunks))["theorem1_max_abs_err"] > cli.VERIFY_TOLERANCE
+        assert code == 1
+
+    def test_a_scaled_factor_fails_the_norm_check(self, monkeypatch):
+        # each U_l times 1 + 1e-9 scales the probes' squared norms by (1 + 1e-9)^6
+        real, fault = ctqw.propagator_parts, FACTOR_FAULTS["every U_l x (1 + 1e-9)"]
+        monkeypatch.setattr(ctqw, "propagator_parts", lambda s, t: fault(real, s, t))
+        code, chunks = cli.run_verify(FAULT_CONFIG)
+        assert json.loads("".join(chunks))["unitarity_defect"] > cli.VERIFY_TOLERANCE
+        assert code == 1
+
+    @pytest.mark.parametrize("fault", BASIS_FAULTS)
+    def test_a_non_orthonormal_basis_fails(self, monkeypatch, fault):
+        # the norm check need not see these: the probe and orthogonality checks do
+        real = cli.chain_spectra
+
+        def with_fault(spec):
+            first, *rest = real(spec)
+            return (BASIS_FAULTS[fault](first), *rest)
+
+        monkeypatch.setattr(cli, "chain_spectra", with_fault)
+        code, chunks = cli.run_verify(FAULT_CONFIG)
+        report = json.loads("".join(chunks))
+        assert report["theorem1_max_abs_err"] > cli.VERIFY_TOLERANCE
+        assert report["orthogonality_defect"] > cli.VERIFY_TOLERANCE
         assert code == 1
 
     def test_output_is_byte_identical_across_runs(self, tmp_path):
@@ -1639,6 +1633,23 @@ class TestOracleCapResolution:
             "error: time[0]: 5.0 is beyond the oracle cap of 4 on |t|: "
             "the Chebyshev series takes about |t| terms\n"
         )
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["verify"], ["simulate", "--dense"]])
+    def test_a_huge_product_space_exits_3_in_a_short_message(
+        self, tmp_path, capsys, monkeypatch, argv
+    ):
+        # 2^15000 states have 4516 digits, past int-to-str's default limit of 4300:
+        # writing them raised ValueError, which exited 2
+        monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
+        out = tmp_path / "out"
+        config = write_config(tmp_path, dims=[{"size": 1}] * 15000, time=1.0)
+        assert main([*argv, "--config", config, "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err == (
+            "error: product space has at least 2^15000 states, exceeding the oracle cap of 4096\n"
+        )
+        assert len(err.encode()) < 200
         assert not out.exists()
 
     def test_bench_skips_the_column_for_a_time_over_the_cap(self, tmp_path):

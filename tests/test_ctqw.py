@@ -407,6 +407,39 @@ class TestFactorizedVsDense:
         assert np.max(np.abs(joint - column)) <= 1e-12
 
 
+class TestCheckOracleWork:
+    def test_cap_is_inclusive_and_named(self):
+        ctqw._check_oracle_work(4096, (), 4096)
+        size = uniform_multi_chain(ehrenfest_dimension(1), 13).product_size
+        with pytest.raises(SizeLimitError, match="8192 states, exceeding the oracle cap of 4096"):
+            ctqw._check_oracle_work(size, (), 4096)
+        with pytest.raises(SizeLimitError, match="128 states, exceeding the oracle cap of 64"):
+            ctqw._check_oracle_work(128, (), 64)
+
+    def test_the_cap_has_no_default(self):
+        # every caller passes the cap it resolved; there is no second default to drift
+        with pytest.raises(TypeError):
+            ctqw._check_oracle_work(4097, ())
+
+    @pytest.mark.parametrize(
+        "size, states",
+        [
+            (2**63 - 1, "9223372036854775807"),
+            (2**63, "at least 2^63"),
+            (2**64 - 1, "at least 2^63"),
+            (2**15000, "at least 2^15000"),
+            (3**10000, "at least 2^15849"),
+        ],
+        ids=["2^63-1", "2^63", "2^64-1", "2^15000", "3^10000"],  # ids without str(size)
+    )
+    def test_a_size_from_2_to_the_63_is_named_by_its_bit_length(self, size, states):
+        # str(size) raises ValueError past 4300 digits, and 2^4000 has 1205 of them
+        with pytest.raises(SizeLimitError) as raised:
+            ctqw._check_oracle_work(size, (), 4096)
+        expected = f"product space has {states} states, exceeding the oracle cap of 4096"
+        assert str(raised.value) == expected
+
+
 class TestChebyshevPropagation:
     """verify's spectrum-free side of Theorem 1: e^{itH} x from Chebyshev terms of H."""
 
