@@ -87,9 +87,28 @@ class MultiChainSpec:
         """Per-dimension state counts, first dimension most significant; built once."""
         return tuple(d.n_states for d in self.dims)
 
-    @property
+    @cached_property
     def product_size(self) -> int:
+        """Number of product-space states; computed once."""
         return math.prod(self.shape)
+
+    @cached_property
+    def distinct(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """``(first, index)``: the distinct dimensions, numbered once; computed once.
+
+        Dimensions are compared by value and numbered in order of first
+        appearance: ``first[i]`` is the position where distinct dimension i
+        first appears and ``index[l]`` is the number of ``dims[l]``.  Every
+        stage that works once per distinct dimension reads this.  A repeated
+        object is matched by identity first, so each object is hashed once,
+        and the whole index is O(d) dict work.
+        """
+        objects = dict(zip(map(id, self.dims), self.dims))  # each object once, in order
+        numbers: dict[DimensionSpec, int] = {}
+        by_id = {key: numbers.setdefault(dim, len(numbers)) for key, dim in objects.items()}
+        index = tuple(map(by_id.__getitem__, map(id, self.dims)))
+        # return_index gives each number's first position, in the numbers' order
+        return tuple(np.unique(index, return_index=True)[1].tolist()), index
 
 
 def uniform_multi_chain(dim: DimensionSpec, d: int) -> MultiChainSpec:

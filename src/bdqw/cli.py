@@ -46,7 +46,6 @@ from .chain import (
     uniform_multi_chain,
 )
 from .ctqw import (
-    _axis_kernels,
     _chebyshev_propagate,
     _check_oracle_work,
     _factorized_propagate,
@@ -56,7 +55,7 @@ from .ctqw import (
     transition_row,
 )
 from .errors import NumericalError, SizeLimitError
-from .spectral import SpectralData, chain_spectra, orthogonality_defect
+from .spectral import SpectralData, chain_spectra, orthogonality_defect, symmetrize
 from .stats import clt_distance, convolve_sweep, moments
 
 ENV_ORACLE_CAP = "BDQW_ORACLE_CAP"
@@ -443,25 +442,24 @@ def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
     spec = config.spec
     _check_oracle_work(spec.product_size, config.times, config.oracle_cap, config.times_field)
     spectra = chain_spectra(spec)
-    kernels = _axis_kernels(spec)
 
     # per-check defects, folded by np.max so that a NaN fails the check
     balance, residual = [], []
-    for dim, (s, kernel) in dict(zip(spec.dims, zip(spectra, kernels))).items():  # distinct dims
-        m = build_conditional_matrix(dim)
+    for l in spec.distinct[0]:  # once per distinct dimension
+        m = build_conditional_matrix(spec.dims[l])
         pi = stationary_distribution(m)
         balance.append(np.max(np.abs(pi[:-1] * np.diag(m, 1) - pi[1:] * np.diag(m, -1))))
         balance.append(np.max(np.abs(pi @ m - pi)))
         # J V = V Lambda ties the spectra to the kernel, as the probe check below does
-        v = s.eigenvectors
-        residual.append(np.max(np.abs(kernel @ v - v * s.eigenvalues)))
+        v = spectra[l].eigenvectors
+        residual.append(np.max(np.abs(symmetrize(m) @ v - v * spectra[l].eigenvalues)))
 
     probes = _probes(spec.shape)
     rows = np.concatenate((probes.real, probes.imag)).reshape(4, -1)  # real parts, then imaginary
     norms = np.linalg.norm(probes.reshape(2, -1), axis=1)
     theorem1, unitarity = [], []
     for t in config.times:
-        sums = _chebyshev_propagate(spec, kernels, rows, t)
+        sums = _chebyshev_propagate(spec, rows, t)
         (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, 2, -1)
         left = ((even_re - odd_im) + 1j * (even_im + odd_re)).reshape(probes.shape)
         right = _factorized_propagate(spec, spectra, probes, t)
@@ -638,18 +636,16 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
     _json_array, byte for byte as json.dumps writes them, without the
     encoder.
     """
-    dims = config.spec.dims
-    spectra: dict[DimensionSpec, dict[str, np.ndarray]] = {}
-    for idx, (dim, spectrum) in enumerate(zip(dims, chain_spectra(config.spec))):
-        if dim not in spectra:
-            spectra[dim] = _spectrum_keys(spectrum, f"dims[{idx}] (size {dim.size})")
+    dims, (first, index) = config.spec.dims, config.spec.distinct
+    spectra = chain_spectra(config.spec)
+    keys = [_spectrum_keys(spectra[l], f"dims[{l}] (size {dims[l].size})") for l in first]
 
     def chunks() -> Iterator[str]:
         yield '{\n  "dimensions": ['
-        for idx, dim in enumerate(dims):
+        for idx, (dim, i) in enumerate(zip(dims, index)):
             separator = "," if idx else ""
             yield f'{separator}\n    {{\n      "index": {idx + 1},\n      "size": {dim.size}'
-            for key, values in spectra[dim].items():
+            for key, values in keys[i].items():
                 yield f',\n      "{key}": '
                 yield from _json_array(values, 3)
             yield "\n    }"

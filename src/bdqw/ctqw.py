@@ -14,21 +14,24 @@ Two evaluation routes are provided:
   e.g. by spectral.chain_spectra): a product of d small one-dimensional
   calculations that never touches the product space.  Every one of them is
   a slice of one kernel, the elements of V diag(e^{i t lambda}) V^T for one
-  dimension's basis V; dimensions that share a spectrum and a start (and a
-  target) differ only in their time q_l * t, so each such group is one
-  kernel call over its rescaled times; and
+  dimension's basis V; equal dimensions (one number of the chain's index
+  MultiChainSpec.distinct) that share a start (and a target) differ only in
+  their time q_l * t, so each such group is one kernel call over its
+  rescaled times; and
 * one product-space oracle that reads no eigenpair: _chebyshev_propagate
-  sums Chebyshev terms of H built from the kernels J_l alone, so it checks
-  Theorem 1 independently of the spectra.  dense_position_distribution is
-  its column |e^{itH} e_j|^2, and the CLI's verify applies it to probe
-  vectors against _factorized_propagate, which applies each dimension's
-  propagator along its axis.  It costs about |t| terms over the product
+  sums Chebyshev terms of H built from the kernels J_l alone, each built
+  once per distinct dimension, so it checks Theorem 1 independently of the
+  spectra.  dense_position_distribution is its column |e^{itH} e_j|^2, and
+  the CLI's verify applies it to probe vectors against
+  _factorized_propagate, which applies each dimension's propagator along
+  its axis.  It costs about |t| terms over the product
   space, so the oracle cap bounds both the product size and |t|.
 
 The phase t * lambda carries an absolute error of about |t| eps, and the
 probabilities inherit it: from position 0 of the Ehrenfest urn (N = 3, 7,
 96) they stay within 0.57 |t| eps of Binomial(N, sin^2(t/N)) for t >= 100,
-and within a few eps at t = 1.
+and within a few eps at t = 1.  No route bounds |t| by a phase budget (the
+CLI does), but a NaN or infinite time raises ValueError naming t.
 
 Everything here is a pure function of immutable inputs; per-dimension
 propagators and per-pair evaluations can be computed concurrently.
@@ -46,7 +49,7 @@ import numpy as np
 
 from .chain import DEFAULT_ORACLE_CAP, MultiChainSpec, build_conditional_matrix
 from .errors import NumericalError, SizeLimitError
-from .spectral import SpectralData, SymmetricTridiagonal, symmetrize
+from .spectral import SpectralData, symmetrize
 
 # Elements of one stacked (times, rows, n) phase product in a grouped kernel call: 4 MiB.
 _GROUP_CHUNK = 1 << 19
@@ -86,7 +89,11 @@ def _amplitudes(
     time's block is bit-identical to its own call; an integer row would turn
     the per-time dot products into one gemv, whose sums differ in the last
     bits.
+
+    Raises ValueError naming ``t`` for a NaN or infinite time.
     """
+    if not np.isfinite(t).all():  # NaN-aware: a NaN fails it
+        raise ValueError(f"t must be finite, got {t}")
     lam_t = np.multiply.outer(t, values)
     left, right = vectors[row], vectors[col].T
     cos, sin = np.cos(lam_t), np.sin(lam_t)
@@ -168,14 +175,15 @@ def transition_prob_factorized(
     Each dimension l contributes its one-dimensional transition probability
     at the rescaled elapsed time q_l * t; the factors are multiplied in
     dimension order.  Never touches the product space, so it scales to
-    dimensions where the dense route is infeasible.
+    dimensions where the dense route is infeasible.  ``spectra[l]`` is
+    ``dims[l]``'s spectrum (chain_spectra gives them), so equal dimensions
+    are evaluated on the spectrum of the first of them in each group.
 
     Raises NumericalError, giving log10 of the product summed over the
     factors, when their product rounds to 0.0 although every factor is above
     the rounding noise _FACTOR_NOISE; with a factor in that noise the product
     is 0 within rounding, and is returned as computed.
     """
-    _check_multi(spec, spectra, {"j": tuple(j), "k": tuple(k)})
     factors = np.empty(spec.n_dims)
     for _, members, probs in _grouped_factors(spec, spectra, (t,), j, k):
         factors[members] = probs[:, 0]
@@ -196,6 +204,7 @@ def position_distribution(
 
     Entry l is dimension l's distribution at the rescaled time q_l * t; the
     marginals are independent, so their outer product is the joint law.
+    ``spectra[l]`` is ``dims[l]``'s spectrum, as in transition_prob_factorized.
     """
     laws = _marginal_laws(spec, spectra, (t,), j)[0]
     return tuple(np.split(laws, np.cumsum(spec.shape)[:-1]))
@@ -212,7 +221,6 @@ def _marginal_laws(
     Row i holds every dimension's law at times[i], dimension after
     dimension, as one array rather than one view per dimension.
     """
-    _check_multi(spec, spectra, {"j": tuple(j)})
     starts = np.cumsum((0,) + spec.shape[:-1])  # where each dimension's law begins in a row
     out = np.empty((len(times), sum(spec.shape)))
     for i, members, laws in _grouped_factors(spec, spectra, times, j):
@@ -229,18 +237,21 @@ def _grouped_factors(
 ) -> Iterator[tuple[int, list[int], np.ndarray]]:
     """The 1-D probabilities from j_l at the rescaled times q_l * t, by groups of dimensions.
 
-    Dimensions with the same spectrum object, start j_l and target k_l
-    differ only in their time, so each such group is one kernel call per
-    time t in ``times`` and per chunk of its rescaled times.  Yields the
+    ``spectra[l]`` is ``dims[l]``'s spectrum, so equal dimensions (one
+    number of ``spec.distinct``) with the same start j_l and target k_l
+    differ only in their time, and each such group is one kernel call per
+    time t in ``times`` and per chunk of its rescaled times, on the
+    spectrum of its first member.  The spectra and indices are checked
+    (_check_multi) before the first kernel call.  Yields the
     index of t, the chunk's dimensions and, row by row, their position laws
     (transition_row) or, with ``k``, their one-element probabilities of
     reaching k_l; each row is bit-identical to its own kernel call.  A
     chunk's stacked (times, rows, n) phase products hold at most
     _GROUP_CHUNK elements.
     """
+    _check_multi(spec, spectra, {"j": tuple(j)} if k is None else {"j": tuple(j), "k": tuple(k)})
     groups: dict[tuple, list[int]] = defaultdict(list)
-    targets = (None,) * len(j) if k is None else k
-    for l, key in enumerate(zip(map(id, spectra), j, targets)):
+    for l, key in enumerate(zip(spec.distinct[1], j, (None,) * len(j) if k is None else k)):
         groups[key].append(l)
     select_prob = np.array(spec.select_prob)
     for i, t in enumerate(times):
@@ -286,24 +297,18 @@ def _bessel_coefficients(t: float) -> np.ndarray:
     return j
 
 
-def _axis_kernels(spec: MultiChainSpec) -> tuple[SymmetricTridiagonal, ...]:
-    """J_l = symmetrize(build_conditional_matrix(dim_l)) per axis, built once per distinct dim_l."""
-    built = {dim: symmetrize(build_conditional_matrix(dim)) for dim in dict.fromkeys(spec.dims)}
-    return tuple(map(built.__getitem__, spec.dims))
-
-
-def _chebyshev_propagate(
-    spec: MultiChainSpec, kernels: tuple[SymmetricTridiagonal, ...], rows: np.ndarray, t: float
-) -> np.ndarray:
+def _chebyshev_propagate(spec: MultiChainSpec, rows: np.ndarray, t: float) -> np.ndarray:
     """The even and odd Chebyshev sums of e^{itH} on real ``rows``, one (2, m, size) array.
 
-    H = sum_l q_l J_l, with J_l = ``kernels[l]`` acting on axis l of each of
-    the m rows of ``rows``, read as product-space vectors of ``spec.shape``.
-    No eigenpair is read.  H's spectrum lies in [-1, 1] (each J_l is similar
-    to a stochastic kernel and the q_l sum to 1), so e^{itH} x is the
-    Chebyshev series J_0(t) x + 2 sum_{k>=1} i^k J_k(t) T_k(H) x (Tal-Ezer &
-    Kosloff, J. Chem. Phys. 81, 3967, 1984), cut where _bessel_coefficients
-    cuts it.  H is real, so for a real x the terms with even k, whose i^k is
+    H = sum_l q_l J_l, with J_l = symmetrize(build_conditional_matrix(dims[l]))
+    acting on axis l of each of the m rows of ``rows``, read as
+    product-space vectors of ``spec.shape``; each J_l is built once per
+    distinct dimension (``spec.distinct``).  No eigenpair is read.  H's
+    spectrum lies in [-1, 1] (each J_l is similar to a stochastic kernel
+    and the q_l sum to 1), so e^{itH} x is the Chebyshev series
+    J_0(t) x + 2 sum_{k>=1} i^k J_k(t) T_k(H) x (Tal-Ezer & Kosloff, J. Chem.
+    Phys. 81, 3967, 1984), cut where _bessel_coefficients cuts it.  H is
+    real, so for a real x the terms with even k, whose i^k is
     (-1)^{k // 2}, sum to the real part and those with odd k to the
     imaginary part: e^{itH} x = even + i odd.  A complex vector goes as its
     real and imaginary parts, two rows, whose four sums its caller combines.
@@ -320,6 +325,8 @@ def _chebyshev_propagate(
     coeffs[1:] *= 2.0
     coeffs[2::4] *= -1.0
     coeffs[3::4] *= -1.0  # i^k is (-1)^{k // 2}, times i for odd k
+    built = [symmetrize(build_conditional_matrix(spec.dims[l])) for l in spec.distinct[0]]
+    kernels = [built[i] for i in spec.distinct[1]]
     size = stride = spec.product_size
     steps = []  # s_l, and the weights of the flat indices up to size - s_l
     for n, q, kernel in zip(spec.shape, spec.select_prob, kernels):
@@ -374,7 +381,7 @@ def _check_oracle_work(size: int, times: tuple[float, ...], cap: int, field: str
     A size of 2^63 or more is named by its bit length, as "at least 2^k",
     not in decimal: past int-to-str's digit limit (4300 digits by default)
     str() raises ValueError, and below it the message could run to
-    thousands of digits.
+    thousands of digits.  A NaN or infinite time raises ValueError.
     """
     if size > cap:
         states = size if size < 2**63 else f"at least 2^{size.bit_length() - 1}"
@@ -382,6 +389,8 @@ def _check_oracle_work(size: int, times: tuple[float, ...], cap: int, field: str
             f"product space has {states} states, exceeding the oracle cap of {cap}"
         )
     for idx, t in enumerate(times):
+        if not math.isfinite(t):
+            raise ValueError(f"{field}[{idx}]: {t} is not a finite time")
         if abs(t) > cap:
             raise SizeLimitError(
                 f"{field}[{idx}]: {t} is beyond the oracle cap of {cap} on |t|: "
@@ -403,7 +412,7 @@ def dense_position_distribution(
     _check_oracle_work(spec.product_size, (t,), oracle_cap)
     start = np.zeros((1, spec.product_size))
     start[0, np.ravel_multi_index(tuple(j), spec.shape)] = 1.0
-    return _probabilities(_chebyshev_propagate(spec, _axis_kernels(spec), start, t)[:, 0])
+    return _probabilities(_chebyshev_propagate(spec, start, t)[:, 0])
 
 
 def ehrenfest_sum_law(d: int, t: float) -> np.ndarray:

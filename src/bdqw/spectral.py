@@ -317,19 +317,17 @@ def dimension_spectrum(spec: DimensionSpec) -> SpectralData:
 def chain_spectra(spec: MultiChainSpec) -> tuple[SpectralData, ...]:
     """Spectra of a chain's dimensions in order, one eigensolve per distinct dimension.
 
-    Repeated objects are found by identity first, so only distinct objects
-    are hashed.  A NumericalError is prefixed with ``dims[i] (size N): ``,
-    i the first index of the dimension that failed.
+    Each distinct dimension of ``spec.distinct`` is solved at its first
+    position, and equal dimensions share the result.  A NumericalError is
+    prefixed with ``dims[i] (size N): ``, i that first position.
     """
-    objects = dict(zip(map(id, spec.dims), spec.dims))
-    solved = {}
-    for dim in dict.fromkeys(objects.values()):
+    solved = []
+    for l in spec.distinct[0]:
         try:
-            solved[dim] = dimension_spectrum(dim)
+            solved.append(dimension_spectrum(spec.dims[l]))
         except NumericalError as exc:
-            raise NumericalError(f"dims[{spec.dims.index(dim)}] (size {dim.size}): {exc}") from exc
-    by_id = {key: solved[dim] for key, dim in objects.items()}
-    return tuple(map(by_id.__getitem__, map(id, spec.dims)))
+            raise NumericalError(f"dims[{l}] (size {spec.dims[l].size}): {exc}") from exc
+    return tuple(map(solved.__getitem__, spec.distinct[1]))
 
 
 def orthogonality_defect(datasets: list[SpectralData] | tuple[SpectralData, ...]) -> float:

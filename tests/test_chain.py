@@ -6,6 +6,7 @@ import copy
 import dataclasses
 import math
 import pickle
+import time
 
 import numpy as np
 import pytest
@@ -80,9 +81,9 @@ class TestMultiChainSpec:
         assert abs(sum(spec.select_prob) - 1.0) <= 1e-12
 
     def test_cached_shape_leaves_the_value_semantics_alone(self):
-        # shape is built once per spec and kept in the instance; it is not a
-        # field, so equality, hashing, replace, pickle and deepcopy see only
-        # dims and select_prob
+        # shape, product_size and distinct are built once per spec and kept in
+        # the instance; they are not fields, so equality, hashing, replace,
+        # pickle and deepcopy see only dims and select_prob
         dims = [ehrenfest_dimension(2), DimensionSpec(size=1), ehrenfest_dimension(4)]
         spec = MultiChainSpec(dims=dims, select_prob=(0.5, 0.25, 0.25))  # a list of dims
         fresh = MultiChainSpec(dims=tuple(dims), select_prob=(0.5, 0.25, 0.25))
@@ -90,6 +91,8 @@ class TestMultiChainSpec:
         assert spec.shape == tuple(d.n_states for d in dims) == (3, 2, 5)
         assert spec.shape is spec.shape  # computed once
         assert spec.product_size == 30
+        assert spec.distinct == ((0, 1, 2), (0, 1, 2))
+        assert spec.distinct is spec.distinct  # computed once
         assert spec == fresh and hash(spec) == hash(fresh)  # fresh has no cached shape yet
         assert [f.name for f in dataclasses.fields(spec)] == ["dims", "select_prob"]
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -97,10 +100,49 @@ class TestMultiChainSpec:
         for other in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
             assert other == spec and hash(other) == hash(spec)
             assert other.shape == spec.shape
+            assert other.product_size == spec.product_size
+            assert other.distinct == spec.distinct
         swapped = dataclasses.replace(spec, dims=(DimensionSpec(size=1),) + spec.dims[1:])
         assert swapped.shape == (2, 2, 5) and spec.shape == (3, 2, 5)
+        assert swapped.product_size == 20 and spec.product_size == 30
+        assert swapped.distinct == ((0, 2), (0, 0, 1)) and spec.distinct == ((0, 1, 2), (0, 1, 2))
         assert swapped != spec
         assert dataclasses.replace(spec) == spec
+        # a big product size is one int object, not a fresh product per access
+        big = uniform_multi_chain(ehrenfest_dimension(1), 4000)
+        assert big.product_size == 2**4000
+        assert big.product_size is big.product_size
+
+    def test_distinct_hashes_each_object_once(self):
+        # a repeated object is matched by identity before any hash; equal but
+        # separate objects are matched by value
+        hashed = []
+
+        class Counted(DimensionSpec):
+            def __hash__(self):
+                hashed.append(self)
+                return super().__hash__()
+
+        a, b, a_copy = Counted(size=1), Counted(size=3, decrease_prob=(0.2, 0.5)), Counted(size=1)
+        dims = (a,) * 500 + (b,) * 500 + (a_copy, a)
+        spec = MultiChainSpec(dims=dims, select_prob=(1 / 1002,) * 1002)
+        first, index = spec.distinct
+        assert first == (0, 500)
+        assert index == (0,) * 500 + (1,) * 500 + (0, 0)
+        assert len(hashed) == 3 and {id(dim) for dim in hashed} == {id(a), id(b), id(a_copy)}
+
+    def test_distinct_is_linear_in_the_dimensions(self):
+        # 20 000 pairwise-distinct dimensions: a quadratic index (a tuple.index
+        # scan per number) takes seconds, this one tens of milliseconds
+        dims = tuple(DimensionSpec(size=2, decrease_prob=(k / 20_001,)) for k in range(1, 20_001))
+        best = math.inf
+        for _ in range(3):
+            spec = MultiChainSpec(dims=dims, select_prob=(1 / 20_000,) * 20_000)
+            start = time.perf_counter()
+            first, index = spec.distinct
+            best = min(best, time.perf_counter() - start)
+        assert first == index == tuple(range(20_000))
+        assert best <= 0.5
 
 
 class TestConditionalMatrix:

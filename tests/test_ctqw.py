@@ -18,7 +18,6 @@ from bdqw import ctqw
 from bdqw.chain import (
     DimensionSpec,
     MultiChainSpec,
-    build_conditional_matrix,
     ehrenfest_dimension,
     uniform_multi_chain,
 )
@@ -35,7 +34,7 @@ from bdqw.ctqw import (
     transition_row,
 )
 from bdqw.errors import NumericalError, SizeLimitError
-from bdqw.spectral import SpectralData, chain_spectra, dimension_spectrum, symmetrize
+from bdqw.spectral import SpectralData, chain_spectra, dimension_spectrum
 from bdqw.stats import convolve_sum
 
 from conftest import (
@@ -70,8 +69,7 @@ def triple_loop_generator(spec: MultiChainSpec) -> np.ndarray:
 
 def oracle_propagator(spec: MultiChainSpec, t: float) -> np.ndarray:
     """The oracle's e^{itH} as one complex matrix: the Chebyshev sums of every e_j, as columns."""
-    kernels, starts = ctqw._axis_kernels(spec), np.eye(spec.product_size)
-    even, odd = ctqw._chebyshev_propagate(spec, kernels, starts, t)
+    even, odd = ctqw._chebyshev_propagate(spec, np.eye(spec.product_size), t)
     return (even + 1j * odd).T
 
 
@@ -439,6 +437,13 @@ class TestCheckOracleWork:
         expected = f"product space has {states} states, exceeding the oracle cap of 4096"
         assert str(raised.value) == expected
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_time_is_named(self, bad):
+        # abs(nan) > cap is False, so a NaN time passed the cap and reached the series
+        ctqw._check_oracle_work(4, (1.0, 4096.0), 4096, "time")
+        with pytest.raises(ValueError, match=r"^time\[1\]: .* is not a finite time$"):
+            ctqw._check_oracle_work(4, (1.0, bad), 4096, "time")
+
 
 class TestChebyshevPropagation:
     """verify's spectrum-free side of Theorem 1: e^{itH} x from Chebyshev terms of H."""
@@ -464,7 +469,6 @@ class TestChebyshevPropagation:
         )
         q = rng.uniform(0.1, 1.0, len(sizes))
         spec = MultiChainSpec(dims=dims, select_prob=tuple(q / q.sum()))
-        kernels = tuple(symmetrize(build_conditional_matrix(dim)) for dim in spec.dims)
         spectra = chain_spectra(spec)
         j = tuple(int(rng.integers(n)) for n in spec.shape)
         start = np.zeros((1, spec.product_size))
@@ -472,7 +476,7 @@ class TestChebyshevPropagation:
         basis = start.reshape((1,) + spec.shape).astype(complex)
         for t in (0.7, -7.3, 7.3, 60.0):
             expected = expm_oracle(spec, t)[:, np.ravel_multi_index(j, spec.shape)]
-            even, odd = ctqw._chebyshev_propagate(spec, kernels, start, t)[:, 0]
+            even, odd = ctqw._chebyshev_propagate(spec, start, t)[:, 0]
             assert np.max(np.abs(even + 1j * odd - expected)) <= 1e-13
             # the joint law is the column's two sums squared, a real start needing one row
             assert np.array_equal(dense_position_distribution(spec, t, j), even * even + odd * odd)
@@ -486,6 +490,22 @@ class TestChebyshevPropagation:
         expected = expm_oracle(spec, t)[:, np.ravel_multi_index(j, spec.shape)]
         law = dense_position_distribution(spec, t, j)
         assert np.max(np.abs(law - np.abs(expected) ** 2)) <= 1e-13
+
+    def test_each_kernel_is_built_once_per_distinct_dimension(self, monkeypatch):
+        # twelve equal but separate edges and one urn: two distinct dimensions
+        built = []
+        real = ctqw.build_conditional_matrix
+
+        def counted(dim):
+            built.append(dim)
+            return real(dim)
+
+        monkeypatch.setattr(ctqw, "build_conditional_matrix", counted)
+        dims = tuple(ehrenfest_dimension(1) for _ in range(12)) + (ehrenfest_dimension(2),)
+        spec = MultiChainSpec(dims=dims, select_prob=(1 / 13,) * 13)
+        law = dense_position_distribution(spec, 0.7, (0,) * 13, 2**14)
+        assert built == [dims[0], dims[12]]
+        assert abs(law.sum() - 1.0) <= 1e-12
 
     @pytest.mark.parametrize("n_balls, d", [(1, 16), (15, 4)])
     def test_column_holds_its_weights_and_a_few_rows(self, n_balls, d):
@@ -509,14 +529,13 @@ class TestChebyshevPropagation:
             dims=(ehrenfest_dimension(3), random_dimension_spec(np.random.default_rng(7), 6)),
             select_prob=(0.35, 0.65),
         )
-        kernels = tuple(symmetrize(build_conditional_matrix(dim)) for dim in spec.dims)
         spectra = chain_spectra(spec)
         probes = np.exp(2j * np.pi * np.random.default_rng(8).random((2,) + spec.shape))
         rows = np.concatenate((probes.real, probes.imag)).reshape(4, -1)
         for t in (0.0, 2.9):
-            both = ctqw._chebyshev_propagate(spec, kernels, rows, t)
+            both = ctqw._chebyshev_propagate(spec, rows, t)
             for i in range(4):
-                alone = ctqw._chebyshev_propagate(spec, kernels, rows[i : i + 1], t)
+                alone = ctqw._chebyshev_propagate(spec, rows[i : i + 1], t)
                 assert np.array_equal(both[:, i], alone[:, 0])
             # e^{itH}(a + ib) = (even_a - odd_b) + i (odd_a + even_b), a and b real
             (even_re, even_im), (odd_re, odd_im) = both.reshape(2, 2, 2, -1)
@@ -634,6 +653,15 @@ class TestGroupedFactors:
         pairs = {(id(s), jl, kl) for s, jl, kl in zip(spectra, j, k)}
         assert len(calls) == len(pairs) == 8
 
+        # two equal but separate dimensions, each with a spectrum of its own
+        # solve: spectra[l] is dims[l]'s spectrum, so they are one group
+        first, second = ehrenfest_dimension(5), ehrenfest_dimension(5)
+        spec = MultiChainSpec(dims=(first, second), select_prob=(0.4, 0.6))
+        spectra = (dimension_spectrum(first), dimension_spectrum(second))
+        calls.clear()
+        position_distribution(spec, spectra, 1.0, (2, 2))
+        assert calls == [(2,)]
+
         n, d = 121, 400
         urn = ehrenfest_dimension(n - 1)
         spectra = (dimension_spectrum(urn),) * d
@@ -744,6 +772,33 @@ class TestHugeTime:
         p = math.sin(t / n_balls) ** 2
         expected = scipy.stats.binom.pmf(np.arange(n_balls + 1), n_balls, p)
         assert np.max(np.abs(row - expected)) <= 16 * eps + abs(t) * eps
+
+
+class TestNonFiniteTime:
+    """A NaN or infinite time has no law: every route raises ValueError naming t."""
+
+    SPEC = MultiChainSpec(
+        dims=(ehrenfest_dimension(1), ehrenfest_dimension(3)), select_prob=(0.5, 0.5)
+    )
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize(
+        "route",
+        [
+            lambda s, t: transition_row(s[0], t, 0),
+            lambda s, t: transition_prob_1d(s[0], t, 0, 1),
+            lambda s, t: transition_matrix_1d(s[1], t),
+            lambda s, t: propagator_parts(s[1], t),
+            lambda s, t: transition_prob_factorized(TestNonFiniteTime.SPEC, s, t, (0, 1), (1, 2)),
+            lambda s, t: position_distribution(TestNonFiniteTime.SPEC, s, t, (0, 1)),
+            lambda s, t: dense_position_distribution(TestNonFiniteTime.SPEC, t, (0, 1)),
+        ],
+        ids=["row", "1d", "matrix", "propagator", "factorized", "marginals", "dense"],
+    )
+    def test_raises_naming_t(self, route, bad):
+        spectra = chain_spectra(self.SPEC)
+        with pytest.raises(ValueError, match=r"^t\b.*finite"):
+            route(spectra, bad)
 
 
 class TestEhrenfestSumLaw:

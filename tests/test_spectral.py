@@ -555,6 +555,20 @@ class TestChainSpectra:
         for dim, s in zip(spec.dims, spectra):
             assert np.array_equal(s.eigenvectors, dimension_spectrum(dim).eigenvectors)
 
+    def test_the_dimensions_are_numbered_once_by_value(self):
+        # the chain of test_one_eigensolve_per_distinct_dimension: numbers in
+        # order of first appearance, equal dimensions one number, solved at first
+        a, c = ehrenfest_dimension(3), ehrenfest_dimension(1)
+        b, b_copy = (DimensionSpec(size=2, decrease_prob=(0.3,)) for _ in range(2))
+        dims = (a, b, ehrenfest_dimension(3), c, b, a, b_copy)
+        spec = MultiChainSpec(dims=dims, select_prob=(1 / 7,) * 7)
+        first, index = spec.distinct
+        assert first == (0, 1, 3)
+        assert index == (0, 1, 0, 2, 1, 0, 1)
+        assert all(dims[first[i]] == dim for i, dim in zip(index, dims))
+        spectra = chain_spectra(spec)
+        assert all(spectra[l] is spectra[first[i]] for l, i in enumerate(index))
+
     def test_a_failure_names_the_first_index_of_equal_objects(self):
         # two separate but equal double wells that the eigensolver cannot resolve
         first, second = double_well(42), double_well(42)
