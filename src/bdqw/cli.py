@@ -412,29 +412,31 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
 
 
 def _probes(shape: tuple[int, ...]) -> np.ndarray:
-    """verify's two probe vectors, stacked: shape ``(2,) + shape``, entries e^{2 pi i u}.
+    """verify's two real probe vectors, stacked: shape ``(2,) + shape``, entries in [-1, 1).
 
-    Each u is 53 bits of ``random.Random(_PROBE_SEED).randbytes``, read as a
-    little-endian uint64 and shifted into a double in [0, 1).  The standard
-    library's generator spares the import of numpy.random, and one bytes
-    object makes no Python object per entry.
+    Each entry is 53 bits of ``random.Random(_PROBE_SEED).randbytes``, read
+    as a little-endian uint64, times 2^-52, minus 1: exact in a double.  The
+    standard library's generator spares the import of numpy.random, and one
+    bytes object makes no Python object per entry.
     """
     count = 2 * math.prod(shape)
     words = np.frombuffer(random.Random(_PROBE_SEED).randbytes(8 * count), dtype="<u8")
-    phases = (words >> np.uint64(11)).astype(float)
-    del words  # and with it the bytes, so at most 24 bytes per entry are held
-    phases *= 2.0**-53
-    probes = phases * (2j * np.pi)
-    return np.exp(probes, out=probes).reshape((2,) + shape)
+    bits = words >> np.uint64(11)
+    del words  # and with it the bytes, so at most 16 bytes per entry are held
+    probes = bits * 2.0**-52
+    probes -= 1.0
+    return probes.reshape((2,) + shape)
 
 
 def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
     """The five defects at every configured time, and whether each is within VERIFY_TOLERANCE.
 
     Theorem 1 is checked as the operator identity e^{itH} = (x)_l e^{i q_l t J_l}
-    on two fixed probe vectors (Freivalds, 1977): the left side by Chebyshev
-    propagation of H, which reads the kernels J_l and no eigenpair, the right
-    side one dimension's propagator at a time.  ``unitarity_defect`` is the
+    on two fixed real probe vectors (Freivalds, 1977), which fix a
+    complex-linear operator as complex ones would: the left side by
+    Chebyshev propagation of H, which reads the kernels J_l and no
+    eigenpair, as its even and odd sums, even + i odd; the right side one
+    dimension's propagator at a time.  ``unitarity_defect`` is the
     norm check of the right side on the same probes, max |(|y| / |x|)^2 - 1|
     with y = (x)_l U_l x.  The product size and every |t| are checked
     against the oracle cap before any spectrum is solved.
@@ -455,13 +457,11 @@ def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
         residual.append(np.max(np.abs(symmetrize(m) @ v - v * spectra[l].eigenvalues)))
 
     probes = _probes(spec.shape)
-    rows = np.concatenate((probes.real, probes.imag)).reshape(4, -1)  # real parts, then imaginary
     norms = np.linalg.norm(probes.reshape(2, -1), axis=1)
     theorem1, unitarity = [], []
     for t in config.times:
-        sums = _chebyshev_propagate(spec, rows, t)
-        (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, 2, -1)
-        left = ((even_re - odd_im) + 1j * (even_im + odd_re)).reshape(probes.shape)
+        even, odd = _chebyshev_propagate(spec, probes.reshape(2, -1), t)
+        left = (even + 1j * odd).reshape(probes.shape)
         right = _factorized_propagate(spec, spectra, probes, t)
         theorem1.append(np.max(np.abs(left - right)))
         ratios = np.linalg.norm(right.reshape(2, -1), axis=1) / norms  # a unitary keeps each norm

@@ -22,7 +22,7 @@ Two evaluation routes are provided:
   sums Chebyshev terms of H built from the kernels J_l alone, each built
   once per distinct dimension, so it checks Theorem 1 independently of the
   spectra.  dense_position_distribution is its column |e^{itH} e_j|^2, and
-  the CLI's verify applies it to probe vectors against
+  the CLI's verify applies it to real probe vectors against
   _factorized_propagate, which applies each dimension's propagator along
   its axis.  It costs about |t| terms over the product
   space, so the oracle cap bounds both the product size and |t|.
@@ -43,7 +43,6 @@ import math
 import operator
 from collections import defaultdict
 from collections.abc import Iterator
-from functools import reduce
 
 import numpy as np
 
@@ -310,14 +309,15 @@ def _chebyshev_propagate(spec: MultiChainSpec, rows: np.ndarray, t: float) -> np
     Phys. 81, 3967, 1984), cut where _bessel_coefficients cuts it.  H is
     real, so for a real x the terms with even k, whose i^k is
     (-1)^{k // 2}, sum to the real part and those with odd k to the
-    imaginary part: e^{itH} x = even + i odd.  A complex vector goes as its
-    real and imaginary parts, two rows, whose four sums its caller combines.
+    imaginary part: e^{itH} x = even + i odd.  The rows are real only: a
+    complex-linear operator is fixed by what it does to real vectors.
 
-    T_{k+1}(H) x = 2 H T_k(H) x - T_{k-1}(H) x is one pass over the rows for
-    H's diagonal and two per axis: J_l couples flat indices s_l apart, s_l
-    the stride of axis l, with the weight 2 q_l J_l[k, k+1] at each flat
-    index whose axis-l index k is not the last and 0 where it is, so every
-    pass is one long contiguous loop.  A term costs about 2d + 2
+    T_{k+1}(H) x = 2 H T_k(H) x - T_{k-1}(H) x is two passes over the rows
+    per axis: J_l couples flat indices s_l apart, s_l the stride of axis l,
+    with the weight 2 q_l J_l[k, k+1] at each flat index whose axis-l index
+    k is not the last and 0 where it is, so every pass is one long
+    contiguous loop.  H has no diagonal term, as every J_l from
+    build_conditional_matrix has a zero diagonal.  A term costs about 2d
     multiply-adds per entry of the rows, and the arrays held are a few of
     their size.
     """
@@ -333,12 +333,10 @@ def _chebyshev_propagate(spec: MultiChainSpec, rows: np.ndarray, t: float) -> np
         stride //= n
         weights = np.repeat(np.append(2.0 * q * kernel.offdiag, 0.0), stride)
         steps.append((stride, np.tile(weights, size // (n * stride))[: size - stride]))
-    diag = reduce(np.add.outer, [2.0 * q * k.diag for q, k in zip(spec.select_prob, kernels)])
-    diag = diag.ravel()
 
     def twice_h_minus(cur: np.ndarray, out: np.ndarray) -> None:
         """out = 2 H cur - out, in place."""
-        np.subtract(diag * cur, out, out=out)
+        np.negative(out, out=out)
         for stride, w in steps:
             out[:, :-stride] += w * cur[:, stride:]
             out[:, stride:] += w * cur[:, :-stride]
@@ -360,10 +358,11 @@ def _factorized_propagate(
 ) -> np.ndarray:
     """(U_1(q_1 t) (x) ... (x) U_d(q_d t)) x, the factorized side of Theorem 1 on whole vectors.
 
-    x is complex, a product-space vector of ``spec.shape`` on its last d
-    axes per leading index.  Each dimension's propagator_parts is
-    contracted along its axis of x: size * sum n_l complex multiply-adds per
-    vector, and no product-space operator is formed.
+    x is a real or complex product-space vector of ``spec.shape`` on its
+    last d axes per leading index, and the result is complex.  Each
+    dimension's propagator_parts is contracted along its axis of x: size *
+    sum n_l complex multiply-adds per vector, and no product-space operator
+    is formed.
     """
     for l, (q, s) in enumerate(zip(spec.select_prob, spectra)):
         re, im = propagator_parts(s, q * t)
@@ -422,10 +421,12 @@ def ehrenfest_sum_law(d: int, t: float) -> np.ndarray:
     multiplicative coefficient recursion runs in log space and the law is
     normalized after subtracting the largest log, so for large d neither
     C(d, k) overflows nor p^k underflows into a NaN; p of exactly 0 or 1
-    gives the exact point mass.
+    gives the exact point mass.  A NaN or infinite t raises ValueError naming t.
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     p = math.sin(t / d) ** 2
     k = np.arange(d + 1)
     if p in (0.0, 1.0):  # log(0) below; the law is a point mass

@@ -68,10 +68,11 @@ class SymmetricTridiagonal:
         return self.diag.size
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        """J @ v for a matrix v, read from the three diagonals in O(n) per column."""
-        out = self.diag[:, None] * v
-        out[:-1] += self.offdiag[:, None] * v[1:]
-        out[1:] += self.offdiag[:, None] * v[:-1]
+        """J @ v in v's shape, for a vector or a matrix v: O(n) per column from the diagonals."""
+        rows = (slice(None),) + (None,) * (np.ndim(v) - 1)  # J's entries along v's first axis
+        out = self.diag[rows] * v
+        out[:-1] += self.offdiag[rows] * v[1:]
+        out[1:] += self.offdiag[rows] * v[:-1]
         return out
 
     def to_dense(self) -> np.ndarray:

@@ -742,6 +742,10 @@ FACTOR_FAULTS = {
     "W order swapped": lambda real, s, t: real(s, SWAPPED.get(t, t)),
     "U at t + 1e-6": lambda real, s, t: real(s, t + 1e-6),
     "every U_l x (1 + 1e-9)": lambda real, s, t: real(s, t) * (1.0 + 1e-9),
+    # U_l at -q_l t is U_l's conjugate (bit for bit the phase-sign mutant, sin
+    # being odd): on a real probe it flips the sign of the imaginary part of
+    # (x)_l U_l x, so the real probes must see i's sign
+    "U_l at -q_l t": lambda real, s, t: real(s, -t),
 }
 
 
@@ -889,17 +893,15 @@ class TestVerify:
 
     def test_probe_stage_holds_a_few_probe_sized_arrays(self):
         # 8 x 16 x 16 states at t = 7.3: both sides of the probe check hold
-        # arrays of the two probes' size (64 KiB of complex entries), where the
-        # dense U they replace was a (2, size, size) slab of 64 MiB
+        # arrays of the two real probes' size (32 KiB), where the dense U they
+        # replace was a (2, size, size) slab of 64 MiB
         spec = FAULT_CONFIG.spec
         spectra = spectral.chain_spectra(spec)
         probes = cli._probes(spec.shape)
         tracemalloc.start()
         try:
-            rows = np.concatenate((probes.real, probes.imag)).reshape(4, -1)
-            sums = cli._chebyshev_propagate(spec, rows, 7.3)
-            (even_re, even_im), (odd_re, odd_im) = sums.reshape(2, 2, 2, -1)
-            left = ((even_re - odd_im) + 1j * (even_im + odd_re)).reshape(probes.shape)
+            even, odd = cli._chebyshev_propagate(spec, probes.reshape(2, -1), 7.3)
+            left = (even + 1j * odd).reshape(probes.shape)
             right = cli._factorized_propagate(spec, spectra, probes, 7.3)
             error = np.max(np.abs(left - right))
             norms = np.linalg.norm(probes.reshape(2, -1), axis=1)
@@ -908,32 +910,32 @@ class TestVerify:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 12 * probes.nbytes
+        assert peak <= 524_288  # 16 times the probes' 32 768 bytes
         assert error <= 1e-12 and defect <= 1e-14
 
     @pytest.mark.parametrize("shape", [(1,), (2, 3), (8, 16, 16)])
-    def test_probes_are_the_seeded_standard_library_phases(self, shape):
+    def test_probes_are_the_seeded_standard_library_draws(self, shape):
         probes = cli._probes(shape)
-        assert probes.shape == (2,) + shape and probes.dtype == complex
-        assert np.max(np.abs(np.abs(probes) - 1.0)) <= 4 * np.finfo(float).eps
+        assert probes.shape == (2,) + shape and probes.dtype == float
+        assert -1.0 <= probes.min() and probes.max() < 1.0
         assert cli._probes(shape).tobytes() == probes.tobytes()
         # getrandbits(64) per entry, not randbytes: the same stream read another way
         rng = random.Random(1977)
         words = [rng.getrandbits(64) >> 11 for _ in range(probes.size)]
-        phases = np.array(words, dtype=float).reshape(probes.shape) / 2.0**53
-        assert np.exp(2j * np.pi * phases).tobytes() == probes.tobytes()
+        expected = [math.ldexp(w, -52) - 1.0 for w in words]
+        assert np.array(expected).reshape(probes.shape).tobytes() == probes.tobytes()
 
     def test_probes_hold_only_arrays(self):
-        # no Python object per entry: the bytes drawn, then the phases beside the
-        # complex probes, 24 bytes per entry at the peak, as at 2^20 states, and
-        # numpy's 128 KiB buffer for casting the phases to complex
+        # no Python object per entry: the bytes drawn (beside the generator's
+        # integer of the same size), then the shifted words beside the probes,
+        # 16 bytes per entry at the peak
         tracemalloc.start()
         try:
             probes = cli._probes((1 << 16,))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * probes.nbytes + 2**18
+        assert peak <= 2_359_296  # twice the probes' 1 MiB, and 256 KiB
 
     def test_the_fault_chain_passes_without_a_fault(self):
         code, chunks = cli.run_verify(FAULT_CONFIG)

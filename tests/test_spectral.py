@@ -375,8 +375,10 @@ class TestSymmetricTridiagonal:
     def test_matmul_is_the_dense_product(self, n):
         rng = np.random.default_rng(n)
         tri = SymmetricTridiagonal(diag=rng.uniform(-1, 1, n), offdiag=rng.uniform(0.1, 1, n - 1))
-        v = rng.standard_normal((n, 5))
-        assert np.max(np.abs(tri @ v - tri.to_dense() @ v)) <= 1e-15
+        for v in (rng.standard_normal((n, 5)), rng.standard_normal(n)):
+            product = tri @ v
+            assert product.shape == v.shape
+            assert np.max(np.abs(product - tri.to_dense() @ v)) <= 1e-15
 
 
 class TestSerialReference:
