@@ -10,10 +10,10 @@ dump-spectrum  per-dimension eigenvalues, eigenvectors and log-weights as JSON
 dump-config    the resolved, fully explicit config JSON (round-trips to the same chain)
 
 One pipeline serves every subcommand: ``main`` loads the config, ``resolve``
-applies the flags and environment once, a ``run_*`` function maps the
-resolved config to ``(exit_code, chunks)``, and ``main`` writes the chunks of
-text as they come.  Each ``run_*`` does every check and evaluation before it
-returns, so the chunks only format what was computed.
+applies the flags once, a ``run_*`` function maps the resolved config to
+``(exit_code, chunks)``, and ``main`` writes the chunks of text as they come.
+Each ``run_*`` does every check and evaluation before it returns, so the
+chunks only format what was computed.
 
 Exit codes: 0 success, 1 verification failure, 2 config/validation error
 (a numerical failure included), 3 over the oracle cap (a product size or, for
@@ -31,7 +31,7 @@ import shutil
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import chain, islice, repeat
 
 import numpy as np
@@ -58,12 +58,11 @@ from .errors import NumericalError, SizeLimitError
 from .spectral import SpectralData, chain_spectra, orthogonality_defect, symmetrize
 from .stats import clt_distance, convolve_sweep, moments
 
-ENV_ORACLE_CAP = "BDQW_ORACLE_CAP"
 VERIFY_TOLERANCE = 1e-10
 BENCH_REPETITIONS = 5
 BENCH_SPEEDUP_FLAG = 10.0
 BENCH_FLAT_FLAG = 10.0
-# Seed of verify's two probe vectors, whose entries are e^{2 pi i u}, u uniform in [0, 1).
+# Seed of verify's two real probe vectors, whose entries are uniform in [-1, 1).
 _PROBE_SEED = 1977
 
 # Documented reading of the Gaussian-limit statistic: the d summands are
@@ -90,8 +89,6 @@ class ExperimentConfig:
     output_path: str  # "-" is stdout
     output_format: str
     d_sweep: tuple[int, ...] | None
-    # what errors call ``times``: "time", or "--time" once the flag overrides it
-    times_field: str = field(default="time", compare=False)
 
 
 def _is_int(value: object) -> bool:
@@ -100,7 +97,7 @@ def _is_int(value: object) -> bool:
 
 
 def _check_reals(values: list, field: str) -> tuple[float, ...]:
-    """The one check of every list of reals (``time``, ``--time``, ``select_prob``, ``p_table``).
+    """The one check of every list of reals (``time``, ``select_prob``, ``p_table``).
 
     Each value must be a finite double: not a string, not a bool.  An error
     names the field and the index of the first bad value.  One pass and no
@@ -117,28 +114,22 @@ def _check_reals(values: list, field: str) -> tuple[float, ...]:
     return tuple(reals)
 
 
-def _check_times(values: list | str, field: str, spec: MultiChainSpec) -> tuple[float, ...]:
-    """The one check of ``time`` and ``--time``: a non-empty list of reals within the phase budget.
+def _check_times(values: object, spec: MultiChainSpec) -> tuple[float, ...]:
+    """The one check of ``time``: a real, or a non-empty list of reals, within the phase budget.
 
-    ``--time`` is a string of comma-separated numbers.  A factor's phase
-    q_l lambda t carries an absolute error of about |t| q_l eps, and
-    SpectralData.validate bounds |lambda| by 1, so a time with
-    |t| max_l q_l eps above VERIFY_TOLERANCE gives laws that no check could
-    trust.  No spectrum is needed to tell.
+    A factor's phase q_l lambda t carries an absolute error of about
+    |t| q_l eps, and SpectralData.validate bounds |lambda| by 1, so a time
+    with |t| max_l q_l eps above VERIFY_TOLERANCE gives laws that no check
+    could trust.  No spectrum is needed to tell.
     """
-    if isinstance(values, str):
-        try:
-            values = [float(chunk) for chunk in values.split(",")]
-        except ValueError:
-            raise ConfigError(f"{field}: {values!r} is not a list of real numbers") from None
-    times = _check_reals(values, field)
+    times = _check_reals(values if isinstance(values, list) else [values], "time")
     if not times:
-        raise ConfigError(f"{field}: expected at least one value")
+        raise ConfigError("time: expected at least one value")
     limit = VERIFY_TOLERANCE / (sys.float_info.epsilon * max(spec.select_prob))
     for idx, t in enumerate(times):
         if abs(t) > limit:
             budget = f"|t| <= {limit:.6g}, where |t| max q_l eps is {VERIFY_TOLERANCE}"
-            raise ConfigError(f"{field}[{idx}]: {t} is beyond the phase budget {budget}")
+            raise ConfigError(f"time[{idx}]: {t} is beyond the phase budget {budget}")
     return times
 
 
@@ -236,8 +227,7 @@ def parse_config(data: object) -> ExperimentConfig:
     except ValueError as exc:  # every message reachable here names select_prob
         raise ConfigError(str(exc)) from exc
 
-    times = data.get("time", 1.0)
-    times = _check_times(times if isinstance(times, list) else [times], "time", spec)
+    times = _check_times(data.get("time", 1.0), spec)
 
     initial = data.get("initial", [0] * spec.n_dims)
     if not isinstance(initial, list) or len(initial) != spec.n_dims:
@@ -288,29 +278,15 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def resolve(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """Overlay the flags and the environment on a parsed config, for every subcommand.
+    """Overlay the flags on a parsed config, for every subcommand.
 
-    The oracle cap resolves as --oracle-cap > BDQW_ORACLE_CAP > the config's
-    (parse_config's default if absent); --time, --output and, where the
-    subcommand takes it, --format override their config fields.  Each value
-    goes through the one check of its field.
+    --oracle-cap and --output override ``oracle_cap`` and ``output.path``
+    (parse_config's defaults if absent), each through the one check of its field.
     """
-    cap, env = config.oracle_cap, os.environ.get(ENV_ORACLE_CAP)
-    if args.oracle_cap is not None:
-        cap = _check_positive(args.oracle_cap, "--oracle-cap")
-    elif env is not None:
-        try:
-            env = int(env)  # as int() reads it: " 12 " and "1_000" are integers
-        except ValueError:
-            pass  # rejected below, quoted as given
-        cap = _check_positive(env, ENV_ORACLE_CAP)
-
-    if args.time is not None:
-        times = _check_times(args.time, "--time", config.spec)
-        config = replace(config, times=times, times_field="--time")
-    path = config.output_path if args.output is None else _check_path(args.output, "--output")
-    fmt = getattr(args, "format", None) or config.output_format
-    return replace(config, oracle_cap=cap, output_path=path, output_format=fmt)
+    cap, path = args.oracle_cap, args.output
+    cap = config.oracle_cap if cap is None else _check_positive(cap, "--oracle-cap")
+    path = config.output_path if path is None else _check_path(path, "--output")
+    return replace(config, oracle_cap=cap, output_path=path)
 
 
 # CSV numeric format: 17 significant digits, round-trip exact for doubles.
@@ -369,7 +345,7 @@ def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[s
     """
     spec, j, cap = config.spec, config.initial, config.oracle_cap
     if dense:
-        _check_oracle_work(spec.product_size, config.times, cap, config.times_field)
+        _check_oracle_work(spec.product_size, config.times, cap, "time")
     spectra = chain_spectra(spec)
     joints = [dense_position_distribution(spec, t, j, cap) if dense else None for t in config.times]
     results = list(zip(config.times, _marginal_laws(spec, spectra, config.times, j), joints))
@@ -442,7 +418,7 @@ def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
     against the oracle cap before any spectrum is solved.
     """
     spec = config.spec
-    _check_oracle_work(spec.product_size, config.times, config.oracle_cap, config.times_field)
+    _check_oracle_work(spec.product_size, config.times, config.oracle_cap, "time")
     spectra = chain_spectra(spec)
 
     # per-check defects, folded by np.max so that a NaN fails the check
@@ -692,9 +668,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument(
             "--oracle-cap", type=int, help="cap on the oracle's product-space size and on |t|"
         )
-        cmd.add_argument("--time", help="comma-separated list of time values")
-        if name in ("simulate", "clt", "bench"):  # the rest write JSON only
-            cmd.add_argument("--format", choices=("csv", "json"), help="output format")
         if run is run_simulate:
             cmd.add_argument(
                 "--dense", action="store_true", help="also emit the oracle's joint law"

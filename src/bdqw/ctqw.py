@@ -69,42 +69,38 @@ def _amplitudes(
     vectors: np.ndarray,
     values: np.ndarray,
     t: float | np.ndarray,
-    row: int | slice = slice(None),
+    row: slice = slice(None),
     col: int | slice = slice(None),
 ) -> list[np.ndarray]:
     """Real and imaginary parts of the [row, col] block of V diag(e^{i t lambda}) V^T.
 
     The one amplitude kernel behind every spectral route: V = ``vectors`` is
     one dimension's orthonormal basis and ``values`` its eigenvalues.
-    ``row`` and ``col`` are a position or a slice of positions (all of them
-    by default); an integer drops that axis.  The parts are
-    (V[row] cos) @ V[col]^T and the same with sin, kept as two matmuls:
-    stacking them would change the BLAS call (and so the bits) of every
-    route, whose many tiny calls also pay for any bookkeeping.
+    ``row`` is a slice of positions, so the row axis is always kept, and
+    ``col`` a position or a slice of positions (all of them by default); an
+    integer drops that axis.  The parts are (V[row] cos) @ V[col]^T and the
+    same with sin, kept as two matmuls: stacking them would change the BLAS
+    call (and so the bits) of every route, whose many tiny calls also pay
+    for any bookkeeping.
 
     ``t`` may also be a 1-D array of times, which puts a leading time axis
-    on each part.  With a row axis kept (a slice), numpy's stacked matmul
-    then makes, per time, the BLAS call that scalar ``t`` makes, so each
-    time's block is bit-identical to its own call; an integer row would turn
-    the per-time dot products into one gemv, whose sums differ in the last
-    bits.
+    on each part.  Numpy's stacked matmul then makes, per time, the BLAS
+    call that scalar ``t`` makes, so each time's block is bit-identical to
+    its own call.
 
     Raises ValueError naming ``t`` for a NaN or infinite time.
     """
     if not np.isfinite(t).all():  # NaN-aware: a NaN fails it
         raise ValueError(f"t must be finite, got {t}")
-    lam_t = np.multiply.outer(t, values)
+    lam_t = np.multiply.outer(t, values)[..., None, :]  # the row axis, after any time axis
     left, right = vectors[row], vectors[col].T
-    cos, sin = np.cos(lam_t), np.sin(lam_t)
-    if left.ndim == 2:  # the row axis, after the time axis if any
-        cos, sin = cos[..., None, :], sin[..., None, :]
-    return [(left * cos) @ right, (left * sin) @ right]
+    return [(left * np.cos(lam_t)) @ right, (left * np.sin(lam_t)) @ right]
 
 
 def _probabilities(parts: np.ndarray) -> np.ndarray:
     """Squared moduli of the elements whose real and imaginary parts the kernel gave."""
     re, im = parts
-    return re * re + im * im  # not **2: on 0-d parts that is pow, which can miss by an ulp
+    return re * re + im * im
 
 
 def propagator_parts(spectrum: SpectralData, t: float) -> np.ndarray:
@@ -121,8 +117,8 @@ def transition_prob_1d(spectrum: SpectralData, t: float, j: int, k: int) -> floa
     """Probability of moving from position j to k in elapsed time t."""
     _check_position(spectrum.n_states, j, "j")
     _check_position(spectrum.n_states, k, "k")
-    parts = _amplitudes(spectrum.eigenvectors, spectrum.eigenvalues, t, k, j)
-    return float(_probabilities(parts))
+    parts = _amplitudes(spectrum.eigenvectors, spectrum.eigenvalues, t, slice(k, k + 1), j)
+    return float(_probabilities(parts)[0])
 
 
 def transition_matrix_1d(spectrum: SpectralData, t: float) -> np.ndarray:
@@ -256,7 +252,7 @@ def _grouped_factors(
     for i, t in enumerate(times):
         for (_, jl, kl), members in groups.items():
             s = spectra[members[0]]
-            # a one-row slice keeps a row axis, so each time is one dot as in transition_prob_1d
+            # a target is the one-row slice that transition_prob_1d takes
             rows = slice(None) if kl is None else slice(kl, kl + 1)
             step = max(1, _GROUP_CHUNK // (s.n_states * (s.n_states if kl is None else 1)))
             scaled = select_prob[members] * t

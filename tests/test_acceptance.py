@@ -208,13 +208,13 @@ def test_a7_stochastic_and_stationary_suite():
 def test_a8_performance_evidence(tmp_path):
     config = tmp_path / "bench.json"
     config.write_text(
-        json.dumps({"dims": [{"size": 1}], "time": 1.0, "d_sweep": [10, 20]}),
+        json.dumps(
+            {"dims": [{"size": 1}], "time": 1.0, "d_sweep": [10, 20], "output": {"format": "json"}}
+        ),
         encoding="utf-8",
     )
     out = tmp_path / "bench.json.out"
-    code = main(
-        ["bench", "--config", str(config), "--format", "json", "--output", str(out)]
-    )
+    code = main(["bench", "--config", str(config), "--output", str(out)])
     report = json.loads(out.read_text())
     rows = {row["product_size"]: row for row in report["rows"]}
 

@@ -17,7 +17,6 @@ import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -372,9 +371,8 @@ class TestSimulate:
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "out.json"
-        code = main(
-            ["simulate", "--config", edge_config(tmp_path), "--format", "json", "--output", str(out)]
-        )
+        config = edge_config(tmp_path, output={"format": "json"})
+        code = main(["simulate", "--config", config, "--output", str(out)])
         assert code == 0
         payload = json.loads(out.read_text())
         assert abs(payload["results"][0]["marginals"][0][1] - 1.0) <= 1e-12
@@ -561,10 +559,16 @@ class TestOutputTarget:
         "argv, fields",
         [
             (["simulate"], {"dims": [{"size": 2}, {"size": 1}], "time": [0.5, 3.0]}),
-            (["simulate", "--dense", "--format", "json"], {"dims": [{"size": 2}, {"size": 1}]}),
+            (
+                ["simulate", "--dense"],
+                {"dims": [{"size": 2}, {"size": 1}], "output": {"format": "json"}},
+            ),
             (["verify"], {"dims": [{"size": 2}, {"size": 1}], "time": 1.0}),
             (["clt"], {"dims": [{"size": 2}], "time": 1.0, "d_sweep": [1, 4, 16]}),
-            (["bench", "--format", "json"], {"dims": [{"size": 1}], "time": 1.0, "d_sweep": [2, 13]}),
+            (
+                ["bench"],
+                {"dims": [{"size": 1}], "time": 1.0, "d_sweep": [2, 13], "output": {"format": "json"}},
+            ),
             (["dump-spectrum"], {"dims": [{"size": 2}, {"size": 3}, {"size": 2}]}),
             (["dump-config"], {"dims": [{"size": 2}], "time": 1.0}),
         ],
@@ -737,15 +741,14 @@ SPECTRUM_FAULTS = {
 # dims[1] and dims[2] share one spectrum, so swapping their times swaps their U's
 SWAPPED = {0.3 * 7.3: 0.5 * 7.3, 0.5 * 7.3: 0.3 * 7.3}
 FACTOR_FAULTS = {
+    # the flipped phase sign gives U_l at -q_l t, U_l's conjugate: on a real
+    # probe it flips the sign of the imaginary part of (x)_l U_l x, so the
+    # real probes must see i's sign
     "phase sign flipped": lambda real, s, t: real(s, t) * np.array([1.0, -1.0])[:, None, None],
     "identity column": identity_column,
     "W order swapped": lambda real, s, t: real(s, SWAPPED.get(t, t)),
     "U at t + 1e-6": lambda real, s, t: real(s, t + 1e-6),
     "every U_l x (1 + 1e-9)": lambda real, s, t: real(s, t) * (1.0 + 1e-9),
-    # U_l at -q_l t is U_l's conjugate (bit for bit the phase-sign mutant, sin
-    # being odd): on a real probe it flips the sign of the imaginary part of
-    # (x)_l U_l x, so the real probes must see i's sign
-    "U_l at -q_l t": lambda real, s, t: real(s, -t),
 }
 
 
@@ -1057,10 +1060,11 @@ class TestClt:
         assert abs(got - 0.4476668932539417) <= 1e-10
 
     def test_json_text_is_the_csv_rows_through_json_dumps(self, tmp_path, capsys):
-        config = write_config(tmp_path, dims=[{"size": 2}], time=1.0, d_sweep=[1, 4, 16])
-        assert main(["clt", "--config", config]) == 0
+        fields = {"dims": [{"size": 2}], "time": 1.0, "d_sweep": [1, 4, 16]}
+        assert main(["clt", "--config", write_config(tmp_path, **fields)]) == 0
         *rows, flag = csv.reader(io.StringIO(capsys.readouterr().out))
-        assert main(["clt", "--config", config, "--format", "json"]) == 0
+        config = write_config(tmp_path, "json.json", **fields, output={"format": "json"})
+        assert main(["clt", "--config", config]) == 0
         payload = {
             "reading": cli.CLT_READING,
             "time": 1.0,
@@ -1084,19 +1088,22 @@ class TestClt:
 
     def test_tables_equal_a_per_d_loop(self, tmp_path, capsys, monkeypatch):
         # an unsorted sweep with a repeat, d = 1 and a d with twelve set bits
-        config = write_config(tmp_path, dims=[{"size": 4}], time=3.1, d_sweep=[64, 1, 4095, 64, 512])
-        formats = ("csv", "json")
+        fields = {"dims": [{"size": 4}], "time": 3.1, "d_sweep": [64, 1, 4095, 64, 512]}
+        configs = [
+            write_config(tmp_path, f"{fmt}.json", **fields, output={"format": fmt})
+            for fmt in ("csv", "json")
+        ]
         texts = []
-        for fmt in formats:
-            assert main(["clt", "--config", config, "--format", fmt]) == 0
+        for config in configs:
+            assert main(["clt", "--config", config]) == 0
             texts.append(capsys.readouterr().out)
         monkeypatch.setattr(
             cli,
             "convolve_sweep",
             lambda factor, counts: (stats.convolve_sum([factor] * d) for d in counts),
         )
-        for fmt, text in zip(formats, texts):
-            assert main(["clt", "--config", config, "--format", fmt]) == 0
+        for config, text in zip(configs, texts):
+            assert main(["clt", "--config", config]) == 0
             assert capsys.readouterr().out == text
 
     @pytest.mark.parametrize("d", [2**58, 2**62, 2**63, 2**64])
@@ -1168,8 +1175,10 @@ class TestBench:
         assert set(flags) == {"speedup_at_least_10x", "factorized_flat"}
 
     def test_json_text_is_json_dumps_with_the_csv_columns(self, tmp_path, capsys):
-        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2, 13])
-        assert main(["bench", "--config", config, "--format", "json"]) == 0
+        config = write_config(
+            tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2, 13], output={"format": "json"}
+        )
+        assert main(["bench", "--config", config]) == 0
         text = capsys.readouterr().out
         payload = json.loads(text)
         assert text == json.dumps(payload, indent=2) + "\n"
@@ -1345,7 +1354,7 @@ class TestDumps:
     def test_dump_config_round_trips_every_resolved_field(self, data):
         # parse_config reads dump-config's text back to the resolved config,
         # field for field, whatever the config left out or set to null and
-        # whatever the flags and BDQW_ORACLE_CAP overrode; "-" is stdout in both
+        # whatever the flags overrode; "-" is stdout in both
         draw = data.draw
 
         def maybe(strategy):
@@ -1380,21 +1389,12 @@ class TestDumps:
         }
 
         argv = ["simulate", "--config", "unused.json"]
-        flag_times = draw(maybe(st.lists(st.floats(-1e3, 1e3), min_size=1, max_size=3)))
         flags = {
-            "--time": None if flag_times is None else ",".join(map(repr, flag_times)),
             "--oracle-cap": draw(maybe(st.integers(1, 10**6))),
-            "--format": draw(maybe(st.sampled_from(["csv", "json"]))),
             "--output": draw(maybe(st.sampled_from(["-", "report.txt"]))),
         }
         argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
-        spellings = lambda n: st.sampled_from([str(n), f" {n} ", f"{n:_}", f"+{n}"])  # noqa: E731
-        env = draw(maybe(st.integers(1, 10**6).flatmap(spellings)))
-        with mock.patch.dict(os.environ):
-            os.environ.pop("BDQW_ORACLE_CAP", None)
-            if env is not None:
-                os.environ["BDQW_ORACLE_CAP"] = env
-            resolved = resolve(parse_config(config), cli.build_parser().parse_args(argv))
+        resolved = resolve(parse_config(config), cli.build_parser().parse_args(argv))
 
         code, chunks = cli.run_dump_config(resolved)
         assert code == 0
@@ -1572,22 +1572,16 @@ class TestSpectralFailureNamesItsDimension:
 
 class TestOracleCapResolution:
     @pytest.mark.parametrize(
-        "argv, env, fields, field",
+        "argv, fields, field",
         [
-            ([], None, {"oracle_cap": 4}, "time[1]: -5.0"),
-            (["--oracle-cap", "4"], None, {}, "time[1]: -5.0"),
-            ([], "4", {}, "time[1]: -5.0"),
-            (["--time", "1,-6"], None, {"oracle_cap": 5}, "--time[1]: -6.0"),
+            ([], {"oracle_cap": 4}, "time[1]: -5.0"),
+            (["--oracle-cap", "4"], {}, "time[1]: -5.0"),
         ],
     )
     def test_a_time_over_the_cap_exits_3_before_any_spectrum(
-        self, tmp_path, capsys, monkeypatch, argv, env, fields, field
+        self, tmp_path, capsys, monkeypatch, argv, fields, field
     ):
         # verify's Chebyshev check takes about |t| terms, so the cap bounds |t| too
-        monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
-        if env is not None:
-            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
-
         def refuse(spec):
             raise AssertionError("a spectrum was solved for a time over the cap")
 
@@ -1602,17 +1596,10 @@ class TestOracleCapResolution:
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "argv, env", [(["--oracle-cap", "5"], None), ([], "5"), (["--time", "1,4"], None)]
-    )
-    def test_the_cap_sources_raise_the_time_bound(self, tmp_path, monkeypatch, argv, env):
-        # the config's cap of 4 rejects t = -5; a flag or BDQW_ORACLE_CAP of 5 admits
-        # it, as they raise the size cap, and --time replaces the times checked
-        monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
-        if env is not None:
-            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
+    def test_the_flag_raises_the_time_bound(self, tmp_path):
+        # the config's cap of 4 rejects t = -5; a flag of 5 admits it, as it raises the size cap
         config = edge_config(tmp_path, time=[1.0, -5.0], oracle_cap=4)
-        assert main(["verify", "--config", config, *argv]) == 0
+        assert main(["verify", "--config", config, "--oracle-cap", "5"]) == 0
 
     @pytest.mark.parametrize("argv", [["simulate"], ["dump-spectrum"]])
     def test_the_time_bound_spares_the_spectral_routes(self, tmp_path, argv):
@@ -1636,12 +1623,9 @@ class TestOracleCapResolution:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv", [["verify"], ["simulate", "--dense"]])
-    def test_a_huge_product_space_exits_3_in_a_short_message(
-        self, tmp_path, capsys, monkeypatch, argv
-    ):
+    def test_a_huge_product_space_exits_3_in_a_short_message(self, tmp_path, capsys, argv):
         # 2^15000 states have 4516 digits, past int-to-str's default limit of 4300:
         # writing them raised ValueError, which exited 2
-        monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
         out = tmp_path / "out"
         config = write_config(tmp_path, dims=[{"size": 1}] * 15000, time=1.0)
         assert main([*argv, "--config", config, "--output", str(out)]) == 3
@@ -1662,24 +1646,8 @@ class TestOracleCapResolution:
         assert row["product_size"] == "4" and row["dense_ms"] == "skipped"
         assert float(row["factorized_ms"]) > 0.0 and row["ratio"] == ""
 
-    def test_env_var_overrides_default(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("BDQW_ORACLE_CAP", "2")
-        assert main(["verify", "--config", two_edge_config(tmp_path)]) == 3
-
-    def test_flag_wins_over_env(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BDQW_ORACLE_CAP", "2")
-        assert (
-            main(["verify", "--config", two_edge_config(tmp_path, time=1.0), "--oracle-cap", "64"])
-            == 0
-        )
-
-    def test_config_field_used_without_env_or_flag(self, tmp_path, monkeypatch):
-        monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
+    def test_config_field_used_without_flag(self, tmp_path):
         assert main(["verify", "--config", two_edge_config(tmp_path, oracle_cap=2)]) == 3
-
-    def test_bad_env_value_exits_2(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BDQW_ORACLE_CAP", "many")
-        assert main(["verify", "--config", two_edge_config(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
         "argv", [["verify", "--oracle-cap", "0"], ["simulate", "--dense", "--oracle-cap", "-5"]]
@@ -1690,7 +1658,7 @@ class TestOracleCapResolution:
 
 
 class TestResolution:
-    """Flags, environment and config fields are resolved once, for every subcommand."""
+    """Flags and config fields are resolved once, for every subcommand."""
 
     def dumped(self, tmp_path, argv=(), **fields) -> dict:
         out = tmp_path / "resolved.json"
@@ -1699,69 +1667,71 @@ class TestResolution:
         return json.loads(out.read_text())
 
     @pytest.mark.parametrize(
-        "env, flag, field, expected",
+        "flag, field, expected",
         [
-            ("50", ["--oracle-cap", "100"], 77, 100),  # flag beats env
-            ("50", [], 77, 50),  # env beats config
-            (None, [], 77, 77),  # config beats default
-            (None, [], None, 4096),  # the default
+            (["--oracle-cap", "100"], 77, 100),  # flag beats config
+            ([], 77, 77),  # config beats default
+            ([], None, 4096),  # the default
         ],
     )
-    def test_oracle_cap_precedence(self, tmp_path, monkeypatch, env, flag, field, expected):
-        if env is None:
-            monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
-        else:
-            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
+    def test_oracle_cap_precedence(self, tmp_path, flag, field, expected):
         fields = {} if field is None else {"oracle_cap": field}
         assert self.dumped(tmp_path, flag, **fields)["oracle_cap"] == expected
 
-    def test_time_flag_overrides_config(self, tmp_path):
-        assert self.dumped(tmp_path)["time"] == [0.5, 1.0]
-        assert self.dumped(tmp_path, ["--time", "0.25,3"])["time"] == [0.25, 3.0]
-
-    # A behaviour change: clt, dump-spectrum and dump-config used to ignore
-    # BDQW_ORACLE_CAP, and dump-spectrum ignored --time, so a malformed value
-    # passed unnoticed there.  Now every subcommand resolves and checks both.
+    # Every subcommand resolves and checks both flags, also those that never
+    # run the oracle.
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     @pytest.mark.parametrize(
-        "env, argv, field",
-        [
-            ("many", [], "BDQW_ORACLE_CAP"),
-            ("0", [], "BDQW_ORACLE_CAP"),
-            (None, ["--time", "soon"], "--time"),
-            (None, ["--time", "1,inf"], "--time"),
-        ],
+        "argv, field", [(["--oracle-cap", "0"], "--oracle-cap"), (["--output="], "--output")]
     )
-    def test_malformed_setting_exits_2_everywhere(
-        self, tmp_path, monkeypatch, capsys, command, env, argv, field
-    ):
-        if env is None:
-            monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
-        else:
-            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
+    def test_malformed_setting_exits_2_everywhere(self, tmp_path, capsys, command, argv, field):
         config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2])
         assert main([command, "--config", config, *argv]) == 2
         assert field in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["verify", "dump-spectrum", "dump-config"])
-    def test_format_rejected_where_only_json_is_written(self, tmp_path, capsys, command):
-        out = tmp_path / "report.csv"
-        argv = [command, "--config", two_edge_config(tmp_path), "--output", str(out)]
+    # The times and the output format come from the config alone.
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    @pytest.mark.parametrize("flag", [["--time", "0.5"], ["--format", "json"]])
+    def test_removed_flags_are_rejected_everywhere(self, tmp_path, capsys, command, flag):
+        out = tmp_path / "report"
+        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2])
         with pytest.raises(SystemExit) as exc:
-            main([*argv, "--format", "csv"])
+            main([command, "--config", config, "--output", str(out), *flag])
         assert exc.value.code == 2
-        assert "--format" in capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
         assert not out.exists()
-        assert main(argv) == 0 and out.exists()
 
-    def test_subcommands_read_only_the_resolved_config(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BDQW_ORACLE_CAP", "2")
+    @pytest.mark.parametrize("env", ["", "many", "1000"])
+    def test_the_environment_has_no_effect(self, tmp_path, monkeypatch, capsys, env):
+        # the cap comes from the config and --oracle-cap alone: BDQW_ORACLE_CAP,
+        # blank, malformed or below the benchmark's 2048 verify states, is not read
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+        import workloads
+
+        verify = workloads.generate("oracle-verify", 21)[0].config
+        clt = workloads.generate("clt-sweep", 21)[0].config
+        calls = [
+            ["verify", "--config", write_config(tmp_path, "verify.json", **verify)],
+            ["clt", "--config", write_config(tmp_path, "clt.json", **clt)],
+            ["dump-config", "--config", write_config(tmp_path, "dump.json", **verify)],
+        ]
+        monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
+        unset = []
+        for argv in calls:
+            assert main(argv) == 0
+            unset.append(capsys.readouterr())
+        monkeypatch.setenv("BDQW_ORACLE_CAP", env)
+        for argv, expected in zip(calls, unset):
+            assert main(argv) == 0
+            assert capsys.readouterr() == expected
+
+    def test_subcommands_read_only_the_resolved_config(self, tmp_path):
         args = cli.build_parser().parse_args(
             ["verify", "--config", "unused.json", "--oracle-cap", "64"]
         )
-        config = resolve(load_config(two_edge_config(tmp_path, time=1.0)), args)
+        config = resolve(load_config(two_edge_config(tmp_path, time=1.0, oracle_cap=2)), args)
         assert config.oracle_cap == 64
-        code, chunks = cli.run_verify(config)  # the env cap of 2 would exit 3
+        code, chunks = cli.run_verify(config)  # the config's cap of 2 would exit 3
         assert code == 0 and json.loads("".join(chunks))["pass"] is True
 
 
@@ -1772,14 +1742,14 @@ TOP_KEYS = "dims, select_prob, time, initial, oracle_cap, output, d_sweep"
 BUDGET = "is beyond the phase budget |t| <= 450360, where |t| max q_l eps is 1e-10"
 
 
-def case(config, message, argv=(), env=None, code=2, dumped=None, id=None):
-    """A row of the table: a config (a dict, or the file's text), flags and BDQW_ORACLE_CAP."""
-    return pytest.param(config, list(argv), env, code, message, dumped, id=id)
+def case(config, message, argv=(), code=2, dumped=None, id=None):
+    """A row of the table: a config (a dict, or the file's text) and flags."""
+    return pytest.param(config, list(argv), code, message, dumped, id=id)
 
 
-# Every rejection of a config, a flag or an environment value, with its full
-# stderr, and the inputs next to them that are accepted.  argparse's own
-# rejections (a non-integer --oracle-cap, an unknown --format) are not here:
+# Every rejection of a config or a flag, with its full stderr, and the inputs
+# next to them that are accepted.  argparse's own rejections (a non-integer
+# --oracle-cap, an unknown flag such as --time or --format) are not here:
 # their text is argparse's.  The last rows are the rejections of an empty
 # output path, a time beyond the phase budget and a config nested too deeply
 # for json; every other row reads the same at the commit before them.
@@ -1844,7 +1814,7 @@ REJECTIONS = [
          "select_prob[0]: value nan is not a finite double", id="select_prob-nan"),
     case(f'{{"dims": [{{"size": 1}}, {{"size": 1}}], "select_prob": [{BIG}, 0.5]}}',
          f"select_prob[0]: value {BIG} is not a finite double", id="select_prob-big-int"),
-    # time and --time
+    # time
     case({"dims": [EDGE], "time": []}, "time: expected at least one value"),
     case({"dims": [EDGE], "time": "soon"}, "time[0]: expected a real number, got 'soon'"),
     case({"dims": [EDGE], "time": None}, "time[0]: expected a real number, got None"),
@@ -1855,12 +1825,6 @@ REJECTIONS = [
          "time[1]: value inf is not a finite double", id="time-1e309"),
     case(f'{{"dims": [{{"size": 1}}], "time": {BIG}}}',
          f"time[0]: value {BIG} is not a finite double", id="time-big-int"),
-    case({"dims": [EDGE]}, "--time: '1,,2' is not a list of real numbers", ["--time", "1,,2"]),
-    case({"dims": [EDGE]}, "--time: 'soon' is not a list of real numbers", ["--time", "soon"]),
-    case({"dims": [EDGE]}, "--time: '' is not a list of real numbers", ["--time="]),
-    case({"dims": [EDGE]}, "--time[0]: value nan is not a finite double", ["--time", "nan"]),
-    case({"dims": [EDGE]}, "--time[0]: value inf is not a finite double", ["--time", "1e400"]),
-    case({"dims": [EDGE]}, "--time[1]: value inf is not a finite double", ["--time", "1,inf"]),
     # initial
     case({"dims": [EDGE], "initial": [0, 0]}, "initial: expected a list of 1 positions"),
     case({"dims": [EDGE], "initial": "0"}, "initial: expected a list of 1 positions"),
@@ -1869,7 +1833,7 @@ REJECTIONS = [
     case({"dims": [EDGE], "initial": [-1]}, "initial: position -1 out of range 0..1"),
     case({"dims": [EDGE], "initial": [True]}, "initial: position True out of range 0..1"),
     case({"dims": [EDGE], "initial": [0.0]}, "initial: position 0.0 out of range 0..1"),
-    # oracle_cap, --oracle-cap and BDQW_ORACLE_CAP
+    # oracle_cap and --oracle-cap
     case({"dims": [EDGE], "oracle_cap": -1}, "oracle_cap: expected a positive integer, got -1"),
     case({"dims": [EDGE], "oracle_cap": 0}, "oracle_cap: expected a positive integer, got 0"),
     case({"dims": [EDGE], "oracle_cap": 1.5}, "oracle_cap: expected a positive integer, got 1.5"),
@@ -1878,11 +1842,6 @@ REJECTIONS = [
     case({"dims": [EDGE]}, "--oracle-cap: expected a positive integer, got 0", ["--oracle-cap", "0"]),
     case({"dims": [EDGE]}, "--oracle-cap: expected a positive integer, got -5",
          ["--oracle-cap", "-5"]),
-    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got 'many'", env="many"),
-    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got 0", env="0"),
-    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got -3", env="-3"),
-    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got '2.5'", env="2.5"),
-    case({"dims": [EDGE]}, "BDQW_ORACLE_CAP: expected a positive integer, got ''", env=""),
     # output
     case({"dims": [EDGE], "output": "out.csv"}, "output: expected an object with 'path' and 'format'"),
     case({"dims": [EDGE], "output": []}, "output: expected an object with 'path' and 'format'"),
@@ -1899,17 +1858,15 @@ REJECTIONS = [
     case({"dims": [EDGE], "d_sweep": [2, 0]}, "d_sweep: expected positive integers, got 0"),
     case({"dims": [EDGE], "d_sweep": [2.0]}, "d_sweep: expected positive integers, got 2.0"),
     case({"dims": [EDGE], "d_sweep": [True]}, "d_sweep: expected positive integers, got True"),
-    # accepted: a null read as an absent key, and BDQW_ORACLE_CAP as int() reads it
+    # accepted: a null read as an absent key, and a flag over the config
     case({"dims": [EDGE], "oracle_cap": None}, "", code=0, dumped={"oracle_cap": 4096}),
     case({"dims": [EDGE], "output": None}, "", code=0,
          dumped={"output": {"path": "-", "format": "csv"}}),
     case({"dims": [EDGE], "output": {"path": None}}, "", code=0,
          dumped={"output": {"path": "-", "format": "csv"}}),
     case({"dims": [EDGE], "d_sweep": None}, "", code=0, dumped={"time": [1.0]}),
-    case({"dims": [EDGE]}, "", env=" 12 ", code=0, dumped={"oracle_cap": 12}, id="env-spaces"),
-    case({"dims": [EDGE]}, "", env="1_000", code=0, dumped={"oracle_cap": 1000}, id="env-1_000"),
-    case({"dims": [EDGE]}, "", ["--oracle-cap", "7"], env="many", code=0, dumped={"oracle_cap": 7},
-         id="flag-before-env"),
+    case({"dims": [EDGE], "oracle_cap": 3}, "", ["--oracle-cap", "7"], code=0,
+         dumped={"oracle_cap": 7}, id="flag-before-config"),
     case({"dims": [EDGE], "time": 450359}, "", code=0, dumped={"time": [450359.0]},
          id="time-inside-budget"),
     # rejected since the phase budget, the empty-path check and the nesting check
@@ -1920,23 +1877,16 @@ REJECTIONS = [
     case({"dims": [EDGE], "time": 1e17}, f"time[0]: 1e+17 {BUDGET}", id="new-time-1e17"),
     case({"dims": [EDGE], "time": [1.0, -450361]}, f"time[1]: -450361.0 {BUDGET}",
          id="new-time-beyond-budget"),
-    case({"dims": [EDGE]}, f"--time[0]: 1e+17 {BUDGET}", ["--time", "1e17"], id="new-flag-1e17"),
     # json gave up with a RecursionError: a traceback and exit 1
     case('{"dims": ' + "[" * 100_000, "config: nested too deeply to parse", id="new-deep"),
 ]
 
 
 class TestEveryRejection:
-    @pytest.mark.parametrize("config, argv, env, code, message, dumped", REJECTIONS)
-    def test_exit_code_and_full_stderr(
-        self, tmp_path, monkeypatch, capsys, config, argv, env, code, message, dumped
-    ):
+    @pytest.mark.parametrize("config, argv, code, message, dumped", REJECTIONS)
+    def test_exit_code_and_full_stderr(self, tmp_path, capsys, config, argv, code, message, dumped):
         path = tmp_path / "config.json"
         path.write_text(config if isinstance(config, str) else json.dumps(config), encoding="utf-8")
-        if env is None:
-            monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
-        else:
-            monkeypatch.setenv("BDQW_ORACLE_CAP", env)
         assert main(["dump-config", "--config", str(path), *argv]) == code
         out, err = capsys.readouterr()
         assert err == (f"error: {message}\n" if message else "")
@@ -1954,21 +1904,17 @@ class TestNewRejections:
 
     @pytest.mark.parametrize("command", ["simulate", "verify"])
     @pytest.mark.parametrize(
-        "time, argv, field, value",
-        [
-            (1e17, [], "time[0]", "1e+17"),
-            (1.0, ["--time", "1e17"], "--time[0]", "1e+17"),
-            (1.0, ["--time", "2,-5e5"], "--time[1]", "-500000.0"),
-        ],
+        "time, field, value",
+        [(1e17, "time[0]", "1e+17"), ([2.0, -5e5], "time[1]", "-500000.0")],
     )
     def test_a_time_beyond_the_phase_budget_exits_2(
-        self, tmp_path, capsys, command, time, argv, field, value
+        self, tmp_path, capsys, command, time, field, value
     ):
         # at t = 1e17 one edge's phase is off by about 11 radians: simulate
         # printed 0.784/0.216 and verify passed, both with exit 0
         out = tmp_path / "out"
         config = edge_config(tmp_path, time=time)
-        assert main([command, "--config", config, "--output", str(out), *argv]) == 2
+        assert main([command, "--config", config, "--output", str(out)]) == 2
         assert capsys.readouterr() == ("", f"error: {field}: {value} {BUDGET}\n")
         assert not out.exists()
 

@@ -216,8 +216,8 @@ class TestContractionKernel:
             assert np.array_equal(_amplitudes(v, s.eigenvalues, t)[l], (v * phase) @ v.T)
             column = _amplitudes(v, s.eigenvalues, t, slice(None), j)[l]
             assert np.array_equal(column, (v * phase) @ v[j])
-            element = _amplitudes(v, s.eigenvalues, t, k, j)[l]
-            assert np.array_equal(element, (v[k] * phase) @ v[j])
+            element = _amplitudes(v, s.eigenvalues, t, slice(k, k + 1), j)[l]
+            assert np.array_equal(element, (v[k : k + 1] * phase) @ v[j])
 
 
 class TestFactorizedVsDense:
