@@ -1596,10 +1596,12 @@ class TestOracleCapResolution:
         )
         assert not out.exists()
 
-    def test_the_flag_raises_the_time_bound(self, tmp_path):
-        # the config's cap of 4 rejects t = -5; a flag of 5 admits it, as it raises the size cap
-        config = edge_config(tmp_path, time=[1.0, -5.0], oracle_cap=4)
-        assert main(["verify", "--config", config, "--oracle-cap", "5"]) == 0
+    @pytest.mark.parametrize("argv, cap", [(["--oracle-cap", "5"], 4), ([], 5)])
+    def test_the_cap_sources_raise_the_time_bound(self, tmp_path, argv, cap):
+        # a cap of 4 rejects t = -5; a flag or a config cap of 5 admits it, as
+        # they raise the size cap, and the bound on |t| is inclusive
+        config = edge_config(tmp_path, time=[1.0, -5.0], oracle_cap=cap)
+        assert main(["verify", "--config", config, *argv]) == 0
 
     @pytest.mark.parametrize("argv", [["simulate"], ["dump-spectrum"]])
     def test_the_time_bound_spares_the_spectral_routes(self, tmp_path, argv):
@@ -1678,15 +1680,25 @@ class TestResolution:
         fields = {} if field is None else {"oracle_cap": field}
         assert self.dumped(tmp_path, flag, **fields)["oracle_cap"] == expected
 
-    # Every subcommand resolves and checks both flags, also those that never
-    # run the oracle.
+    # Every subcommand resolves and checks both flags and the config's cap and
+    # times, also those that never run the oracle or never read a time.
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     @pytest.mark.parametrize(
-        "argv, field", [(["--oracle-cap", "0"], "--oracle-cap"), (["--output="], "--output")]
+        "argv, fields, field",
+        [
+            (["--oracle-cap", "0"], {}, "--oracle-cap"),
+            (["--output="], {}, "--output"),
+            ([], {"oracle_cap": "many"}, "oracle_cap"),
+            ([], {"oracle_cap": 0}, "oracle_cap"),
+            ([], {"time": "soon"}, "time[0]"),
+            ([], {"time": [1.0, math.inf]}, "time[1]"),
+        ],
     )
-    def test_malformed_setting_exits_2_everywhere(self, tmp_path, capsys, command, argv, field):
-        config = write_config(tmp_path, dims=[{"size": 1}], time=1.0, d_sweep=[2])
-        assert main([command, "--config", config, *argv]) == 2
+    def test_malformed_setting_exits_2_everywhere(
+        self, tmp_path, capsys, command, argv, fields, field
+    ):
+        fields = {"dims": [{"size": 1}], "time": 1.0, "d_sweep": [2], **fields}
+        assert main([command, "--config", write_config(tmp_path, **fields), *argv]) == 2
         assert field in capsys.readouterr().err
 
     # The times and the output format come from the config alone.
@@ -1713,6 +1725,7 @@ class TestResolution:
         calls = [
             ["verify", "--config", write_config(tmp_path, "verify.json", **verify)],
             ["clt", "--config", write_config(tmp_path, "clt.json", **clt)],
+            ["dump-spectrum", "--config", write_config(tmp_path, "spectrum.json", **verify)],
             ["dump-config", "--config", write_config(tmp_path, "dump.json", **verify)],
         ]
         monkeypatch.delenv("BDQW_ORACLE_CAP", raising=False)
@@ -1825,6 +1838,9 @@ REJECTIONS = [
          "time[1]: value inf is not a finite double", id="time-1e309"),
     case(f'{{"dims": [{{"size": 1}}], "time": {BIG}}}',
          f"time[0]: value {BIG} is not a finite double", id="time-big-int"),
+    case('{"dims": [{"size": 1}], "time": [1.0, NaN]}', "time[1]: value nan is not a finite double",
+         id="time-nan"),
+    case({"dims": [EDGE], "time": ""}, "time[0]: expected a real number, got ''", id="time-blank"),
     # initial
     case({"dims": [EDGE], "initial": [0, 0]}, "initial: expected a list of 1 positions"),
     case({"dims": [EDGE], "initial": "0"}, "initial: expected a list of 1 positions"),
