@@ -11,7 +11,6 @@ import math
 import numpy as np
 
 from bdqw import dimension_spectrum, ehrenfest_dimension, transition_prob_1d
-from bdqw.ctqw import propagator_parts
 
 edge = ehrenfest_dimension(1)
 spectrum = dimension_spectrum(edge)
@@ -20,8 +19,8 @@ print("eigenvalues:", spectrum.eigenvalues)
 print("weights:    ", spectrum.eigenvectors[0] ** 2)  # squared first components
 
 print("\npropagator at t = 0.7:")
-re, im = propagator_parts(spectrum, 0.7)  # real and imaginary parts of exp(i t J)
-print(np.round(re + 1j * im, 6))
+v = spectrum.eigenvectors  # exp(i t J) = V diag(e^{i t lambda}) V^T
+print(np.round((v * np.exp(0.7j * spectrum.eigenvalues)) @ v.T, 6))
 
 print("\n    t    P(0 -> 1)    sin^2 t")
 for t in np.linspace(0.0, math.pi, 9):

@@ -13,7 +13,6 @@ product-space size and with |t|, so both are capped.
 """
 
 from .chain import (
-    DEFAULT_ORACLE_CAP,
     DimensionSpec,
     MultiChainSpec,
     build_conditional_matrix,
@@ -22,6 +21,7 @@ from .chain import (
     uniform_multi_chain,
 )
 from .ctqw import (
+    DEFAULT_ORACLE_CAP,
     dense_position_distribution,
     ehrenfest_sum_law,
     position_distribution,

@@ -20,7 +20,6 @@ from functools import cached_property
 
 import numpy as np
 
-DEFAULT_ORACLE_CAP = 4096
 # Bound on the negative entries and the normalization error check_probability_vector accepts.
 PROBABILITY_TOLERANCE = 1e-10
 

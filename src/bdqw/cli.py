@@ -7,11 +7,12 @@ verify         Theorem 1 and norms on Chebyshev probes of H, orthogonality, eige
 clt            Kolmogorov distance of the standardized d-fold sum to the normal law, over a d sweep
 bench          wall-clock comparison of the oracle's column against the factorized path
 dump-spectrum  per-dimension eigenvalues, eigenvectors and log-weights as JSON
-dump-config    the resolved, fully explicit config JSON (round-trips to the same chain)
+dump-config    the fully explicit config JSON (round-trips to the same config)
 
-One pipeline serves every subcommand: ``main`` loads the config, ``resolve``
-applies the flags once, a ``run_*`` function maps the resolved config to
-``(exit_code, chunks)``, and ``main`` writes the chunks of text as they come.
+One pipeline serves every subcommand: ``main`` loads the config and checks
+the two flags, ``--oracle-cap`` and ``--output``, a ``run_*`` function maps
+the config (and the cap, where it runs the oracle) to ``(exit_code, chunks)``,
+and ``main`` writes the chunks of text as they come to ``--output``.
 Each ``run_*`` does every check and evaluation before it returns, so the
 chunks only format what was computed.
 
@@ -31,13 +32,12 @@ import shutil
 import sys
 import time
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain, islice, repeat
 
 import numpy as np
 
 from .chain import (
-    DEFAULT_ORACLE_CAP,
     DimensionSpec,
     MultiChainSpec,
     build_conditional_matrix,
@@ -46,6 +46,7 @@ from .chain import (
     uniform_multi_chain,
 )
 from .ctqw import (
+    DEFAULT_ORACLE_CAP,
     _chebyshev_propagate,
     _check_oracle_work,
     _factorized_propagate,
@@ -85,8 +86,6 @@ class ExperimentConfig:
     spec: MultiChainSpec
     times: tuple[float, ...]
     initial: tuple[int, ...]
-    oracle_cap: int
-    output_path: str  # "-" is stdout
     output_format: str
     d_sweep: tuple[int, ...] | None
 
@@ -133,17 +132,15 @@ def _check_times(values: object, spec: MultiChainSpec) -> tuple[float, ...]:
     return times
 
 
-def _check_path(path: object, field: str) -> str:
-    """The one check of ``output.path`` and ``--output``: a non-empty string, "-" for stdout."""
-    if not isinstance(path, str):
-        raise ConfigError(f"{field}: expected a string")
+def _check_path(path: str) -> str:
+    """The one check of ``--output``: a non-empty file name, "-" for stdout."""
     if not path:
-        raise ConfigError(f"{field}: expected a file name or '-' for stdout, got ''")
+        raise ConfigError("--output: expected a file name or '-' for stdout, got ''")
     return path
 
 
 def _check_positive(value: object, field: str) -> int:
-    """The one check of a positive integer: a dimension's size and every oracle-cap source."""
+    """The one check of a positive integer: a dimension's size and ``--oracle-cap``."""
     if not _is_int(value) or value < 1:
         raise ConfigError(f"{field}: expected a positive integer, got {value!r}")
     return value
@@ -209,10 +206,10 @@ def _parse_dimensions(entries: object) -> tuple[DimensionSpec, ...]:
 def parse_config(data: object) -> ExperimentConfig:
     """Build an ExperimentConfig from decoded JSON, naming bad fields.
 
-    Every default is filled in here.  A null ``oracle_cap``, ``output``,
-    ``output.path`` or ``d_sweep`` reads as the key's absence.
+    Every default is filled in here.  A null ``output`` or ``d_sweep`` reads
+    as the key's absence.
     """
-    keys = ("dims", "select_prob", "time", "initial", "oracle_cap", "output", "d_sweep")
+    keys = ("dims", "select_prob", "time", "initial", "output", "d_sweep")
     _check_object(data, keys)
     dims = _parse_dimensions(data.get("dims"))
 
@@ -236,13 +233,8 @@ def parse_config(data: object) -> ExperimentConfig:
         if not _is_int(pos) or not 0 <= pos <= dim.size:
             raise ConfigError(f"initial: position {pos!r} out of range 0..{dim.size}")
 
-    cap = data.get("oracle_cap")
-    cap = DEFAULT_ORACLE_CAP if cap is None else _check_positive(cap, "oracle_cap")
-
     output = data.get("output")
-    output = _check_object({} if output is None else output, ("path", "format"), "output")
-    path = output.get("path")
-    path = "-" if path is None else _check_path(path, "output.path")
+    output = _check_object({} if output is None else output, ("format",), "output")
     output_format = output.get("format", "csv")
     if output_format not in ("csv", "json"):
         raise ConfigError(f"output.format: expected 'csv' or 'json', got {output_format!r}")
@@ -256,7 +248,7 @@ def parse_config(data: object) -> ExperimentConfig:
                 raise ConfigError(f"d_sweep: expected positive integers, got {d!r}")
         sweep = tuple(sweep)
 
-    return ExperimentConfig(spec, times, tuple(initial), cap, path, output_format, sweep)
+    return ExperimentConfig(spec, times, tuple(initial), output_format, sweep)
 
 
 def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
@@ -275,18 +267,6 @@ def load_config(path: str) -> ExperimentConfig:
             return parse_config(json.load(fh, object_pairs_hook=_unique_keys))
         except RecursionError:  # not exit 1, which is a failed verification
             raise ConfigError("config: nested too deeply to parse") from None
-
-
-def resolve(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    """Overlay the flags on a parsed config, for every subcommand.
-
-    --oracle-cap and --output override ``oracle_cap`` and ``output.path``
-    (parse_config's defaults if absent), each through the one check of its field.
-    """
-    cap, path = args.oracle_cap, args.output
-    cap = config.oracle_cap if cap is None else _check_positive(cap, "--oracle-cap")
-    path = config.output_path if path is None else _check_path(path, "--output")
-    return replace(config, oracle_cap=cap, output_path=path)
 
 
 # CSV numeric format: 17 significant digits, round-trip exact for doubles.
@@ -330,20 +310,20 @@ def _table(
     return _csv_text(header, lines)
 
 
-def run_simulate(config: ExperimentConfig, dense: bool) -> tuple[int, Iterable[str]]:
+def run_simulate(config: ExperimentConfig, cap: int, dense: bool) -> tuple[int, Iterable[str]]:
     """Marginals (and with ``dense`` the oracle's joint law) at every configured time.
 
     With ``dense``, the product size and every |t| are checked against the
-    oracle cap before any spectrum is solved.  Every time is evaluated before
-    anything is formatted, so any failure comes first.  A time's marginals
-    are one array, each dimension's law its next n_l values.  The CSV is
-    then a generator: the header, then the
+    oracle cap ``cap`` before any spectrum is solved.  Every time is
+    evaluated before anything is formatted, so any failure comes first.  A
+    time's marginals are one array, each dimension's law its next n_l
+    values.  The CSV is then a generator: the header, then the
     ``time,dimension,position,probability`` rows in blocks of
     _CSV_BLOCK_ROWS, each one %-format of a template of its rows' labels,
     built once per call, with the time's text and the probabilities in
     _fmt's format; so the report is never held as text.  JSON is one chunk.
     """
-    spec, j, cap = config.spec, config.initial, config.oracle_cap
+    spec, j = config.spec, config.initial
     if dense:
         _check_oracle_work(spec.product_size, config.times, cap, "time")
     spectra = chain_spectra(spec)
@@ -404,7 +384,7 @@ def _probes(shape: tuple[int, ...]) -> np.ndarray:
     return probes.reshape((2,) + shape)
 
 
-def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
+def run_verify(config: ExperimentConfig, cap: int) -> tuple[int, list[str]]:
     """The five defects at every configured time, and whether each is within VERIFY_TOLERANCE.
 
     Theorem 1 is checked as the operator identity e^{itH} = (x)_l e^{i q_l t J_l}
@@ -415,10 +395,10 @@ def run_verify(config: ExperimentConfig) -> tuple[int, list[str]]:
     dimension's propagator at a time.  ``unitarity_defect`` is the
     norm check of the right side on the same probes, max |(|y| / |x|)^2 - 1|
     with y = (x)_l U_l x.  The product size and every |t| are checked
-    against the oracle cap before any spectrum is solved.
+    against the oracle cap ``cap`` before any spectrum is solved.
     """
     spec = config.spec
-    _check_oracle_work(spec.product_size, config.times, config.oracle_cap, "time")
+    _check_oracle_work(spec.product_size, config.times, cap, "time")
     spectra = chain_spectra(spec)
 
     # per-check defects, folded by np.max so that a NaN fails the check
@@ -527,9 +507,8 @@ def _too_many_digits(n: int, d: int) -> bool:
     return False
 
 
-def run_bench(config: ExperimentConfig) -> tuple[int, list[str]]:
+def run_bench(config: ExperimentConfig, cap: int) -> tuple[int, list[str]]:
     base, t = _sweep_base(config, "bench")
-    cap = config.oracle_cap
     for d in config.d_sweep:
         if _too_many_digits(base.n_states, d):
             raise ConfigError(f"d_sweep: the product size at d={d} has too many digits to write")
@@ -631,27 +610,27 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
 
 
 def run_dump_config(config: ExperimentConfig) -> tuple[int, list[str]]:
-    """The resolved config, every field explicit; parse_config reads it back to an equal config."""
+    """The config, every field explicit; parse_config reads it back to an equal config."""
     payload = {
         "dims": [{"size": d.size, "p_table": list(d.decrease_prob)} for d in config.spec.dims],
         "select_prob": list(config.spec.select_prob),
         "time": list(config.times),
         "initial": list(config.initial),
-        "oracle_cap": config.oracle_cap,
-        "output": {"path": config.output_path, "format": config.output_format},
+        "output": {"format": config.output_format},
         **({} if config.d_sweep is None else {"d_sweep": list(config.d_sweep)}),
     }
     return 0, [json.dumps(payload, indent=2) + "\n"]
 
 
-# name: (run function, help text); simulate's run also takes --dense
+# name: (run function, help text); the runs of the oracle (simulate, verify and
+# bench) also take the cap, and simulate's --dense
 _COMMANDS = {
     "simulate": (run_simulate, "emit factorized marginals (and optionally the oracle's joint law)"),
     "verify": (run_verify, "check Theorem 1 on Chebyshev probes of H, and the spectral defects"),
     "clt": (run_clt, "Kolmogorov distance of the standardized sum to the normal law"),
     "bench": (run_bench, "time the oracle's column against the factorized path"),
     "dump-spectrum": (run_dump_spectrum, "emit per-dimension eigensystems as JSON"),
-    "dump-config": (run_dump_config, "emit the resolved, fully explicit config JSON"),
+    "dump-config": (run_dump_config, "emit the fully explicit config JSON"),
 }
 
 
@@ -664,9 +643,12 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (run, help_text) in _COMMANDS.items():
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to the JSON experiment config")
-        cmd.add_argument("--output", help="output path (default: config value or stdout)")
+        cmd.add_argument("--output", default="-", help="output path (default: - for stdout)")
         cmd.add_argument(
-            "--oracle-cap", type=int, help="cap on the oracle's product-space size and on |t|"
+            "--oracle-cap",
+            type=int,
+            default=DEFAULT_ORACLE_CAP,
+            help="cap on the oracle's product-space size and on |t| (default: %(default)s)",
         )
         if run is run_simulate:
             cmd.add_argument(
@@ -732,13 +714,17 @@ def main(argv: list[str] | None = None) -> int:
     """
     args = build_parser().parse_args(argv)
     try:
-        config = resolve(load_config(args.config), args)
+        config = load_config(args.config)
+        cap, path = _check_positive(args.oracle_cap, "--oracle-cap"), _check_path(args.output)
         run, _ = _COMMANDS[args.command]
-        code, chunks = run(config, args.dense) if "dense" in args else run(config)
-        if config.output_path == "-":
+        if run in (run_clt, run_dump_spectrum, run_dump_config):  # none runs the oracle
+            code, chunks = run(config)
+        else:
+            code, chunks = run(config, cap, args.dense) if "dense" in args else run(config, cap)
+        if path == "-":
             sys.stdout.writelines(chunks)
         else:
-            _write_file(config.output_path, chunks)
+            _write_file(path, chunks)
         return code
     except (SizeLimitError, MemoryError) as exc:
         code, message = 3, str(exc) or "out of memory"

@@ -14,7 +14,7 @@ from bdqw.chain import (
     build_conditional_matrix,
     stationary_distribution,
 )
-from bdqw.ctqw import propagator_parts, transition_matrix_1d
+from bdqw.ctqw import transition_matrix_1d
 from bdqw.spectral import SpectralData
 
 
@@ -29,9 +29,9 @@ def poly_table(data: SpectralData) -> np.ndarray:
 
 
 def propagator(data: SpectralData, t: float) -> np.ndarray:
-    """The 1-D evolution operator exp(i t J) as one complex matrix."""
-    re, im = propagator_parts(data, t)
-    return re + 1j * im
+    """The 1-D evolution operator exp(i t J) = V diag(e^{i t lambda}) V^T, one complex matrix."""
+    v = data.eigenvectors
+    return (v * np.exp(1j * t * data.eigenvalues)) @ v.T
 
 
 def symmetrized_kernel_oracle(dim: DimensionSpec) -> np.ndarray:

@@ -25,9 +25,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdqw
-from bdqw import cli, ctqw, spectral, stats
+from bdqw import cli, spectral, stats
 from bdqw.chain import DimensionSpec, build_conditional_matrix, ehrenfest_dimension
-from bdqw.cli import load_config, main, parse_config, resolve
+from bdqw.cli import load_config, main, parse_config
 from bdqw.spectral import SpectralData
 
 from conftest import (
@@ -139,7 +139,7 @@ class TestConfigParsing:
             ({"dims": [{"size": 1}], "times": [0.5, 2.0]}, "times"),
             ({"dims": [{"size": 1}], "intial": [1]}, "intial"),
             ({"dims": [{"size": 1}, {"size": 2, "ptable": [0.3]}]}, "dims[1].ptable"),
-            ({"dims": [{"size": 1}], "output": {"path": "-", "fmt": "json"}}, "output.fmt"),
+            ({"dims": [{"size": 1}], "output": {"format": "csv", "fmt": "json"}}, "output.fmt"),
         ],
     )
     def test_unknown_key_rejected(self, tmp_path, capsys, fields, path):
@@ -219,7 +219,7 @@ class TestConfigParsing:
             ({"dims": [{"size": 1}], "select_prob": 1.0}, "select_prob: expected 'uniform'"),
             ({"dims": [{"size": 1}], "initial": [0, 0]}, "initial: expected a list of 1 positions"),
             ({"dims": [{"size": 1}], "output": "out.csv"}, "output: expected an object"),
-            ({"dims": [{"size": 1}], "output": {"path": 3}}, "output.path: expected a string"),
+            ({"dims": [{"size": 1}], "output": {"path": "-"}}, "output.path: unknown key"),
             ({"dims": [{"size": 1}], "output": {"format": "xml"}}, "output.format: expected 'csv'"),
             ({"dims": [{"size": 1}], "d_sweep": []}, "d_sweep: expected a non-empty list"),
             ({"dims": [{"size": 1}], "d_sweep": [2, 0]}, "d_sweep: expected positive integers"),
@@ -546,8 +546,7 @@ class TestSimulate:
         assert_same_text(out.read_text(encoding="utf-8"), expected)
         assert expected.count("\n") == 1 + 2 * rows
         # the header, then per time one chunk per block of rows
-        config = replace(load_config(config_path), oracle_cap=5000)
-        chunks = list(cli.run_simulate(config, dense)[1])
+        chunks = list(cli.run_simulate(load_config(config_path), 5000, dense)[1])
         assert len(chunks) == 1 + 2 * -(-rows // block)
         assert all(chunk.endswith("\n") for chunk in chunks)
 
@@ -582,10 +581,7 @@ class TestOutputTarget:
         assert main([*argv, "--config", config, "--output", "-"]) == 0
         stdout = capsysbinary.readouterr().out
         assert main([*argv, "--config", config, "--output", str(out)]) == 0
-        written = out.read_bytes()
-        if argv[0] == "dump-config":  # it writes back the output path it resolved
-            written = written.replace(json.dumps(str(out)).encode(), b'"-"')
-        assert stdout and stdout == written
+        assert stdout and stdout == out.read_bytes()
 
     @pytest.mark.parametrize("existing", [None, "an earlier report\n"])
     @pytest.mark.parametrize(
@@ -617,7 +613,7 @@ class TestOutputTarget:
         link.symlink_to(out)
         assert main(["dump-config", "--config", config, "--output", str(link)]) == 0
         assert link.is_symlink() and out.stat().st_mode & 0o777 == 0o600
-        assert json.loads(out.read_text(encoding="utf-8"))["output"]["path"] == str(link)
+        assert parse_config(json.loads(out.read_text(encoding="utf-8"))) == load_config(config)
 
     @pytest.mark.parametrize(
         "kind, reason",
@@ -720,16 +716,17 @@ def perturbed_kernel(s: SpectralData) -> SpectralData:
     return spectral.dimension_spectrum(DimensionSpec(size=7, decrease_prob=tuple(table)))
 
 
-def identity_column(real, s: SpectralData, t: float) -> np.ndarray:
-    parts = real(s, t)
-    parts[:, :, 0] = 0.0
-    parts[0, 0, 0] = 1.0
-    return parts
+def frozen_lowest_eigenvalue(real, spec, spectra, x, t) -> np.ndarray:
+    """The factorized side with dims[0]'s lowest eigenvalue read as 0."""
+    first, *rest = spectra
+    values = first.eigenvalues.copy()
+    values[0] = 0.0
+    return real(spec, (replace(first, eigenvalues=values), *rest), x, t)
 
 
 # 8 x 16 x 16 Ehrenfest urns with distinct q at t = 7.3; each fault below,
-# alone, in dims[0]'s spectrum or in every 1-D propagator of the factorized
-# side, must push theorem1_max_abs_err over the tolerance.
+# alone, in dims[0]'s spectrum or in the inputs (or the result) of the
+# factorized side, must push theorem1_max_abs_err over the tolerance.
 FAULT_CONFIG = parse_config(
     {"dims": [{"size": n} for n in (7, 15, 15)], "select_prob": [0.2, 0.3, 0.5], "time": 7.3}
 )
@@ -738,17 +735,20 @@ SPECTRUM_FAULTS = {
     "two eigenvectors rotated by 1e-9": rotated_eigenvectors,
     "p_table changed by 1e-6": perturbed_kernel,
 }
-# dims[1] and dims[2] share one spectrum, so swapping their times swaps their U's
-SWAPPED = {0.3 * 7.3: 0.5 * 7.3, 0.5 * 7.3: 0.3 * 7.3}
+# each fault takes the factorized side, _factorized_propagate, and its inputs
 FACTOR_FAULTS = {
-    # the flipped phase sign gives U_l at -q_l t, U_l's conjugate: on a real
-    # probe it flips the sign of the imaginary part of (x)_l U_l x, so the
-    # real probes must see i's sign
-    "phase sign flipped": lambda real, s, t: real(s, t) * np.array([1.0, -1.0])[:, None, None],
-    "identity column": identity_column,
-    "W order swapped": lambda real, s, t: real(s, SWAPPED.get(t, t)),
-    "U at t + 1e-6": lambda real, s, t: real(s, t + 1e-6),
-    "every U_l x (1 + 1e-9)": lambda real, s, t: real(s, t) * (1.0 + 1e-9),
+    # -t gives every U_l at -q_l t, U_l's conjugate: on a real probe it flips
+    # the sign of the imaginary part of (x)_l U_l x, so the real probes must
+    # see i's sign
+    "phase sign flipped": lambda real, spec, spectra, x, t: real(spec, spectra, x, -t),
+    "lowest eigenvalue frozen at 0": frozen_lowest_eigenvalue,
+    # dims[1] and dims[2] share one spectrum, so swapping their q swaps their U's
+    "q of dims[1] and dims[2] swapped": lambda real, spec, spectra, x, t: real(
+        replace(spec, select_prob=(0.2, 0.5, 0.3)), spectra, x, t
+    ),
+    "U at t + 1e-6": lambda real, spec, spectra, x, t: real(spec, spectra, x, t + 1e-6),
+    # the result of the three factors, each U_l times 1 + 1e-9
+    "every U_l x (1 + 1e-9)": lambda real, *inputs: real(*inputs) * (1.0 + 1e-9) ** 3,
 }
 
 
@@ -876,15 +876,17 @@ class TestVerify:
             assert abs(json.loads(out.read_text())["eigen_residual"] - expected) <= 1e-15
 
     def test_a_nan_in_one_propagator_entry_fails(self, tmp_path, monkeypatch):
-        # the factorized side carries the NaN into both probe readings
-        real = ctqw.propagator_parts
+        # a NaN in one entry of the V that the factorized side reads: it
+        # carries the NaN into both probe readings
+        real = cli._factorized_propagate
 
-        def with_nan(*args):
-            parts = real(*args)
-            parts[0, -1, -1] = np.nan
-            return parts
+        def with_nan(spec, spectra, x, t):
+            (s,) = spectra
+            vectors = s.eigenvectors.copy()
+            vectors[-1, -1] = np.nan
+            return real(spec, (replace(s, eigenvectors=vectors),), x, t)
 
-        monkeypatch.setattr(ctqw, "propagator_parts", with_nan)
+        monkeypatch.setattr(cli, "_factorized_propagate", with_nan)
         out = tmp_path / "report.json"
         config = write_config(tmp_path, dims=[{"size": 64}], time=1.0)
         assert main(["verify", "--config", config, "--output", str(out)]) == 1
@@ -941,7 +943,7 @@ class TestVerify:
         assert peak <= 2_359_296  # twice the probes' 1 MiB, and 256 KiB
 
     def test_the_fault_chain_passes_without_a_fault(self):
-        code, chunks = cli.run_verify(FAULT_CONFIG)
+        code, chunks = cli.run_verify(FAULT_CONFIG, bdqw.DEFAULT_ORACLE_CAP)
         report = json.loads("".join(chunks))
         assert code == 0 and report["pass"] is True
         assert report["theorem1_max_abs_err"] <= 1e-12
@@ -957,24 +959,24 @@ class TestVerify:
             return (SPECTRUM_FAULTS[fault](first), *rest)
 
         monkeypatch.setattr(cli, "chain_spectra", with_fault)
-        code, chunks = cli.run_verify(FAULT_CONFIG)
+        code, chunks = cli.run_verify(FAULT_CONFIG, bdqw.DEFAULT_ORACLE_CAP)
         assert json.loads("".join(chunks))["theorem1_max_abs_err"] > cli.VERIFY_TOLERANCE
         assert code == 1
 
     @pytest.mark.parametrize("fault", FACTOR_FAULTS)
     def test_a_wrong_factor_fails_the_probe_check(self, monkeypatch, fault):
-        # each 1-D propagator of the factorized side goes through the mutant
-        real = ctqw.propagator_parts
-        monkeypatch.setattr(ctqw, "propagator_parts", lambda s, t: FACTOR_FAULTS[fault](real, s, t))
-        code, chunks = cli.run_verify(FAULT_CONFIG)
+        # the factorized side goes through the mutant, the Chebyshev side does not
+        real, mutant = cli._factorized_propagate, FACTOR_FAULTS[fault]
+        monkeypatch.setattr(cli, "_factorized_propagate", lambda *inputs: mutant(real, *inputs))
+        code, chunks = cli.run_verify(FAULT_CONFIG, bdqw.DEFAULT_ORACLE_CAP)
         assert json.loads("".join(chunks))["theorem1_max_abs_err"] > cli.VERIFY_TOLERANCE
         assert code == 1
 
     def test_a_scaled_factor_fails_the_norm_check(self, monkeypatch):
         # each U_l times 1 + 1e-9 scales the probes' squared norms by (1 + 1e-9)^6
-        real, fault = ctqw.propagator_parts, FACTOR_FAULTS["every U_l x (1 + 1e-9)"]
-        monkeypatch.setattr(ctqw, "propagator_parts", lambda s, t: fault(real, s, t))
-        code, chunks = cli.run_verify(FAULT_CONFIG)
+        real, fault = cli._factorized_propagate, FACTOR_FAULTS["every U_l x (1 + 1e-9)"]
+        monkeypatch.setattr(cli, "_factorized_propagate", lambda *inputs: fault(real, *inputs))
+        code, chunks = cli.run_verify(FAULT_CONFIG, bdqw.DEFAULT_ORACLE_CAP)
         assert json.loads("".join(chunks))["unitarity_defect"] > cli.VERIFY_TOLERANCE
         assert code == 1
 
@@ -988,7 +990,7 @@ class TestVerify:
             return (BASIS_FAULTS[fault](first), *rest)
 
         monkeypatch.setattr(cli, "chain_spectra", with_fault)
-        code, chunks = cli.run_verify(FAULT_CONFIG)
+        code, chunks = cli.run_verify(FAULT_CONFIG, bdqw.DEFAULT_ORACLE_CAP)
         report = json.loads("".join(chunks))
         assert report["theorem1_max_abs_err"] > cli.VERIFY_TOLERANCE
         assert report["orthogonality_defect"] > cli.VERIFY_TOLERANCE
@@ -1352,9 +1354,9 @@ class TestDumps:
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_dump_config_round_trips_every_resolved_field(self, data):
-        # parse_config reads dump-config's text back to the resolved config,
-        # field for field, whatever the config left out or set to null and
-        # whatever the flags overrode; "-" is stdout in both
+        # parse_config reads dump-config's text back to the parsed config,
+        # field for field, whatever the config left out or set to null; the
+        # text holds every key of the experiment and no run setting
         draw = data.draw
 
         def maybe(strategy):
@@ -1365,40 +1367,30 @@ class TestDumps:
         tables = [draw(maybe(st.just("ehrenfest") | table(n))) for n in sizes]
         weights = draw(st.lists(st.floats(1.0, 3.0), min_size=len(sizes), max_size=len(sizes)))
         time = st.floats(-1e3, 1e3) | st.integers(-1000, 1000)
-        output = st.fixed_dictionaries(
-            {},
-            optional={
-                "path": maybe(st.sampled_from(["-", "out.csv"])),
-                "format": st.sampled_from(["csv", "json"]),
-            },
-        )
+        output = st.fixed_dictionaries({}, optional={"format": st.sampled_from(["csv", "json"])})
         fields = {
             "dims": [{"size": n, **({} if t is None else {"p_table": t})} for n, t in zip(sizes, tables)],
             "select_prob": draw(maybe(st.sampled_from(["uniform", [w / sum(weights) for w in weights]]))),
             "time": draw(maybe(time | st.lists(time, min_size=1, max_size=3))),
             "initial": draw(maybe(st.tuples(*(st.integers(0, n) for n in sizes)).map(list))),
-            "oracle_cap": draw(maybe(st.integers(1, 10**6))),
             "output": draw(maybe(output)),
             "d_sweep": draw(maybe(st.lists(st.integers(1, 100), min_size=1, max_size=3))),
         }
-        nullable = ("oracle_cap", "output", "d_sweep")  # null reads as absent
+        nullable = ("output", "d_sweep")  # null reads as absent
         config = {
             key: value
             for key, value in fields.items()
             if value is not None or key in nullable and draw(st.booleans())
         }
+        parsed = parse_config(config)
 
-        argv = ["simulate", "--config", "unused.json"]
-        flags = {
-            "--oracle-cap": draw(maybe(st.integers(1, 10**6))),
-            "--output": draw(maybe(st.sampled_from(["-", "report.txt"]))),
-        }
-        argv += [f"{flag}={value}" for flag, value in flags.items() if value is not None]
-        resolved = resolve(parse_config(config), cli.build_parser().parse_args(argv))
-
-        code, chunks = cli.run_dump_config(resolved)
+        code, chunks = cli.run_dump_config(parsed)
+        dumped = json.loads("".join(chunks))
         assert code == 0
-        assert parse_config(json.loads("".join(chunks))) == resolved
+        keys = ["dims", "select_prob", "time", "initial", "output"]
+        assert list(dumped) == keys + ([] if parsed.d_sweep is None else ["d_sweep"])
+        assert list(dumped["output"]) == ["format"]
+        assert parse_config(dumped) == parsed
 
     def test_dump_spectrum_text_and_one_solve_per_distinct_dimension(self, tmp_path, monkeypatch):
         solved = []
@@ -1572,14 +1564,11 @@ class TestSpectralFailureNamesItsDimension:
 
 class TestOracleCapResolution:
     @pytest.mark.parametrize(
-        "argv, fields, field",
-        [
-            ([], {"oracle_cap": 4}, "time[1]: -5.0"),
-            (["--oracle-cap", "4"], {}, "time[1]: -5.0"),
-        ],
+        "cap, time, field",
+        [(4, [1.0, -5.0], "time[1]: -5.0"), (2, [3.0, 1.0], "time[0]: 3.0")],
     )
     def test_a_time_over_the_cap_exits_3_before_any_spectrum(
-        self, tmp_path, capsys, monkeypatch, argv, fields, field
+        self, tmp_path, capsys, monkeypatch, cap, time, field
     ):
         # verify's Chebyshev check takes about |t| terms, so the cap bounds |t| too
         def refuse(spec):
@@ -1587,26 +1576,27 @@ class TestOracleCapResolution:
 
         monkeypatch.setattr(cli, "chain_spectra", refuse)
         out = tmp_path / "out"
-        config = edge_config(tmp_path, time=[1.0, -5.0], **fields)
-        assert main(["verify", "--config", config, "--output", str(out), *argv]) == 3
-        cap = fields.get("oracle_cap", 4)
+        config = edge_config(tmp_path, time=time)
+        argv = ["--output", str(out), "--oracle-cap", str(cap)]
+        assert main(["verify", "--config", config, *argv]) == 3
         assert capsys.readouterr().err == (
             f"error: {field} is beyond the oracle cap of {cap} on |t|: "
             "the Chebyshev series takes about |t| terms\n"
         )
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv, cap", [(["--oracle-cap", "5"], 4), ([], 5)])
-    def test_the_cap_sources_raise_the_time_bound(self, tmp_path, argv, cap):
-        # a cap of 4 rejects t = -5; a flag or a config cap of 5 admits it, as
+    @pytest.mark.parametrize("argv", [["--oracle-cap", "5"], []])
+    def test_the_cap_sources_raise_the_time_bound(self, tmp_path, argv):
+        # a cap of 4 rejects t = -5; a cap of 5 or the default admits it, as
         # they raise the size cap, and the bound on |t| is inclusive
-        config = edge_config(tmp_path, time=[1.0, -5.0], oracle_cap=cap)
+        config = edge_config(tmp_path, time=[1.0, -5.0])
         assert main(["verify", "--config", config, *argv]) == 0
 
     @pytest.mark.parametrize("argv", [["simulate"], ["dump-spectrum"]])
     def test_the_time_bound_spares_the_spectral_routes(self, tmp_path, argv):
-        config = edge_config(tmp_path, time=[1.0, -5.0], oracle_cap=4)
-        assert main([*argv, "--config", config, "--output", str(tmp_path / "out")]) == 0
+        config = edge_config(tmp_path, time=[1.0, -5.0])
+        out = str(tmp_path / "out")
+        assert main([*argv, "--config", config, "--output", out, "--oracle-cap", "4"]) == 0
 
     def test_a_time_over_the_cap_stops_the_oracle_column(self, tmp_path, capsys, monkeypatch):
         # simulate --dense's column takes about |t| Chebyshev terms too: it exits 3
@@ -1616,8 +1606,9 @@ class TestOracleCapResolution:
 
         monkeypatch.setattr(cli, "chain_spectra", refuse)
         out = tmp_path / "out"
-        config = edge_config(tmp_path, time=[5.0, 1.0], oracle_cap=4)
-        assert main(["simulate", "--dense", "--config", config, "--output", str(out)]) == 3
+        config = edge_config(tmp_path, time=[5.0, 1.0])
+        argv = ["--config", config, "--output", str(out), "--oracle-cap", "4"]
+        assert main(["simulate", "--dense", *argv]) == 3
         assert capsys.readouterr().err == (
             "error: time[0]: 5.0 is beyond the oracle cap of 4 on |t|: "
             "the Chebyshev series takes about |t| terms\n"
@@ -1642,14 +1633,11 @@ class TestOracleCapResolution:
         # 4 states fit the cap of 4 and T = 5 does not: the dense cell is skipped,
         # as it is for a size over the cap, and the factorized cell is filled
         out = tmp_path / "bench.csv"
-        config = write_config(tmp_path, dims=[{"size": 1}], time=5.0, d_sweep=[2], oracle_cap=4)
-        assert main(["bench", "--config", config, "--output", str(out)]) == 0
+        config = write_config(tmp_path, dims=[{"size": 1}], time=5.0, d_sweep=[2])
+        assert main(["bench", "--config", config, "--output", str(out), "--oracle-cap", "4"]) == 0
         row = read_csv(str(out))[0]
         assert row["product_size"] == "4" and row["dense_ms"] == "skipped"
         assert float(row["factorized_ms"]) > 0.0 and row["ratio"] == ""
-
-    def test_config_field_used_without_flag(self, tmp_path):
-        assert main(["verify", "--config", two_edge_config(tmp_path, oracle_cap=2)]) == 3
 
     @pytest.mark.parametrize(
         "argv", [["verify", "--oracle-cap", "0"], ["simulate", "--dense", "--oracle-cap", "-5"]]
@@ -1660,36 +1648,24 @@ class TestOracleCapResolution:
 
 
 class TestResolution:
-    """Flags and config fields are resolved once, for every subcommand."""
+    """Each setting has one source, the config or a flag, checked on every subcommand."""
 
-    def dumped(self, tmp_path, argv=(), **fields) -> dict:
-        out = tmp_path / "resolved.json"
-        config = write_config(tmp_path, dims=[{"size": 2}], time=[0.5, 1.0], **fields)
-        assert main(["dump-config", "--config", config, "--output", str(out), *argv]) == 0
-        return json.loads(out.read_text())
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_each_flag_carries_its_default(self, command):
+        # no config key overlays them: the defaults are the flags' own
+        args = cli.build_parser().parse_args([command, "--config", "unused.json"])
+        assert (args.oracle_cap, args.output) == (bdqw.DEFAULT_ORACLE_CAP, "-") == (4096, "-")
 
-    @pytest.mark.parametrize(
-        "flag, field, expected",
-        [
-            (["--oracle-cap", "100"], 77, 100),  # flag beats config
-            ([], 77, 77),  # config beats default
-            ([], None, 4096),  # the default
-        ],
-    )
-    def test_oracle_cap_precedence(self, tmp_path, flag, field, expected):
-        fields = {} if field is None else {"oracle_cap": field}
-        assert self.dumped(tmp_path, flag, **fields)["oracle_cap"] == expected
-
-    # Every subcommand resolves and checks both flags and the config's cap and
-    # times, also those that never run the oracle or never read a time.
+    # Every subcommand checks both flags and the config's keys and times, also
+    # those that never run the oracle or never read a time.
     @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
     @pytest.mark.parametrize(
         "argv, fields, field",
         [
             (["--oracle-cap", "0"], {}, "--oracle-cap"),
             (["--output="], {}, "--output"),
-            ([], {"oracle_cap": "many"}, "oracle_cap"),
-            ([], {"oracle_cap": 0}, "oracle_cap"),
+            ([], {"oracle_cap": 4096}, "oracle_cap: unknown key"),
+            ([], {"output": {"path": "-"}}, "output.path: unknown key"),
             ([], {"time": "soon"}, "time[0]"),
             ([], {"time": [1.0, math.inf]}, "time[1]"),
         ],
@@ -1715,7 +1691,7 @@ class TestResolution:
 
     @pytest.mark.parametrize("env", ["", "many", "1000"])
     def test_the_environment_has_no_effect(self, tmp_path, monkeypatch, capsys, env):
-        # the cap comes from the config and --oracle-cap alone: BDQW_ORACLE_CAP,
+        # the cap comes from --oracle-cap alone: BDQW_ORACLE_CAP,
         # blank, malformed or below the benchmark's 2048 verify states, is not read
         monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
         import workloads
@@ -1738,19 +1714,20 @@ class TestResolution:
             assert main(argv) == 0
             assert capsys.readouterr() == expected
 
-    def test_subcommands_read_only_the_resolved_config(self, tmp_path):
-        args = cli.build_parser().parse_args(
-            ["verify", "--config", "unused.json", "--oracle-cap", "64"]
+    def test_subcommands_read_the_cap_that_main_checked(self, tmp_path, capsys):
+        # two edges have 4 states: --oracle-cap 2 exits 3, and 64 passes
+        config = two_edge_config(tmp_path, time=1.0)
+        assert main(["verify", "--config", config, "--oracle-cap", "2"]) == 3
+        assert capsys.readouterr().err == (
+            "error: product space has 4 states, exceeding the oracle cap of 2\n"
         )
-        config = resolve(load_config(two_edge_config(tmp_path, time=1.0, oracle_cap=2)), args)
-        assert config.oracle_cap == 64
-        code, chunks = cli.run_verify(config)  # the config's cap of 2 would exit 3
+        code, chunks = cli.run_verify(load_config(config), 64)
         assert code == 0 and json.loads("".join(chunks))["pass"] is True
 
 
 EDGE = {"size": 1}
 BIG = "1" + "0" * 400  # a JSON integer with no double value
-TOP_KEYS = "dims, select_prob, time, initial, oracle_cap, output, d_sweep"
+TOP_KEYS = "dims, select_prob, time, initial, output, d_sweep"
 # One edge selected with q = 1: |t| q eps reaches VERIFY_TOLERANCE at |t| = 450359.96...
 BUDGET = "is beyond the phase budget |t| <= 450360, where |t| max q_l eps is 1e-10"
 
@@ -1764,8 +1741,8 @@ def case(config, message, argv=(), code=2, dumped=None, id=None):
 # next to them that are accepted.  argparse's own rejections (a non-integer
 # --oracle-cap, an unknown flag such as --time or --format) are not here:
 # their text is argparse's.  The last rows are the rejections of an empty
-# output path, a time beyond the phase budget and a config nested too deeply
-# for json; every other row reads the same at the commit before them.
+# output path (in the config, where the key is now unknown, and as --output),
+# a time beyond the phase budget and a config nested too deeply for json.
 REJECTIONS = [
     # the object checks
     case([{"dims": [EDGE]}], "config: top level must be a JSON object", id="top-list"),
@@ -1776,8 +1753,8 @@ REJECTIONS = [
     case({"dims": [EDGE], "intial": [1]}, f"intial: unknown key, expected one of {TOP_KEYS}"),
     case({"dims": [EDGE, {"size": 2, "ptable": [0.3]}]},
          "dims[1].ptable: unknown key, expected one of size, p_table"),
-    case({"dims": [EDGE], "output": {"path": "-", "fmt": "json"}},
-         "output.fmt: unknown key, expected one of path, format"),
+    case({"dims": [EDGE], "output": {"format": "csv", "fmt": "json"}},
+         "output.fmt: unknown key, expected one of format"),
     case('{"dims": [{"size": 1}], "time": 1.0, "time": 2.0}', "config: duplicate key 'time'",
          id="duplicate-top"),
     case('{"dims": [{"size": 1, "size": 2}]}', "config: duplicate key 'size'", id="duplicate-dim"),
@@ -1849,20 +1826,23 @@ REJECTIONS = [
     case({"dims": [EDGE], "initial": [-1]}, "initial: position -1 out of range 0..1"),
     case({"dims": [EDGE], "initial": [True]}, "initial: position True out of range 0..1"),
     case({"dims": [EDGE], "initial": [0.0]}, "initial: position 0.0 out of range 0..1"),
-    # oracle_cap and --oracle-cap
-    case({"dims": [EDGE], "oracle_cap": -1}, "oracle_cap: expected a positive integer, got -1"),
-    case({"dims": [EDGE], "oracle_cap": 0}, "oracle_cap: expected a positive integer, got 0"),
-    case({"dims": [EDGE], "oracle_cap": 1.5}, "oracle_cap: expected a positive integer, got 1.5"),
-    case({"dims": [EDGE], "oracle_cap": "12"}, "oracle_cap: expected a positive integer, got '12'"),
-    case({"dims": [EDGE], "oracle_cap": True}, "oracle_cap: expected a positive integer, got True"),
+    # --oracle-cap, the cap's one source: the config key is unknown, whatever its value
+    case({"dims": [EDGE], "oracle_cap": 4096}, f"oracle_cap: unknown key, expected one of {TOP_KEYS}"),
+    case({"dims": [EDGE], "oracle_cap": 0}, f"oracle_cap: unknown key, expected one of {TOP_KEYS}"),
+    case({"dims": [EDGE], "oracle_cap": None}, f"oracle_cap: unknown key, expected one of {TOP_KEYS}"),
+    case({"dims": [EDGE], "oracle_cap": 7}, f"oracle_cap: unknown key, expected one of {TOP_KEYS}",
+         ["--oracle-cap", "7"], id="oracle_cap-with-flag"),
     case({"dims": [EDGE]}, "--oracle-cap: expected a positive integer, got 0", ["--oracle-cap", "0"]),
     case({"dims": [EDGE]}, "--oracle-cap: expected a positive integer, got -5",
          ["--oracle-cap", "-5"]),
-    # output
-    case({"dims": [EDGE], "output": "out.csv"}, "output: expected an object with 'path' and 'format'"),
-    case({"dims": [EDGE], "output": []}, "output: expected an object with 'path' and 'format'"),
-    case({"dims": [EDGE], "output": False}, "output: expected an object with 'path' and 'format'"),
-    case({"dims": [EDGE], "output": {"path": 3}}, "output.path: expected a string"),
+    # output, and --output, the path's one source: output.path is unknown, whatever its value
+    case({"dims": [EDGE], "output": "out.csv"}, "output: expected an object with 'format'"),
+    case({"dims": [EDGE], "output": []}, "output: expected an object with 'format'"),
+    case({"dims": [EDGE], "output": False}, "output: expected an object with 'format'"),
+    case({"dims": [EDGE], "output": {"path": "-"}}, "output.path: unknown key, expected one of format"),
+    case({"dims": [EDGE], "output": {"path": 3}}, "output.path: unknown key, expected one of format"),
+    case({"dims": [EDGE], "output": {"path": None}},
+         "output.path: unknown key, expected one of format"),
     case({"dims": [EDGE], "output": {"format": "xml"}},
          "output.format: expected 'csv' or 'json', got 'xml'"),
     case({"dims": [EDGE], "output": {"format": None}},
@@ -1874,20 +1854,16 @@ REJECTIONS = [
     case({"dims": [EDGE], "d_sweep": [2, 0]}, "d_sweep: expected positive integers, got 0"),
     case({"dims": [EDGE], "d_sweep": [2.0]}, "d_sweep: expected positive integers, got 2.0"),
     case({"dims": [EDGE], "d_sweep": [True]}, "d_sweep: expected positive integers, got True"),
-    # accepted: a null read as an absent key, and a flag over the config
-    case({"dims": [EDGE], "oracle_cap": None}, "", code=0, dumped={"oracle_cap": 4096}),
-    case({"dims": [EDGE], "output": None}, "", code=0,
-         dumped={"output": {"path": "-", "format": "csv"}}),
-    case({"dims": [EDGE], "output": {"path": None}}, "", code=0,
-         dumped={"output": {"path": "-", "format": "csv"}}),
+    # accepted: a null read as an absent key, and the flags, which the dump does not hold
+    case({"dims": [EDGE], "output": None}, "", code=0, dumped={"output": {"format": "csv"}}),
+    case({"dims": [EDGE], "output": {"format": "json"}}, "", ["--oracle-cap", "7", "--output", "-"],
+         code=0, dumped={"output": {"format": "json"}}, id="flags"),
     case({"dims": [EDGE], "d_sweep": None}, "", code=0, dumped={"time": [1.0]}),
-    case({"dims": [EDGE], "oracle_cap": 3}, "", ["--oracle-cap", "7"], code=0,
-         dumped={"oracle_cap": 7}, id="flag-before-config"),
     case({"dims": [EDGE], "time": 450359}, "", code=0, dumped={"time": [450359.0]},
          id="time-inside-budget"),
     # rejected since the phase budget, the empty-path check and the nesting check
     case({"dims": [EDGE], "output": {"path": ""}},
-         "output.path: expected a file name or '-' for stdout, got ''", id="new-output-path-empty"),
+         "output.path: unknown key, expected one of format", id="new-output-path-empty"),
     case({"dims": [EDGE]}, "--output: expected a file name or '-' for stdout, got ''",
          ["--output="], id="new-output-flag-empty"),
     case({"dims": [EDGE], "time": 1e17}, f"time[0]: 1e+17 {BUDGET}", id="new-time-1e17"),
@@ -1910,6 +1886,7 @@ class TestEveryRejection:
             assert out == ""
         else:
             assert json.loads(out).items() >= dumped.items()
+            assert "oracle_cap" not in out and "path" not in out
 
 
 class TestNewRejections:
@@ -1951,12 +1928,15 @@ class TestNewRejections:
         assert parse_config(config).times == (2e4,)
 
     @pytest.mark.parametrize(
-        "fields, argv, source",
-        [({"output": {"path": ""}}, [], "output.path"), ({}, ["--output="], "--output")],
+        "fields, argv, message",
+        [
+            ({"output": {"path": ""}}, [], "output.path: unknown key, expected one of format"),
+            ({}, ["--output="], "--output: expected a file name or '-' for stdout, got ''"),
+        ],
     )
     @pytest.mark.parametrize("command", ["simulate", "dump-config"])
     def test_an_empty_output_path_exits_2_and_writes_nothing(
-        self, tmp_path, monkeypatch, capsys, fields, argv, source, command
+        self, tmp_path, monkeypatch, capsys, fields, argv, message, command
     ):
         # --output= wrote to stdout; "path": "" made a temporary file beside
         # the working directory and failed with "Is a directory: ''"
@@ -1965,8 +1945,7 @@ class TestNewRejections:
         work.mkdir()
         monkeypatch.chdir(work)
         assert main([command, "--config", config, *argv]) == 2
-        message = f"error: {source}: expected a file name or '-' for stdout, got ''\n"
-        assert capsys.readouterr() == ("", message)
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert sorted(os.listdir(tmp_path)) == ["config.json", "work"] and not os.listdir(work)
 
 
@@ -2073,7 +2052,7 @@ class TestEntryPoint:
         expected_head = ("earlier\n" if redirect == ">>" else "") + "header\n"
         assert text.startswith(expected_head) and text.endswith("footer\n")
         report = json.loads(text[len(expected_head) : -len("footer\n")])
-        assert report["output"]["path"] == target
+        assert parse_config(report) == load_config(config)
 
     @pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE")
     def test_a_reader_closing_the_pipe_ends_the_run_as_a_filter(self, tmp_path):

@@ -27,7 +27,6 @@ from bdqw.ctqw import (
     dense_position_distribution,
     ehrenfest_sum_law,
     position_distribution,
-    propagator_parts,
     transition_matrix_1d,
     transition_prob_1d,
     transition_prob_factorized,
@@ -212,7 +211,6 @@ class TestContractionKernel:
         j = data.draw(st.integers(0, s.n_states - 1))
         k = data.draw(st.integers(0, s.n_states - 1))
         for l, phase in enumerate((np.cos(lam_t), np.sin(lam_t))):
-            assert np.array_equal(propagator_parts(s, t)[l], (v * phase) @ v.T)
             assert np.array_equal(_amplitudes(v, s.eigenvalues, t)[l], (v * phase) @ v.T)
             column = _amplitudes(v, s.eigenvalues, t, slice(None), j)[l]
             assert np.array_equal(column, (v * phase) @ v[j])
@@ -415,7 +413,7 @@ class TestCheckOracleWork:
             ctqw._check_oracle_work(128, (), 64)
 
     def test_the_cap_has_no_default(self):
-        # every caller passes the cap it resolved; there is no second default to drift
+        # every caller passes the cap it was given; there is no second default to drift
         with pytest.raises(TypeError):
             ctqw._check_oracle_work(4097, ())
 
@@ -787,13 +785,12 @@ class TestNonFiniteTime:
             lambda s, t: transition_row(s[0], t, 0),
             lambda s, t: transition_prob_1d(s[0], t, 0, 1),
             lambda s, t: transition_matrix_1d(s[1], t),
-            lambda s, t: propagator_parts(s[1], t),
             lambda s, t: transition_prob_factorized(TestNonFiniteTime.SPEC, s, t, (0, 1), (1, 2)),
             lambda s, t: position_distribution(TestNonFiniteTime.SPEC, s, t, (0, 1)),
             lambda s, t: dense_position_distribution(TestNonFiniteTime.SPEC, t, (0, 1)),
             lambda s, t: ehrenfest_sum_law(3, t),
         ],
-        ids=["row", "1d", "matrix", "propagator", "factorized", "marginals", "dense", "sum law"],
+        ids=["row", "1d", "matrix", "factorized", "marginals", "dense", "sum law"],
     )
     def test_raises_naming_t(self, route, bad):
         spectra = chain_spectra(self.SPEC)
