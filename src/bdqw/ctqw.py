@@ -354,8 +354,11 @@ def _factorized_propagate(
     axis l in turn, V^T, the phases e^{i q_l t lambda} and V are applied as
     two matmuls and a scaling, about 2 size n_l multiply-adds per vector, so
     neither U_l = V diag(e^{i q_l t lambda}) V^T nor any product-space
-    operator is formed.
+    operator is formed.  Raises ValueError naming ``t`` for a NaN or
+    infinite time.
     """
+    if not math.isfinite(t):
+        raise ValueError(f"t must be finite, got {t}")
     for l, (q, s) in enumerate(zip(spec.select_prob, spectra)):
         axis = x.ndim - spec.n_dims + l
         y = np.moveaxis(x, axis, -1) @ s.eigenvectors * np.exp(1j * q * t * s.eigenvalues)

@@ -785,12 +785,13 @@ class TestNonFiniteTime:
             lambda s, t: transition_row(s[0], t, 0),
             lambda s, t: transition_prob_1d(s[0], t, 0, 1),
             lambda s, t: transition_matrix_1d(s[1], t),
+            lambda s, t: ctqw._factorized_propagate(TestNonFiniteTime.SPEC, s, np.ones((2, 4)), t),
             lambda s, t: transition_prob_factorized(TestNonFiniteTime.SPEC, s, t, (0, 1), (1, 2)),
             lambda s, t: position_distribution(TestNonFiniteTime.SPEC, s, t, (0, 1)),
             lambda s, t: dense_position_distribution(TestNonFiniteTime.SPEC, t, (0, 1)),
             lambda s, t: ehrenfest_sum_law(3, t),
         ],
-        ids=["row", "1d", "matrix", "factorized", "marginals", "dense", "sum law"],
+        ids=["row", "1d", "matrix", "propagator", "factorized", "marginals", "dense", "sum law"],
     )
     def test_raises_naming_t(self, route, bad):
         spectra = chain_spectra(self.SPEC)
