@@ -46,6 +46,7 @@ from .chain import (
     uniform_multi_chain,
 )
 from .ctqw import (
+    _PHASE_BUDGET,
     DEFAULT_ORACLE_CAP,
     _chebyshev_propagate,
     _check_oracle_work,
@@ -56,7 +57,7 @@ from .ctqw import (
     transition_row,
 )
 from .errors import NumericalError, SizeLimitError
-from .spectral import SpectralData, chain_spectra, orthogonality_defect, symmetrize
+from .spectral import SpectralData, _row_blocks, chain_spectra, orthogonality_defect, symmetrize
 from .stats import clt_distance, convolve_sweep, moments
 
 VERIFY_TOLERANCE = 1e-10
@@ -116,18 +117,19 @@ def _check_reals(values: list, field: str) -> tuple[float, ...]:
 def _check_times(values: object, spec: MultiChainSpec) -> tuple[float, ...]:
     """The one check of ``time``: a real, or a non-empty list of reals, within the phase budget.
 
-    A factor's phase q_l lambda t carries an absolute error of about
-    |t| q_l eps, and SpectralData.validate bounds |lambda| by 1, so a time
-    with |t| max_l q_l eps above VERIFY_TOLERANCE gives laws that no check
-    could trust.  No spectrum is needed to tell.
+    The budget is ctqw's: a factor's rescaled time q_l t must have
+    |q_l t| eps <= _PHASE_BUDGET, so the largest q_l sets it, and a time
+    that passes here passes every kernel's check.  No spectrum is needed
+    to tell.
     """
     times = _check_reals(values if isinstance(values, list) else [values], "time")
     if not times:
         raise ConfigError("time: expected at least one value")
-    limit = VERIFY_TOLERANCE / (sys.float_info.epsilon * max(spec.select_prob))
+    top, eps = max(spec.select_prob), sys.float_info.epsilon
     for idx, t in enumerate(times):
-        if abs(t) > limit:
-            budget = f"|t| <= {limit:.6g}, where |t| max q_l eps is {VERIFY_TOLERANCE}"
+        if abs(t) * top * eps > _PHASE_BUDGET:  # rounded as each kernel's time q_l t is
+            limit = _PHASE_BUDGET / (eps * top)
+            budget = f"|t| <= {limit:.6g}, where |t| max q_l eps is {_PHASE_BUDGET}"
             raise ConfigError(f"time[{idx}]: {t} is beyond the phase budget {budget}")
     return times
 
@@ -408,9 +410,11 @@ def run_verify(config: ExperimentConfig, cap: int) -> tuple[int, list[str]]:
         pi = stationary_distribution(m)
         balance.append(np.max(np.abs(pi[:-1] * np.diag(m, 1) - pi[1:] * np.diag(m, -1))))
         balance.append(np.max(np.abs(pi @ m - pi)))
-        # J V = V Lambda ties the spectra to the kernel, as the probe check below does
-        v = spectra[l].eigenvectors
-        residual.append(np.max(np.abs(symmetrize(m) @ v - v * spectra[l].eigenvalues)))
+        # J V = V Lambda ties the spectra to the kernel, as the probe check below
+        # does; read a column block at a time, so no n x n temporary is made
+        tri, v, lam = symmetrize(m), spectra[l].eigenvectors, spectra[l].eigenvalues
+        for cols in _row_blocks(v.shape[1]):
+            residual.append(np.max(np.abs(tri @ v[:, cols] - v[:, cols] * lam[cols])))
 
     probes = _probes(spec.shape)
     norms = np.linalg.norm(probes.reshape(2, -1), axis=1)

@@ -30,8 +30,10 @@ Two evaluation routes are provided:
 The phase t * lambda carries an absolute error of about |t| eps, and the
 probabilities inherit it: from position 0 of the Ehrenfest urn (N = 3, 7,
 96) they stay within 0.57 |t| eps of Binomial(N, sin^2(t/N)) for t >= 100,
-and within a few eps at t = 1.  No route bounds |t| by a phase budget (the
-CLI does), but a NaN or infinite time raises ValueError naming t.
+and within a few eps at t = 1.  So every kernel and propagator route raises
+ValueError naming t for a time whose phase error |t| eps, at the rescaled
+time q_l * t of each factor, is beyond _PHASE_BUDGET, as for a NaN or
+infinite time.
 
 Everything here is a pure function of immutable inputs; per-dimension
 propagators and per-pair evaluations can be computed concurrently.
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from collections import defaultdict
 from collections.abc import Iterator
 
@@ -50,7 +53,7 @@ from .chain import MultiChainSpec, build_conditional_matrix
 from .errors import NumericalError, SizeLimitError
 from .spectral import SpectralData, symmetrize
 
-# Elements of one stacked (times, rows, n) phase product in a grouped kernel call: 4 MiB.
+# Elements of one stacked (times, n) array in a grouped kernel call: 4 MiB.
 _GROUP_CHUNK = 1 << 19
 
 # A 1-D factor at or below this is rounding noise, not a resolved probability:
@@ -78,23 +81,23 @@ def _amplitudes(
     one dimension's orthonormal basis and ``values`` its eigenvalues.
     ``row`` is a slice of positions, so the row axis is always kept, and
     ``col`` a position or a slice of positions (all of them by default); an
-    integer drops that axis.  The parts are (V[row] cos) @ V[col]^T and the
-    same with sin, kept as two matmuls: stacking them would change the BLAS
-    call (and so the bits) of every route, whose many tiny calls also pay
-    for any bookkeeping.
+    integer drops that axis.  The phases scale the column side: the parts
+    are V[row] @ (V[col] cos)^T and the same with sin, so a column holds
+    (times, n) arrays, not (times, rows, n).
 
     ``t`` may also be a 1-D array of times, which puts a leading time axis
     on each part.  Numpy's stacked matmul then makes, per time, the BLAS
     call that scalar ``t`` makes, so each time's block is bit-identical to
     its own call.
 
-    Raises ValueError naming ``t`` for a NaN or infinite time.
+    Raises ValueError naming ``t`` for a time beyond the phase budget
+    (_check_phase), a NaN or infinite one included.
     """
-    if not np.isfinite(t).all():  # NaN-aware: a NaN fails it
-        raise ValueError(f"t must be finite, got {t}")
-    lam_t = np.multiply.outer(t, values)[..., None, :]  # the row axis, after any time axis
-    left, right = vectors[row], vectors[col].T
-    return [(left * np.cos(lam_t)) @ right, (left * np.sin(lam_t)) @ right]
+    _check_phase(t)
+    lam_t = np.multiply.outer(t, values)[..., None]  # the column axis, after any time axis
+    left, right = vectors[row], vectors[col if isinstance(col, slice) else slice(col, col + 1)].T
+    parts = [left @ (right * np.cos(lam_t)), left @ (right * np.sin(lam_t))]
+    return parts if isinstance(col, slice) else [part[..., 0] for part in parts]
 
 
 def _probabilities(parts: np.ndarray) -> np.ndarray:
@@ -236,8 +239,7 @@ def _grouped_factors(
     index of t, the chunk's dimensions and, row by row, their position laws
     (transition_row) or, with ``k``, their one-element probabilities of
     reaching k_l; each row is bit-identical to its own kernel call.  A
-    chunk's stacked (times, rows, n) phase products hold at most
-    _GROUP_CHUNK elements.
+    chunk's stacked (times, n) arrays hold at most _GROUP_CHUNK elements.
     """
     _check_multi(spec, spectra, {"j": tuple(j)} if k is None else {"j": tuple(j), "k": tuple(k)})
     groups: dict[tuple, list[int]] = defaultdict(list)
@@ -249,7 +251,7 @@ def _grouped_factors(
             s = spectra[members[0]]
             # a target is the one-row slice that transition_prob_1d takes
             rows = slice(None) if kl is None else slice(kl, kl + 1)
-            step = max(1, _GROUP_CHUNK // (s.n_states * (s.n_states if kl is None else 1)))
+            step = max(1, _GROUP_CHUNK // s.n_states)
             scaled = select_prob[members] * t
             for start in range(0, len(members), step):
                 chunk = slice(start, start + step)
@@ -349,21 +351,44 @@ def _factorized_propagate(
 ) -> np.ndarray:
     """(U_1(q_1 t) (x) ... (x) U_d(q_d t)) x, the factorized side of Theorem 1 on whole vectors.
 
-    x is a real or complex product-space vector of ``spec.shape`` on its
-    last d axes per leading index, and the result is complex.  Along each
-    axis l in turn, V^T, the phases e^{i q_l t lambda} and V are applied as
-    two matmuls and a scaling, about 2 size n_l multiply-adds per vector, so
-    neither U_l = V diag(e^{i q_l t lambda}) V^T nor any product-space
-    operator is formed.  Raises ValueError naming ``t`` for a NaN or
-    infinite time.
+    x is a real product-space vector of ``spec.shape`` on its last d axes
+    per leading index, and the result is complex.  Along each axis l in
+    turn, V^T, the phases e^{i q_l t lambda} and V are applied to the real
+    and imaginary parts, stacked on a leading axis, as real matmuls and a
+    rotation, about 4 size n_l multiply-adds per vector, so neither
+    U_l = V diag(e^{i q_l t lambda}) V^T, nor a complex copy of V, nor any
+    product-space operator is formed.  Raises ValueError naming the
+    rescaled times q_l t for one beyond the phase budget (_check_phase), a
+    NaN or infinite one included.
     """
-    if not math.isfinite(t):
-        raise ValueError(f"t must be finite, got {t}")
+    _check_phase(np.multiply(spec.select_prob, t))
+    parts = np.stack((x, np.zeros_like(x)))  # the real and imaginary parts
     for l, (q, s) in enumerate(zip(spec.select_prob, spectra)):
-        axis = x.ndim - spec.n_dims + l
-        y = np.moveaxis(x, axis, -1) @ s.eigenvectors * np.exp(1j * q * t * s.eigenvalues)
-        x = np.moveaxis(y @ s.eigenvectors.T, -1, axis)
-    return x
+        axis = parts.ndim - spec.n_dims + l
+        re, im = np.moveaxis(parts, axis, -1) @ s.eigenvectors
+        phase = q * t * s.eigenvalues
+        cos, sin = np.cos(phase), np.sin(phase)  # (re + i im) e^{i phase}, then V
+        parts = np.stack((re * cos - im * sin, re * sin + im * cos)) @ s.eigenvectors.T
+        parts = np.moveaxis(parts, -1, axis)
+    return parts[0] + 1j * parts[1]
+
+
+# A factor's phase t lambda carries an absolute error of about |t| eps, and
+# SpectralData.validate bounds |lambda| by 1, so a rescaled time whose |t| eps
+# is above this, verify's tolerance, gives a law that no check could trust.
+_PHASE_BUDGET = 1e-10
+
+
+def _check_phase(t: float | np.ndarray) -> None:
+    """Raise ValueError naming ``t``, a time or an array of times, for one beyond the budget.
+
+    The phase budget is |t| eps <= _PHASE_BUDGET.  A NaN or infinite time
+    fails it, and is named as not finite.
+    """
+    if not np.abs(t).max() * sys.float_info.epsilon <= _PHASE_BUDGET:  # a NaN fails it
+        if not np.isfinite(t).all():
+            raise ValueError(f"t must be finite, got {t}")
+        raise ValueError(f"t must be within the phase budget |t| eps <= {_PHASE_BUDGET}, got {t}")
 
 
 # The oracle cap's default, on the product size and on |t| alike.

@@ -38,6 +38,11 @@ _VALIDATE_TOLERANCE = 1e-10
 # 1.1e-15 / gap and the orthonormality defect reaches 1.7e-15 / gap, so from
 # this gap on the vectors agree within about 1e-12 and the defect is below 2e-12.
 _TWIST_MIN_GAP = 1e-3
+# The twist search and SpectralData.validate read their n x n products in row
+# blocks: at most _BLOCKS of them, each of at least _MIN_BLOCK rows, so a
+# small n keeps one block.
+_BLOCKS = 8
+_MIN_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -109,9 +114,12 @@ class SpectralData:
             raise NumericalError("eigenvalues are not strictly ascending")
         if not float(np.max(np.abs(lam))) <= 1.0 + 1e-10:
             raise NumericalError("spectrum escapes [-1, 1]")
-        gram = vec.T @ vec  # the one n x n buffer: G - I and |G - I| are formed in place
-        gram.reshape(-1)[:: len(gram) + 1] -= 1.0
-        ortho = float(np.max(np.abs(gram, out=gram)))
+        ortho = 0.0  # max |V^T V - I| over the Gram's upper triangle, a row block at a time
+        for rows in _row_blocks(vec.shape[1]):
+            block = vec[:, rows].T @ vec[:, rows.start :]  # G - I and its modulus, in place
+            block.reshape(-1)[:: block.shape[1] + 1] -= 1.0
+            ortho = np.maximum(ortho, np.abs(block, out=block).max())  # keeps a NaN
+        ortho = float(ortho)
         if not ortho <= _VALIDATE_TOLERANCE:
             raise NumericalError(f"eigenvector columns not orthonormal (defect {ortho})")
         if not float(vec[0].min()) > 0.0:
@@ -225,16 +233,27 @@ def _pivots(diag: np.ndarray, offdiag: np.ndarray, values: np.ndarray, pivmin: f
     return piv
 
 
+def _row_blocks(n: int) -> list[slice]:
+    """Slices covering range(n) in order: at most _BLOCKS, all but the last _MIN_BLOCK or longer."""
+    if n <= _MIN_BLOCK:
+        return [slice(0, n)]
+    step = max(_MIN_BLOCK, -(-n // _BLOCKS))
+    return [slice(start, min(start + step, n)) for start in range(0, n, step)]
+
+
 def _ratio_products(offdiag: np.ndarray, piv: np.ndarray, twist: np.ndarray) -> np.ndarray:
     """z[k] / z[twist] above the twist: the product of -b[j] / D[j], k <= j < twist; 1 elsewhere.
 
-    One masked cumprod, run upwards in place over a reversed view.
+    Formed in place over the pivot table ``piv``, which is returned: the
+    ratios, masked in row blocks, then one cumprod run upwards over a
+    reversed view.
     """
-    products = np.ones_like(piv)
-    np.divide(-offdiag[:, None], piv[:-1], out=products[:-1])
-    np.copyto(products[:-1], 1.0, where=np.arange(piv.shape[0] - 1)[:, None] >= twist)
-    np.cumprod(products[::-1], axis=0, out=products[::-1])
-    return products
+    np.divide(-offdiag[:, None], piv[:-1], out=piv[:-1])
+    piv[-1] = 1.0
+    for rows in _row_blocks(piv.shape[0] - 1):
+        np.copyto(piv[rows], 1.0, where=np.arange(rows.start, rows.stop)[:, None] >= twist)
+    np.cumprod(piv[::-1], axis=0, out=piv[::-1])
+    return piv
 
 
 def _twisted_eigenvectors(diag: np.ndarray, offdiag: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -249,20 +268,28 @@ def _twisted_eigenvectors(diag: np.ndarray, offdiag: np.ndarray, values: np.ndar
     Dhillon, LAA 267, 1997; Dhillon & Parlett, LAA 387, 2004).  Products of
     ratios keep small entries, the first components among them, to high
     relative accuracy.  The columns are normalized, with signs as they fall.
+
+    Two n x n arrays are held, the pivot tables: |gamma| is read in row
+    blocks (_row_blocks), the first minimum of each column kept, and both
+    ratio products are formed in place over the tables.
     """
-    n = diag.size
+    n, m = diag.size, values.size
     pivmin = float(np.finfo(float).tiny) * max(1.0, float((offdiag * offdiag).max(initial=0.0)))
     down = _pivots(diag, offdiag, values, pivmin)
     up = _pivots(diag[::-1], offdiag[::-1], values, pivmin)[::-1]
-    # Each n x n array goes after its last read, so at most three are held at
-    # once.  gamma is column-major: argmin copies any array whose axis 0 is not contiguous.
-    gamma = np.add(down, up, out=np.empty_like(down, order="F"))
-    gamma -= diag[:, None]
-    gamma += values
-    twist = np.argmin(np.abs(gamma, out=gamma), axis=0)
-    del gamma
+    firsts, lows = [], []  # each block's argmin of |gamma|, as a row of J, and its minimum
+    for rows in _row_blocks(n):
+        # column-major: argmin copies any array whose axis 0 is not contiguous
+        gamma = np.add(down[rows], up[rows], out=np.empty((rows.stop - rows.start, m), order="F"))
+        gamma -= diag[rows, None]
+        gamma += values
+        np.abs(gamma, out=gamma)
+        firsts.append(gamma.argmin(axis=0) + rows.start)
+        lows.append(gamma.min(axis=0))
+        del gamma  # before the next block's is made
+    # the first block holding the minimum; np.choose takes up to 32 choices
+    twist = firsts[0] if len(firsts) == 1 else np.choose(np.argmin(lows, axis=0), firsts)
     vectors = _ratio_products(offdiag, down, twist)
-    del down
     vectors *= _ratio_products(offdiag[::-1], up[::-1], n - 1 - twist)[::-1]
     del up
     vectors /= np.sqrt((vectors * vectors).sum(axis=0))

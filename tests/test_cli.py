@@ -918,6 +918,22 @@ class TestVerify:
         assert peak <= 524_288  # 16 times the probes' 32 768 bytes
         assert error <= 1e-12 and defect <= 1e-14
 
+    def test_the_factorized_side_holds_no_n_by_n_array(self):
+        # the N = 1100 urn: its V is 9.7 MB, and a complex matmul's complex copy
+        # of it traced 18.5 MiB; real matmuls hold arrays of the probes' size
+        config = parse_config({"dims": [{"size": 1100}], "time": 0.7})
+        spectra = spectral.chain_spectra(config.spec)
+        probes = cli._probes(config.spec.shape)
+        tracemalloc.start()
+        try:
+            right = cli._factorized_propagate(config.spec, spectra, probes, 0.7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
+        ratios = np.linalg.norm(right, axis=1) / np.linalg.norm(probes, axis=1)
+        assert np.max(np.abs(ratios - 1.0)) <= 1e-12
+
     @pytest.mark.parametrize("shape", [(1,), (2, 3), (8, 16, 16)])
     def test_probes_are_the_seeded_standard_library_draws(self, shape):
         probes = cli._probes(shape)

@@ -21,6 +21,7 @@ from bdqw.chain import (
     ehrenfest_dimension,
     uniform_multi_chain,
 )
+from bdqw.cli import parse_config
 from bdqw.ctqw import (
     _amplitudes,
     _check_position,
@@ -206,16 +207,42 @@ class TestContractionKernel:
     @settings(max_examples=30, deadline=None)
     @given(multi_chain_specs(max_dims=1, max_size=8), st.floats(-10, 10), st.data())
     def test_one_factor_is_the_two_matmuls_bit_for_bit(self, spec, t, data):
+        # the phases scale the column side: V[rows] @ (V[cols] e^{i t lambda})^T
         s = dimension_spectrum(spec.dims[0])
         v, lam_t = s.eigenvectors, t * s.eigenvalues
         j = data.draw(st.integers(0, s.n_states - 1))
         k = data.draw(st.integers(0, s.n_states - 1))
         for l, phase in enumerate((np.cos(lam_t), np.sin(lam_t))):
-            assert np.array_equal(_amplitudes(v, s.eigenvalues, t)[l], (v * phase) @ v.T)
+            assert np.array_equal(_amplitudes(v, s.eigenvalues, t)[l], v @ (v * phase).T)
             column = _amplitudes(v, s.eigenvalues, t, slice(None), j)[l]
-            assert np.array_equal(column, (v * phase) @ v[j])
+            assert np.array_equal(column, v @ (v[j] * phase))
             element = _amplitudes(v, s.eigenvalues, t, slice(k, k + 1), j)[l]
-            assert np.array_equal(element, (v[k : k + 1] * phase) @ v[j])
+            assert np.array_equal(element, v[k : k + 1] @ (v[j] * phase))
+
+    @pytest.mark.parametrize("n_balls", [1, 4, 96])
+    def test_a_stacked_column_is_each_time_s_own_call_bit_for_bit(self, n_balls):
+        s = dimension_spectrum(ehrenfest_dimension(n_balls))
+        times = np.array([0.0, 0.37, -2.5, 11.0, 1e3])
+        for rows, col in ((slice(None), 0), (slice(1, 2), n_balls), (slice(None), slice(0, 2))):
+            stacked = _amplitudes(s.eigenvectors, s.eigenvalues, times, rows, col)
+            for i, t in enumerate(times.tolist()):
+                alone = _amplitudes(s.eigenvectors, s.eigenvalues, t, rows, col)
+                for l in range(2):
+                    assert np.array_equal(stacked[l][i], alone[l])
+
+    def test_stacked_rows_hold_a_few_columns(self):
+        # 4 times on the N = 400 urn: the kernel holds (times, n) arrays; with
+        # the phases on the row side it held (times, n, n) products, 4.08 n^2
+        s = dimension_spectrum(ehrenfest_dimension(400))
+        times = np.array([0.3, 1.7, 25.0, 400.0])
+        tracemalloc.start()
+        try:
+            parts = _amplitudes(s.eigenvectors, s.eigenvalues, times, slice(None), 0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.1 * 8 * 401**2
+        assert np.max(np.abs(ctqw._probabilities(parts).sum(axis=1) - 1.0)) <= 1e-12
 
 
 class TestFactorizedVsDense:
@@ -471,7 +498,7 @@ class TestChebyshevPropagation:
         j = tuple(int(rng.integers(n)) for n in spec.shape)
         start = np.zeros((1, spec.product_size))
         start[0, np.ravel_multi_index(j, spec.shape)] = 1.0
-        basis = start.reshape((1,) + spec.shape).astype(complex)
+        basis = start.reshape((1,) + spec.shape)  # the factorized side takes real vectors
         for t in (0.7, -7.3, 7.3, 60.0):
             expected = expm_oracle(spec, t)[:, np.ravel_multi_index(j, spec.shape)]
             even, odd = ctqw._chebyshev_propagate(spec, start, t)[:, 0]
@@ -659,12 +686,12 @@ class TestGroupedFactors:
         position_distribution(spec, spectra, 1.0, (2, 2))
         assert calls == [(2,)]
 
-        n, d = 121, 400
+        n, d = 121, 9000
         urn = ehrenfest_dimension(n - 1)
         spectra = (dimension_spectrum(urn),) * d
         calls.clear()
         position_distribution(uniform_multi_chain(urn, d), spectra, 1.0, (0,) * d)
-        per_chunk = ctqw._GROUP_CHUNK // n**2
+        per_chunk = ctqw._GROUP_CHUNK // n
         assert calls == [(per_chunk,)] * (d // per_chunk) + [(d % per_chunk,)]
 
     def test_a_large_group_is_chunked(self):
@@ -758,10 +785,11 @@ class TestHugeTime:
     """The phase t * lambda is rounded to about |t| eps absolute, and so is the row.
 
     Measured from position 0 at N = 3, 7 and 96, t = 1 ... 1e16: the row error
-    is at most 0.57 |t| eps from t = 100 on, and a few eps at t = 1.
+    is at most 0.57 |t| eps from t = 100 on, and a few eps at t = 1.  The
+    kernel takes times up to the phase budget, |t| eps <= 1e-10 (t = 450359).
     """
 
-    @pytest.mark.parametrize("t", [10.0**e for e in range(0, 15, 2)])
+    @pytest.mark.parametrize("t", [10.0**e for e in range(0, 6)] + [450_359.0])
     @pytest.mark.parametrize("n_balls", [3, 7, 96])
     def test_row_from_origin_within_t_eps(self, n_balls, t):
         eps = np.finfo(float).eps
@@ -769,6 +797,63 @@ class TestHugeTime:
         p = math.sin(t / n_balls) ** 2
         expected = scipy.stats.binom.pmf(np.arange(n_balls + 1), n_balls, p)
         assert np.max(np.abs(row - expected)) <= 16 * eps + abs(t) * eps
+
+
+class TestPhaseBudget:
+    """A time whose phase error |t| eps is beyond 1e-10 has no law to trust: every route raises.
+
+    Before the budget, transition_row on one edge gave [0.784, 0.216] at
+    t = 1e17 and [0.331, 0.669] at 1e300.
+    """
+
+    SPEC = MultiChainSpec(
+        dims=(ehrenfest_dimension(1), ehrenfest_dimension(3)), select_prob=(0.5, 0.5)
+    )
+    ROUTES = {
+        "row": lambda s, t: transition_row(s[0], t, 0),
+        "1d": lambda s, t: transition_prob_1d(s[0], t, 0, 1),
+        "matrix": lambda s, t: transition_matrix_1d(s[1], t),
+        "propagator": lambda s, t: ctqw._factorized_propagate(
+            TestPhaseBudget.SPEC, s, np.ones((2, 4)), t
+        ),
+        "factorized": lambda s, t: transition_prob_factorized(
+            TestPhaseBudget.SPEC, s, t, (0, 1), (1, 2)
+        ),
+        "marginals": lambda s, t: position_distribution(TestPhaseBudget.SPEC, s, t, (0, 1)),
+    }
+
+    @pytest.mark.parametrize("t", [1e6, -1e8, 1e17, 1e300])
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_raises_naming_t(self, route, t):
+        spectra = chain_spectra(self.SPEC)
+        budget = r"^t must be within the phase budget \|t\| eps <= 1e-10, got"
+        with pytest.raises(ValueError, match=budget):
+            self.ROUTES[route](spectra, t)
+
+    def test_the_edge_at_1e17_raises(self):
+        with pytest.raises(ValueError, match=r"^t must be within the phase budget.*1e\+17"):
+            transition_row(dimension_spectrum(ehrenfest_dimension(1)), 1e17, 0)
+
+    @pytest.mark.parametrize("route", ROUTES)
+    def test_the_budget_is_on_each_factor_s_rescaled_time(self, route):
+        # 1e-10 / eps = 450359.96...; the product routes rescale t by q_l = 1/2
+        spectra = chain_spectra(self.SPEC)
+        scale = 1.0 if route in ("row", "1d", "matrix") else 2.0
+        for t in (450_359.0, -450_359.0):
+            self.ROUTES[route](spectra, scale * t)
+        with pytest.raises(ValueError, match="phase budget"):
+            self.ROUTES[route](spectra, scale * 450_360.0)
+
+    def test_a_time_the_cli_accepts_passes_the_kernel(self):
+        # the CLI's budget is the largest q_l's: 1e-10 / (eps * 0.75) = 600479.95...
+        fields = {"dims": [{"size": 1}, {"size": 3}], "select_prob": [0.25, 0.75]}
+        config = parse_config({**fields, "time": [-600479, 600479]})
+        spectra = chain_spectra(config.spec)
+        for t in config.times:
+            laws = position_distribution(config.spec, spectra, t, (0, 0))
+            assert all(abs(law.sum() - 1.0) <= 1e-12 for law in laws)
+        with pytest.raises(ValueError, match="phase budget"):
+            position_distribution(config.spec, spectra, 600480.0, (0, 0))
 
 
 class TestNonFiniteTime:

@@ -271,11 +271,13 @@ class TestEigendecompose:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_validate_defect_is_the_gram_defect(self, seed, monkeypatch):
-        # validate forms G - I and |G - I| in G's buffer; at a tolerance of -1 every
-        # defect fails and is named, so the message shows the value it compared
+        # validate forms G - I and |G - I| over G's upper triangle, a row block at a
+        # time; at a tolerance of -1 every defect fails and is named, so the message
+        # shows the value it compared: the largest over the same blocks, within
+        # 1e-15 of the full Gram's (the blocks' BLAS calls may round differently)
         monkeypatch.setattr(spectral, "_VALIDATE_TOLERANCE", -1.0)
         rng = np.random.default_rng(seed)
-        for n in (1, 2, 5, 33, 100):
+        for n in (1, 2, 5, 33, 100, 200, 513):
             orthonormal = np.linalg.qr(rng.standard_normal((n, n)))[0]
             near = orthonormal + 1e-9 * rng.standard_normal((n, n))
             with_nan = rng.standard_normal((n, n))
@@ -285,13 +287,47 @@ class TestEigendecompose:
                 with pytest.raises(NumericalError, match="not orthonormal") as caught:
                     data.validate()
                 defect = float(str(caught.value).rpartition("defect ")[2].rstrip(")"))
-                expected = np.max(np.abs(vectors.T @ vectors - np.eye(n)))
-                assert defect == expected or math.isnan(defect) and math.isnan(expected)
+                blocks = []
+                for rows in spectral._row_blocks(n):
+                    gram = vectors[:, rows].T @ vectors[:, rows.start :]
+                    blocks.append(np.max(np.abs(gram - np.eye(n)[rows, rows.start :])))
+                expected = np.max(blocks)
+                full = np.max(np.abs(vectors.T @ vectors - np.eye(n)))
+                if math.isnan(expected):
+                    assert math.isnan(defect) and math.isnan(full)
+                else:
+                    assert defect == expected and abs(expected - full) <= 1e-15
 
-    def test_solve_holds_at_most_four_n_by_n_arrays(self):
-        # the twisted vectors hold the two pivot tables and one more n x n array at
-        # a time, 3.25 arrays in all; with |gamma| and argmin's copy of it beside
-        # gamma, and an unflipped copy beside the eigenvectors, the solve held 5.25
+    def test_the_gram_is_read_in_a_bounded_number_of_blocks(self):
+        # n <= 64 keeps one block; past it, at most 8, all but the last of 64 rows or more
+        assert spectral._row_blocks(1) == [slice(0, 1)]
+        assert spectral._row_blocks(64) == [slice(0, 64)]
+        for n in (65, 400, 513, 1101, 5000):
+            blocks = spectral._row_blocks(n)
+            assert blocks[0].start == 0 and blocks[-1].stop == n and len(blocks) <= 8
+            assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+            assert all(b.stop - b.start >= 64 for b in blocks[:-1])
+
+    @pytest.mark.parametrize("where", ["first", "last"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_validate_fails_on_a_nan_in_any_row_block(self, where, value):
+        # the N = 400 urn's Gram is read in 7 row blocks of its upper triangle;
+        # V^T V is NaN or infinite in the row and column of the entry's
+        # eigenvector, which for column 3 only the first block holds
+        data = dimension_spectrum(ehrenfest_dimension(400))
+        blocks = spectral._row_blocks(401)
+        assert len(blocks) > 1
+        column = blocks[0].start + 3 if where == "first" else blocks[-1].stop - 2
+        vectors = data.eigenvectors.copy()
+        vectors[200, column] = value
+        with pytest.raises(NumericalError, match="not orthonormal"):
+            dataclasses.replace(data, eigenvectors=vectors).validate()
+
+    def test_solve_holds_at_most_two_and_a_half_n_by_n_arrays(self):
+        # the twisted vectors hold the two pivot tables, |gamma| a row block at a
+        # time and the ratio products in place, and validate's Gram a row block at
+        # a time, so the solve holds 2.3 arrays; with gamma whole and the products
+        # beside the tables it held 3.24
         spec = ehrenfest_dimension(400)
         dimension_spectrum(spec)  # LAPACK's first call, outside the trace
         tracemalloc.start()
@@ -300,7 +336,7 @@ class TestEigendecompose:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= 4.1 * 8 * 401**2
+        assert peak <= 2.5 * 8 * 401**2
 
     @settings(max_examples=60, deadline=None)
     @given(dimension_specs(max_size=12))
