@@ -544,41 +544,81 @@ def run_bench(config: ExperimentConfig, cap: int) -> tuple[int, list[str]]:
     return 0, [_table(config, {"time": t}, header, rows, flags)]
 
 
-def _json_array(values: np.ndarray, depth: int) -> Iterator[str]:
-    """``json.dumps(values.tolist(), indent=2)`` for a non-empty float array ``depth`` levels deep.
+def _mirrored_repr(row: np.ndarray, flip: bool) -> str:
+    """``repr(row.tolist())[1:-1]`` for a row whose second half mirrors its first.
 
-    Yields the text in chunks: a 1-D array is one chunk, a 2-D array one
-    chunk per row and one per separator.  JSON writes each float with
-    float.__repr__, and a list's repr joins those same strings with ", ",
-    which no float's repr holds: splitting the repr there and joining with
-    the indent gives json's text for finite values.
+    ``row[n - 1 - j]`` is ``row[j]``, negated if ``flip``, for j < n // 2, so
+    only the first half and the middle entry of an odd n are formatted: the
+    second half's strings are the first half's reversed, each minus sign
+    toggled if ``flip``, which float.__repr__ writes for -x as "-" + repr(x),
+    a zero included.
+    """
+    half = row.size // 2
+    middle = [repr(float(row[half]))] if row.size % 2 else []
+    if not half:
+        return middle[0]
+    first = repr(row[:half].tolist())[1:-1]
+    second = ", ".join(first.split(", ")[::-1])
+    if flip:  # ", -" and ", " swap, with a NUL, which no float's repr holds, between
+        second = (", " + second).replace(", -", "\0").replace(", ", ", -").replace("\0", ", ")[2:]
+    return ", ".join([first, *middle, second])
+
+
+def _json_array(values: np.ndarray, depth: int, sign: float | np.ndarray) -> Iterator[str]:
+    """``json.dumps(values.tolist(), indent=2)`` for a mirrored float array ``depth`` levels deep.
+
+    Along its last axis the array's second half mirrors its first, times
+    ``sign``: a float for a 1-D array, a column of one sign per row for a
+    2-D one (see _spectrum_keys).  Yields the text in chunks: a 1-D array is
+    one chunk, a 2-D array one chunk per row and one per separator.  JSON
+    writes each float with float.__repr__, and a list's repr joins those same
+    strings with ", ", which no float's repr holds: splitting the repr there
+    and joining with the indent gives json's text for finite values.
     """
     pad, end = "\n" + "  " * (depth + 1), "\n" + "  " * depth + "]"
     if values.ndim == 1:
-        yield "[" + pad + repr(values.tolist())[1:-1].replace(", ", "," + pad) + end
+        yield "[" + pad + _mirrored_repr(values, sign < 0).replace(", ", "," + pad) + end
         return
     separator = "["
-    for row in values:
+    for row, row_sign in zip(values, sign[:, 0]):
         yield separator + pad
-        yield from _json_array(row, depth + 1)
+        yield from _json_array(row, depth + 1, row_sign)
         separator = ","
     yield end
 
 
-def _spectrum_keys(spectrum: SpectralData, name: str) -> dict[str, np.ndarray]:
-    """A dimension's spectral keys, in the order they are written, each checked finite.
+def _spectrum_keys(
+    spectrum: SpectralData, name: str
+) -> dict[str, tuple[np.ndarray, float | np.ndarray]]:
+    """A dimension's spectral keys in the order they are written, each with its mirror sign.
 
-    log_weights, 2 log V[0], is finite where V[0]^2 underflows.  A non-finite
-    value (JSON has no NaN or infinity) raises NumericalError prefixed with ``name``.
+    The spectrum is chiral (see bdqw.spectral): eigenvalues[n - 1 - j] ==
+    -eigenvalues[j], column n - 1 - j of the eigenvectors is S = diag((-1)^k)
+    times column j, and so log_weights, 2 log V[0], is mirrored with sign 1.
+    Each key is checked finite (JSON has no NaN or infinity) and mirrored bit
+    for bit, and the first components must be normal doubles: from about
+    N = 2045 the urn's smallest, 2^(-N/2), is subnormal, and its log-weight
+    keeps fewer than 53 bits.  A failed check raises NumericalError prefixed
+    with ``name``.
     """
+    vectors = spectrum.eigenvectors
+    half = vectors.shape[0] // 2
     keys = {
-        "eigenvalues": spectrum.eigenvalues,
-        "eigenvectors": spectrum.eigenvectors,
-        "log_weights": 2.0 * np.log(spectrum.eigenvectors[0]),
+        "eigenvalues": (spectrum.eigenvalues, -1.0),
+        "eigenvectors": (vectors, np.where(np.arange(vectors.shape[0]) % 2, -1.0, 1.0)[:, None]),
+        "log_weights": (2.0 * np.log(vectors[0]), 1.0),
     }
-    for key, values in keys.items():
+    for key, (values, sign) in keys.items():
         if not np.isfinite(values).all():
             raise NumericalError(f"{name}: {key} holds a non-finite value, which JSON cannot write")
+        mirror = sign * values[..., ::-1][..., :half]  # -x flips only the sign bit, of a zero too
+        if not np.array_equal(mirror.view(np.int64), values[..., :half].view(np.int64)):
+            raise NumericalError(f"{name}: {key} is not mirrored, which the spectrum's symmetry requires")
+    if not float(vectors[0].min()) >= np.finfo(float).tiny:
+        raise NumericalError(
+            f"{name}: log_weights would come from the subnormal first component "
+            f"{float(vectors[0].min())!r}, which keeps fewer than 53 bits"
+        )
     return keys
 
 
@@ -593,7 +633,7 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
     text.  A repeated dimension is solved once, and each of its entries is
     written from the same arrays.  The float lists are written by
     _json_array, byte for byte as json.dumps writes them, without the
-    encoder.
+    encoder, and each mirrored pair's floats are formatted once.
     """
     dims, (first, index) = config.spec.dims, config.spec.distinct
     spectra = chain_spectra(config.spec)
@@ -604,9 +644,9 @@ def run_dump_spectrum(config: ExperimentConfig) -> tuple[int, Iterable[str]]:
         for idx, (dim, i) in enumerate(zip(dims, index)):
             separator = "," if idx else ""
             yield f'{separator}\n    {{\n      "index": {idx + 1},\n      "size": {dim.size}'
-            for key, values in keys[i].items():
+            for key, (values, sign) in keys[i].items():
                 yield f',\n      "{key}": '
-                yield from _json_array(values, 3)
+                yield from _json_array(values, 3, sign)
             yield "\n    }"
         yield "\n  ]\n}\n"
 

@@ -9,18 +9,21 @@ discrete weight function is V[0]^2, which sums to one, and the table of
 orthogonal-polynomial values is V / V[0], each column rescaled so its first
 entry equals one.
 
-The eigenvalues come from LAPACK (np.linalg.eigvalsh), the eigenvectors
+J's diagonal is zero (a dimension is conditioned on moving), so S J S = -J
+with S = diag((-1)^k): eigenvalues come in pairs +-lambda with
+v_{-lambda} = S v_lambda, and they are +-sigma(B), B the half-size
+bidiagonal of J's off-diagonal (Golub & Kahan, 1965).  The singular values
+come from LAPACK (np.linalg.svd), the eigenvectors of the lambda >= 0 half
 from twisted factorizations at those values, which keep tiny first
-components to high relative accuracy; a spectrum with a tight gap takes
-both from a QL iteration instead.  Eigenvalues are returned in ascending
-order and every eigenvector is flipped so its first component is strictly
-positive, making the output deterministic.  Per-dimension decompositions
-are independent pure functions and safe to run concurrently.
+components to high relative accuracy, or from the SVD of B when a gap is
+tight, and each lambda < 0 column is S times its partner.  Eigenvalues are
+ascending and every eigenvector has a positive first component, making the
+output deterministic.  Per-dimension decompositions are independent pure
+functions and safe to run concurrently.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,16 +31,16 @@ import numpy as np
 from .chain import DimensionSpec, MultiChainSpec, build_conditional_matrix
 from .errors import NumericalError
 
-_QL_MAX_SWEEPS = 30
 # Bound on the orthonormality and weight-sum defects SpectralData.validate accepts.
 _VALIDATE_TOLERANCE = 1e-10
-# A spectrum whose smallest gap is below this takes its eigenvectors from the
-# QL rotations instead of twisted factorizations.  Measured on the double wells
-# of 2 to 40 states and 2000 random chains of up to 40, with twisted vectors
-# built on LAPACK's eigenvalues, twisted and QL vectors differ by at most
-# 1.1e-15 / gap and the orthonormality defect reaches 1.7e-15 / gap, so from
-# this gap on the vectors agree within about 1e-12 and the defect is below 2e-12.
-_TWIST_MIN_GAP = 1e-3
+# A spectrum whose smallest gap is below this takes the eigenvectors of its
+# lambda >= 0 half from the SVD of B instead of twisted factorizations, whose
+# error grows as eps / gap.  Measured on the double wells of 2 to 40 states and
+# 2000 random chains of up to 40, the twisted vectors' orthonormality defect
+# reached 1.0e-15 / gap, and at most 2.5e-12 wherever the gap was 1e-4 or more.
+# The twisted vectors keep every entry to high relative accuracy, so a spectrum
+# whose gaps allow keeps that route: the Ehrenfest urns do while 2 / N >= 1e-4.
+_TWIST_MIN_GAP = 1e-4
 # The twist search and SpectralData.validate read their n x n products in row
 # blocks: at most _BLOCKS of them, each of at least _MIN_BLOCK rows, so a
 # small n keeps one block.
@@ -143,93 +146,24 @@ def symmetrize(matrix: np.ndarray) -> SymmetricTridiagonal:
     return SymmetricTridiagonal(diag=np.diag(m).copy(), offdiag=np.sqrt(steps))
 
 
-def _tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Implicitly shifted QL iteration for a symmetric tridiagonal matrix.
-
-    Returns (eigenvalues, eigenvector columns), unsorted.  Convergence of an
-    off-diagonal entry is declared when it is negligible relative to its two
-    diagonal neighbours; each eigenvalue is allowed at most _QL_MAX_SWEEPS
-    sweeps.  eigendecompose runs it only on spectra with tight gaps.
-
-    The scalar recurrence runs on Python floats.  Each Givens rotation
-    (i, c, s) is applied as it is made to rows i and i+1 of the row-major
-    transpose, one column pair at a time.
-    """
-    n = diag.size
-    d = diag.astype(float).tolist()
-    e = offdiag.astype(float).tolist() + [0.0]
-    zt = np.eye(n)  # row j is eigenvector column j
-    eps = float(np.finfo(float).eps)
-
-    for l in range(n):
-        sweeps = 0
-        while True:
-            for m in range(l, n - 1):
-                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
-                    break
-            else:
-                m = n - 1
-            if m == l:
-                break
-            if sweeps == _QL_MAX_SWEEPS:
-                raise NumericalError(
-                    f"QL iteration failed to converge within {_QL_MAX_SWEEPS} sweeps"
-                )
-            sweeps += 1
-
-            # implicit shift from the 2x2 block at l
-            g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
-            s = c = 1.0
-            p = 0.0
-            underflow = False
-            for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
-                e[i + 1] = r
-                if r == 0.0:
-                    # rotation annihilated early; drop the shift and retry
-                    d[i + 1] -= p
-                    e[m] = 0.0
-                    underflow = True
-                    break
-                s = f / r
-                c = g / r
-                g = d[i + 1] - p
-                r = (d[i] - g) * s + 2.0 * c * b
-                p = s * r
-                d[i + 1] = g + p
-                g = c * r - b
-                za, zb = zt[i].copy(), zt[i + 1]
-                zt[i] = c * za - s * zb
-                zb *= c
-                zb += s * za
-            if underflow:
-                continue
-            d[l] -= p
-            e[l] = g
-            e[m] = 0.0
-    # C-ordered columns, as the serial loop returned, so later matmuls see the same layout
-    return np.array(d), zt.T.copy()
-
-
-def _pivots(diag: np.ndarray, offdiag: np.ndarray, values: np.ndarray, pivmin: float) -> np.ndarray:
+def _pivots(offdiag: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Pivots D[k] of J - lambda I = L D L^T from the top, column i for lambda = values[i].
 
-    D[0] = a[0] - lambda and D[k] = (a[k] - lambda) - b[k-1]^2 / D[k-1].  A
-    pivot smaller than ``pivmin`` in magnitude is replaced by -pivmin, as
-    LAPACK's dlar1v does, so every division stays finite.
+    J's diagonal is zero, so D[0] = -lambda and D[k] = -lambda - b[k-1]^2 /
+    D[k-1].  A pivot smaller than pivmin = tiny * max(1, max b^2) in
+    magnitude is replaced by -pivmin, as LAPACK's dlar1v does, so every
+    division stays finite.
     """
-    piv = np.empty((diag.size, values.size))
-    piv[0] = diag[0] - values
+    n, shift = offdiag.size + 1, -values
     squares = offdiag * offdiag
-    for k in range(diag.size):
+    pivmin = float(np.finfo(float).tiny) * max(1.0, float(squares.max(initial=0.0)))
+    piv = np.empty((n, values.size))
+    piv[0] = shift
+    for k in range(n):
         row = piv[k]
         np.copyto(row, -pivmin, where=np.abs(row) < pivmin)
-        if k + 1 < diag.size:
-            np.subtract(diag[k + 1] - values, squares[k] / row, out=piv[k + 1])
+        if k + 1 < n:
+            np.subtract(shift, squares[k] / row, out=piv[k + 1])
     return piv
 
 
@@ -256,32 +190,30 @@ def _ratio_products(offdiag: np.ndarray, piv: np.ndarray, twist: np.ndarray) -> 
     return piv
 
 
-def _twisted_eigenvectors(diag: np.ndarray, offdiag: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Unit eigenvector columns of a tridiagonal J for given eigenvalues, by twisted factorization.
+def _twisted_eigenvectors(offdiag: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Unit eigenvector columns of a zero-diagonal tridiagonal J for given eigenvalues.
 
     For every eigenvalue at once: forward pivots D+ of J - lambda I from the
     top and backward pivots D- from the bottom (see _pivots, whose guard
     keeps an exactly singular leading or trailing block finite); the twist
-    r = argmin_k |gamma[k]|, where gamma[k] = D+[k] + D-[k] - (a[k] - lambda)
-    is 1 / (J - lambda I)^{-1}[k, k]; then z[r] = 1, z[k] = -b[k] / D+[k] *
+    r = argmin_k |gamma[k]|, where gamma[k] = D+[k] + D-[k] + lambda is
+    1 / (J - lambda I)^{-1}[k, k]; then z[r] = 1, z[k] = -b[k] / D+[k] *
     z[k+1] above r and z[k] = -b[k-1] / D-[k] * z[k-1] below it (Parlett &
     Dhillon, LAA 267, 1997; Dhillon & Parlett, LAA 387, 2004).  Products of
     ratios keep small entries, the first components among them, to high
     relative accuracy.  The columns are normalized, with signs as they fall.
 
-    Two n x n arrays are held, the pivot tables: |gamma| is read in row
-    blocks (_row_blocks), the first minimum of each column kept, and both
-    ratio products are formed in place over the tables.
+    Two n x m arrays are held, m the number of values, the pivot tables:
+    |gamma| is read in row blocks (_row_blocks), the first minimum of each
+    column kept, and both ratio products are formed in place over the tables.
     """
-    n, m = diag.size, values.size
-    pivmin = float(np.finfo(float).tiny) * max(1.0, float((offdiag * offdiag).max(initial=0.0)))
-    down = _pivots(diag, offdiag, values, pivmin)
-    up = _pivots(diag[::-1], offdiag[::-1], values, pivmin)[::-1]
+    n, m = offdiag.size + 1, values.size
+    down = _pivots(offdiag, values)
+    up = _pivots(offdiag[::-1], values)[::-1]
     firsts, lows = [], []  # each block's argmin of |gamma|, as a row of J, and its minimum
     for rows in _row_blocks(n):
         # column-major: argmin copies any array whose axis 0 is not contiguous
         gamma = np.add(down[rows], up[rows], out=np.empty((rows.stop - rows.start, m), order="F"))
-        gamma -= diag[rows, None]
         gamma += values
         np.abs(gamma, out=gamma)
         firsts.append(gamma.argmin(axis=0) + rows.start)
@@ -296,43 +228,93 @@ def _twisted_eigenvectors(diag: np.ndarray, offdiag: np.ndarray, values: np.ndar
     return vectors
 
 
-def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
-    """Eigensystem of a symmetric tridiagonal matrix with the package's conventions.
+def _rebuild_tails(offdiag: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
+    """Rebuild, in place, the leading entries an SVD leaves without relative accuracy.
 
-    The eigenvalues come from LAPACK, np.linalg.eigvalsh on the dense J,
-    ascending.  The eigenvectors come from twisted factorizations of
-    J - lambda I at those values (_twisted_eigenvectors), with pivots below
-    tiny * max(1, max b^2) in magnitude replaced by that bound's negative.
-    Their error grows as eps / gap, so when the smallest gap between
-    eigenvalues is below _TWIST_MIN_GAP the QL iteration, rotations
-    included, supplies values and vectors instead.  There the first
-    components, and so the weights V[0]^2, are accurate only to about 1e-16
-    in absolute terms: on a double well of 81 states the pairs of
-    eigenvalues near 1 and -1, each split by 2.1e-17, hold two first
-    components of 2.3e-22, which the QL returns as 3.2e-46 and 1.7e-17.
-    Deeper wells fail loudly: a pair that rounds to one double fails the
-    strict ascent check, and a first component the QL returns as exactly 0
-    is rejected as vanishing.
-
-    Eigenvalues come out strictly ascending with their orthonormal columns
-    permuted jointly; each column is flipped so the first component is
-    positive, fixing the sign freedom.
-
-    Raises NumericalError if the iteration does not converge or the result
-    violates its invariants.
+    An SVD's vectors are accurate to about eps in absolute terms, so an entry
+    below eps times its column's largest carries no relative information and
+    may come out as exactly 0.  Each column's entries above its first larger
+    one, r, become x[r] times the ratio products at its eigenvalue
+    (_ratio_products with twist r): J x = lambda x read from the top.  A
+    column keeps its SVD entries if a rebuilt one would not stay below that
+    bound, as where the leading rows hold a block with an eigenvalue near
+    lambda.
     """
-    values = np.linalg.eigvalsh(tri.to_dense())
-    if values.size > 1 and float(np.diff(values).min()) < _TWIST_MIN_GAP:
-        values, vectors = _tridiagonal_ql(tri.diag, tri.offdiag)
-        order = np.argsort(values)
-        values, vectors = values[order], vectors[:, order]
+    magnitude = np.abs(vectors)
+    bound = np.finfo(float).eps * magnitude.max(axis=0)
+    twist = np.argmax(magnitude > bound, axis=0)
+    rebuilt = _ratio_products(offdiag, _pivots(offdiag, values), twist)
+    rebuilt *= vectors[twist, np.arange(values.size)]
+    tail = np.arange(offdiag.size + 1)[:, None] < twist
+    np.copyto(vectors, rebuilt, where=tail & np.all(~tail | (np.abs(rebuilt) <= bound), axis=0))
+
+
+def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
+    """Eigensystem of a zero-diagonal symmetric tridiagonal matrix with the package's conventions.
+
+    J's diagonal must be zero (ValueError otherwise).  Then S J S = -J with
+    S = diag((-1)^k), and with the states ordered evens first J is
+    [[0, B], [B^T, 0]], B the ceil(n/2) x floor(n/2) lower bidiagonal with
+    diagonal b[0::2] and subdiagonal b[1::2]: the eigenvalues are
+    +-sigma(B), and an exact 0 when n is odd.  The singular values are
+    those of B^T, with a zero row for odd n: an upper bidiagonal, which
+    LAPACK's reduction to bidiagonal form leaves as it is, so they keep high
+    relative accuracy (Demmel & Kahan, 1990), where the dense lower B reads
+    a singular value of 7e-151 as 0.  A value that ties its predecessor in
+    the ascending lambda >= 0 half (the 0 included, so the half is positive
+    for even n) is raised to the next double above it.
+
+    Only the lambda >= 0 half is solved, by twisted factorizations of
+    J - lambda I (_twisted_eigenvectors).  Their error grows as eps / gap,
+    so when the smallest gap is below _TWIST_MIN_GAP the full SVD of the
+    lower B, B = U Sigma W^T, supplies the half instead, (u_k, w_k) / sqrt(2)
+    interleaved for sigma_k and (u, 0) for the 0 of odd n, with the leading
+    entries below eps rebuilt (_rebuild_tails).  Each column is flipped so
+    its first component is positive, and each lambda < 0 column is S times
+    its partner, so values[i] == -values[n - 1 - i] and
+    V[:, i] == S V[:, n - 1 - i] bit for bit.  The first components of a
+    pair split by less than eps are fixed by J's last bits, so only their
+    absolute accuracy, about eps, means anything.
+
+    Raises NumericalError if a first component vanishes or the result
+    violates the SpectralData invariants.
+    """
+    if np.any(tri.diag != 0.0):
+        raise ValueError("diag must be zero: the solver rests on S J S = -J")
+    n, off = tri.n_states, tri.offdiag
+    paired, size = n // 2, (n + 1) // 2
+    # B^T, with a zero row for odd n, a square upper bidiagonal
+    upper = np.zeros((size, size))
+    rows = np.arange(paired)
+    upper[rows, rows] = off[0::2]
+    upper[rows[: off.size - paired], rows[: off.size - paired] + 1] = off[1::2]
+    # the lambda >= 0 half, ascending; on non-negative doubles the bit patterns
+    # ascend with the values, so a running maximum of bits - k raises each tie
+    half = np.concatenate(([0.0], np.linalg.svd(upper, compute_uv=False)[:paired][::-1]))
+    k = np.arange(half.size)
+    half = (np.maximum.accumulate(half.view(np.int64) - k) + k).view(float)[1 - n % 2 :]
+    values = np.concatenate((-half[::-1][:paired], half))
+    if n > 1 and float(np.diff(values).min()) < _TWIST_MIN_GAP:
+        # the dense lower B: its Householder reduction leaves entries that the
+        # upper form's divide and conquer would deflate to exactly 0
+        left, _, right = np.linalg.svd(upper.T[:, :paired])  # B = left diag(sigma) right
+        vectors = np.zeros((n, half.size))
+        vectors[0::2] = left[:, ::-1]
+        vectors[1::2, n % 2 :] = right[::-1].T
+        vectors[:, n % 2 :] *= np.sqrt(0.5)
+        _rebuild_tails(off, half[n % 2 :], vectors[:, n % 2 :])
     else:
-        vectors = _twisted_eigenvectors(tri.diag, tri.offdiag, values)
+        vectors = _twisted_eigenvectors(off, half)
 
     if np.any(vectors[0] == 0.0):
         raise NumericalError("eigenvector with vanishing first component")
     vectors *= np.sign(vectors[0])  # np.sign makes a copy of the row before it is flipped
-    data = SpectralData(eigenvalues=values, eigenvectors=vectors)
+    full = np.empty((n, n))
+    full[:, paired:] = vectors
+    full[:, :paired] = vectors[:, ::-1][:, :paired]
+    del vectors
+    full[1::2, :paired] *= -1.0
+    data = SpectralData(eigenvalues=values, eigenvectors=full)
     data.validate()
     return data
 

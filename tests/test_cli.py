@@ -388,9 +388,10 @@ class TestSimulate:
         assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
 
     def test_numerical_error_exits_2_without_traceback(self, tmp_path, capsys):
-        # the eigensolver cannot resolve these weights; that is a property of
-        # the configured chain, so it exits 2 like any other bad config
-        config = write_config(tmp_path, dims=[{"size": 3, "p_table": [1e-160, 1e-160]}])
+        # the eigensolver cannot resolve the urn's smallest weight, 2^-2200, whose
+        # first component underflows; that is a property of the configured chain,
+        # so it exits 2 like any other bad config
+        config = write_config(tmp_path, dims=[{"size": 2200}])
         assert main(["simulate", "--config", config]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "vanishing first component" in err
@@ -415,6 +416,19 @@ class TestSimulate:
             got = [float(r["probability"]) for r in rows if float(r["time"]) == t]
             expected = np.abs(expm(1j * t * j)[:, 0]) ** 2
             assert np.max(np.abs(np.array(got) - expected)) <= 1e-12
+
+    def test_large_urn_is_the_binomial_law(self, tmp_path):
+        # from position 0 the urn's walk is Binomial(N, sin^2(t / N)); at N = 2000
+        # the error was at most 2.1e-14
+        out = tmp_path / "out.csv"
+        n, times = 2000, [0.7, 500.0, 1570.8]
+        config = write_config(tmp_path, dims=[{"size": n}], time=times)
+        assert main(["simulate", "--config", config, "--output", str(out)]) == 0
+        rows = read_csv(str(out))
+        for t in times:
+            got = np.array([float(r["probability"]) for r in rows if float(r["time"]) == t])
+            expected = scipy.stats.binom.pmf(np.arange(n + 1), n, math.sin(t / n) ** 2)
+            assert np.max(np.abs(got - expected)) <= 1e-12
 
     @pytest.mark.parametrize("block", [cli._CSV_BLOCK_ROWS, 1, 4])
     def test_streamed_csv_equals_the_row_list(self, tmp_path, monkeypatch, block):
@@ -1525,7 +1539,49 @@ class TestDumps:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
-        assert out.stat().st_size == 3_022_425
+        assert out.stat().st_size == 3_022_377
+
+    @pytest.mark.parametrize("size", [1, 2, 3])
+    def test_dump_spectrum_text_of_the_smallest_sizes(self, size):
+        # even and odd numbers of states: an odd one's middle column is unpaired
+        rng = np.random.default_rng(size)
+        dims = [ehrenfest_dimension(size), random_dimension_spec(rng, max_size=size)]
+        config = parse_config({"dims": [{"size": d.size, "p_table": list(d.decrease_prob)} for d in dims]})
+        code, chunks = cli.run_dump_spectrum(config)
+        assert code == 0
+        assert_same_text("".join(chunks), dumped_spectra(config.spec.dims))
+
+    @pytest.mark.parametrize("key", ["eigenvalues", "eigenvectors"])
+    def test_dump_spectrum_rejects_a_broken_mirror(self, tmp_path, monkeypatch, capsys, key):
+        # the text of each pair's second half is made from its first: a spectrum
+        # that is not mirrored bit for bit, a sign of zero included, is refused
+        solve = spectral.dimension_spectrum
+
+        def broken(dim):
+            data = solve(dim)
+            arrays = {"eigenvalues": data.eigenvalues, "eigenvectors": data.eigenvectors}
+            arrays[key] = arrays[key].copy()
+            arrays[key][..., -1] = np.nextafter(arrays[key][..., -1], 2.0)
+            return SpectralData(**arrays)
+
+        monkeypatch.setattr(spectral, "dimension_spectrum", broken)
+        out = tmp_path / "spectrum.json"
+        config = write_config(tmp_path, dims=[{"size": 3}], time=1.0)
+        assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 2
+        message = f"{key} is not mirrored, which the spectrum's symmetry requires"
+        assert capsys.readouterr().err == f"error: dims[0] (size 3): {message}\n"
+        assert not out.exists()
+
+    def test_dump_spectrum_refuses_a_subnormal_first_component(self, tmp_path, capsys):
+        # the urn's smallest first component, 2^-1050 = 8.3e-317, is subnormal at
+        # N = 2100, with 24 bits, and its log-weight is off by 7.6e-10 (by 1.4 at
+        # N = 2150, where 2^-1075 rounds to the smallest subnormal)
+        out = tmp_path / "spectrum.json"
+        config = write_config(tmp_path, dims=[{"size": 2}, {"size": 2100}], time=1.0)
+        assert main(["dump-spectrum", "--config", config, "--output", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: dims[1] (size 2100): log_weights would come from the subnormal")
+        assert not out.exists()
 
     @pytest.mark.parametrize("key", ["eigenvalues", "eigenvectors"])
     def test_dump_spectrum_rejects_a_non_finite_value(self, tmp_path, monkeypatch, capsys, key):
@@ -1549,32 +1605,31 @@ class TestDumps:
 
 
 class TestSpectralFailureNamesItsDimension:
-    """Double wells the eigensolver cannot resolve: exit 2 naming the first dims entry."""
+    """A chain the eigensolver cannot resolve: exit 2 naming the first dims entry.
 
-    FAILURES = [
-        (50, "eigenvalues are not strictly ascending"),
-        (86, "eigenvector with vanishing first component"),
-    ]
+    The Ehrenfest urn of 2200 balls: its smallest first component, 2^-1100, is
+    below the smallest subnormal double, so the solve refuses it as vanishing.
+    """
 
-    @pytest.mark.parametrize("size, message", FAILURES)
+    MESSAGE = "eigenvector with vanishing first component"
+
     @pytest.mark.parametrize("command", ["simulate", "verify", "dump-spectrum"])
-    def test_chain(self, tmp_path, capsys, command, size, message):
-        well = double_well_entry(size)
-        config = write_config(tmp_path, dims=[{"size": 2}, well, {"size": 2}, well], time=1.0)
+    def test_chain(self, tmp_path, capsys, command):
+        urn = {"size": 2200}
+        config = write_config(tmp_path, dims=[{"size": 2}, urn, {"size": 2}, urn], time=1.0)
         out = tmp_path / "out"
         # a cap above the product size, so that verify reaches the eigensolver
-        argv = [command, "--config", config, "--output", str(out), "--oracle-cap", "100000"]
+        argv = [command, "--config", config, "--output", str(out), "--oracle-cap", str(10**8)]
         assert main(argv) == 2
-        assert capsys.readouterr().err == f"error: dims[1] (size {size}): {message}\n"
+        assert capsys.readouterr().err == f"error: dims[1] (size 2200): {self.MESSAGE}\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("size, message", FAILURES)
     @pytest.mark.parametrize("command", ["clt", "bench"])
-    def test_sweep(self, tmp_path, capsys, command, size, message):
-        config = write_config(tmp_path, dims=[double_well_entry(size)], time=1.0, d_sweep=[2])
+    def test_sweep(self, tmp_path, capsys, command):
+        config = write_config(tmp_path, dims=[{"size": 2200}], time=1.0, d_sweep=[2])
         out = tmp_path / "out"
         assert main([command, "--config", config, "--output", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: dims[0] (size {size}): {message}\n"
+        assert capsys.readouterr().err == f"error: dims[0] (size 2200): {self.MESSAGE}\n"
         assert not out.exists()
 
 

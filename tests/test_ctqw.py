@@ -715,7 +715,8 @@ class TestExtremeStepProbabilities:
     """Four-state chains with p(k) at 1e-300 and 1 - 1e-16, against expm of J built by hand."""
 
     @pytest.mark.parametrize(
-        "table", [(1e-300, 0.5), (0.5, 1 - 1e-16), (1e-300, 1 - 1e-16), (1 - 1e-16, 1 - 1e-16)]
+        "table",
+        [(1e-300, 0.5), (0.5, 1 - 1e-16), (1e-300, 1 - 1e-16), (1 - 1e-16, 1 - 1e-16), (1e-300, 1e-300)],
     )
     def test_rows_match_expm(self, table):
         data = dimension_spectrum(DimensionSpec(size=3, decrease_prob=table))
@@ -728,9 +729,21 @@ class TestExtremeStepProbabilities:
             for j in range(4):
                 assert np.max(np.abs(transition_row(data, t, j) - expected[:, j])) <= 1e-12
 
-    def test_two_vanishing_steps_fail_loudly(self):
+    def test_two_vanishing_steps_keep_their_first_components(self):
+        # J's off-diagonal is (a, b, 1) with a = b = 1e-150: the eigenvalues +-1 to
+        # within 1e-300 and x[0] = a b x[2] / lambda^2 with x[2] = 1 / sqrt(2), so
+        # their first components are 1e-300 / sqrt(2); the SVD of B gives them to
+        # about eps in absolute terms only (7.9e-17), and the rebuilt leading
+        # entries restore them
+        data = dimension_spectrum(DimensionSpec(size=3, decrease_prob=(1e-300, 1e-300)))
+        first = data.eigenvectors[0, [0, 3]]
+        assert np.max(np.abs(first / (1e-300 / math.sqrt(2.0)) - 1.0)) <= 1e-14
+
+    def test_vanishing_steps_past_the_underflow_fail_loudly(self):
+        # four steps of 1e-170: the first components of the eigenvalues +-1 are
+        # about 1e-340, below the smallest double
         with pytest.raises(NumericalError, match="vanishing first component"):
-            dimension_spectrum(DimensionSpec(size=3, decrease_prob=(1e-300, 1e-300)))
+            dimension_spectrum(DimensionSpec(size=5, decrease_prob=(1e-170,) * 4))
 
 
 class TestKrawtchoukClosedForm:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +15,7 @@ import scipy.stats
 from hypothesis import given, settings
 
 from bdqw import spectral
-from bdqw.ctqw import transition_matrix_1d
+from bdqw.ctqw import transition_matrix_1d, transition_row
 from bdqw.chain import (
     DimensionSpec,
     MultiChainSpec,
@@ -23,7 +25,6 @@ from bdqw.chain import (
 )
 from bdqw.errors import NumericalError
 from bdqw.spectral import (
-    _QL_MAX_SWEEPS,
     SpectralData,
     SymmetricTridiagonal,
     chain_spectra,
@@ -42,8 +43,8 @@ def dense_similarity_oracle(m: np.ndarray, pi: np.ndarray) -> np.ndarray:
     return np.diag(root) @ m @ np.diag(1.0 / root)
 
 
-# Reference for the QL solver: the serial loop, one column-pair update per
-# rotation, kept verbatim so the solver's output can be required bit-identical.
+# Reference eigenvalues and vectors: a serial implicitly shifted QL loop, one
+# column-pair update per rotation, independent of LAPACK and of the chiral solver.
 def serial_tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Implicitly shifted QL iteration for a symmetric tridiagonal matrix.
 
@@ -68,10 +69,8 @@ def serial_tridiagonal_ql(diag: np.ndarray, offdiag: np.ndarray) -> tuple[np.nda
                 m = n - 1
             if m == l:
                 break
-            if sweeps == _QL_MAX_SWEEPS:
-                raise NumericalError(
-                    f"QL iteration failed to converge within {_QL_MAX_SWEEPS} sweeps"
-                )
+            if sweeps == 30:
+                raise NumericalError("QL iteration failed to converge within 30 sweeps")
             sweeps += 1
 
             # implicit shift from the 2x2 block at l
@@ -324,10 +323,11 @@ class TestEigendecompose:
             dataclasses.replace(data, eigenvectors=vectors).validate()
 
     def test_solve_holds_at_most_two_and_a_half_n_by_n_arrays(self):
-        # the twisted vectors hold the two pivot tables, |gamma| a row block at a
-        # time and the ratio products in place, and validate's Gram a row block at
-        # a time, so the solve holds 2.3 arrays; with gamma whole and the products
-        # beside the tables it held 3.24
+        # the twisted vectors of the lambda >= 0 half hold two n x n/2 pivot tables,
+        # |gamma| a row block at a time and the ratio products in place; the half's
+        # vectors and the mirrored table then hold 1.5 arrays, and validate's Gram
+        # is read a row block at a time, so the solve holds 1.76 arrays; with every
+        # column solved it held 2.3, and with gamma whole 3.24
         spec = ehrenfest_dimension(400)
         dimension_spectrum(spec)  # LAPACK's first call, outside the trace
         tracemalloc.start()
@@ -357,7 +357,7 @@ class TestEigendecompose:
         reference = np.sort(serial_tridiagonal_ql(tri.diag, tri.offdiag)[0])
         assert np.max(np.abs(data.eigenvalues - reference)) <= 1e-10
 
-    # The exact urn spectrum is (2k - N) / N; measured error at most 7.3e-15 (N = 1100).
+    # The exact urn spectrum is (2k - N) / N; measured error at most 1.0e-15 (N = 1100).
     @pytest.mark.parametrize("n_balls", [1, 2, 3, 7, 15, 96, 240, 1100])
     def test_urn_eigenvalues_are_the_closed_form(self, n_balls):
         data = dimension_spectrum(ehrenfest_dimension(n_balls))
@@ -379,6 +379,123 @@ class TestEigendecompose:
         data = dimension_spectrum(spec)
         kernel_eigs = np.sort(np.linalg.eigvals(m).real)
         assert np.max(np.abs(data.eigenvalues - kernel_eigs)) <= 1e-9
+
+
+class TestChirality:
+    """J's zero diagonal mirrors every spectrum: lambda with -lambda, V[:, n - 1 - i] = S V[:, i]."""
+
+    @staticmethod
+    def assert_mirrored(data: SpectralData) -> None:
+        # bit for bit: -x and S x flip sign bits only, so the bits must match, zeros included
+        values, vectors = data.eigenvalues, data.eigenvectors
+        n, paired = data.n_states, data.n_states // 2
+        signs = np.where(np.arange(n) % 2, -1.0, 1.0)[:, None]  # S = diag((-1)^k)
+        partners = slice(n - 1, n - 1 - paired, -1)
+        assert np.array_equal(values[:paired].view(np.int64), (-values[partners]).view(np.int64))
+        assert np.array_equal(
+            vectors[:, :paired].view(np.int64), (signs * vectors[:, partners]).view(np.int64)
+        )
+        if n % 2:  # the unpaired middle eigenvalue is an exact +0.0
+            assert values[paired].view(np.int64) == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(dimension_specs(max_size=12))
+    def test_random_dimensions(self, spec):
+        self.assert_mirrored(dimension_spectrum(spec))
+
+    @pytest.mark.parametrize(
+        "dim",
+        [ehrenfest_dimension(n) for n in (1, 2, 3, 96, 240)] + [double_well(s) for s in (12, 43, 80, 130)],
+        ids=[f"urn-{n}" for n in (1, 2, 3, 96, 240)] + [f"well-{s}" for s in (12, 43, 80, 130)],
+    )
+    def test_urns_and_double_wells(self, dim):
+        self.assert_mirrored(dimension_spectrum(dim))
+
+    @settings(max_examples=30, deadline=None)
+    @given(multi_chain_specs(max_dims=3, max_size=6))
+    def test_chain_spectra(self, spec):
+        for data in chain_spectra(spec):
+            self.assert_mirrored(data)
+
+    @pytest.mark.parametrize("diag", [[0.0, 0.1, 0.0], [0.0, 0.0, -1e-300]])
+    def test_a_nonzero_diagonal_is_rejected(self, diag):
+        # SymmetricTridiagonal itself accepts one
+        tri = SymmetricTridiagonal(diag=np.array(diag), offdiag=np.array([0.5, 0.5]))
+        with pytest.raises(ValueError, match="^diag must be zero"):
+            eigendecompose(tri)
+
+    def test_a_negative_zero_diagonal_is_zero(self):
+        tri = SymmetricTridiagonal(diag=np.array([-0.0, 0.0, -0.0]), offdiag=np.array([0.5, 0.5]))
+        self.assert_mirrored(eigendecompose(tri))
+
+
+def next_above(values: list[float]) -> list[float]:
+    """Each value not above its predecessor raised to the next double above it, in order."""
+    out = list(values)
+    for i in range(1, len(out)):
+        if out[i] <= out[i - 1]:
+            out[i] = math.nextafter(out[i - 1], math.inf)
+    return out
+
+
+class TestTiedSingularValues:
+    """A singular value that ties its predecessor in the lambda >= 0 half is raised by one ulp."""
+
+    A = 0.5
+
+    @pytest.mark.parametrize(
+        "n_balls, sigma",
+        [
+            (7, [0.9, A, A, A]),  # a run of three
+            (7, [math.nextafter(A, 1.0), A, A, 0.2]),  # raising one makes the next tie
+            (7, [0.9, 0.6, 0.3, 0.0]),  # even n: the smallest must be above its mirror
+            (8, [0.9, 0.6, 0.3, 0.0]),  # odd n: above the exact 0
+        ],
+    )
+    def test_ties_are_raised(self, monkeypatch, n_balls, sigma):
+        svd = np.linalg.svd
+
+        def tied(b, compute_uv=True):  # LAPACK's vectors, the given values
+            return svd(b) if compute_uv else np.array(sigma)
+
+        monkeypatch.setattr(np.linalg, "svd", tied)
+        data = dimension_spectrum(ehrenfest_dimension(n_balls))
+        n = n_balls + 1
+        half = next_above([0.0] + sorted(sigma))[1 - n % 2 :]
+        assert data.eigenvalues[n // 2 :].tolist() == half
+        TestChirality.assert_mirrored(data)
+
+
+# 80-digit reference spectra and walks from position 0 of the double wells;
+# tests/data/make_double_well_fixture.py writes the file.
+DOUBLE_WELLS = json.loads((Path(__file__).parent / "data" / "double_well_mp.json").read_text())
+
+
+class TestDoubleWellReference:
+    """Double wells of size 2 to 130, whose eigenvalues pair within about 3^-size."""
+
+    def test_every_size_solves(self):
+        for size in range(2, 131):
+            TestChirality.assert_mirrored(dimension_spectrum(double_well(size)))
+
+    # Measured over the fixture's sizes: eigenvalues within 8.5 eps (size 30) and
+    # |U|^2 within 28.6 t eps (size 3 at t = 0.7, on the twisted route: 4.4e-15),
+    # 7.9 t eps on every other size; the QL before the chiral solver read 11 eps and
+    # 11.4 t eps on the sizes it solved, and failed on 42, 50, 60, 68 and from 86 on.
+    # The size-3 error is the twisted vectors' eps / gap, so it scales with the
+    # last bit of the eigenvalues, which another LAPACK may round the other way:
+    # K is twice the measured worst.
+    K = 64
+
+    @pytest.mark.parametrize("size", sorted(map(int, DOUBLE_WELLS["wells"])))
+    def test_matches_the_80_digit_fixture(self, size):
+        reference = DOUBLE_WELLS["wells"][str(size)]
+        data = dimension_spectrum(double_well(size))
+        eps = np.finfo(float).eps
+        assert np.max(np.abs(data.eigenvalues - reference["eigenvalues"])) <= self.K * eps
+        for t, expected in zip(DOUBLE_WELLS["times"], reference["probabilities"]):
+            error = np.max(np.abs(transition_row(data, t, 0) - expected))
+            assert error <= self.K * t * eps
 
 
 class TestSymmetricTridiagonal:
@@ -417,33 +534,6 @@ class TestSymmetricTridiagonal:
             assert np.max(np.abs(product - tri.to_dense() @ v)) <= 1e-15
 
 
-class TestSerialReference:
-    """The QL solver against the serial loop."""
-
-    @staticmethod
-    def assert_bit_identical(tri):
-        values, vectors = spectral._tridiagonal_ql(tri.diag, tri.offdiag)
-        ref_values, ref_vectors = serial_tridiagonal_ql(tri.diag, tri.offdiag)
-        assert np.array_equal(values, ref_values)
-        assert np.array_equal(vectors, ref_vectors)
-
-    # N=240 applies about 60 000 rotations, each to rows of 241 entries.
-    @pytest.mark.parametrize("n_balls", [1, 2, 3, 7, 15, 96, 240])
-    def test_ehrenfest(self, n_balls):
-        self.assert_bit_identical(spectrum_of(ehrenfest_dimension(n_balls)))
-
-    @settings(max_examples=60, deadline=None)
-    @given(dimension_specs(max_size=12))
-    def test_random_dimensions(self, spec):
-        self.assert_bit_identical(spectrum_of(spec))
-
-    def test_sweep_cap_raises(self, monkeypatch):
-        # a tight-gap spectrum, so eigendecompose runs the QL
-        monkeypatch.setattr(spectral, "_QL_MAX_SWEEPS", 0)
-        with pytest.raises(NumericalError, match="within 0 sweeps"):
-            eigendecompose(spectrum_of(double_well(12)))
-
-
 def serial_reference(tri):
     """The serial QL's spectrum with eigendecompose's ordering and sign conventions."""
     values, vectors = serial_tridiagonal_ql(tri.diag, tri.offdiag)
@@ -452,36 +542,44 @@ def serial_reference(tri):
     return values[order], vectors * np.sign(vectors[0])
 
 
-def full_ql_counter(mp: pytest.MonkeyPatch) -> list[int]:
-    """Record the size of every QL solve."""
+def twisted_counter(mp: pytest.MonkeyPatch) -> list[int]:
+    """Record the number of eigenvalues of every twisted-factorization call."""
     calls: list[int] = []
-    solve = spectral._tridiagonal_ql
+    solve = spectral._twisted_eigenvectors
 
-    def counting(diag, offdiag):
-        calls.append(diag.size)
-        return solve(diag, offdiag)
+    def counting(offdiag, values):
+        calls.append(values.size)
+        return solve(offdiag, values)
 
-    mp.setattr(spectral, "_tridiagonal_ql", counting)
+    mp.setattr(spectral, "_twisted_eigenvectors", counting)
     return calls
 
 
 class TestTwistedEigenvectors:
-    """eigendecompose's two branches against the serial QL reference."""
+    """eigendecompose's two routes against the serial QL reference."""
 
-    # LAPACK's eigenvalues and the QL's differ by at most 18 eps at N = 240 and
-    # 9 eps on 3000 random chains of up to 12 states.
+    # The singular values of B and the QL's eigenvalues differ by at most 9.5 eps at
+    # N = 240 and 7 eps on 3000 random chains of up to 12 states (LAPACK's eigvalsh
+    # read 18 and 9).  Where every gap is at least 1e-3 the vectors agree within
+    # 1e-12 (at most 4.3e-13 on 40000 random chains of up to 12 states); below it
+    # either method fixes an eigenvector only to about eps / gap, so there the
+    # residual J v - lambda v is the check (at most 7.4e-15 on the same chains).
     @staticmethod
     def assert_matches_serial(tri) -> None:
         data = eigendecompose(tri)
         ref_values, ref_vectors = serial_reference(tri)
         assert np.max(np.abs(data.eigenvalues - ref_values)) <= 1e-13
-        assert np.max(np.abs(data.eigenvectors - ref_vectors)) <= 1e-12
+        residual = tri @ data.eigenvectors - data.eigenvectors * data.eigenvalues
+        assert np.max(np.abs(residual)) <= 1e-13
+        if np.diff(data.eigenvalues).min(initial=np.inf) >= 1e-3:
+            assert np.max(np.abs(data.eigenvectors - ref_vectors)) <= 1e-12
 
     @pytest.mark.parametrize("n_balls", [1, 2, 3, 7, 15, 96, 240])
-    def test_ehrenfest_takes_the_twisted_branch(self, n_balls, monkeypatch):
-        calls = full_ql_counter(monkeypatch)
+    def test_ehrenfest_takes_the_twisted_route_on_the_half(self, n_balls, monkeypatch):
+        # N + 1 states: the lambda >= 0 half is N // 2 + 1 eigenvalues, the 0 included for even N
+        calls = twisted_counter(monkeypatch)
         self.assert_matches_serial(spectrum_of(ehrenfest_dimension(n_balls)))
-        assert calls == []
+        assert calls == [n_balls // 2 + 1]
 
     @settings(max_examples=60, deadline=None)
     @given(dimension_specs(max_size=12))
@@ -490,36 +588,42 @@ class TestTwistedEigenvectors:
 
     @settings(max_examples=60, deadline=None)
     @given(dimension_specs(max_size=12))
-    def test_random_dimensions_on_the_full_ql(self, spec):
+    def test_random_dimensions_on_the_svd_route(self, spec):
         tri = spectrum_of(spec)
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(spectral, "_TWIST_MIN_GAP", math.inf)
+            calls = twisted_counter(mp)
             data = eigendecompose(tri)
-        ref_values, ref_vectors = serial_reference(tri)
-        assert np.array_equal(data.eigenvalues, ref_values)
-        assert np.array_equal(data.eigenvectors, ref_vectors)
+        assert calls == []
+        self.assert_matches_serial_spectrum(tri, data)
+
+    @staticmethod
+    def assert_matches_serial_spectrum(tri, data) -> None:
+        # the SVD's vectors are fixed by their pairs' gaps, so V Lambda V^T is compared, not V
+        ref_values, _ = serial_reference(tri)
+        assert np.max(np.abs(data.eigenvalues - ref_values)) <= 1e-13
+        reconstruction = (data.eigenvectors * data.eigenvalues) @ data.eigenvectors.T
+        assert np.max(np.abs(reconstruction - tri.to_dense())) <= 1e-13
 
     @pytest.mark.parametrize("size", [12, 16, 20, 30, 80])
-    def test_double_well_takes_the_full_ql(self, size, monkeypatch):
-        calls = full_ql_counter(monkeypatch)
+    def test_double_well_takes_the_svd_route(self, size, monkeypatch):
+        calls = twisted_counter(monkeypatch)
         tri = spectrum_of(double_well(size))
         data = eigendecompose(tri)
-        data.validate()
-        assert calls == [size + 1]
-        ref_values, ref_vectors = serial_reference(tri)
-        assert np.array_equal(data.eigenvalues, ref_values)
-        assert np.array_equal(data.eigenvectors, ref_vectors)
+        assert calls == []
+        self.assert_matches_serial_spectrum(tri, data)
 
-    # A disordered chain of 300 states: its tight gaps take the QL, and |U|^2 must
-    # stay within K t eps of expm.  Measured on seeds 0-15: up to 85 at t = 0.7,
-    # 12 at t = 30 and 9.4 at t = 500; seed 0 reads 53, 12 and 5.9.  Any
-    # replacement of the QL has to meet this, beyond the 80 states tested above.
-    def test_disordered_chain_on_the_full_ql_matches_expm(self, monkeypatch):
-        calls = full_ql_counter(monkeypatch)
+    # A disordered chain of 300 states: its tight gaps take the SVD route, and |U|^2
+    # must stay within K t eps of expm.  Measured on seeds 0-15: up to 41.4 at
+    # t = 0.7, 12.2 at t = 30 and 5.4 at t = 500; seed 0 reads 32.1, 4.2 and 3.1
+    # (the QL, before the chiral solver, read up to 85, 12 and 9.4, and 53, 12 and
+    # 5.9 on seed 0).
+    def test_disordered_chain_on_the_svd_route_matches_expm(self, monkeypatch):
+        calls = twisted_counter(monkeypatch)
         rng = np.random.default_rng(0)
         spec = DimensionSpec(size=299, decrease_prob=tuple(rng.uniform(0.02, 0.98, 298)))
         data = dimension_spectrum(spec)
-        assert calls == [300]
+        assert calls == []
         assert float(np.diff(data.eigenvalues).min()) < spectral._TWIST_MIN_GAP
         j = spectrum_of(spec).to_dense()
         for t in (0.7, 30.0, 500.0):
@@ -560,12 +664,12 @@ class TestTwistedEigenvectors:
         tri = spectrum_of(ehrenfest_dimension(n_balls))
         values = (2.0 * np.arange(n_balls + 1) - n_balls) / n_balls
         zero = n_balls // 2
-        pivmin = float(np.finfo(float).tiny)
+        pivmin = float(np.finfo(float).tiny)  # max b^2 < 1
         assert tri.diag[-1] - values[zero] == 0.0
-        backward = spectral._pivots(tri.diag[::-1], tri.offdiag[::-1], values, pivmin)
+        backward = spectral._pivots(tri.offdiag[::-1], values)
         assert backward[0, zero] == -pivmin
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            vectors = spectral._twisted_eigenvectors(tri.diag, tri.offdiag, values)
+            vectors = spectral._twisted_eigenvectors(tri.offdiag, values)
         _, ref_vectors = serial_reference(tri)
         assert np.max(np.abs(vectors * np.sign(vectors[0]) - ref_vectors)) <= 1e-12
 
@@ -608,16 +712,17 @@ class TestChainSpectra:
         assert all(spectra[l] is spectra[first[i]] for l, i in enumerate(index))
 
     def test_a_failure_names_the_first_index_of_equal_objects(self):
-        # two separate but equal double wells that the eigensolver cannot resolve
-        first, second = double_well(42), double_well(42)
+        # two separate but equal urns that the eigensolver cannot resolve: at N = 2200
+        # the smallest first component, 2^-1100, is below the smallest subnormal
+        first, second = ehrenfest_dimension(2200), ehrenfest_dimension(2200)
         assert first == second and first is not second
         dims = (ehrenfest_dimension(3), first, ehrenfest_dimension(5), second)
         spec = MultiChainSpec(dims=dims, select_prob=(0.25,) * 4)
         with pytest.raises(NumericalError) as info:
             chain_spectra(spec)
-        assert str(info.value) == "dims[1] (size 42): eigenvalues are not strictly ascending"
+        assert str(info.value) == "dims[1] (size 2200): eigenvector with vanishing first component"
         flipped = MultiChainSpec(dims=(second,) + dims[:3], select_prob=(0.25,) * 4)
-        with pytest.raises(NumericalError, match=r"^dims\[0\] \(size 42\): "):
+        with pytest.raises(NumericalError, match=r"^dims\[0\] \(size 2200\): "):
             chain_spectra(flipped)
 
 
