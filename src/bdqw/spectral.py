@@ -35,12 +35,13 @@ from .errors import NumericalError
 _VALIDATE_TOLERANCE = 1e-10
 # A spectrum whose smallest gap is below this takes the eigenvectors of its
 # lambda >= 0 half from the SVD of B instead of twisted factorizations, whose
-# error grows as eps / gap.  Measured on the double wells of 2 to 40 states and
-# 2000 random chains of up to 40, the twisted vectors' orthonormality defect
-# reached 1.0e-15 / gap, and at most 2.5e-12 wherever the gap was 1e-4 or more.
-# The twisted vectors keep every entry to high relative accuracy, so a spectrum
-# whose gaps allow keeps that route: the Ehrenfest urns do while 2 / N >= 1e-4.
-_TWIST_MIN_GAP = 1e-4
+# orthonormality defect grows as eps / gap: measured on the double wells of 2
+# to 40 states and 2000 random chains of up to 40, it reached 1.0e-15 / gap,
+# and |U|^2 on the double well of size 9 (gap 1.1e-4) read 10 600 t eps from
+# expm against 10 on the SVD route.  The twisted vectors keep every entry to
+# high relative accuracy; so does the SVD route with its rebuilt tails, so the
+# urns of 2000 balls or more, whose gap 2 / N rounds below this, lose nothing.
+_TWIST_MIN_GAP = 1e-3
 # The twist search and SpectralData.validate read their n x n products in row
 # blocks: at most _BLOCKS of them, each of at least _MIN_BLOCK rows, so a
 # small n keeps one block.
@@ -231,22 +232,36 @@ def _twisted_eigenvectors(offdiag: np.ndarray, values: np.ndarray) -> np.ndarray
 def _rebuild_tails(offdiag: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
     """Rebuild, in place, the leading entries an SVD leaves without relative accuracy.
 
-    An SVD's vectors are accurate to about eps in absolute terms, so an entry
-    below eps times its column's largest carries no relative information and
-    may come out as exactly 0.  Each column's entries above its first larger
-    one, r, become x[r] times the ratio products at its eigenvalue
-    (_ratio_products with twist r): J x = lambda x read from the top.  A
-    column keeps its SVD entries if a rebuilt one would not stay below that
-    bound, as where the leading rows hold a block with an eigenvalue near
-    lambda.
+    An SVD's vectors are accurate to about eps / gap in absolute terms, so a
+    small entry carries little relative information and one below eps times
+    its column's largest may come out as exactly 0.  A column's entries above
+    its first one larger than the anchor times its largest, r, become x[r]
+    times the ratio products at its eigenvalue (_ratio_products with twist
+    r): J x = lambda x read from the top.  The anchor is 1e-2 first, which
+    keeps x[r] to about 100 eps / gap relative; a column whose rebuild moves
+    an entry by more than 64 eps times its largest, as where the leading rows
+    hold a block with an eigenvalue near lambda, tries the anchor eps, and
+    then keeps its SVD entries.  No entry moves by more than that, so the
+    columns stay orthonormal.
     """
-    magnitude = np.abs(vectors)
-    bound = np.finfo(float).eps * magnitude.max(axis=0)
-    twist = np.argmax(magnitude > bound, axis=0)
-    rebuilt = _ratio_products(offdiag, _pivots(offdiag, values), twist)
-    rebuilt *= vectors[twist, np.arange(values.size)]
-    tail = np.arange(offdiag.size + 1)[:, None] < twist
-    np.copyto(vectors, rebuilt, where=tail & np.all(~tail | (np.abs(rebuilt) <= bound), axis=0))
+    done = np.zeros(values.size, dtype=bool)  # the columns an earlier anchor rebuilt
+    for anchor in (1e-2, np.finfo(float).eps):
+        top = np.abs(vectors).max(axis=0)
+        twist = np.argmax(np.abs(vectors) > anchor * top, axis=0)
+        rebuilt = _ratio_products(offdiag, _pivots(offdiag, values), twist)
+        rebuilt *= vectors[twist, np.arange(values.size)]
+        tail = np.arange(offdiag.size + 1)[:, None] < twist
+        moved = rebuilt - vectors
+        near = np.abs(moved, out=moved) <= 64 * np.finfo(float).eps * top
+        close = ~done & np.all(~tail | near, axis=0)
+        np.copyto(vectors, rebuilt, where=tail & close)
+        done |= close
+        del rebuilt, moved  # before the next anchor's pivot table is made
+
+
+def _takes_svd_route(values: np.ndarray) -> bool:
+    """Whether eigendecompose takes the vectors of the ascending ``values`` from the SVD of B."""
+    return float(np.diff(values).min(initial=np.inf)) < _TWIST_MIN_GAP
 
 
 def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
@@ -268,10 +283,10 @@ def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
     J - lambda I (_twisted_eigenvectors).  Their error grows as eps / gap,
     so when the smallest gap is below _TWIST_MIN_GAP the full SVD of the
     lower B, B = U Sigma W^T, supplies the half instead, (u_k, w_k) / sqrt(2)
-    interleaved for sigma_k and (u, 0) for the 0 of odd n, with the leading
-    entries below eps rebuilt (_rebuild_tails).  Each column is flipped so
-    its first component is positive, and each lambda < 0 column is S times
-    its partner, so values[i] == -values[n - 1 - i] and
+    interleaved for sigma_k and (u, 0) for the 0 of odd n, with each
+    column's small leading entries rebuilt (_rebuild_tails).  Each column is
+    flipped so its first component is positive, and each lambda < 0 column
+    is S times its partner, so values[i] == -values[n - 1 - i] and
     V[:, i] == S V[:, n - 1 - i] bit for bit.  The first components of a
     pair split by less than eps are fixed by J's last bits, so only their
     absolute accuracy, about eps, means anything.
@@ -282,25 +297,23 @@ def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
     if np.any(tri.diag != 0.0):
         raise ValueError("diag must be zero: the solver rests on S J S = -J")
     n, off = tri.n_states, tri.offdiag
-    paired, size = n // 2, (n + 1) // 2
+    paired = n // 2
     # B^T, with a zero row for odd n, a square upper bidiagonal
-    upper = np.zeros((size, size))
-    rows = np.arange(paired)
-    upper[rows, rows] = off[0::2]
-    upper[rows[: off.size - paired], rows[: off.size - paired] + 1] = off[1::2]
+    upper = np.diag(np.append(off[0::2], [0.0] * (n % 2))) + np.diag(off[1::2], 1)
     # the lambda >= 0 half, ascending; on non-negative doubles the bit patterns
     # ascend with the values, so a running maximum of bits - k raises each tie
     half = np.concatenate(([0.0], np.linalg.svd(upper, compute_uv=False)[:paired][::-1]))
     k = np.arange(half.size)
     half = (np.maximum.accumulate(half.view(np.int64) - k) + k).view(float)[1 - n % 2 :]
     values = np.concatenate((-half[::-1][:paired], half))
-    if n > 1 and float(np.diff(values).min()) < _TWIST_MIN_GAP:
+    if _takes_svd_route(values):
         # the dense lower B: its Householder reduction leaves entries that the
         # upper form's divide and conquer would deflate to exactly 0
         left, _, right = np.linalg.svd(upper.T[:, :paired])  # B = left diag(sigma) right
         vectors = np.zeros((n, half.size))
         vectors[0::2] = left[:, ::-1]
         vectors[1::2, n % 2 :] = right[::-1].T
+        del left, right
         vectors[:, n % 2 :] *= np.sqrt(0.5)
         _rebuild_tails(off, half[n % 2 :], vectors[:, n % 2 :])
     else:

@@ -364,8 +364,10 @@ class TestEigendecompose:
         exact = (2.0 * np.arange(n_balls + 1) - n_balls) / n_balls
         assert np.max(np.abs(data.eigenvalues - exact)) <= 1e-14
 
-    # The urn's weights V[0]^2 are Binomial(N, 1/2), tails down to 2^-240 included.
-    @pytest.mark.parametrize("n_balls", [96, 240])
+    # The urn's weights V[0]^2 are Binomial(N, 1/2), tails down to 2^-2001 included.
+    # N = 2001 (gap 2 / N below 1e-3, as from N = 2000 on) takes the SVD route with its rebuilt tails,
+    # measured within 6.4e-12.
+    @pytest.mark.parametrize("n_balls", [96, 240, 2001])
     def test_urn_log_weights_are_binomial_half(self, n_balls):
         data = dimension_spectrum(ehrenfest_dimension(n_balls))
         expected = scipy.stats.binom.logpmf(np.arange(n_balls + 1), n_balls, 0.5)
@@ -560,18 +562,24 @@ class TestTwistedEigenvectors:
 
     # The singular values of B and the QL's eigenvalues differ by at most 9.5 eps at
     # N = 240 and 7 eps on 3000 random chains of up to 12 states (LAPACK's eigvalsh
-    # read 18 and 9).  Where every gap is at least 1e-3 the vectors agree within
-    # 1e-12 (at most 4.3e-13 on 40000 random chains of up to 12 states); below it
-    # either method fixes an eigenvector only to about eps / gap, so there the
-    # residual J v - lambda v is the check (at most 7.4e-15 on the same chains).
-    @staticmethod
-    def assert_matches_serial(tri) -> None:
+    # read 18 and 9).  On the twisted route, every gap at least 1e-3, the vectors
+    # agree within 1e-12 (at most 4.3e-13 on 40000 random chains of up to 12
+    # states).  On the SVD route either method fixes an eigenvector only to about
+    # eps / gap, so each column is compared within 256 eps over its own gap (the
+    # nearer neighbour's), and V Lambda V^T against J within 1e-13.  Measured: at
+    # most 87 eps / gap (double well of size 30), 18.4 on 20000 random chains of
+    # up to 12 states sent to the SVD route.  The residual J v - lambda v is
+    # checked on both (at most 7.4e-15 on the same chains).
+    @classmethod
+    def assert_matches_serial(cls, tri) -> None:
         data = eigendecompose(tri)
         ref_values, ref_vectors = serial_reference(tri)
         assert np.max(np.abs(data.eigenvalues - ref_values)) <= 1e-13
         residual = tri @ data.eigenvectors - data.eigenvectors * data.eigenvalues
         assert np.max(np.abs(residual)) <= 1e-13
-        if np.diff(data.eigenvalues).min(initial=np.inf) >= 1e-3:
+        if spectral._takes_svd_route(data.eigenvalues):
+            cls.assert_matches_serial_spectrum(tri, data)
+        else:
             assert np.max(np.abs(data.eigenvectors - ref_vectors)) <= 1e-12
 
     @pytest.mark.parametrize("n_balls", [1, 2, 3, 7, 15, 96, 240])
@@ -599,9 +607,12 @@ class TestTwistedEigenvectors:
 
     @staticmethod
     def assert_matches_serial_spectrum(tri, data) -> None:
-        # the SVD's vectors are fixed by their pairs' gaps, so V Lambda V^T is compared, not V
-        ref_values, _ = serial_reference(tri)
+        ref_values, ref_vectors = serial_reference(tri)
         assert np.max(np.abs(data.eigenvalues - ref_values)) <= 1e-13
+        steps = np.diff(data.eigenvalues)
+        gap = np.minimum(np.append(np.inf, steps), np.append(steps, np.inf))
+        error = np.max(np.abs(data.eigenvectors - ref_vectors), axis=0)
+        assert np.all(error <= 256 * np.finfo(float).eps / gap)
         reconstruction = (data.eigenvectors * data.eigenvalues) @ data.eigenvectors.T
         assert np.max(np.abs(reconstruction - tri.to_dense())) <= 1e-13
 
@@ -630,6 +641,21 @@ class TestTwistedEigenvectors:
             expected = np.abs(scipy.linalg.expm(1j * t * j)) ** 2
             error = np.max(np.abs(transition_matrix_1d(data, t) - expected))
             assert error <= 74 * t * np.finfo(float).eps
+
+    # The double wells of size 7, 8 and 9 have smallest gaps of 9.8e-4, 5.4e-4 and
+    # 1.1e-4.  On the SVD route |U|^2 reads at most 7.9, 5.0 and 10.0 t eps from
+    # expm at t = 0.7 and 30; the twisted vectors read 639, 1224 and 10 634, with
+    # an orthonormality defect of up to 1.4e-12.
+    @pytest.mark.parametrize("size", [7, 8, 9])
+    def test_gaps_below_1e_3_take_the_svd_route(self, size, monkeypatch):
+        calls = twisted_counter(monkeypatch)
+        tri = spectrum_of(double_well(size))
+        data = eigendecompose(tri)
+        assert calls == []
+        for t in (0.7, 30.0):
+            expected = np.abs(scipy.linalg.expm(1j * t * tri.to_dense())) ** 2
+            error = np.max(np.abs(transition_matrix_1d(data, t) - expected))
+            assert error <= 32 * t * np.finfo(float).eps
 
     # Without the gap rule the twisted vectors' defect, about eps / gap, exceeds
     # the validation tolerance from size 16 (smallest gap 8.3e-8) on.
