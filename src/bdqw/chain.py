@@ -64,16 +64,17 @@ class MultiChainSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "select_prob", tuple(float(q) for q in self.select_prob))
+        object.__setattr__(self, "select_prob", tuple(map(float, self.select_prob)))
         if not self.dims:
             raise ValueError("dims must contain at least one DimensionSpec")
         if len(self.select_prob) != len(self.dims):
             raise ValueError(
                 f"select_prob has {len(self.select_prob)} entries for {len(self.dims)} dims"
             )
-        for q in self.select_prob:
-            if not 0.0 < q < math.inf:
-                raise ValueError(f"select_prob entry {q} is not finite and strictly positive")
+        if not (all(map(math.isfinite, self.select_prob)) and min(self.select_prob) > 0.0):
+            for q in self.select_prob:  # the first bad entry, for the message
+                if not 0.0 < q < math.inf:
+                    raise ValueError(f"select_prob entry {q} is not finite and strictly positive")
         if abs(math.fsum(self.select_prob) - 1.0) > 1e-12:
             raise ValueError("select_prob entries must sum to 1")
 
@@ -83,8 +84,9 @@ class MultiChainSpec:
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
-        """Per-dimension state counts, first dimension most significant; built once."""
-        return tuple(d.n_states for d in self.dims)
+        """Per-dimension state counts, first dimension most significant; built once from distinct."""
+        first, index = self.distinct
+        return tuple(map([self.dims[l].n_states for l in first].__getitem__, index))
 
     @cached_property
     def product_size(self) -> int:

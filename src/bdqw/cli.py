@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import random
 import shutil
@@ -33,7 +34,7 @@ import sys
 import time
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import chain, islice, repeat
+from itertools import chain, compress, count, islice, repeat
 
 import numpy as np
 
@@ -100,18 +101,16 @@ def _check_reals(values: list, field: str) -> tuple[float, ...]:
     """The one check of every list of reals (``time``, ``select_prob``, ``p_table``).
 
     Each value must be a finite double: not a string, not a bool.  An error
-    names the field and the index of the first bad value.  One pass and no
-    function call per value: a chain of 10 000 edges has 10 000 ``select_prob``.
+    names the field and the index of the first bad value.  A list of finite
+    floats is checked in C: a chain of 10 000 edges has 10 000 ``select_prob``.
     """
-    largest = sys.float_info.max
-    reals = []
-    for idx, value in enumerate(values):
-        if type(value) not in (float, int):  # exact types, so a bool is not a real
-            raise ConfigError(f"{field}[{idx}]: expected a real number, got {value!r}")
-        if not abs(value) <= largest:  # NaN, +-inf, or an int beyond a double
-            raise ConfigError(f"{field}[{idx}]: value {value} is not a finite double")
-        reals.append(float(value))
-    return tuple(reals)
+    if not (set(map(type, values)) <= {float} and all(map(math.isfinite, values))):
+        for idx, value in enumerate(values):
+            if type(value) not in (float, int):  # exact types, so a bool is not a real
+                raise ConfigError(f"{field}[{idx}]: expected a real number, got {value!r}")
+            if not abs(value) <= sys.float_info.max:  # NaN, +-inf, or an int beyond a double
+                raise ConfigError(f"{field}[{idx}]: value {value} is not a finite double")
+    return tuple(map(float, values))
 
 
 def _check_times(values: object, spec: MultiChainSpec) -> tuple[float, ...]:
@@ -169,21 +168,21 @@ def _check_object(value: object, known: tuple[str, ...], field: str | None = Non
 def _parse_dimensions(entries: object) -> tuple[DimensionSpec, ...]:
     """One DimensionSpec per distinct ``dims`` entry, each entry checked for unknown keys.
 
-    Equal entries (by the repr of their size and table, so 1, 1.0 and true
-    stay apart) share the spec parsed for the first of them; an invalid
-    entry is never shared, so its error names its own dims[idx].  A
-    repeated entry costs a few dict operations and calls no Python function:
-    a chain of 10 000 edges has 10 000 entries.
+    A run of equal entries, found in C, is checked at its first and shares one
+    spec, as do equal runs (by the repr of size and table).  As 1 == 1.0 ==
+    true, runs are taken only if every size is an int (no int is a valid
+    step probability); an error names its own dims[idx].
     """
     if not isinstance(entries, list) or not entries:
         raise ConfigError("dims: expected a non-empty list of dimension objects")
-    known = ("size", "p_table")
-    allowed = set(known)
+    ends = range(1, len(entries) + 1)
+    if set(map(type, entries)) == {dict}:
+        if set(map(type, map(dict.get, entries, repeat("size")))) == {int}:
+            ends = [*compress(count(1), map(operator.ne, entries[1:], entries)), len(entries)]
     parsed: dict[tuple[str, str], DimensionSpec] = {}
-    dims = []
-    for idx, entry in enumerate(entries):
-        if not isinstance(entry, dict) or not entry.keys() <= allowed:
-            _check_object(entry, known, f"dims[{idx}]")  # raises, naming the entry
+    dims: list[DimensionSpec] = []
+    for idx, end in zip(chain([0], ends), ends):
+        entry = _check_object(entries[idx], ("size", "p_table"), f"dims[{idx}]")
         size, table = entry.get("size"), entry.get("p_table", "ehrenfest")
         key = (repr(size), repr(table))
         if key not in parsed:
@@ -201,7 +200,7 @@ def _parse_dimensions(entries: object) -> tuple[DimensionSpec, ...]:
                     parsed[key] = DimensionSpec(size=size, decrease_prob=probs)
                 except ValueError as exc:
                     raise ConfigError(f"{field}.p_table: {exc}") from exc
-        dims.append(parsed[key])
+        dims += [parsed[key]] * (end - idx)
     return tuple(dims)
 
 
@@ -231,9 +230,11 @@ def parse_config(data: object) -> ExperimentConfig:
     initial = data.get("initial", [0] * spec.n_dims)
     if not isinstance(initial, list) or len(initial) != spec.n_dims:
         raise ConfigError(f"initial: expected a list of {spec.n_dims} positions")
-    for pos, dim in zip(initial, dims):
-        if not _is_int(pos) or not 0 <= pos <= dim.size:
-            raise ConfigError(f"initial: position {pos!r} out of range 0..{dim.size}")
+    sizes = map(operator.attrgetter("size"), dims)
+    if not (set(map(type, initial)) == {int} and min(initial) >= 0 and all(map(operator.le, initial, sizes))):
+        for pos, dim in zip(initial, dims):  # the first bad position
+            if not _is_int(pos) or not 0 <= pos <= dim.size:
+                raise ConfigError(f"initial: position {pos!r} out of range 0..{dim.size}")
 
     output = data.get("output")
     output = _check_object({} if output is None else output, ("format",), "output")
@@ -263,10 +264,26 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return data
 
 
+def _decode(text: str) -> object:
+    """The decoded JSON ``text``, a key given twice rejected by name (_unique_keys).
+
+    A pair has one colon outside strings: if the top level, ``output`` and the
+    dims entries hold a key per colon, none repeats and the plain decode stands.
+    """
+    try:
+        data = json.loads(text)
+        objects = filter(dict.__instancecheck__, chain((data, data.get("output")), data.get("dims", ())))
+        if text.count(":") == sum(map(len, objects)):
+            return data
+    except Exception:  # decoded again below, raising what the text raises first
+        pass
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return parse_config(json.load(fh, object_pairs_hook=_unique_keys))
+            return parse_config(_decode(fh.read()))
         except RecursionError:  # not exit 1, which is a failed verification
             raise ConfigError("config: nested too deeply to parse") from None
 
@@ -353,18 +370,21 @@ def run_simulate(config: ExperimentConfig, cap: int, dense: bool) -> tuple[int, 
 
     def blocks() -> Iterator[str]:
         yield "time,dimension,position,probability\n"
-        rows = [f"%s{l},{k},%{_FLOAT}\n" for l, n in enumerate(spec.shape, 1) for k in range(n)]
+        # dimension l's rows: str(l) joined onto ["", ",0,%.17g\n", ...], in C
+        tails = {n: ["", *(f",{k},%{_FLOAT}\n" for k in range(n))] for n in set(spec.shape)}
+        rows = "".join(map(str.join, map(str, range(1, spec.n_dims + 1)), map(tails.get, spec.shape)))
+        rows = rows.split("\n")[:-1]
         if dense:
-            rows += [f"%sjoint,{k},%{_FLOAT}\n" for k in range(spec.product_size)]
+            rows += [f"joint,{k},%{_FLOAT}" for k in range(spec.product_size)]
         step = _CSV_BLOCK_ROWS
-        templates = ["".join(rows[i : i + step]) for i in range(0, len(rows), step)]
+        templates = ["\n".join(rows[i : i + step]) for i in range(0, len(rows), step)]
         del rows  # the templates hold the same text in a fifth of the memory
         for t, marginals, joint in results:
             values = marginals if joint is None else np.concatenate((marginals, joint))
-            prefix = repeat(_fmt(t) + ",")
+            head = _fmt(t) + ","  # the time's text, put into each block's template
             for i, template in enumerate(templates):
                 numbers = values[i * step : (i + 1) * step].tolist()
-                yield template % tuple(chain.from_iterable(zip(prefix, numbers)))
+                yield (head + template.replace("\n", "\n" + head) + "\n") % tuple(numbers)
 
     return 0, blocks()
 

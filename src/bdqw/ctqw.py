@@ -44,8 +44,8 @@ from __future__ import annotations
 import math
 import operator
 import sys
-from collections import defaultdict
 from collections.abc import Iterator
+from itertools import repeat
 
 import numpy as np
 
@@ -138,21 +138,28 @@ def _check_multi(
 ) -> None:
     """Check the spectra (None for a route that reads none) and multi-indices against the chain.
 
-    Each distinct (spectrum object, size) pair is checked once, the positions
-    in C; an out-of-range position is then found for the message.
+    Each distinct (spectrum object, dimension number) pair is checked once,
+    and a multi-index in C, one that holds one position throughout against
+    the smallest size; an out-of-range position is then found for the message.
     """
-    shape = spec.shape
+    first, number = spec.distinct
+    sizes = [spec.dims[l].n_states for l in first]  # by dimension number
     if spectra is not None:
         if len(spectra) != spec.n_dims:
             raise ValueError(f"{len(spectra)} spectra supplied for {spec.n_dims} dimensions")
-        pairs = dict(zip(zip(map(id, spectra), shape), spectra))
-        if any(s.n_states != n for (_, n), s in pairs.items()):
+        one = spectra.count(spectra[0]) == len(spectra)  # spectra compare by identity
+        pairs = zip(repeat(spectra[0]), range(len(sizes))) if one else dict.fromkeys(zip(spectra, number))
+        if any(s.n_states != sizes[i] for s, i in pairs):
             raise ValueError("spectrum size does not match its dimension")
     for name, multi in indices.items():
         if len(multi) != spec.n_dims:
             raise ValueError(f"multi-index {name} has length {len(multi)}, expected {spec.n_dims}")
-        if min(multi) < 0 or not all(map(operator.lt, multi, shape)):
-            for pos, n in zip(multi, shape):
+        if multi.count(multi[0]) == len(multi):  # one position, against the smallest size
+            fits = 0 <= multi[0] < min(sizes)
+        else:
+            fits = min(multi) >= 0 and all(map(operator.lt, multi, spec.shape))
+        if not fits:
+            for pos, n in zip(multi, spec.shape):
                 _check_position(n, pos, name)
 
 
@@ -166,26 +173,33 @@ def transition_prob_factorized(
     """Multi-dimensional transition probability as a product of 1-D factors.
 
     Each dimension l contributes its one-dimensional transition probability
-    at the rescaled elapsed time q_l * t; the factors are multiplied in
-    dimension order.  Never touches the product space, so it scales to
-    dimensions where the dense route is infeasible.  ``spectra[l]`` is
-    ``dims[l]``'s spectrum (chain_spectra gives them), so equal dimensions
-    are evaluated on the spectrum of the first of them in each group.
+    at the rescaled elapsed time q_l * t.  Never touches the product space,
+    so it scales to dimensions where the dense route is infeasible.
+    ``spectra[l]`` is ``dims[l]``'s spectrum (chain_spectra gives them), so
+    dimensions with one key (_grouped_factors) share one factor, computed
+    once on the spectrum of the first of them and raised to their count;
+    the powers are multiplied in the order of each key's first dimension.
+    With every count 1 that is the product in dimension order, bit for bit;
+    a count c adds at most about c eps / 2 relative to it.
 
     Raises NumericalError, giving log10 of the product summed over the
-    factors, when their product rounds to 0.0 although every factor is above
-    the rounding noise _FACTOR_NOISE; with a factor in that noise the product
-    is 0 within rounding, and is returned as computed.
+    factors, when their product is below the smallest normal double (0.0,
+    or a subnormal that keeps fewer than 53 bits) although every factor is
+    above the rounding noise _FACTOR_NOISE; with a factor in that noise the
+    product is 0 within rounding, and is returned as computed.
     """
-    factors = np.empty(spec.n_dims)
-    for _, members, probs in _grouped_factors(spec, spectra, (t,), j, k):
-        factors[members] = probs[:, 0]
-    prob = math.prod(factors.tolist())
-    if prob == 0.0 and factors.min() > _FACTOR_NOISE:
-        log10 = math.fsum(np.log10(factors).tolist())
+    parts = []  # (first dimension, factor, count) of each distinct factor
+    for _, members, rows, probs in _grouped_factors(spec, spectra, (t,), j, k):
+        counts = np.bincount(rows)
+        parts += zip(members[np.cumsum(counts) - counts].tolist(), probs[:, 0].tolist(), counts.tolist())
+    parts.sort()
+    prob = math.prod([p if c == 1 else p**c for _, p, c in parts])
+    if prob < sys.float_info.min and min(p for _, p, _ in parts) > _FACTOR_NOISE:
+        log10 = math.fsum(c * math.log10(p) for _, p, c in parts)
+        tail = "below the smallest double" if prob == 0.0 else "a subnormal that keeps fewer than 53 bits"
         raise NumericalError(
             f"transition probability underflows: the product of {spec.n_dims} positive "
-            f"factors is 10^{log10:.1f}, below the smallest double"
+            f"factors is 10^{log10:.1f}, {tail}"
         )
     return prob
 
@@ -214,10 +228,11 @@ def _marginal_laws(
     Row i holds every dimension's law at times[i], dimension after
     dimension, as one array rather than one view per dimension.
     """
-    starts = np.cumsum((0,) + spec.shape[:-1])  # where each dimension's law begins in a row
-    out = np.empty((len(times), sum(spec.shape)))
-    for i, members, laws in _grouped_factors(spec, spectra, times, j):
-        out[i, starts[members][:, None] + np.arange(laws.shape[1])] = laws
+    ends = np.cumsum(np.fromiter(spec.shape, np.intp, spec.n_dims))
+    out = np.empty((len(times), int(ends[-1])))
+    for i, members, rows, laws in _grouped_factors(spec, spectra, times, j):
+        n = laws.shape[1]
+        out[i, (ends[members] - n)[:, None] + np.arange(n)] = laws[rows]
     return out
 
 
@@ -227,36 +242,46 @@ def _grouped_factors(
     times: tuple[float, ...],
     j: tuple[int, ...],
     k: tuple[int, ...] | None = None,
-) -> Iterator[tuple[int, list[int], np.ndarray]]:
-    """The 1-D probabilities from j_l at the rescaled times q_l * t, by groups of dimensions.
+) -> Iterator[tuple[int, np.ndarray, np.ndarray, np.ndarray]]:
+    """The 1-D probabilities from j_l at the rescaled times q_l * t, once per distinct factor.
 
-    ``spectra[l]`` is ``dims[l]``'s spectrum, so equal dimensions (one
-    number of ``spec.distinct``) with the same start j_l and target k_l
-    differ only in their time, and each such group is one kernel call per
-    time t in ``times`` and per chunk of its rescaled times, on the
-    spectrum of its first member.  The spectra and indices are checked
-    (_check_multi) before the first kernel call.  Yields the
-    index of t, the chunk's dimensions and, row by row, their position laws
-    (transition_row) or, with ``k``, their one-element probabilities of
-    reaching k_l; each row is bit-identical to its own kernel call.  A
-    chunk's stacked (times, n) arrays hold at most _GROUP_CHUNK elements.
+    A dimension's key is its number in ``spec.distinct``, j_l, k_l (with
+    ``k``) and q_l, and ``spectra[l]`` is ``dims[l]``'s spectrum, so one key
+    is one factor.  The key columns that vary are sorted stably in numpy: no
+    Python work per dimension.  A group of one number, start and target is
+    one kernel call per time in ``times`` and per chunk of its distinct
+    q_l * t, on its first dimension's spectrum, after _check_multi.  Yields
+    per call the index of t, the dimensions served in key order, the row of
+    ``probs`` each takes, and ``probs``: per distinct q_l * t the position
+    law (transition_row) or, with ``k``, the probability of reaching k_l,
+    bit-identical to its own kernel call.  A chunk's stacked (times, n)
+    arrays hold at most _GROUP_CHUNK elements.
     """
-    _check_multi(spec, spectra, {"j": tuple(j)} if k is None else {"j": tuple(j), "k": tuple(k)})
-    groups: dict[tuple, list[int]] = defaultdict(list)
-    for l, key in enumerate(zip(spec.distinct[1], j, (None,) * len(j) if k is None else k)):
-        groups[key].append(l)
-    select_prob = np.array(spec.select_prob)
+    j, k = tuple(j), None if k is None else tuple(k)
+    _check_multi(spec, spectra, {"j": j} if k is None else {"j": j, "k": k})
+    d, q = spec.n_dims, spec.select_prob
+    # the key's columns that vary, q apart: one that holds one value throughout is left out
+    groups = [np.array(c) for c in (spec.distinct[1], j, k) if c is not None and c.count(c[0]) < d]
+    scales = [np.array(q)] if q.count(q[0]) < d else []
+    order = np.lexsort(scales + groups[::-1]) if scales or groups else np.arange(d)  # stable
+    group = np.arange(d) == 0  # where a group begins in sorted order
+    for column in groups:
+        group[1:] |= np.diff(column[order]) != 0
+    factor = group | np.append(False, np.diff(scales[0][order]) != 0) if scales else group
+    row = np.cumsum(factor) - 1  # each sorted dimension's factor
+    begin = np.append(np.flatnonzero(factor), d)  # factor f's are order[begin[f] : begin[f + 1]]
+    scale = scales[0][order[begin[:-1]]] if scales else np.full(len(begin) - 1, q[0])
+    bounds = np.append(row[group], len(begin) - 1).tolist()  # group g's factors start at bounds[g]
     for i, t in enumerate(times):
-        for (_, jl, kl), members in groups.items():
-            s = spectra[members[0]]
-            # a target is the one-row slice that transition_prob_1d takes
-            rows = slice(None) if kl is None else slice(kl, kl + 1)
+        for f0, f1 in zip(bounds, bounds[1:]):
+            l = order[begin[f0]]
+            s, rows = spectra[l], slice(None) if k is None else slice(k[l], k[l] + 1)
             step = max(1, _GROUP_CHUNK // s.n_states)
-            scaled = select_prob[members] * t
-            for start in range(0, len(members), step):
-                chunk = slice(start, start + step)
-                parts = _amplitudes(s.eigenvectors, s.eigenvalues, scaled[chunk], rows, jl)
-                yield i, members[chunk], _probabilities(parts)
+            for c0 in range(f0, f1, step):
+                c1 = min(c0 + step, f1)
+                parts = _amplitudes(s.eigenvectors, s.eigenvalues, scale[c0:c1] * t, rows, j[l])
+                a, b = begin[c0], begin[c1]
+                yield i, order[a:b], row[a:b] - c0, _probabilities(parts)
 
 
 def _bessel_coefficients(t: float) -> np.ndarray:

@@ -92,12 +92,13 @@ class SymmetricTridiagonal:
         return j
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralData:
     """Full eigensystem of one dimension's symmetrized kernel.
 
     ``eigenvalues`` are strictly ascending; ``eigenvectors`` holds orthonormal
-    columns with positive first components.
+    columns with positive first components.  Spectra compare and hash by
+    identity, as their arrays cannot.
     """
 
     eigenvalues: np.ndarray

@@ -1960,6 +1960,52 @@ class TestEveryRejection:
             assert "oracle_cap" not in out and "path" not in out
 
 
+MANY_EDGES = ", ".join(['{"size": 1}'] * 10_000)  # dims[0 .. 9999], one run of equal entries
+
+
+class TestRunsOfEqualEntries:
+    """10 000 equal dims entries are checked as one; the bytes of every message stay."""
+
+    @pytest.mark.parametrize(
+        "last, message",
+        [
+            ('{"size": 0}', "dims[10000].size: expected a positive integer, got 0"),
+            ('{"size": 1, "sise": 2}', "dims[10000].sise: unknown key, expected one of size, p_table"),
+            ('{"size": 1, "size": 1}', "config: duplicate key 'size'"),
+        ],
+        ids=["size-0", "unknown-key", "duplicate-key"],
+    )
+    def test_a_bad_entry_after_a_run_is_named(self, tmp_path, capsys, last, message):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"dims": [{MANY_EDGES}, {last}]}}', encoding="utf-8")
+        assert main(["dump-config", "--config", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [
+            ("1, 1.0, true", "dims[1].size: expected a positive integer, got 1.0"),
+            ("1, 1, true", "dims[2].size: expected a positive integer, got True"),
+            ("true, 1", "dims[0].size: expected a positive integer, got True"),
+            ("1, 1, 1", ""),
+        ],
+    )
+    def test_equal_sizes_of_other_types_stay_apart(self, tmp_path, capsys, sizes, message):
+        # 1 == 1.0 == True, so a run of equal entries must not hide the types
+        entries = ", ".join(f'{{"size": {size}}}' for size in sizes.split(", "))
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"dims": [{entries}]}}', encoding="utf-8")
+        assert main(["dump-config", "--config", str(path)]) == (2 if message else 0)
+        assert capsys.readouterr().err == (f"error: {message}\n" if message else "")
+
+    def test_a_run_shares_one_spec(self, tmp_path):
+        path = tmp_path / "config.json"
+        path.write_text(f'{{"dims": [{MANY_EDGES}]}}', encoding="utf-8")
+        spec = load_config(str(path)).spec
+        assert len({id(dim) for dim in spec.dims}) == 1
+        assert spec.distinct == ((0,), (0,) * 10_000)
+
+
 class TestNewRejections:
     """A time beyond the phase budget and an empty output path, on the subcommands that write.
 

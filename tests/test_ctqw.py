@@ -278,6 +278,20 @@ class TestFactorizedVsDense:
         # a product that is representable is returned as before
         assert transition_prob_factorized(spec, (EDGE,) * d, 1.0, (0,) * d, (0,) * d) > 0.99
 
+    def test_a_subnormal_product_is_reported(self):
+        # Flipping all 100 edges at q t = asin(sqrt(10^-3.1)): each factor is
+        # 10^-3.1 and their product, 10^-310, is subnormal, so it would keep
+        # fewer than 53 bits (it read 9.9999999999995e-311).
+        d = 100
+        spec = uniform_multi_chain(ehrenfest_dimension(1), d)
+        t = d * math.asin(math.sqrt(10**-3.1))
+        with pytest.raises(NumericalError) as exc:
+            transition_prob_factorized(spec, (EDGE,) * d, t, (0,) * d, (1,) * d)
+        assert str(exc.value) == (
+            f"transition probability underflows: the product of {d} positive factors "
+            "is 10^-310.0, a subnormal that keeps fewer than 53 bits"
+        )
+
     @pytest.mark.parametrize("t", [0.0, 20 * math.pi])
     def test_a_product_of_rounding_noise_is_zero(self, t):
         # Flipping all 20 edges at t = 0, or at q t = pi (q = 1/20), is exactly 0;
@@ -686,19 +700,41 @@ class TestGroupedFactors:
         position_distribution(spec, spectra, 1.0, (2, 2))
         assert calls == [(2,)]
 
+        # 9000 equal dimensions: with one q they are one factor and one time,
+        # with distinct q one group whose 9000 times come in chunks
         n, d = 121, 9000
         urn = ehrenfest_dimension(n - 1)
         spectra = (dimension_spectrum(urn),) * d
         calls.clear()
         position_distribution(uniform_multi_chain(urn, d), spectra, 1.0, (0,) * d)
+        assert calls == [(1,)]
+        rates = np.arange(1.0, d + 1)
+        calls.clear()
+        spec = MultiChainSpec(dims=(urn,) * d, select_prob=tuple(rates / rates.sum()))
+        position_distribution(spec, spectra, 1.0, (0,) * d)
         per_chunk = ctqw._GROUP_CHUNK // n
         assert calls == [(per_chunk,)] * (d // per_chunk) + [(d % per_chunk,)]
 
+    def test_a_uniform_chain_is_one_kernel_call(self, monkeypatch):
+        # 4000 equal edges, starts, targets and q: one factor, raised to 4000
+        d, t = 4000, 1.7
+        spec = uniform_multi_chain(ehrenfest_dimension(1), d)
+        factors = [transition_prob_1d(EDGE, spec.select_prob[0] * t, 0, 0)] * d
+        calls = []
+        real = ctqw._amplitudes
+        monkeypatch.setattr(ctqw, "_amplitudes", lambda *a: calls.append(a) or real(*a))
+        got = transition_prob_factorized(spec, (EDGE,) * d, t, (0,) * d, (0,) * d)
+        assert len(calls) == 1 and np.shape(calls[0][2]) == (1,)  # at one time, not 4000
+        expected = math.prod(factors)
+        assert abs(got - expected) <= 2 * d * np.finfo(float).eps * expected
+
     def test_a_large_group_is_chunked(self):
-        # 400 dimensions sharing a 121-state spectrum: unchunked, each part's
-        # stacked (400, 121, 121) phase product alone is 47 MB.
+        # 400 dimensions sharing a 121-state spectrum at 400 distinct q:
+        # unchunked, each part's stacked (400, 121, 121) phase product alone
+        # is 47 MB.
         d, urn = 400, ehrenfest_dimension(120)
-        spec = uniform_multi_chain(urn, d)
+        rates = np.arange(1.0, d + 1)
+        spec = MultiChainSpec(dims=(urn,) * d, select_prob=tuple(rates / rates.sum()))
         spectra = (dimension_spectrum(urn),) * d
         tracemalloc.start()
         try:
@@ -707,7 +743,8 @@ class TestGroupedFactors:
         finally:
             tracemalloc.stop()
         assert peak <= 12 * 2**20
-        binomial = scipy.stats.binom.pmf(np.arange(121), 120, math.sin(30.0 / d / 120) ** 2)
+        p = math.sin(30.0 * spec.select_prob[-1] / 120) ** 2
+        binomial = scipy.stats.binom.pmf(np.arange(121), 120, p)
         assert np.max(np.abs(marginals[-1] - binomial)) <= 1e-12
 
 
