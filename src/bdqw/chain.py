@@ -84,7 +84,7 @@ class MultiChainSpec:
 
     @cached_property
     def shape(self) -> tuple[int, ...]:
-        """Per-dimension state counts, first dimension most significant; built once from distinct."""
+        """Per-dimension state counts, first dimension most significant; once, from distinct."""
         first, index = self.distinct
         return tuple(map([self.dims[l].n_states for l in first].__getitem__, index))
 

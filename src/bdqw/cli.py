@@ -231,7 +231,8 @@ def parse_config(data: object) -> ExperimentConfig:
     if not isinstance(initial, list) or len(initial) != spec.n_dims:
         raise ConfigError(f"initial: expected a list of {spec.n_dims} positions")
     sizes = map(operator.attrgetter("size"), dims)
-    if not (set(map(type, initial)) == {int} and min(initial) >= 0 and all(map(operator.le, initial, sizes))):
+    ints = set(map(type, initial)) == {int}
+    if not (ints and min(initial) >= 0 and all(map(operator.le, initial, sizes))):
         for pos, dim in zip(initial, dims):  # the first bad position
             if not _is_int(pos) or not 0 <= pos <= dim.size:
                 raise ConfigError(f"initial: position {pos!r} out of range 0..{dim.size}")
@@ -272,8 +273,8 @@ def _decode(text: str) -> object:
     """
     try:
         data = json.loads(text)
-        objects = filter(dict.__instancecheck__, chain((data, data.get("output")), data.get("dims", ())))
-        if text.count(":") == sum(map(len, objects)):
+        objects = chain((data, data.get("output")), data.get("dims", ()))
+        if text.count(":") == sum(map(len, filter(dict.__instancecheck__, objects))):
             return data
     except Exception:  # decoded again below, raising what the text raises first
         pass
@@ -372,8 +373,8 @@ def run_simulate(config: ExperimentConfig, cap: int, dense: bool) -> tuple[int, 
         yield "time,dimension,position,probability\n"
         # dimension l's rows: str(l) joined onto ["", ",0,%.17g\n", ...], in C
         tails = {n: ["", *(f",{k},%{_FLOAT}\n" for k in range(n))] for n in set(spec.shape)}
-        rows = "".join(map(str.join, map(str, range(1, spec.n_dims + 1)), map(tails.get, spec.shape)))
-        rows = rows.split("\n")[:-1]
+        labels = map(str, range(1, spec.n_dims + 1))
+        rows = "".join(map(str.join, labels, map(tails.get, spec.shape))).split("\n")[:-1]
         if dense:
             rows += [f"joint,{k},%{_FLOAT}" for k in range(spec.product_size)]
         step = _CSV_BLOCK_ROWS

@@ -148,8 +148,8 @@ def _check_multi(
         if len(spectra) != spec.n_dims:
             raise ValueError(f"{len(spectra)} spectra supplied for {spec.n_dims} dimensions")
         one = spectra.count(spectra[0]) == len(spectra)  # spectra compare by identity
-        pairs = zip(repeat(spectra[0]), range(len(sizes))) if one else dict.fromkeys(zip(spectra, number))
-        if any(s.n_states != sizes[i] for s, i in pairs):
+        pairs = zip(repeat(spectra[0]), range(len(sizes))) if one else zip(spectra, number)
+        if any(s.n_states != sizes[i] for s, i in dict.fromkeys(pairs)):
             raise ValueError("spectrum size does not match its dimension")
     for name, multi in indices.items():
         if len(multi) != spec.n_dims:
@@ -191,12 +191,13 @@ def transition_prob_factorized(
     parts = []  # (first dimension, factor, count) of each distinct factor
     for _, members, rows, probs in _grouped_factors(spec, spectra, (t,), j, k):
         counts = np.bincount(rows)
-        parts += zip(members[np.cumsum(counts) - counts].tolist(), probs[:, 0].tolist(), counts.tolist())
+        firsts = members[np.cumsum(counts) - counts]  # each factor's first dimension
+        parts += zip(firsts.tolist(), probs[:, 0].tolist(), counts.tolist())
     parts.sort()
     prob = math.prod([p if c == 1 else p**c for _, p, c in parts])
     if prob < sys.float_info.min and min(p for _, p, _ in parts) > _FACTOR_NOISE:
         log10 = math.fsum(c * math.log10(p) for _, p, c in parts)
-        tail = "below the smallest double" if prob == 0.0 else "a subnormal that keeps fewer than 53 bits"
+        tail = "a subnormal that keeps fewer than 53 bits" if prob else "below the smallest double"
         raise NumericalError(
             f"transition probability underflows: the product of {spec.n_dims} positive "
             f"factors is 10^{log10:.1f}, {tail}"
