@@ -21,14 +21,18 @@ from bdqw import (
     stationary_distribution,
     symmetrize,
 )
+from bdqw.chain import step_probabilities
 
 dim = DimensionSpec(size=4, decrease_prob=(0.2, 0.5, 0.8))
-kernel = build_conditional_matrix(dim)
-print("kernel rows sum to one:", np.allclose(kernel.sum(axis=1), 1.0))
+up, down = step_probabilities(dim)
+print("up steps P(k -> k+1):  ", np.round(up, 6))
+print("down steps P(k+1 -> k):", np.round(down, 6))
+kernel = build_conditional_matrix(dim)  # the same steps as a dense matrix
+print("dense kernel rows sum to one:", np.allclose(kernel.sum(axis=1), 1.0))
 print("stationary distribution (for context; J does not need it):")
-print(np.round(stationary_distribution(kernel), 6))
+print(np.round(stationary_distribution(dim), 6))
 
-tri = symmetrize(kernel)
+tri = symmetrize(dim)
 print("\nsymmetrized off-diagonal sqrt(up * down):", np.round(tri.offdiag, 6))
 
 data = eigendecompose(tri)

@@ -13,7 +13,7 @@ from bdqw import build_conditional_matrix, ehrenfest_dimension, stationary_distr
 dim = ehrenfest_dimension(4)
 m = build_conditional_matrix(dim)
 print("4-ball urn kernel; row sums:", m.sum(axis=1))
-pi = stationary_distribution(m)
+pi = stationary_distribution(dim)
 print("\n4-ball urn stationary law:", pi, "(binomial / 16)")
 
 init = np.zeros(5)

@@ -3,10 +3,13 @@
 A single dimension lives on positions {0, ..., size} with reflecting
 boundaries: an interior walker at k steps down with probability p(k) and up
 with probability 1 - p(k), while positions 0 and size bounce back
-deterministically.  A multi-dimensional chain first selects a dimension
-according to fixed selection probabilities and then moves inside it; the
-composite kernel over the product space is therefore a weighted Kronecker
-composition of the per-dimension kernels.
+deterministically.  A dimension's kernel is held as its step arrays
+(step_probabilities), and everything read from it is derived from them: J's
+off-diagonal (spectral.symmetrize), the stationary law, and, for demos and
+tests, the dense kernel.  A multi-dimensional chain first selects a
+dimension according to fixed selection probabilities and then moves inside
+it; the composite kernel over the product space is therefore a weighted
+Kronecker composition of the per-dimension kernels.
 
 All types are immutable after construction and every operation is a pure
 function of its inputs.
@@ -37,8 +40,10 @@ class DimensionSpec:
     decrease_prob: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.size < 1:
-            raise ValueError("size must be a positive integer")
+        integer = isinstance(self.size, (int, np.integer)) and not isinstance(self.size, bool)
+        if not (integer and self.size >= 1):
+            raise ValueError(f"size must be a positive integer, got {self.size!r}")
+        object.__setattr__(self, "size", int(self.size))  # a numpy size + 1 could wrap
         table = tuple(float(p) for p in self.decrease_prob)
         object.__setattr__(self, "decrease_prob", table)
         if len(table) != self.size - 1:
@@ -126,32 +131,42 @@ def ehrenfest_dimension(n: int) -> DimensionSpec:
     return DimensionSpec(size=n, decrease_prob=tuple(k / n for k in range(1, n)))
 
 
+def step_probabilities(spec: DimensionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """``(up, down)``, the kernel as its steps: up[k] = P(k -> k+1), down[k] = P(k+1 -> k).
+
+    Both have ``size`` entries, k = 0..size-1; the end rows reflect, so
+    up[0] = down[size - 1] = 1.
+    """
+    p = np.array(spec.decrease_prob)
+    return np.append(1.0, 1.0 - p), np.append(p, 1.0)
+
+
 def build_conditional_matrix(spec: DimensionSpec) -> np.ndarray:
     """Within-dimension transition matrix, conditioned on this dimension moving.
 
-    Tridiagonal and row-stochastic: row k holds p(k) at k-1 and 1 - p(k) at
-    k+1, with reflecting rows at both ends and zero diagonal throughout.
+    The dense (size + 1) x (size + 1) form of step_probabilities, for
+    stepping a law classically and for comparing against: tridiagonal and
+    row-stochastic, with zero diagonal throughout.
     """
-    n = spec.size
-    m = np.zeros((n + 1, n + 1))
-    m[0, 1] = m[n, n - 1] = 1.0
-    k, p = np.arange(1, n), np.array(spec.decrease_prob)
-    m[k, k - 1] = p
-    m[k, k + 1] = 1.0 - p
+    up, down = step_probabilities(spec)
+    k = np.arange(spec.size)
+    m = np.zeros((spec.size + 1, spec.size + 1))
+    m[k, k + 1] = up
+    m[k + 1, k] = down
     return m
 
 
-def stationary_distribution(matrix: np.ndarray) -> np.ndarray:
-    """Reversible stationary distribution of a conditional transition matrix.
+def stationary_distribution(spec: DimensionSpec) -> np.ndarray:
+    """Reversible stationary distribution of a dimension's kernel.
 
-    Runs the product recursion pi(k+1) = pi(k) * m[k, k+1] / m[k+1, k] in
-    log space and normalizes after subtracting the largest log, so the
-    pairwise balance pi(k) m[k, k+1] = pi(k+1) m[k+1, k] holds to rounding
-    error without overflow.  Tails below the smallest double come out as 0;
-    symmetrize does not use pi, so the spectra do not see them.
+    Runs the product recursion pi(k+1) = pi(k) * up[k] / down[k] in log
+    space and normalizes after subtracting the largest log, so the pairwise
+    balance pi(k) up[k] = pi(k+1) down[k] holds to rounding error without
+    overflow.  Tails below the smallest double come out as 0; symmetrize
+    does not use pi, so the spectra do not see them.
     """
-    m = np.asarray(matrix, dtype=float)
-    log_pi = np.concatenate(([0.0], np.cumsum(np.log(np.diag(m, 1)) - np.log(np.diag(m, -1)))))
+    up, down = step_probabilities(spec)
+    log_pi = np.concatenate(([0.0], np.cumsum(np.log(up) - np.log(down))))
     pi = np.exp(log_pi - log_pi.max())
     return pi / pi.sum()
 

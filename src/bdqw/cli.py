@@ -41,9 +41,9 @@ import numpy as np
 from .chain import (
     DimensionSpec,
     MultiChainSpec,
-    build_conditional_matrix,
     ehrenfest_dimension,
     stationary_distribution,
+    step_probabilities,
     uniform_multi_chain,
 )
 from .ctqw import (
@@ -233,9 +233,11 @@ def parse_config(data: object) -> ExperimentConfig:
     sizes = map(operator.attrgetter("size"), dims)
     ints = set(map(type, initial)) == {int}
     if not (ints and min(initial) >= 0 and all(map(operator.le, initial, sizes))):
-        for pos, dim in zip(initial, dims):  # the first bad position
-            if not _is_int(pos) or not 0 <= pos <= dim.size:
-                raise ConfigError(f"initial: position {pos!r} out of range 0..{dim.size}")
+        for idx, (pos, dim) in enumerate(zip(initial, dims)):  # the first bad position
+            if not _is_int(pos):
+                raise ConfigError(f"initial[{idx}]: expected an integer position, got {pos!r}")
+            if not 0 <= pos <= dim.size:
+                raise ConfigError(f"initial: position {pos} out of range 0..{dim.size}")
 
     output = data.get("output")
     output = _check_object({} if output is None else output, ("format",), "output")
@@ -407,6 +409,17 @@ def _probes(shape: tuple[int, ...]) -> np.ndarray:
     return probes.reshape((2,) + shape)
 
 
+def _balance_defects(dim: DimensionSpec) -> tuple[np.ndarray, np.ndarray]:
+    """The pairwise and global balance defects of pi, in O(n) from the step arrays.
+
+    pi_k up_k - pi_{k+1} down_k for each step, and pi P - pi, where
+    (pi P)_k = pi_{k-1} up_{k-1} + pi_{k+1} down_k.
+    """
+    (up, down), pi = step_probabilities(dim), stationary_distribution(dim)
+    flow = np.append(0.0, pi[:-1] * up) + np.append(pi[1:] * down, 0.0)
+    return pi[:-1] * up - pi[1:] * down, flow - pi
+
+
 def run_verify(config: ExperimentConfig, cap: int) -> tuple[int, list[str]]:
     """The five defects at every configured time, and whether each is within VERIFY_TOLERANCE.
 
@@ -427,13 +440,10 @@ def run_verify(config: ExperimentConfig, cap: int) -> tuple[int, list[str]]:
     # per-check defects, folded by np.max so that a NaN fails the check
     balance, residual = [], []
     for l in spec.distinct[0]:  # once per distinct dimension
-        m = build_conditional_matrix(spec.dims[l])
-        pi = stationary_distribution(m)
-        balance.append(np.max(np.abs(pi[:-1] * np.diag(m, 1) - pi[1:] * np.diag(m, -1))))
-        balance.append(np.max(np.abs(pi @ m - pi)))
+        balance.extend(np.max(np.abs(defect)) for defect in _balance_defects(spec.dims[l]))
         # J V = V Lambda ties the spectra to the kernel, as the probe check below
         # does; read a column block at a time, so no n x n temporary is made
-        tri, v, lam = symmetrize(m), spectra[l].eigenvectors, spectra[l].eigenvalues
+        tri, v, lam = symmetrize(spec.dims[l]), spectra[l].eigenvectors, spectra[l].eigenvalues
         for cols in _row_blocks(v.shape[1]):
             residual.append(np.max(np.abs(tri @ v[:, cols] - v[:, cols] * lam[cols])))
 

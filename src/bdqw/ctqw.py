@@ -49,7 +49,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .chain import MultiChainSpec, build_conditional_matrix
+from .chain import MultiChainSpec
 from .errors import NumericalError, SizeLimitError
 from .spectral import SpectralData, symmetrize
 
@@ -318,15 +318,15 @@ def _bessel_coefficients(t: float) -> np.ndarray:
 def _chebyshev_propagate(spec: MultiChainSpec, rows: np.ndarray, t: float) -> np.ndarray:
     """The even and odd Chebyshev sums of e^{itH} on real ``rows``, one (2, m, size) array.
 
-    H = sum_l q_l J_l, with J_l = symmetrize(build_conditional_matrix(dims[l]))
-    acting on axis l of each of the m rows of ``rows``, read as
-    product-space vectors of ``spec.shape``; each J_l is built once per
-    distinct dimension (``spec.distinct``).  No eigenpair is read.  H's
-    spectrum lies in [-1, 1] (each J_l is similar to a stochastic kernel
-    and the q_l sum to 1), so e^{itH} x is the Chebyshev series
-    J_0(t) x + 2 sum_{k>=1} i^k J_k(t) T_k(H) x (Tal-Ezer & Kosloff, J. Chem.
-    Phys. 81, 3967, 1984), cut where _bessel_coefficients cuts it.  H is
-    real, so for a real x the terms with even k, whose i^k is
+    H = sum_l q_l J_l, with J_l = symmetrize(dims[l]), the zero-diagonal
+    tridiagonal of the dimension's step arrays, acting on axis l of each of
+    the m rows of ``rows``, read as product-space vectors of ``spec.shape``;
+    each J_l is built once per distinct dimension (``spec.distinct``).  No
+    eigenpair is read.  H's spectrum lies in [-1, 1] (each J_l is similar to
+    a stochastic kernel and the q_l sum to 1), so e^{itH} x is the Chebyshev
+    series J_0(t) x + 2 sum_{k>=1} i^k J_k(t) T_k(H) x (Tal-Ezer & Kosloff,
+    J. Chem. Phys. 81, 3967, 1984), cut where _bessel_coefficients cuts it.
+    H is real, so for a real x the terms with even k, whose i^k is
     (-1)^{k // 2}, sum to the real part and those with odd k to the
     imaginary part: e^{itH} x = even + i odd.  The rows are real only: a
     complex-linear operator is fixed by what it does to real vectors.
@@ -335,16 +335,15 @@ def _chebyshev_propagate(spec: MultiChainSpec, rows: np.ndarray, t: float) -> np
     per axis: J_l couples flat indices s_l apart, s_l the stride of axis l,
     with the weight 2 q_l J_l[k, k+1] at each flat index whose axis-l index
     k is not the last and 0 where it is, so every pass is one long
-    contiguous loop.  H has no diagonal term, as every J_l from
-    build_conditional_matrix has a zero diagonal.  A term costs about 2d
-    multiply-adds per entry of the rows, and the arrays held are a few of
-    their size.
+    contiguous loop.  H has no diagonal term: a SymmetricTridiagonal is
+    held by its off-diagonal alone.  A term costs about 2d multiply-adds per
+    entry of the rows, and the arrays held are a few of their size.
     """
     coeffs = _bessel_coefficients(t)
     coeffs[1:] *= 2.0
     coeffs[2::4] *= -1.0
     coeffs[3::4] *= -1.0  # i^k is (-1)^{k // 2}, times i for odd k
-    built = [symmetrize(build_conditional_matrix(spec.dims[l])) for l in spec.distinct[0]]
+    built = [symmetrize(spec.dims[l]) for l in spec.distinct[0]]
     kernels = [built[i] for i in spec.distinct[1]]
     size = stride = spec.product_size
     steps = []  # s_l, and the weights of the flat indices up to size - s_l

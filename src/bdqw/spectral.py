@@ -1,9 +1,11 @@
 """Symmetrization and spectral decomposition of per-dimension kernels.
 
 A birth-death kernel P with positive steps both ways is similar to the
-symmetric tridiagonal J = D^{1/2} P D^{-1/2}, D its stationary law; J has P's
-diagonal and off-diagonal sqrt(P[k, k+1] P[k+1, k]), so it needs no D.  A
-dimension's spectral data is J's orthonormal eigensystem and nothing else.
+symmetric tridiagonal J = D^{1/2} P D^{-1/2}, D its stationary law; J has
+P's zero diagonal and off-diagonal sqrt(up[k] down[k]), read off the
+dimension's step arrays (chain.step_probabilities), so it needs no D and no
+dense P.  A dimension's spectral data is J's orthonormal eigensystem and
+nothing else.
 The Golub-Welsch objects (1969) are read off the eigenvectors V: the
 discrete weight function is V[0]^2, which sums to one, and the table of
 orthogonal-polynomial values is V / V[0], each column rescaled so its first
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import DimensionSpec, MultiChainSpec, build_conditional_matrix
+from .chain import DimensionSpec, MultiChainSpec, step_probabilities
 from .errors import NumericalError
 
 # Bound on the orthonormality and weight-sum defects SpectralData.validate accepts.
@@ -51,22 +53,19 @@ _MIN_BLOCK = 64
 
 @dataclass(frozen=True)
 class SymmetricTridiagonal:
-    """Unreduced symmetric tridiagonal matrix: finite entries, all off-diagonal ones > 0."""
+    """Unreduced symmetric tridiagonal matrix with a zero diagonal, held by its off-diagonal.
 
-    diag: np.ndarray
+    The off-diagonal entries are finite and > 0.  The zero diagonal is what
+    S J S = -J, S = diag((-1)^k), and so the mirrored spectra rest on.
+    """
+
     offdiag: np.ndarray
 
     def __post_init__(self) -> None:
-        diag = np.asarray(self.diag, dtype=float)
         off = np.asarray(self.offdiag, dtype=float)
-        object.__setattr__(self, "diag", diag)
         object.__setattr__(self, "offdiag", off)
-        if diag.ndim != 1 or diag.size < 1:
-            raise ValueError("diag must be a non-empty one-dimensional array")
-        if off.shape != (diag.size - 1,):
-            raise ValueError("offdiag must have one entry fewer than diag")
-        if not np.isfinite(diag).all():
-            raise ValueError("diag entries must be finite")
+        if off.ndim != 1:
+            raise ValueError("offdiag must be a one-dimensional array")
         if not np.isfinite(off).all():
             raise ValueError("offdiag entries must be finite")
         if off.size and float(off.min()) <= 0.0:
@@ -74,22 +73,18 @@ class SymmetricTridiagonal:
 
     @property
     def n_states(self) -> int:
-        return self.diag.size
+        return self.offdiag.size + 1
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
-        """J @ v in v's shape, for a vector or a matrix v: O(n) per column from the diagonals."""
-        rows = (slice(None),) + (None,) * (np.ndim(v) - 1)  # J's entries along v's first axis
-        out = self.diag[rows] * v
-        out[:-1] += self.offdiag[rows] * v[1:]
-        out[1:] += self.offdiag[rows] * v[:-1]
+        """J @ v in v's shape, for a vector or a matrix v: O(n) per column from the off-diagonal."""
+        off = self.offdiag[(slice(None),) + (None,) * (np.ndim(v) - 1)]  # along v's first axis
+        out = np.zeros(np.shape(v), np.result_type(v, off))
+        out[:-1] = off * v[1:]
+        out[1:] += off * v[:-1]
         return out
 
     def to_dense(self) -> np.ndarray:
-        j = np.diag(self.diag)
-        idx = np.arange(self.n_states - 1)
-        j[idx, idx + 1] = self.offdiag
-        j[idx + 1, idx] = self.offdiag
-        return j
+        return np.diag(self.offdiag, 1) + np.diag(self.offdiag, -1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,19 +128,15 @@ class SpectralData:
             raise NumericalError("weights do not sum to 1")
 
 
-def symmetrize(matrix: np.ndarray) -> SymmetricTridiagonal:
-    """J = D^{1/2} m D^{-1/2}: m's diagonal and off-diagonal sqrt(m[k, k+1] m[k+1, k]).
+def symmetrize(spec: DimensionSpec) -> SymmetricTridiagonal:
+    """J = D^{1/2} P D^{-1/2} of a dimension's kernel P: off-diagonal sqrt(up[k] down[k]).
 
-    Raises ValueError for a non-square kernel or a step product that is not
-    strictly positive (NaN included).
+    Raises ValueError for a step product that underflows to 0.
     """
-    m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"kernel must be a square matrix, got shape {m.shape}")
-    steps = np.diag(m, 1) * np.diag(m, -1)
-    if steps.size and not float(steps.min()) > 0.0:
-        raise ValueError("kernel step products m[k, k+1] * m[k+1, k] must be strictly positive")
-    return SymmetricTridiagonal(diag=np.diag(m).copy(), offdiag=np.sqrt(steps))
+    steps = np.multiply(*step_probabilities(spec))  # up[k] down[k]
+    if not float(steps.min()) > 0.0:
+        raise ValueError("kernel step products up[k] * down[k] must be strictly positive")
+    return SymmetricTridiagonal(offdiag=np.sqrt(steps))
 
 
 def _pivots(offdiag: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -268,11 +259,11 @@ def _takes_svd_route(values: np.ndarray) -> bool:
 def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
     """Eigensystem of a zero-diagonal symmetric tridiagonal matrix with the package's conventions.
 
-    J's diagonal must be zero (ValueError otherwise).  Then S J S = -J with
-    S = diag((-1)^k), and with the states ordered evens first J is
-    [[0, B], [B^T, 0]], B the ceil(n/2) x floor(n/2) lower bidiagonal with
-    diagonal b[0::2] and subdiagonal b[1::2]: the eigenvalues are
-    +-sigma(B), and an exact 0 when n is odd.  The singular values are
+    J's diagonal is zero, so S J S = -J with S = diag((-1)^k), and with the
+    states ordered evens first J is [[0, B], [B^T, 0]], B the ceil(n/2) x
+    floor(n/2) lower bidiagonal with diagonal b[0::2] and subdiagonal
+    b[1::2]: the eigenvalues are +-sigma(B), and an exact 0 when n is
+    odd.  The singular values are
     those of B^T, with a zero row for odd n: an upper bidiagonal, which
     LAPACK's reduction to bidiagonal form leaves as it is, so they keep high
     relative accuracy (Demmel & Kahan, 1990), where the dense lower B reads
@@ -295,8 +286,6 @@ def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
     Raises NumericalError if a first component vanishes or the result
     violates the SpectralData invariants.
     """
-    if np.any(tri.diag != 0.0):
-        raise ValueError("diag must be zero: the solver rests on S J S = -J")
     n, off = tri.n_states, tri.offdiag
     paired = n // 2
     # B^T, with a zero row for odd n, a square upper bidiagonal
@@ -334,8 +323,8 @@ def eigendecompose(tri: SymmetricTridiagonal) -> SpectralData:
 
 
 def dimension_spectrum(spec: DimensionSpec) -> SpectralData:
-    """Kernel, symmetrization and eigensystem for one dimension."""
-    return eigendecompose(symmetrize(build_conditional_matrix(spec)))
+    """Symmetrization and eigensystem for one dimension."""
+    return eigendecompose(symmetrize(spec))
 
 
 def chain_spectra(spec: MultiChainSpec) -> tuple[SpectralData, ...]:

@@ -12,6 +12,7 @@ from bdqw.chain import (
     DimensionSpec,
     MultiChainSpec,
     build_conditional_matrix,
+    ehrenfest_dimension,
     stationary_distribution,
 )
 from bdqw.ctqw import transition_matrix_1d
@@ -36,10 +37,8 @@ def propagator(data: SpectralData, t: float) -> np.ndarray:
 
 def symmetrized_kernel_oracle(dim: DimensionSpec) -> np.ndarray:
     """Dense D^{1/2} P D^{-1/2}, independent of the spectral module."""
-    m = build_conditional_matrix(dim)
-    pi = stationary_distribution(m)
-    root = np.sqrt(pi)
-    return np.diag(root) @ m @ np.diag(1.0 / root)
+    root = np.sqrt(stationary_distribution(dim))
+    return np.diag(root) @ build_conditional_matrix(dim) @ np.diag(1.0 / root)
 
 
 def expm_oracle(spec: MultiChainSpec, t: float) -> np.ndarray:
@@ -119,6 +118,13 @@ def random_dimension_spec(rng: np.random.Generator, max_size: int = 12) -> Dimen
     size = int(rng.integers(1, max_size + 1))
     table = rng.uniform(0.02, 0.98, size=size - 1)
     return DimensionSpec(size=size, decrease_prob=tuple(table))
+
+
+def kernel_layer_dimensions() -> list[DimensionSpec]:
+    """The urns of 1-300 balls and 20 random chains of up to 300 states (seed 38)."""
+    rng = np.random.default_rng(38)
+    urns = [ehrenfest_dimension(n) for n in range(1, 301)]
+    return urns + [random_dimension_spec(rng, max_size=299) for _ in range(20)]
 
 
 def random_multi_chain_spec(

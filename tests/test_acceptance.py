@@ -145,8 +145,7 @@ def test_a6_spectral_suite_on_random_dimensions():
     worst_bound = 0.0
     worst_weight = 0.0
     for spec in specs:
-        m = build_conditional_matrix(spec)
-        tri = symmetrize(m)
+        tri = symmetrize(spec)
         data = eigendecompose(tri)
         recon = (data.eigenvectors * data.eigenvalues) @ data.eigenvectors.T
         worst_recon = max(worst_recon, float(np.max(np.abs(recon - tri.to_dense()))))
@@ -190,11 +189,11 @@ def test_a7_stochastic_and_stationary_suite():
     for _ in range(100):
         spec = random_dimension_spec(rng, max_size=12)
         m = build_conditional_matrix(spec)
-        pi = stationary_distribution(m)
+        pi = stationary_distribution(spec)
         pairwise = np.abs(pi[:-1] * np.diag(m, 1) - pi[1:] * np.diag(m, -1))
         worst_balance = max(worst_balance, float(pairwise.max()))
         worst_stationary = max(worst_stationary, float(np.max(np.abs(pi @ m - pi))))
-    pi4 = stationary_distribution(build_conditional_matrix(ehrenfest_dimension(4)))
+    pi4 = stationary_distribution(ehrenfest_dimension(4))
     urn_err = float(np.max(np.abs(pi4 - np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0)))
     ok = worst_balance <= 1e-12 and worst_stationary <= 1e-12 and urn_err <= 1e-12
     assert _report(

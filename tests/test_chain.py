@@ -20,6 +20,7 @@ from bdqw.chain import (
     check_probability_vector,
     ehrenfest_dimension,
     stationary_distribution,
+    step_probabilities,
     uniform_multi_chain,
 )
 from conftest import multi_chain_specs, random_dimension_spec
@@ -42,6 +43,17 @@ class TestDimensionSpec:
             ehrenfest_dimension(0)
         with pytest.raises(ValueError):
             DimensionSpec(size=0)
+
+    @pytest.mark.parametrize("size", [3.0, 2.5, True, np.True_, "3", None])
+    def test_rejects_a_size_that_is_not_an_integer(self, size):
+        with pytest.raises(ValueError, match=r"^size must be a positive integer, got "):
+            DimensionSpec(size=size, decrease_prob=(0.5, 0.5))
+
+    @pytest.mark.parametrize("size", [np.int64(3), np.int32(3), np.uint8(3)])
+    def test_accepts_a_numpy_integer_size(self, size):
+        spec = DimensionSpec(size=size, decrease_prob=(0.5, 0.5))
+        assert type(spec.size) is int
+        assert spec == DimensionSpec(size=3, decrease_prob=(0.5, 0.5))
 
     def test_rejects_boundary_probabilities(self):
         with pytest.raises(ValueError):
@@ -145,6 +157,17 @@ class TestMultiChainSpec:
         assert best <= 0.5
 
 
+class TestStepProbabilities:
+    def test_edge_chain_reflects_both_ways(self):
+        up, down = step_probabilities(ehrenfest_dimension(1))
+        assert up.tolist() == down.tolist() == [1.0]
+
+    def test_asymmetric_steps(self):
+        up, down = step_probabilities(DimensionSpec(size=3, decrease_prob=(0.3, 0.6)))
+        assert up.tolist() == [1.0, 1.0 - 0.3, 1.0 - 0.6]
+        assert down.tolist() == [0.3, 0.6, 1.0]
+
+
 class TestConditionalMatrix:
     def test_edge_chain(self):
         m = build_conditional_matrix(ehrenfest_dimension(1))
@@ -189,22 +212,22 @@ class TestConditionalMatrix:
 
 class TestStationaryDistribution:
     def test_edge_chain_is_symmetric(self):
-        pi = stationary_distribution(build_conditional_matrix(ehrenfest_dimension(1)))
+        pi = stationary_distribution(ehrenfest_dimension(1))
         assert np.allclose(pi, [0.5, 0.5], atol=1e-15)
 
     def test_two_ball_chain(self):
         # detailed-balance recursion by hand: ratios 1/(1/2) = 2 then (1/2)/1
-        pi = stationary_distribution(build_conditional_matrix(ehrenfest_dimension(2)))
+        pi = stationary_distribution(ehrenfest_dimension(2))
         assert np.allclose(pi, [0.25, 0.5, 0.25], atol=1e-15)
 
     def test_four_ball_chain_is_binomial(self):
-        pi = stationary_distribution(build_conditional_matrix(ehrenfest_dimension(4)))
+        pi = stationary_distribution(ehrenfest_dimension(4))
         assert np.max(np.abs(pi - np.array([1, 4, 6, 4, 1]) / 16.0)) <= 1e-12
 
     @given(multi_chain_specs(max_dims=1, max_size=12))
     def test_detailed_balance_and_stationarity(self, spec):
         m = build_conditional_matrix(spec.dims[0])
-        pi = stationary_distribution(m)
+        pi = stationary_distribution(spec.dims[0])
         pairwise = pi[:-1] * np.diag(m, 1) - pi[1:] * np.diag(m, -1)
         assert np.max(np.abs(pairwise)) <= 1e-12
         assert np.max(np.abs(pi @ m - pi)) <= 1e-12
@@ -213,18 +236,19 @@ class TestStationaryDistribution:
     def test_period_two_cycle_averages_to_the_stationary_law(self):
         # the reflecting chain is periodic: from position 0 its even and odd steps
         # settle apart, and only their average is the stationary law
-        m = build_conditional_matrix(ehrenfest_dimension(2))
+        dim = ehrenfest_dimension(2)
+        m = build_conditional_matrix(dim)
         even = np.linalg.matrix_power(m, 200)[0]
         odd = np.linalg.matrix_power(m, 201)[0]
         assert np.allclose(even, [0.5, 0.0, 0.5], atol=1e-12)
         assert np.allclose(odd, [0.0, 1.0, 0.0], atol=1e-12)
-        assert np.allclose((even + odd) / 2.0, stationary_distribution(m), atol=1e-12)
+        assert np.allclose((even + odd) / 2.0, stationary_distribution(dim), atol=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_large_urn_does_not_overflow(self):
         # pi is proportional to C(N, k), which overflows a double near N = 1030
         n = 1050
-        pi = stationary_distribution(build_conditional_matrix(ehrenfest_dimension(n)))
+        pi = stationary_distribution(ehrenfest_dimension(n))
         assert np.all(np.isfinite(pi))
         expected = scipy.stats.binom.pmf(np.arange(n + 1), n, 0.5)
         keep = expected >= 1e-300

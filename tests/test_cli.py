@@ -26,7 +26,12 @@ from hypothesis import strategies as st
 
 import bdqw
 from bdqw import cli, spectral, stats
-from bdqw.chain import DimensionSpec, build_conditional_matrix, ehrenfest_dimension
+from bdqw.chain import (
+    DimensionSpec,
+    build_conditional_matrix,
+    ehrenfest_dimension,
+    stationary_distribution,
+)
 from bdqw.cli import load_config, main, parse_config
 from bdqw.spectral import SpectralData
 
@@ -34,6 +39,7 @@ from conftest import (
     dimension_specs,
     double_well,
     expm_oracle,
+    kernel_layer_dimensions,
     random_dimension_spec,
 )
 
@@ -880,7 +886,7 @@ class TestVerify:
             dims = [random_dimension_spec(rng, max_size=40) for _ in range(2)]
             expected = 0.0
             for dim in dims:
-                tri = spectral.symmetrize(build_conditional_matrix(dim))
+                tri = spectral.symmetrize(dim)
                 s = spectral.dimension_spectrum(dim)
                 v = s.eigenvectors
                 expected = max(expected, np.max(np.abs(tri.to_dense() @ v - v * s.eigenvalues)))
@@ -947,6 +953,30 @@ class TestVerify:
         assert peak <= 2**20
         ratios = np.linalg.norm(right, axis=1) / np.linalg.norm(probes, axis=1)
         assert np.max(np.abs(ratios - 1.0)) <= 1e-12
+
+    def test_verify_holds_no_dense_kernel(self):
+        # the N = 1100 urn: V is 9.25 MiB and the solve's peak 16.3; each dense
+        # (n+1)^2 kernel beside V added 9.25 MiB, and two of them traced 27.9
+        config = parse_config({"dims": [{"size": 1100}], "time": [0.7, 3.1]})
+        cli.run_verify(config, 4096)  # LAPACK's first call, outside the trace
+        tracemalloc.start()
+        try:
+            code, _ = cli.run_verify(config, 4096)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 20 * 2**20
+
+    def test_balance_defects_are_the_dense_kernels(self):
+        # O(n) from the step arrays; the dense pi @ m sums the same two products,
+        # in an order (and with fused multiply-adds) of BLAS's choosing
+        for dim in kernel_layer_dimensions():
+            m, pi = build_conditional_matrix(dim), stationary_distribution(dim)
+            pairwise, flow = cli._balance_defects(dim)
+            dense_pairwise = pi[:-1] * np.diag(m, 1) - pi[1:] * np.diag(m, -1)
+            assert pairwise.tobytes() == dense_pairwise.tobytes()
+            assert np.max(np.abs(flow - (pi @ m - pi))) <= np.spacing(pi.max())
 
     @pytest.mark.parametrize("shape", [(1,), (2, 3), (8, 16, 16)])
     def test_probes_are_the_seeded_standard_library_draws(self, shape):
@@ -1326,7 +1356,7 @@ class TestBiasedChain:
 
         dim = DimensionSpec(size=self.N, decrease_prob=(self.P,) * (self.N - 1))
         m = build_conditional_matrix(dim)
-        assert float(stationary_distribution(m).min()) == 0.0
+        assert float(stationary_distribution(dim).min()) == 0.0
         off = np.sqrt(np.diag(m, 1) * np.diag(m, -1))
         j = np.diag(np.diag(m)) + np.diag(off, 1) + np.diag(off, -1)
         spectrum = spectral.dimension_spectrum(dim)
@@ -1895,8 +1925,9 @@ REJECTIONS = [
     case({"dims": [EDGE], "initial": None}, "initial: expected a list of 1 positions"),
     case({"dims": [EDGE], "initial": [5]}, "initial: position 5 out of range 0..1"),
     case({"dims": [EDGE], "initial": [-1]}, "initial: position -1 out of range 0..1"),
-    case({"dims": [EDGE], "initial": [True]}, "initial: position True out of range 0..1"),
-    case({"dims": [EDGE], "initial": [0.0]}, "initial: position 0.0 out of range 0..1"),
+    case({"dims": [EDGE], "initial": [True]}, "initial[0]: expected an integer position, got True"),
+    case({"dims": [EDGE], "initial": [0.0]}, "initial[0]: expected an integer position, got 0.0"),
+    case({"dims": [EDGE], "initial": ["1"]}, "initial[0]: expected an integer position, got '1'"),
     # --oracle-cap, the cap's one source: the config key is unknown, whatever its value
     case({"dims": [EDGE], "oracle_cap": 4096}, f"oracle_cap: unknown key, expected one of {TOP_KEYS}"),
     case({"dims": [EDGE], "oracle_cap": 0}, f"oracle_cap: unknown key, expected one of {TOP_KEYS}"),

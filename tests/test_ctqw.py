@@ -14,7 +14,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bdqw import ctqw
+from bdqw import ctqw, spectral
 from bdqw.chain import (
     DimensionSpec,
     MultiChainSpec,
@@ -533,13 +533,13 @@ class TestChebyshevPropagation:
     def test_each_kernel_is_built_once_per_distinct_dimension(self, monkeypatch):
         # twelve equal but separate edges and one urn: two distinct dimensions
         built = []
-        real = ctqw.build_conditional_matrix
+        real = spectral.step_probabilities
 
         def counted(dim):
             built.append(dim)
             return real(dim)
 
-        monkeypatch.setattr(ctqw, "build_conditional_matrix", counted)
+        monkeypatch.setattr(spectral, "step_probabilities", counted)
         dims = tuple(ehrenfest_dimension(1) for _ in range(12)) + (ehrenfest_dimension(2),)
         spec = MultiChainSpec(dims=dims, select_prob=(1 / 13,) * 13)
         law = dense_position_distribution(spec, 0.7, (0,) * 13, 2**14)
